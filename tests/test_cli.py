@@ -1,0 +1,124 @@
+"""The command-line contract: stdout bytes and exit codes of fixed commands.
+
+Each case runs ``cli.main`` in process and compares its stdout, byte for
+byte, with ``tests/cli_expected/<case>.txt``. Input files are written to a
+temporary directory; every space a report names gets a ``name`` header, so
+no temporary path reaches stdout.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from polysphere import cli
+
+EXPECTED = Path(__file__).parent / "cli_expected"
+
+# Smooth points on two opposite hexagon facets: the family covers only two
+# of the six facets, so the T-property is not established (exit 2).
+FAILING_CANDIDATES = "3/4 1/2\n-3/4 -1/2\n"
+
+# The rotation of the hexagon by one facet, a linear symmetry.
+HEX_ROTATION_MAP = """version 1
+domain hex
+codomain hex
+map
+v0 -> w1
+v1 -> w3
+v2 -> w0
+v3 -> w5
+v4 -> w2
+v5 -> w4
+"""
+
+# The hexagon with the vertex pair +-(1/2, 1) moved to +-(1/4, 1). The face
+# lattice is unchanged, so the identity correspondence preserves facets but
+# not distances.
+MOVED_HEX_SPACE = """version 1
+name moved-hex
+dim 2
+kind V
+1 0
+-1 0
+1/4 1
+-1/4 -1
+-1/2 1
+1/2 -1
+"""
+
+MOVED_HEX_MAP = """version 1
+domain hex
+codomain {codomain}
+map
+(-1, 0) -> (-1, 0)
+(-1/2, -1) -> (-1/4, -1)
+(-1/2, 1) -> (-1/2, 1)
+(1/2, -1) -> (1/2, -1)
+(1/2, 1) -> (1/4, 1)
+(1, 0) -> (1, 0)
+"""
+
+MALFORMED_SPACE = """version 1
+name broken
+dim 2
+kind H
+0 1
+0 -1
+1 1/2 7
+"""
+
+
+def run_cli(argv):
+    """Run the command line in process; returns (exit code, stdout bytes, stderr text)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue().encode("utf-8"), err.getvalue()
+
+
+def _write(directory: Path, name: str, text: str) -> str:
+    path = directory / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _moved_map(directory: Path) -> str:
+    codomain = _write(directory, "moved-hex.space", MOVED_HEX_SPACE)
+    return _write(directory, "moved.map", MOVED_HEX_MAP.format(codomain=codomain))
+
+
+# (case name, argv built from a scratch directory, expected exit code)
+CASES = [
+    ("facets_hex", lambda d: ["facets", "hex"], 0),
+    ("star_hex", lambda d: ["star", "hex", "3/4,1/2"], 0),
+    ("check_cl_linf3_decompose", lambda d: ["check-cl", "linf:3", "--decompose", "1,0,0"], 0),
+    ("check_cl_hex", lambda d: ["check-cl", "hex"], 1),
+    ("check_t_hex", lambda d: ["check-t", "hex"], 0),
+    (
+        "check_t_hex_failing_candidates",
+        lambda d: ["check-t", "hex", "--candidates", _write(d, "cands.txt", FAILING_CANDIDATES)],
+        2,
+    ),
+    ("verify_iso_hex_rotation", lambda d: ["verify-iso", _write(d, "rot.map", HEX_ROTATION_MAP)], 0),
+    ("extend_hex_rotation", lambda d: ["extend", _write(d, "rot.map", HEX_ROTATION_MAP)], 0),
+    ("verify_iso_moved_vertex", lambda d: ["verify-iso", _moved_map(d)], 1),
+    ("extend_moved_vertex", lambda d: ["extend", _moved_map(d)], 1),
+    ("sum_l1_hex_l1_1", lambda d: ["sum", "l1", "hex", "l1:1"], 0),
+    ("render_hex", lambda d: ["render", "hex"], 0),
+    ("render_linf3", lambda d: ["render", "linf:3"], 0),
+    ("catalog", lambda d: ["catalog"], 0),
+    ("facets_unknown_name", lambda d: ["facets", "nosuchspace"], 64),
+    ("facets_malformed_file", lambda d: ["facets", _write(d, "bad.space", MALFORMED_SPACE)], 64),
+]
+
+
+@pytest.mark.parametrize("name,make_argv,code", CASES, ids=[c[0] for c in CASES])
+def test_stdout_and_exit_code_are_pinned(tmp_path, name, make_argv, code):
+    got_code, got_out, got_err = run_cli(make_argv(tmp_path))
+    assert got_code == code
+    assert got_out == (EXPECTED / f"{name}.txt").read_bytes()
+    assert "Traceback" not in got_err
+    if code == 64:
+        assert got_err
