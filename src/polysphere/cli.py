@@ -8,6 +8,11 @@ render, catalog. Exit codes partition the outcomes:
     2   not established (the T-property certificate search was exhausted;
         the property is existential, so this is not a refutation)
     64  usage or parse error
+    141 stdout was closed before the report was written (a broken pipe;
+        the code a shell reports for a process ended by SIGPIPE)
+
+A map file that parses but does not carry facets onto facets is a failed
+verification (exit 1), not a parse error.
 
 Space arguments are file paths when such a file exists, catalog
 expressions otherwise (see ``polysphere catalog``). Reports are plain
@@ -22,8 +27,7 @@ from . import catalog as cat
 from .errors import GeometryError
 from .faces import facets, star
 from .formats import (
-    MapParseError,
-    SpaceParseError,
+    ParseError,
     parse_candidates_file,
     parse_map_file,
     parse_space_file,
@@ -39,6 +43,7 @@ OK = 0
 FAIL = 1
 NOT_ESTABLISHED = 2
 USAGE = 64
+BROKEN_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -103,9 +108,8 @@ def _cmd_check_cl(args, out) -> int:
         print("VERDICT: CL holds (and almost-CL, which coincides for polytopes)", file=out)
         if args.decompose:
             x = _parse_point(args.decompose, space.dim)
-            eps = as_fraction(args.eps)
             for face in facets(space):
-                lam, y1, y2 = cl_decomposition(space, x, face, eps=eps)
+                lam, y1, y2 = cl_decomposition(space, x, face)
                 print(
                     f"decomposition over f{face.functional_id}: {x} = {lam}*{y1} + {1 - lam}*{y2}",
                     file=out,
@@ -272,7 +276,6 @@ def build_parser() -> _Parser:
     p = add("check-cl", _cmd_check_cl, help="is the ball the two-sided hull of every facet")
     p.add_argument("space")
     p.add_argument("--decompose", metavar="POINT", help="also decompose POINT over every facet")
-    p.add_argument("--eps", default="0", help="decomposition tolerance (exact 0 is achieved)")
 
     p = add("check-t", _cmd_check_t, help="certificate search for the T-property")
     p.add_argument("space")
@@ -297,7 +300,6 @@ def build_parser() -> _Parser:
     p.add_argument("space")
     p.add_argument("--candidates", metavar="FILE")
     p.add_argument("--svg", metavar="FILE", help="output path (default: stdout)")
-    p.add_argument("--seed", type=int, default=0)
 
     add("catalog", _cmd_catalog, help="list built-in spaces and the name grammar")
     return parser
@@ -309,11 +311,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "max_dim", 6) > 6:
             raise _UsageError("--max-dim cannot exceed 6")
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone. Point stdout at the null device so that the
+        # flush at interpreter exit does not raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE
-    except (SpaceParseError, MapParseError) as err:
+    except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return USAGE
     except FileNotFoundError as err:

@@ -23,6 +23,7 @@ class Face:
 
     @property
     def functional(self) -> Functional:
+        """The functional with value one on the face and minus one on its opposite."""
         return self.space.hrep[self.functional_id]
 
     @property
@@ -79,25 +80,14 @@ def star(space: PolyhedralSpace, x: Vector) -> Star:
 
 
 def is_smooth(space: PolyhedralSpace, x: Vector) -> bool:
-    """True when exactly one facet functional attains one at x."""
-    _require_sphere(space, x)
-    return len(space.active_functional_ids(x)) == 1
+    """True when exactly one facet functional attains one at x.
 
-
-def is_star_maximal_convex(space: PolyhedralSpace, x: Vector) -> bool:
-    """True when St(x) is convex, hence a maximal convex subset.
-
-    A union of two or more facets is never convex (a convex sphere subset
-    cannot properly contain a maximal one), so for polytopes this is the
-    same as smoothness of x.
+    This is also the test for St(x) being convex, hence a maximal convex
+    subset: a union of two or more facets is never convex (a convex sphere
+    subset cannot properly contain a maximal one).
     """
     _require_sphere(space, x)
     return len(space.active_functional_ids(x)) == 1
-
-
-def supporting_functional(face: Face) -> Functional:
-    """The functional with value one on the face and minus one on its opposite."""
-    return face.functional
 
 
 def subspace_section(

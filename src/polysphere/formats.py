@@ -25,9 +25,9 @@ Map files::
     v0 -> w3          # domain vertex 0 to codomain vertex 3
     (1/2, 1) -> (1, 0)   # or by exact coordinates
 
-The facet correspondence of a map file is derived from the vertex pairs;
-if the vertex assignment does not send facets onto facets, the file is
-rejected with a ``facet-structure`` error.
+The facet correspondence of a map is derived from the vertex pairs. A
+well-formed file whose vertex assignment does not send facets onto facets
+parses; :func:`polysphere.isometry.verify_isometry` rejects the map.
 """
 
 import re
@@ -42,15 +42,9 @@ _TOKEN_RE = re.compile(r"\S+")
 _INDEX_RE = re.compile(r"^[vw]?(\d+)$")
 
 
-class SpaceParseError(GeometryError):
-    def __init__(self, kind: str, line: int, col: int, message: str):
-        super().__init__(f"line {line}, col {col}: {message}")
-        self.kind = kind
-        self.line = line
-        self.col = col
+class ParseError(GeometryError):
+    """A malformed space, map or candidate file, with its kind and position."""
 
-
-class MapParseError(GeometryError):
     def __init__(self, kind: str, line: int, col: int, message: str):
         super().__init__(f"line {line}, col {col}: {message}")
         self.kind = kind
@@ -63,12 +57,12 @@ def _strip_comment(raw: str) -> str:
     return raw if cut < 0 else raw[:cut]
 
 
-def _parse_rational(token: str, line: int, col: int, error_cls) -> Fraction:
+def _parse_rational(token: str, line: int, col: int) -> Fraction:
     try:
         return as_fraction(token)
     except (ValueError, TypeError):
         hint = "decimal tokens are not accepted" if "." in token else f"bad rational {token!r}"
-        raise error_cls("malformed-rational", line, col, hint) from None
+        raise ParseError("malformed-rational", line, col, hint) from None
 
 
 def _iter_rows(text: str):
@@ -91,39 +85,39 @@ def parse_space_text(text: str, name: str | None = None, max_dim: int = 6) -> Po
         first = tokens[0].group()
         if not header_done and first in _HEADER_KEYS:
             if len(tokens) != 2:
-                raise SpaceParseError("header", ln, tokens[0].start() + 1, f"{first} needs one value")
+                raise ParseError("header", ln, tokens[0].start() + 1, f"{first} needs one value")
             header[first] = tokens[1].group()
             continue
         if not header_done and first[0].isalpha():
-            raise SpaceParseError("header", ln, tokens[0].start() + 1, f"unknown header key {first!r}")
+            raise ParseError("header", ln, tokens[0].start() + 1, f"unknown header key {first!r}")
         header_done = True
         row = tuple(
-            _parse_rational(t.group(), ln, t.start() + 1, SpaceParseError) for t in tokens
+            _parse_rational(t.group(), ln, t.start() + 1) for t in tokens
         )
         rows.append((ln, row))
 
     if header.get("version") != "1":
-        raise SpaceParseError("header", 1, 1, "missing or unsupported 'version' (expected 1)")
+        raise ParseError("header", 1, 1, "missing or unsupported 'version' (expected 1)")
     kind = header.get("kind")
     if kind not in ("H", "V"):
-        raise SpaceParseError("header", 1, 1, "missing or bad 'kind' (expected H or V)")
+        raise ParseError("header", 1, 1, "missing or bad 'kind' (expected H or V)")
     try:
         dim = int(header.get("dim", ""))
     except ValueError:
-        raise SpaceParseError("header", 1, 1, "missing or bad 'dim'") from None
+        raise ParseError("header", 1, 1, "missing or bad 'dim'") from None
     symmetric = header.get("symmetric", "false").lower() == "true"
     if not rows:
-        raise SpaceParseError("header", 1, 1, "no data rows")
+        raise ParseError("header", 1, 1, "no data rows")
     for ln, row in rows:
         if len(row) != dim:
-            raise SpaceParseError(
+            raise ParseError(
                 "dimension-mismatch", ln, 1, f"row has {len(row)} entries, expected {dim}"
             )
     if not symmetric:
         row_set = {row for _, row in rows}
         for ln, row in rows:
             if tuple(-c for c in row) not in row_set:
-                raise SpaceParseError(
+                raise ParseError(
                     "asymmetric-input",
                     ln,
                     1,
@@ -165,15 +159,15 @@ def _parse_point_side(side: str, ln: int, col: int) -> tuple[str, object]:
     side = side.strip()
     if side.startswith("("):
         if not side.endswith(")"):
-            raise MapParseError("mapping", ln, col, "unclosed coordinate tuple")
+            raise ParseError("mapping", ln, col, "unclosed coordinate tuple")
         parts = side[1:-1].split(",")
         coords = tuple(
-            _parse_rational(p.strip(), ln, col, MapParseError) for p in parts
+            _parse_rational(p.strip(), ln, col) for p in parts
         )
         return "coords", coords
     m = _INDEX_RE.match(side)
     if not m:
-        raise MapParseError("mapping", ln, col, f"bad vertex reference {side!r}")
+        raise ParseError("mapping", ln, col, f"bad vertex reference {side!r}")
     return "index", int(m.group(1))
 
 
@@ -191,21 +185,21 @@ def parse_map_text(
                 continue
             key, _, value = body.partition(" ")
             if key not in ("version", "domain", "codomain") or not value.strip():
-                raise MapParseError("header", ln, 1, f"unexpected header line {body!r}")
+                raise ParseError("header", ln, 1, f"unexpected header line {body!r}")
             header[key] = value.strip()
             continue
         lhs, arrow, rhs = body.partition("->")
         if not arrow:
-            raise MapParseError("mapping", ln, 1, "mapping lines look like 'v0 -> w1'")
+            raise ParseError("mapping", ln, 1, "mapping lines look like 'v0 -> w1'")
         pairs.append(
             (ln, _parse_point_side(lhs, ln, 1), _parse_point_side(rhs, ln, body.find("->") + 3))
         )
 
     if header.get("version") != "1":
-        raise MapParseError("header", 1, 1, "missing or unsupported 'version' (expected 1)")
+        raise ParseError("header", 1, 1, "missing or unsupported 'version' (expected 1)")
     for key in ("domain", "codomain"):
         if key not in header:
-            raise MapParseError("header", 1, 1, f"missing '{key}'")
+            raise ParseError("header", 1, 1, f"missing '{key}'")
     domain = resolver(header["domain"])
     codomain = resolver(header["codomain"])
 
@@ -213,14 +207,14 @@ def parse_map_text(
         tag, value = side
         if tag == "index":
             if not 0 <= value < len(space.vrep):
-                raise MapParseError("vertex", ln, 1, f"vertex index {value} out of range")
+                raise ParseError("vertex", ln, 1, f"vertex index {value} out of range")
             return value
         if len(value) != space.dim:
-            raise MapParseError("dimension-mismatch", ln, 1, "coordinate tuple has wrong length")
+            raise ParseError("dimension-mismatch", ln, 1, "coordinate tuple has wrong length")
         try:
             return space.vertex_id(Vector(value))
         except GeometryError:
-            raise MapParseError(
+            raise ParseError(
                 "vertex", ln, 1, f"{value} is not a vertex of the space"
             ) from None
 
@@ -229,37 +223,18 @@ def parse_map_text(
         i = vertex_index(domain, lhs, ln)
         j = vertex_index(codomain, rhs, ln)
         if i in assignment:
-            raise MapParseError("coverage", ln, 1, f"domain vertex {i} mapped twice")
+            raise ParseError("coverage", ln, 1, f"domain vertex {i} mapped twice")
         assignment[i] = j
     missing = [i for i in range(len(domain.vrep)) if i not in assignment]
     if missing:
-        raise MapParseError(
+        raise ParseError(
             "coverage", 1, 1, f"domain vertices without an image: {missing}"
         )
     vertex_map = tuple(assignment[i] for i in range(len(domain.vrep)))
     if len(set(vertex_map)) != len(vertex_map):
-        raise MapParseError("coverage", 1, 1, "two domain vertices share an image")
+        raise ParseError("coverage", 1, 1, "two domain vertices share an image")
 
-    facet_map = []
-    for fid in range(len(domain.hrep)):
-        target = {vertex_map[j] for j in domain.facet_index[fid]}
-        gid = next(
-            (
-                g
-                for g in range(len(codomain.hrep))
-                if set(codomain.facet_index[g]) == target
-            ),
-            None,
-        )
-        if gid is None:
-            raise MapParseError(
-                "facet-structure",
-                1,
-                1,
-                f"vertex images of facet {fid} do not form a codomain facet",
-            )
-        facet_map.append(gid)
-    return SphereMap(domain, codomain, vertex_map, tuple(facet_map))
+    return SphereMap(domain, codomain, vertex_map)
 
 
 def parse_map_file(path, resolver: Callable[[str], PolyhedralSpace]) -> SphereMap:
@@ -280,10 +255,10 @@ def parse_candidates_text(text: str, dim: int) -> tuple[Vector, ...]:
     for ln, line in _iter_rows(text):
         tokens = list(_TOKEN_RE.finditer(line))
         row = tuple(
-            _parse_rational(t.group(), ln, t.start() + 1, SpaceParseError) for t in tokens
+            _parse_rational(t.group(), ln, t.start() + 1) for t in tokens
         )
         if len(row) != dim:
-            raise SpaceParseError(
+            raise ParseError(
                 "dimension-mismatch", ln, 1, f"candidate has {len(row)} entries, expected {dim}"
             )
         out.append(Vector(row))

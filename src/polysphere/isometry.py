@@ -1,12 +1,14 @@
 """Sphere-to-sphere maps between polyhedral spaces and their linear extensions.
 
-A candidate isometry is encoded combinatorially: a vertex bijection plus a
-facet bijection, evaluated piecewise by barycentric coordinates. Between
-polytope spheres every surjective isometry carries facets to facets, so
-this class covers all of them. Verification checks antipodality, exact
-distance preservation on vertices and on deterministic interior samples,
-and the structural facet consistency that makes the evaluation rule
-well defined.
+A candidate isometry is encoded combinatorially: a vertex bijection,
+evaluated piecewise by barycentric coordinates, from which the facet
+correspondence is derived. Between polytope spheres every surjective
+isometry carries facets to facets, so this class covers all of them.
+Verification checks that facets go to facets, antipodality, exact distance
+preservation on vertices and on deterministic interior samples, and the
+affine consistency on each facet that makes the evaluation rule well
+defined. Only a failure of the last marks a map as malformed; every other
+failure is an honest verdict with a counterexample.
 
 The linear extension is built from exact linear algebra on the vertex
 images, then certified independently: agreement on every vertex, the
@@ -14,7 +16,7 @@ norm formula through the transported functional pairs, and a vertex
 bijection between the two balls.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -29,8 +31,8 @@ from .lp import LpConstraint, LpProblem, solve_lp
 from .sampling import (
     DEFAULT_SEED,
     facet_sample_points,
+    norm_samples,
     random_facet_point,
-    random_fraction,
     rng_from,
 )
 from .space import Functional, PolyhedralSpace, Vector
@@ -38,28 +40,33 @@ from .space import Functional, PolyhedralSpace, Vector
 
 @dataclass(frozen=True)
 class SphereMap:
-    """Piecewise-linear sphere map given by vertex and facet bijections.
+    """Piecewise-linear sphere map given by a vertex bijection.
 
-    ``vertex_map[i]`` is the codomain vertex id of domain vertex i, and
-    ``facet_map[g]`` the codomain facet id of domain facet g. A point on a
-    domain facet with barycentric weights over that facet's vertices goes
-    to the same weights over the image vertices. The constructor validates
-    only that both maps are bijections of the right size; the geometric
-    invariants are the business of :func:`verify_isometry`.
+    ``vertex_map[i]`` is the codomain vertex id of domain vertex i. A point
+    on a domain facet with barycentric weights over that facet's vertices
+    goes to the same weights over the image vertices. The constructor
+    validates only that ``vertex_map`` is a bijection, and derives
+    ``facet_map``: ``facet_map[g]`` is the codomain facet whose vertices are
+    the images of domain facet g's vertices, or None when the images form
+    no codomain facet. The geometric invariants, facet preservation among
+    them, are the business of :func:`verify_isometry`.
     """
 
     domain: PolyhedralSpace
     codomain: PolyhedralSpace
     vertex_map: tuple[int, ...]
-    facet_map: tuple[int, ...]
+    facet_map: tuple[int | None, ...] = field(init=False)
 
     def __post_init__(self):
         nv, mv = len(self.domain.vrep), len(self.codomain.vrep)
-        nf, mf = len(self.domain.hrep), len(self.codomain.hrep)
         if nv != mv or sorted(self.vertex_map) != list(range(mv)):
-            raise ValueError("vertex_map is not a bijection onto the codomain vertices")
-        if nf != mf or sorted(self.facet_map) != list(range(mf)):
-            raise ValueError("facet_map is not a bijection onto the codomain facets")
+            raise GeometryError("vertex_map is not a bijection onto the codomain vertices")
+        facet_ids = {frozenset(ids): g for g, ids in enumerate(self.codomain.facet_index)}
+        facet_map = tuple(
+            facet_ids.get(frozenset(self.vertex_map[j] for j in ids))
+            for ids in self.domain.facet_index
+        )
+        object.__setattr__(self, "facet_map", facet_map)
 
     def vertex_image(self, i: int) -> Vector:
         return self.codomain.vrep[self.vertex_map[i]]
@@ -88,34 +95,23 @@ class SphereMap:
     @classmethod
     def from_linear(cls, domain: PolyhedralSpace, codomain: PolyhedralSpace, matrix: Matrix) -> "SphereMap":
         """Encode the sphere restriction of a linear map that carries ball to ball."""
-        vmap = []
-        for v in domain.vrep:
-            image = Vector(linalg.mat_vec(matrix, v.coords))
-            vmap.append(codomain.vertex_id(image))
-        fmap = []
-        for fid in range(len(domain.hrep)):
-            target = {vmap[j] for j in domain.facet_index[fid]}
-            gid = next(
-                (
-                    g
-                    for g in range(len(codomain.hrep))
-                    if set(codomain.facet_index[g]) == target
-                ),
-                None,
-            )
-            if gid is None:
-                raise GeometryError("matrix does not carry facets onto codomain facets")
-            fmap.append(gid)
-        return cls(domain, codomain, tuple(vmap), tuple(fmap))
+        vmap = tuple(
+            codomain.vertex_id(Vector(linalg.mat_vec(matrix, v.coords))) for v in domain.vrep
+        )
+        m = cls(domain, codomain, vmap)
+        if None in m.facet_map:
+            raise GeometryError("matrix does not carry facets onto codomain facets")
+        return m
 
 
 @dataclass(frozen=True)
 class IsometryReport:
     """Outcome of :func:`verify_isometry`.
 
-    ``malformed`` marks structural invariant violations (facet
-    inconsistency, ill-defined evaluation), as opposed to an honest
-    isometry failure with a distance or antipodality counterexample.
+    ``malformed`` marks a map whose piecewise evaluation is not well
+    defined (no affine map matches some facet's data), as opposed to an
+    honest isometry failure: facets not carried onto facets, or an
+    antipodality or distance counterexample.
     """
 
     passed: bool
@@ -129,11 +125,10 @@ class IsometryReport:
 
 @dataclass(frozen=True)
 class ExtensionCertificate:
+    """A linear extension that passed every check of :func:`extend`."""
+
     matrix: Matrix
     functional_pairs: tuple[tuple[Functional, Functional], ...]
-    vertex_agreement: bool
-    norm_formula: bool
-    vertex_bijection: bool
 
 
 @dataclass(frozen=True)
@@ -164,13 +159,30 @@ def _barycentric_weights(points: list[Vector], x: Vector) -> tuple[Fraction, ...
 def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
     """Check that a sphere map is a well-formed surjective isometry.
 
-    Order of checks: antipodality on vertices, exact pairwise vertex
-    distances, facet consistency (structural), then exact distances on the
-    deterministic facet samples (barycenters, midpoints, and a few seeded
-    rational facet points). The first failure is reported with its
-    counterexample.
+    Order of checks: every facet's vertex images form a codomain facet and
+    the facet counts agree, antipodality on vertices, exact pairwise vertex
+    distances, affine consistency on each facet (structural), then exact
+    distances on the deterministic facet samples (barycenters, midpoints,
+    and a few seeded rational facet points). The first failure is reported
+    with its counterexample.
     """
     dom, cod = m.domain, m.codomain
+
+    for fid, gid in enumerate(m.facet_map):
+        if gid is None:
+            return IsometryReport(
+                False,
+                reason=f"vertex images of facet {fid} do not form a codomain facet",
+                counterexample=tuple(m.vertex_image(j) for j in dom.facet_index[fid]),
+            )
+    if len(dom.hrep) != len(cod.hrep):
+        return IsometryReport(
+            False,
+            reason=(
+                f"facet counts differ: {len(dom.hrep)} in the domain, "
+                f"{len(cod.hrep)} in the codomain"
+            ),
+        )
 
     for i in range(len(dom.vrep)):
         if m.vertex_map[dom.neg_vertex_id(i)] != cod.neg_vertex_id(m.vertex_map[i]):
@@ -191,18 +203,9 @@ def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
                     counterexample=(dom.vrep[i], dom.vrep[j], lhs, rhs),
                 )
 
-    for fid in range(len(dom.hrep)):
-        target = {m.vertex_map[j] for j in dom.facet_index[fid]}
-        if target != set(cod.facet_index[m.facet_map[fid]]):
-            return IsometryReport(
-                False,
-                malformed=True,
-                reason="facet-consistency invariant: vertex images do not form the image facet",
-                counterexample=(fid, m.facet_map[fid]),
-            )
+    for fid, ids in enumerate(dom.facet_index):
         # The facet rule must extend affinely, otherwise evaluation at
         # ridge points would depend on the chosen facet.
-        ids = dom.facet_index[fid]
         hom = [dom.vrep[j].coords + (ONE,) for j in ids]
         images = [m.vertex_image(j).coords for j in ids]
         if linalg.rank(hom) != linalg.rank([h + w for h, w in zip(hom, images)]):
@@ -238,12 +241,17 @@ def transported_functionals(m: SphereMap) -> tuple[tuple[Functional, Functional]
     Certifies the transport relation exactly on the generating set: for
     every domain vertex v and every pair (f, g), g at the image of v must
     equal f at v. Raises CertificationError with the offending facet and
-    vertex otherwise. Intended to run after :func:`verify_isometry`.
+    vertex otherwise, and when a domain facet has no image facet. Intended
+    to run after :func:`verify_isometry`.
     """
     pairs = []
-    for fid in range(len(m.domain.hrep)):
+    for fid, gid in enumerate(m.facet_map):
+        if gid is None:
+            raise CertificationError(
+                f"vertex images of facet {fid} do not form a codomain facet", detail=(fid,)
+            )
         f = m.domain.hrep[fid]
-        g = m.codomain.hrep[m.facet_map[fid]]
+        g = m.codomain.hrep[gid]
         for i, v in enumerate(m.domain.vrep):
             if g(m.vertex_image(i)) != f(v):
                 raise CertificationError(
@@ -292,16 +300,7 @@ def extend(m: SphereMap, seed=DEFAULT_SEED) -> ExtensionCertificate:
 
     pairs = transported_functionals(m)
 
-    samples: list[Vector] = list(dom.vrep)
-    for i in range(len(dom.vrep)):
-        for j in range(i + 1, len(dom.vrep)):
-            samples.append(dom.vrep[i] - dom.vrep[j])
-    rng = rng_from(seed)
-    for _ in range(25):
-        coords = tuple(random_fraction(rng) for _ in range(dom.dim))
-        samples.append(Vector(coords))
-
-    for z in samples:
+    for z in norm_samples(dom, seed):
         if all(c == 0 for c in z.coords):
             continue
         mz = Vector(linalg.mat_vec(matrix, z.coords))
@@ -323,13 +322,7 @@ def extend(m: SphereMap, seed=DEFAULT_SEED) -> ExtensionCertificate:
     if not bijective:
         raise CertificationError("matrix does not map ball vertices bijectively")
 
-    return ExtensionCertificate(
-        matrix=matrix,
-        functional_pairs=pairs,
-        vertex_agreement=True,
-        norm_formula=True,
-        vertex_bijection=True,
-    )
+    return ExtensionCertificate(matrix=matrix, functional_pairs=pairs)
 
 
 def norm_formula_check(space: PolyhedralSpace, seed=DEFAULT_SEED, combos: int = 25) -> NormFormulaVerdict:
@@ -338,16 +331,8 @@ def norm_formula_check(space: PolyhedralSpace, seed=DEFAULT_SEED, combos: int = 
     Samples every vertex, every pairwise vertex difference, and seeded
     rational combinations; requires exact equality throughout.
     """
-    samples: list[Vector] = list(space.vrep)
-    for i in range(len(space.vrep)):
-        for j in range(i + 1, len(space.vrep)):
-            samples.append(space.vrep[i] - space.vrep[j])
-    rng = rng_from(seed)
-    for _ in range(combos):
-        samples.append(Vector(tuple(random_fraction(rng) for _ in range(space.dim))))
-
     checked = 0
-    for z in samples:
+    for z in norm_samples(space, seed, combos):
         if all(c == 0 for c in z.coords):
             continue
         checked += 1

@@ -24,22 +24,6 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Row:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Row:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_neg(a: Sequence[Fraction]) -> Row:
-    return tuple(-x for x in a)
-
-
-def vec_scale(a: Sequence[Fraction], s: Fraction) -> Row:
-    return tuple(s * x for x in a)
-
-
 def identity(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
@@ -145,16 +129,15 @@ def invert(m: Matrix) -> Matrix | None:
 
 
 def independent_row_indices(rows: Sequence[Sequence[Fraction]], limit: int | None = None) -> list[int]:
-    """Indices of a maximal linearly independent subset, greedy in listed order."""
-    chosen: list[int] = []
-    chosen_rows: list[Sequence[Fraction]] = []
-    for i, r in enumerate(rows):
-        if limit is not None and len(chosen) == limit:
-            break
-        if rank(chosen_rows + [r]) == len(chosen_rows) + 1:
-            chosen.append(i)
-            chosen_rows.append(r)
-    return chosen
+    """Indices of a maximal linearly independent subset, greedy in listed order.
+
+    A row is independent of the rows before it exactly when its column is a
+    pivot column of the transposed matrix, so one elimination decides all.
+    """
+    if not rows:
+        return []
+    _, pivots = _echelon(transpose(tuple(tuple(r) for r in rows)))
+    return pivots[:limit]
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:

@@ -69,10 +69,6 @@ class LpSolution:
     value: Fraction | None
 
 
-def less_equal(coeffs, bound) -> LpConstraint:
-    return LpConstraint(tuple(Fraction(c) for c in coeffs), "<=", Fraction(bound))
-
-
 def equal(coeffs, bound) -> LpConstraint:
     return LpConstraint(tuple(Fraction(c) for c in coeffs), "==", Fraction(bound))
 

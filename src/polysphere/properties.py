@@ -30,12 +30,11 @@ class FacetClVerdict:
 class ClReport:
     """Verdict of the CL check with a counterexample vertex when it fails.
 
-    For polytopes the closed and plain convex hulls coincide, so the CL
-    and almost-CL verdicts are always equal.
+    For polytopes the closed and plain convex hulls coincide, so ``is_cl``
+    is also the almost-CL verdict.
     """
 
     is_cl: bool
-    is_almost_cl: bool
     facet_verdicts: tuple[FacetClVerdict, ...]
     counterexample: tuple[int, Vector] | None
 
@@ -156,7 +155,7 @@ def check_cl(space: PolyhedralSpace) -> ClReport:
         if failing is not None and counterexample is None:
             counterexample = (face.functional_id, failing)
     ok = counterexample is None
-    return ClReport(ok, ok, tuple(verdicts), counterexample)
+    return ClReport(ok, tuple(verdicts), counterexample)
 
 
 def admits_smooth_points(space: PolyhedralSpace) -> SmoothPointReport:
@@ -271,18 +270,15 @@ def check_t_property(
 
 
 def cl_decomposition(
-    space: PolyhedralSpace, x: Vector, face: Face, eps=Fraction(0)
+    space: PolyhedralSpace, x: Vector, face: Face
 ) -> tuple[Fraction, Vector, Vector]:
     """Write a sphere point as lam*y1 + (1-lam)*y2 with y1 in the face, y2 in its opposite.
 
-    For polytopes the representation is exact, so ``eps`` (accepted for
-    interface symmetry, must be nonnegative) never loosens anything.
-    The weight lam is forced to (f(x)+1)/2 by the face functional; only
-    the witnesses involve a choice, resolved deterministically by the LP.
+    For polytopes the representation is exact. The weight lam is forced
+    to (f(x)+1)/2 by the face functional; only the witnesses involve a
+    choice, resolved deterministically by the LP.
     Raises NotAlmostClError when no representation exists.
     """
-    if Fraction(eps) < 0:
-        raise ValueError("eps must be nonnegative")
     if space.norm(x) != 1:
         raise NotOnSphereError(f"{x} is not on the sphere")
     plus = list(face.vertices)

@@ -10,6 +10,7 @@ Floats appear only in drawing coordinates, never in any verdict.
 """
 
 import math
+from xml.sax.saxutils import escape
 
 from . import linalg
 from .properties import TPropertyReport
@@ -87,7 +88,7 @@ def _render_2d(space, candidates, report) -> str:
         ly = sy(float(b.coords[1]) * 1.18)
         out.append(
             f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="12" fill="#1f4e98" '
-            f'text-anchor="middle">f{fid} {space.hrep[fid]}</text>'
+            f'text-anchor="middle">f{fid} {escape(str(space.hrep[fid]))}</text>'
         )
 
     for v in space.vrep:
@@ -123,7 +124,7 @@ def _render_2d(space, candidates, report) -> str:
     if witnesses:
         label += f"; {len(witnesses)} witness points"
     out.append(
-        f'<text x="12" y="20" font-size="13" fill="#000000">{label}</text>'
+        f'<text x="12" y="20" font-size="13" fill="#000000">{escape(label)}</text>'
     )
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -159,7 +160,7 @@ def _render_incidence(space: PolyhedralSpace) -> str:
         f'viewBox="0 0 {_SIZE} {_SIZE}">',
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
         f'<text x="12" y="20" font-size="13" fill="#000000">'
-        f"{space.summary()}; facet incidence graph</text>",
+        f"{escape(space.summary())}; facet incidence graph</text>",
     ]
     for i, j in _ridge_pairs(space):
         x1, y1 = node(i)
@@ -179,7 +180,7 @@ def _render_incidence(space: PolyhedralSpace) -> str:
         ly = cy + (radius + 34) * math.sin(2 * math.pi * i / m - math.pi / 2)
         out.append(
             f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="10" fill="#333333" '
-            f'text-anchor="middle">{space.hrep[i]}</text>'
+            f'text-anchor="middle">{escape(str(space.hrep[i]))}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -431,9 +431,6 @@ class PolyhedralSpace:
             raise GeometryError("gauge LP failed; vertex set cannot be polar to the facets")
         return -sol.value
 
-    def on_sphere(self, x: Vector) -> bool:
-        return self.norm(x) == 1
-
     def active_functional_ids(self, x: Vector) -> tuple[int, ...]:
         """Ids of facet functionals attaining one at x (x need not be normalised)."""
         return tuple(i for i, f in enumerate(self.hrep) if f(x) == 1)
@@ -508,20 +505,3 @@ def _check_enum_caps(dim: int, count: int, max_dim: int):
     if count > MAX_FACETS:
         raise EnumerationCapError(f"{count} rows exceed the cap of {MAX_FACETS}")
 
-
-# Spec-level conveniences mirroring the functional style of the operations.
-
-def norm(space: PolyhedralSpace, x: Vector) -> Fraction:
-    return space.norm(x)
-
-
-def dual_space(space: PolyhedralSpace, name: str | None = None) -> PolyhedralSpace:
-    return space.dual(name=name)
-
-
-def from_functionals(fs, **kwargs) -> PolyhedralSpace:
-    return PolyhedralSpace.from_functionals(fs, **kwargs)
-
-
-def from_vertices(vs, **kwargs) -> PolyhedralSpace:
-    return PolyhedralSpace.from_vertices(vs, **kwargs)

@@ -1,0 +1,99 @@
+"""Command-line behaviour on inputs that used to end in the wrong exit code,
+a traceback, or malformed output."""
+
+import os
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
+from pathlib import Path
+
+import pytest
+
+import polysphere
+from test_cli import run_cli
+
+SWAPPED_HEX_MAP = """version 1
+domain hex
+codomain hex
+map
+v0 -> w2
+v1 -> w1
+v2 -> w0
+v3 -> w3
+v4 -> w4
+v5 -> w5
+"""
+
+HEX_TO_CROSS_MAP = """version 1
+domain hex
+codomain l1:3
+map
+""" + "".join(f"v{i} -> w{i}\n" for i in range(6))
+
+
+@pytest.mark.parametrize(
+    "text,codomain",
+    [(SWAPPED_HEX_MAP, "hex: dim 2, 6 facets"), (HEX_TO_CROSS_MAP, "l1:3: dim 3, 8 facets")],
+    ids=["swapped-hex", "hex-to-l1_3"],
+)
+def test_map_that_breaks_facets_fails_verification(tmp_path, text, codomain):
+    path = tmp_path / "m.map"
+    path.write_text(text, encoding="utf-8")
+    reason = "vertex images of facet 0 do not form a codomain facet"
+
+    code, out, err = run_cli(["verify-iso", str(path)])
+    assert (code, err) == (1, "")
+    lines = out.decode().splitlines()
+    assert lines[1].startswith(f"codomain: {codomain}")
+    assert lines[2] == f"VERDICT: rejected: isometry failure: {reason}"
+
+    code, out, err = run_cli(["extend", str(path)])
+    assert (code, err) == (1, "")
+    assert out.decode().splitlines()[0] == f"VERDICT: not an isometry: {reason}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check-cl", "linf:3", "--decompose", "1,0,0", "--eps", "0"], ["render", "hex", "--seed", "0"]],
+    ids=["check-cl-eps", "render-seed"],
+)
+def test_removed_options_are_usage_errors(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (64, b"")
+    assert err.startswith("usage error: unrecognized arguments")
+
+
+@pytest.mark.parametrize("space", ["hex", "l1:6"])
+def test_closed_stdout_ends_without_traceback(space):
+    # The read end is closed before the child starts, so its first write to
+    # stdout (or the final flush, for output that fits the buffer) fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(polysphere.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "polysphere.cli", "facets", space],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+SPACE_2D = "version 1\nname a<b&c\ndim 2\nkind H\nsymmetric true\n0 1\n1 1/2\n1 -1/2\n"
+SPACE_3D = "version 1\nname a<b&c\ndim 3\nkind H\nsymmetric true\n1 0 0\n0 1 0\n0 0 1\n"
+
+
+@pytest.mark.parametrize("text", [SPACE_2D, SPACE_3D], ids=["2d-sphere", "incidence-graph"])
+def test_svg_escapes_text(tmp_path, text):
+    path = tmp_path / "s.space"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["render", str(path)])
+    assert (code, err) == (0, "")
+    root = ET.fromstring(out)
+    texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert any(t.startswith("a<b&c: dim ") for t in texts)

@@ -12,13 +12,11 @@ from polysphere import (
     facets,
     functional,
     is_smooth,
-    is_star_maximal_convex,
     l1_space,
     linf_space,
     section_coordinates,
     star,
     subspace_section,
-    supporting_functional,
     vector,
 )
 from polysphere.sampling import random_facet_point, sphere_points
@@ -147,7 +145,7 @@ class TestSmoothness:
     def test_star_maximal_iff_smooth_sampled(self, small_catalog):
         for space in small_catalog:
             for x in sphere_points(space, 25, seed=29):
-                assert is_star_maximal_convex(space, x) == is_smooth(space, x)
+                assert is_smooth(space, x) == (len(star(space, x).faces) == 1)
 
     def test_nonsmooth_star_union_not_convex(self, cube3):
         """Oracle: barycenters of two distinct star faces have a midpoint off the star."""
@@ -171,21 +169,21 @@ class TestSmoothness:
 class TestSupportingFunctional:
     def test_cube_top(self, cube3):
         face = face_by_functional(cube3, (0, 0, 1))
-        assert supporting_functional(face).coeffs == (F(0), F(0), F(1))
+        assert face.functional.coeffs == (F(0), F(0), F(1))
 
     def test_hexagon_top_edge(self, hexagon):
         st = star(hexagon, vector(0, 1))
-        assert supporting_functional(st.faces[0]).coeffs == (F(0), F(1))
+        assert st.faces[0].functional.coeffs == (F(0), F(1))
 
     def test_negation_law(self, small_catalog):
         for space in small_catalog:
             for face in facets(space):
-                assert supporting_functional(face.opposite) == -supporting_functional(face)
+                assert face.opposite.functional == -face.functional
 
     def test_bounds_on_ball(self, small_catalog):
         for space in small_catalog:
             for face in facets(space):
-                f = supporting_functional(face)
+                f = face.functional
                 assert all(abs(f(v)) <= 1 for v in space.vrep)
                 assert all(f(v) == 1 for v in face.vertices)
 

@@ -54,7 +54,7 @@ def polygon_contains(vertices, p):
 class TestCheckCl:
     def test_square_is_cl(self, square):
         report = check_cl(square)
-        assert report.is_cl and report.is_almost_cl
+        assert report.is_cl
         assert report.counterexample is None
         # oracle: every vertex sits in the two-sided hull of every edge
         for face in facets(square):
@@ -64,7 +64,7 @@ class TestCheckCl:
 
     def test_hexagon_is_not_cl(self, hexagon):
         report = check_cl(hexagon)
-        assert not report.is_cl and not report.is_almost_cl
+        assert not report.is_cl
         fid, v = report.counterexample
         face = Face(hexagon, fid)
         gens = [w.coords for w in face.vertices] + [(-w).coords for w in face.vertices]
@@ -314,8 +314,3 @@ class TestClDecomposition:
         top = face_by_functional(hexagon, (0, 1))
         with pytest.raises(NotAlmostClError):
             cl_decomposition(hexagon, vector(1, 0), top)
-
-    def test_negative_eps_rejected(self, square):
-        top = face_by_functional(square, (0, 1))
-        with pytest.raises(ValueError):
-            cl_decomposition(square, vector(1, 0), top, eps=F(-1, 2))
