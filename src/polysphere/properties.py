@@ -113,8 +113,27 @@ def in_convex_hull(x: Vector, points: list[Vector]) -> tuple[Fraction, ...] | No
 def distance_to_hull(space: PolyhedralSpace, x: Vector, points: list[Vector]) -> tuple[Fraction, Vector]:
     """Exact minimum of norm(x - y) over the hull of ``points``, with a minimiser.
 
-    Solved as one LP in the space's own norm: variables are the convex
-    weights and the distance bound t, constrained by every facet functional.
+    Witness first, LP as fallback. Every facet functional f has dual norm
+    one, so on the hull norm(x - y) >= f(y) - f(x) >= min_p f(p) - f(x);
+    the best of these bounds (and zero) is a lower bound on the distance.
+    The first of ``points`` whose distance to x meets that bound is a
+    minimiser, certified by exact norm evaluation. Only when no point does
+    is the distance LP solved.
+    """
+    if not points:
+        raise GeometryError("distance to the hull of no points")
+    lower = max(ZERO, *(min(f(p) for p in points) - f(x) for f in space.hrep))
+    for p in points:
+        if space.norm(x - p) == lower:
+            return lower, p
+    return _distance_lp(space, x, points)
+
+
+def _distance_lp(space: PolyhedralSpace, x: Vector, points: list[Vector]) -> tuple[Fraction, Vector]:
+    """The distance to the hull of ``points`` as one LP in the space's own norm.
+
+    Variables are the convex weights and the distance bound t, constrained
+    by every facet functional.
     """
     k = len(points)
     nvars = k + 1
@@ -174,7 +193,10 @@ def condition_iii_value(
     """Exact minimum of norm(x - y+) + norm(x - y-) over y+ in the face, y- in its opposite.
 
     The minimum is always at least two: the face functional separates the
-    face from its opposite by exactly two.
+    face from its opposite by exactly two. Each side is settled by
+    :func:`distance_to_hull`, so a witness that meets the functional bound
+    is returned without an LP; the witnesses may therefore differ from the
+    LP's own choice of minimiser, while the value is the same.
     """
     if space.norm(x) != 1:
         raise NotOnSphereError(f"{x} is not on the sphere")
@@ -189,8 +211,13 @@ def condition_iii_value(
 
 
 def _distance_to_face(space: PolyhedralSpace, x: Vector, fid: int) -> tuple[Fraction, Vector]:
-    if space.hrep[fid](x) == 1:
+    value = space.hrep[fid](x)
+    if value == 1:
         return ZERO, x
+    if value == -1:
+        # x is on the sphere, so -x lies on the facet at distance two, and
+        # the facet functional shows that nothing on the facet is closer.
+        return Fraction(2), -x
     pts = [space.vrep[j] for j in space.facet_index[fid]]
     return distance_to_hull(space, x, pts)
 
@@ -210,7 +237,9 @@ def check_t_property(
     every ball vertex and every candidate the two-sided distance value is
     at most two. Condition (iii) is evaluated on vertices only: the
     quantity is convex in the sphere point, so its maximum over the ball
-    is attained at a vertex.
+    is attained at a vertex. A vertex on the facet or on its opposite,
+    or a facet vertex that meets the facet-functional bound, settles each
+    side exactly without an LP; the distance LP runs only when none does.
     """
     cands = tuple(candidates) if candidates is not None else default_candidates(space)
     for c in cands:

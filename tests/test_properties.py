@@ -5,11 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polysphere import (
     Face,
+    GeometryError,
     NotAlmostClError,
     NotOnSphereError,
+    PolyhedralSpace,
     admits_smooth_points,
     check_cl,
     check_t_property,
@@ -19,9 +23,11 @@ from polysphere import (
     functional,
     l1_space,
     linf_space,
+    properties,
     vector,
 )
-from polysphere.sampling import sphere_points
+from polysphere.catalog import resolve
+from polysphere.sampling import facet_sample_points, sphere_points
 
 F = Fraction
 
@@ -195,6 +201,78 @@ class TestConditionThree:
                 for x in sphere_points(space, 10, seed=43):
                     value, _, _ = condition_iii_value(space, x, face)
                     assert value <= vertex_max
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Records every problem the properties module hands to the LP solver."""
+    calls = []
+    solve = properties.solve_lp
+
+    def counting(problem):
+        calls.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(properties, "solve_lp", counting)
+    return calls
+
+
+def assert_distance_matches_lp(space, x, fid):
+    """The witness-first distance equals the LP's and its witness attains it."""
+    value, w = properties._distance_to_face(space, x, fid)
+    pts = [space.vrep[j] for j in space.facet_index[fid]]
+    lp_value, _ = properties._distance_lp(space, x, pts)
+    assert value == lp_value
+    assert space.hrep[fid](w) == 1 and space.norm(w) == 1
+    assert space.norm(x - w) == value
+
+
+class TestWitnessFirstDistance:
+    @pytest.mark.parametrize(
+        "name", ["hex", "l1:2", "linf:2", "l1:3", "linf:3", "l1sum(hex,l1:1)"]
+    )
+    def test_equals_lp_on_vertices_and_facet_samples(self, name):
+        space = resolve(name)
+        for x in list(space.vrep) + facet_sample_points(space):
+            for fid in range(len(space.hrep)):
+                assert_distance_matches_lp(space, x, fid)
+
+    def test_lp_runs_when_no_vertex_meets_the_bound(self, lp_calls):
+        space = l1_space(3)
+        x = vector(F(-1, 3), F(-1, 3), F(-1, 3))
+        value, w = properties._distance_to_face(space, x, 1)
+        assert len(lp_calls) == 1
+        assert value == F(2, 3)
+        assert space.norm(x - w) == value
+
+    def test_point_in_hull_is_its_own_witness(self, hexagon):
+        top = [v for v in hexagon.vrep if v.coords[1] == 1]
+        assert properties.distance_to_hull(hexagon, top[0], top) == (0, top[0])
+
+    def test_empty_hull_rejected(self, hexagon):
+        with pytest.raises(GeometryError):
+            properties.distance_to_hull(hexagon, vector(0, 1), [])
+
+    @pytest.mark.parametrize("name", ["l1:2", "l1:3", "l1:4", "linf:2", "linf:3", "linf:4", "hex"])
+    def test_t_property_solves_no_lp(self, name, lp_calls):
+        """A deterministic count: raising it is a regression."""
+        assert check_t_property(resolve(name)).holds
+        assert len(lp_calls) == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda p: p != (0, 0)),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    def test_equals_lp_on_random_symmetric_polygons(self, points):
+        assume(any(a[0] * b[1] != a[1] * b[0] for a in points for b in points))
+        space = PolyhedralSpace.from_vertices(points, symmetrize=True)
+        for v in space.vrep:
+            for fid in range(len(space.hrep)):
+                assert_distance_matches_lp(space, v, fid)
 
 
 class TestTProperty:
