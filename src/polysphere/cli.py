@@ -97,6 +97,10 @@ def _cmd_star(args, out) -> int:
 
 def _cmd_check_cl(args, out) -> int:
     space = _load_space(args.space, args.max_dim)
+    if args.decompose:
+        x = _parse_point(args.decompose, space.dim)
+        if space.norm(x) != 1:
+            raise _UsageError(f"--decompose point {x} is not on the sphere")
     report = check_cl(space)
     print(space.summary(), file=out)
     for fv in report.facet_verdicts:
@@ -107,7 +111,6 @@ def _cmd_check_cl(args, out) -> int:
     if report.is_cl:
         print("VERDICT: CL holds (and almost-CL, which coincides for polytopes)", file=out)
         if args.decompose:
-            x = _parse_point(args.decompose, space.dim)
             for face in facets(space):
                 lam, y1, y2 = cl_decomposition(space, x, face)
                 print(
@@ -263,7 +266,7 @@ def build_parser() -> _Parser:
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--max-dim", type=int, default=6, help="enumeration cap (at most 6)")
+        p.add_argument("--max-dim", type=int, default=6, help="enumeration cap, from 1 to 6")
         return p
 
     p = add("facets", _cmd_facets, help="list the maximal convex subsets of the sphere")
@@ -309,8 +312,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "max_dim", 6) > 6:
-            raise _UsageError("--max-dim cannot exceed 6")
+        if not 1 <= args.max_dim <= 6:
+            raise _UsageError("--max-dim must be between 1 and 6")
         code = args.func(args, sys.stdout)
         sys.stdout.flush()
         return code

@@ -3,6 +3,10 @@
 Helper routines shared by the geometry modules. Matrices are tuples of
 row tuples. Nothing here is meant to scale beyond desk-size systems
 (dimension around seven); clarity and exactness win over speed.
+
+:func:`pivot` is the package's only elimination step: the echelon form
+behind rank, solve, invert and the independence tests, and the simplex
+tableau of :mod:`polysphere.lp`, all run on it.
 """
 
 from fractions import Fraction
@@ -41,6 +45,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
+def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
+    """One Gauss-Jordan step, in place: scale row r so that its entry in
+    column c is one, then clear column c from every other row."""
+    inv = ONE / rows[r][c]
+    rows[r] = pr = [x * inv for x in rows[r]]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i != r and f != 0:
+            rows[i] = [x - f * y for x, y in zip(row, pr)]
+
+
 def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form. Returns the nonzero rows and their pivot columns."""
     work = [list(r) for r in rows]
@@ -54,12 +69,7 @@ def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], 
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivot(work, r, c)
         pivots.append(c)
         r += 1
         if r == len(work):

@@ -1,9 +1,12 @@
 """Exact linear programming with a two-phase simplex method.
 
-The solver is deliberately small: dense rational tableaus and Bland's
+The solver is deliberately small: one dense rational tableau and Bland's
 pivoting rule, which cannot cycle, so termination needs no perturbation
-tricks. It targets the desk-scale systems that arise in unit-ball
-geometry (tens of variables), not production LP workloads.
+tricks. The tableau's rows are the constraints, with the right-hand side
+in the last column, and its last row is the objective row, with the
+objective value in the corner; :func:`polysphere.linalg.pivot` moves it
+from basis to basis. It targets the desk-scale systems that arise in
+unit-ball geometry (tens of variables), not production LP workloads.
 
 Variables are free by default; per-variable nonnegativity can be declared
 so the geometric programs (barycentric weights, gauge values) do not pay
@@ -13,7 +16,7 @@ for the free-variable split.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import ZERO, dot
+from .linalg import ONE, ZERO, dot, pivot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -73,56 +76,28 @@ def equal(coeffs, bound) -> LpConstraint:
     return LpConstraint(tuple(Fraction(c) for c in coeffs), "==", Fraction(bound))
 
 
-def _bland_entering(zrow: list[Fraction], width: int) -> int | None:
-    for j in range(width):
-        if zrow[j] < 0:
-            return j
-    return None
+def _run_simplex(tab: list[list[Fraction]], basis: list[int]) -> str:
+    """Pivot by Bland's rule until the objective row has no negative entry.
 
-
-def _bland_leaving(matrix: list[list[Fraction]], rhs: list[Fraction], basis: list[int], col: int) -> int | None:
-    best_row = None
-    best_ratio = None
-    for i in range(len(matrix)):
-        a = matrix[i][col]
-        if a > 0:
-            ratio = rhs[i] / a
-            if (
-                best_ratio is None
-                or ratio < best_ratio
-                or (ratio == best_ratio and basis[i] < basis[best_row])
-            ):
-                best_row = i
-                best_ratio = ratio
-    return best_row
-
-
-def _pivot(matrix, rhs, zrow, zval_box, basis, row, col):
-    inv = 1 / matrix[row][col]
-    matrix[row] = [x * inv for x in matrix[row]]
-    rhs[row] = rhs[row] * inv
-    for i in range(len(matrix)):
-        if i != row and matrix[i][col] != 0:
-            f = matrix[i][col]
-            matrix[i] = [x - f * y for x, y in zip(matrix[i], matrix[row])]
-            rhs[i] = rhs[i] - f * rhs[row]
-    if zrow[col] != 0:
-        f = zrow[col]
-        for j in range(len(zrow)):
-            zrow[j] = zrow[j] - f * matrix[row][j]
-        zval_box[0] = zval_box[0] - f * rhs[row]
-    basis[row] = col
-
-
-def _run_simplex(matrix, rhs, zrow, zval_box, basis) -> str:
+    The entering column is the first with a negative objective entry; the
+    leaving row has the least ratio, ties going to the least basic column.
+    """
     while True:
-        col = _bland_entering(zrow, len(zrow))
+        z = tab[-1]
+        col = next((j for j in range(len(z) - 1) if z[j] < 0), None)
         if col is None:
             return OPTIMAL
-        row = _bland_leaving(matrix, rhs, basis, col)
+        row = best = None
+        for i in range(len(tab) - 1):
+            a = tab[i][col]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
+                    row, best = i, ratio
         if row is None:
             return UNBOUNDED
-        _pivot(matrix, rhs, zrow, zval_box, basis, row, col)
+        pivot(tab, row, col)
+        basis[row] = col
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -155,105 +130,76 @@ def solve_lp(problem: LpProblem) -> LpSolution:
                 row[neg] = -c
         return row
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    kinds: list[str] = []
+    # Each constraint as "<=" (with a slack) or "==" (without one).
+    body = []
     for con in problem.constraints:
-        r = expand(con.coeffs)
-        b = con.bound
+        r, b = expand(con.coeffs), con.bound
         if con.relation == ">=":
-            r = [-x for x in r]
-            b = -b
-            kinds.append("<=")
-        else:
-            kinds.append(con.relation)
-        rows.append(r)
-        rhs.append(b)
+            r, b = [-x for x in r], -b
+        body.append((r, con.relation != "==", b))
 
-    m = len(rows)
-    n_slack = sum(1 for k in kinds if k == "<=")
+    n_slack = sum(1 for _, has_slack, _ in body if has_slack)
     total = ncols + n_slack
+    # A row starts on its slack when its right-hand side is nonnegative,
+    # and on an artificial column otherwise.
+    n_art = sum(1 for _, has_slack, b in body if not has_slack or b < 0)
+    width = total + n_art
 
-    matrix: list[list[Fraction]] = []
-    slack_at = ncols
-    slack_col: list[int | None] = []
-    for i in range(m):
-        row = rows[i] + [ZERO] * n_slack
-        if kinds[i] == "<=":
-            row[slack_at] = Fraction(1)
-            slack_col.append(slack_at)
-            slack_at += 1
-        else:
-            slack_col.append(None)
-        matrix.append(row)
-
-    for i in range(m):
-        if rhs[i] < 0:
-            matrix[i] = [-x for x in matrix[i]]
-            rhs[i] = -rhs[i]
-
+    tab: list[list[Fraction]] = []
     basis: list[int] = []
-    art_cols: list[int] = []
-    for i in range(m):
-        sc = slack_col[i]
-        if sc is not None and matrix[i][sc] == Fraction(1):
-            basis.append(sc)
+    slack, art = ncols, total
+    for r, has_slack, b in body:
+        row = r + [ZERO] * (width - ncols) + [b]
+        if has_slack:
+            row[slack] = ONE
+            slack += 1
+        if b < 0:
+            row = [-x for x in row]
+        if has_slack and b >= 0:
+            basis.append(slack - 1)
         else:
-            col = total + len(art_cols)
-            art_cols.append(col)
-            basis.append(col)
-    width = total + len(art_cols)
-    for i in range(m):
-        matrix[i] = matrix[i] + [ZERO] * len(art_cols)
-        if basis[i] >= total:
-            matrix[i][basis[i]] = Fraction(1)
+            row[art] = ONE
+            basis.append(art)
+            art += 1
+        tab.append(row)
 
     # Phase one: maximise minus the sum of artificials.
-    if art_cols:
-        zrow = [ZERO] * width
-        for c in art_cols:
-            zrow[c] = Fraction(1)
-        zval = [ZERO]
-        for i in range(m):
-            if basis[i] >= total:
-                for j in range(width):
-                    zrow[j] -= matrix[i][j]
-                zval[0] -= rhs[i]
-        status = _run_simplex(matrix, rhs, zrow, zval, basis)
-        if status != OPTIMAL or zval[0] < 0:
+    if n_art:
+        z = [ZERO] * total + [ONE] * n_art + [ZERO]
+        for row, b in zip(tab, basis):
+            if b >= total:
+                z = [x - y for x, y in zip(z, row)]
+        tab.append(z)
+        status = _run_simplex(tab, basis)
+        if status != OPTIMAL or tab[-1][-1] < 0:
             return LpSolution(INFEASIBLE, None, None)
         # Drive leftover artificials out of the basis, dropping redundant rows.
         keep = []
-        for i in range(m):
+        for i in range(len(basis)):
             if basis[i] >= total:
-                col = next((j for j in range(total) if matrix[i][j] != 0), None)
+                col = next((j for j in range(total) if tab[i][j] != 0), None)
                 if col is None:
                     continue  # redundant row
-                _pivot(matrix, rhs, zrow, zval, basis, i, col)
+                pivot(tab, i, col)
+                basis[i] = col
             keep.append(i)
-        matrix = [matrix[i][:total] for i in keep]
-        rhs = [rhs[i] for i in keep]
+        tab = [tab[i][:total] + [tab[i][-1]] for i in keep]
         basis = [basis[i] for i in keep]
-        m = len(matrix)
 
     # Phase two with the real objective.
     c_struct = expand(problem.objective)
-    zrow = [-c for c in c_struct] + [ZERO] * (total - ncols)
-    zval = [ZERO]
-    for i in range(m):
-        b = basis[i]
+    z = [-c for c in c_struct] + [ZERO] * (total - ncols + 1)
+    for row, b in zip(tab, basis):
         cb = c_struct[b] if b < ncols else ZERO
         if cb != 0:
-            for j in range(total):
-                zrow[j] += cb * matrix[i][j]
-            zval[0] += cb * rhs[i]
-    status = _run_simplex(matrix, rhs, zrow, zval, basis)
-    if status == UNBOUNDED:
+            z = [x + cb * y for x, y in zip(z, row)]
+    tab.append(z)
+    if _run_simplex(tab, basis) == UNBOUNDED:
         return LpSolution(UNBOUNDED, None, None)
 
     struct_vals = [ZERO] * total
-    for i in range(m):
-        struct_vals[basis[i]] = rhs[i]
+    for row, b in zip(tab, basis):
+        struct_vals[b] = row[-1]
     point = []
     for j in range(n):
         pos, neg = col_of[j]

@@ -71,16 +71,3 @@ def facet_sample_points(space: PolyhedralSpace) -> list[Vector]:
             for b in range(a + 1, len(ids)):
                 add((space.vrep[ids[a]] + space.vrep[ids[b]]).scale(half))
     return points
-
-
-def norm_samples(space: PolyhedralSpace, seed=DEFAULT_SEED, combos: int = 25) -> list[Vector]:
-    """Norm-check points: every vertex, every pairwise vertex difference, then
-    ``combos`` seeded rational vectors. May contain the zero vector."""
-    samples: list[Vector] = list(space.vrep)
-    for i in range(len(space.vrep)):
-        for j in range(i + 1, len(space.vrep)):
-            samples.append(space.vrep[i] - space.vrep[j])
-    rng = rng_from(seed)
-    for _ in range(combos):
-        samples.append(Vector(tuple(random_fraction(rng) for _ in range(space.dim))))
-    return samples

@@ -294,11 +294,13 @@ class PolyhedralSpace:
         self._f_pos = {f: i for i, f in enumerate(self.hrep)}
         self._v_pos = {v: i for i, v in enumerate(self.vrep)}
         self._validate_symmetry()
-        self._validate_norms()
+        # values[j][i] = f_i(v_j), computed once for every check below.
+        values = [[f(v) for f in self.hrep] for v in self.vrep]
+        self._validate_norms(values)
         self.facet_index = tuple(
-            tuple(j for j, v in enumerate(self.vrep) if f(v) == 1) for f in self.hrep
+            tuple(j for j, row in enumerate(values) if row[i] == 1) for i in range(len(self.hrep))
         )
-        self._validate_ranks()
+        self._validate_ranks(values)
         self._neg_f = tuple(self._f_pos[-f] for f in self.hrep)
         self._neg_v = tuple(self._v_pos[-v] for v in self.vrep)
 
@@ -310,22 +312,21 @@ class PolyhedralSpace:
             if -v not in self._v_pos:
                 raise AsymmetricInputError(f"vertex {v} lacks its negation", offender=v)
 
-    def _validate_norms(self):
-        for v in self.vrep:
-            values = [f(v) for f in self.hrep]
-            if max(values) != 1:
+    def _validate_norms(self, values):
+        for v, row in zip(self.vrep, values):
+            if max(row) != 1:
                 raise GeometryError(f"listed vertex {v} does not have norm one")
-        for f in self.hrep:
-            if max(f(v) for v in self.vrep) != 1:
+        for i, f in enumerate(self.hrep):
+            if max(row[i] for row in values) != 1:
                 raise GeometryError(f"functional {f} does not have dual norm one")
 
-    def _validate_ranks(self):
+    def _validate_ranks(self, values):
         for f, ids in zip(self.hrep, self.facet_index):
             pts = [self.vrep[j].coords for j in ids]
             if linalg.affine_rank(pts) != self.dim:
                 raise GeometryError(f"functional {f} does not support a facet")
-        for j, v in enumerate(self.vrep):
-            active = [f.coeffs for f in self.hrep if f(v) == 1]
+        for v, row in zip(self.vrep, values):
+            active = [f.coeffs for f, value in zip(self.hrep, row) if value == 1]
             if linalg.rank(active) != self.dim:
                 raise GeometryError(f"listed point {v} is not a vertex of the ball")
 

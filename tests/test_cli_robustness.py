@@ -97,3 +97,31 @@ def test_svg_escapes_text(tmp_path, text):
     root = ET.fromstring(out)
     texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
     assert any(t.startswith("a<b&c: dim ") for t in texts)
+
+
+@pytest.mark.parametrize(
+    "point,message",
+    [
+        ("5,5,5", "usage error: --decompose point (5, 5, 5) is not on the sphere"),
+        ("1/0,0,0", "usage error: zero denominator in '1/0'"),
+        ("1,0", "usage error: point needs 3 coordinates, got 2"),
+    ],
+    ids=["off-sphere", "zero-denominator", "wrong-length"],
+)
+def test_bad_decompose_point_is_rejected_before_any_output(point, message):
+    code, out, err = run_cli(["check-cl", "linf:3", "--decompose", point])
+    assert (code, out) == (64, b"")
+    assert err == message + "\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "7"])
+def test_max_dim_out_of_range_is_a_usage_error(value):
+    code, out, err = run_cli(["facets", "hex", "--max-dim", value])
+    assert (code, out) == (64, b"")
+    assert err == "usage error: --max-dim must be between 1 and 6\n"
+
+
+def test_max_dim_six_is_accepted():
+    code, out, err = run_cli(["facets", "hex", "--max-dim", "6"])
+    assert (code, err) == (0, "")
+    assert out.decode().startswith("hex: dim 2, 6 facets")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from polysphere.linalg import independent_row_indices, rank
+from polysphere.linalg import independent_row_indices, pivot, rank
 
 F = Fraction
 
@@ -49,3 +49,18 @@ def test_independent_rows_skip_zero_and_dependent_rows():
     assert independent_row_indices(rows) == [1, 3]
     assert independent_row_indices(rows, limit=1) == [1]
     assert independent_row_indices([]) == []
+
+
+def test_pivot_leaves_a_unit_column():
+    rng = random.Random(5)
+    for _ in range(300):
+        rows, ncols = random_matrix(rng)
+        cells = [(r, c) for r in range(len(rows)) for c in range(ncols) if rows[r][c] != 0]
+        if not cells:
+            continue
+        r, c = rng.choice(cells)
+        work = [list(row) for row in rows]
+        pivot(work, r, c)
+        assert [row[c] for row in work] == [F(int(i == r)) for i in range(len(rows))]
+        # Row operations keep the row space.
+        assert rank(work) == rank(rows) == rank(rows + [tuple(x) for x in work])

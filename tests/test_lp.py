@@ -164,6 +164,47 @@ class TestAgainstScipy:
         assert ref.status == 0
         assert abs(float(sol.value) - (-ref.fun)) < 1e-7
 
+    def test_mixed_relations_and_signs(self):
+        """Random LPs over "<=", ">=" and "==" rows with right-hand sides of
+        either sign and a mix of free and nonnegative variables: the status
+        (optimal, infeasible or unbounded) and the optimal value agree."""
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        scipy_status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+        seen = set()
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(1, 4)
+            rows = [
+                ([rng.randint(-4, 4) for _ in range(n)], rng.choice(["<=", ">=", "=="]), rng.randint(-6, 6))
+                for _ in range(rng.randint(1, 6))
+            ]
+            nonneg = tuple(rng.random() < 0.5 for _ in range(n))
+            objective = [rng.randint(-5, 5) for _ in range(n)]
+
+            sol = solve_lp(_problem(objective, rows, n, nonneg=nonneg))
+
+            ub = [(c, b) if r == "<=" else ([-x for x in c], -b) for c, r, b in rows if r != "=="]
+            eq = [(c, b) for c, r, b in rows if r == "=="]
+            ref = scipy_opt.linprog(
+                [-c for c in objective],
+                A_ub=[c for c, _ in ub] or None,
+                b_ub=[b for _, b in ub] or None,
+                A_eq=[c for c, _ in eq] or None,
+                b_eq=[b for _, b in eq] or None,
+                bounds=[(0, None) if nn else (None, None) for nn in nonneg],
+                method="highs",
+                # HiGHS's presolve reports some unbounded problems as infeasible.
+                options={"presolve": False},
+            )
+            assert sol.status == scipy_status.get(ref.status), (seed, ref.message)
+            if sol.status == OPTIMAL:
+                assert abs(float(sol.value) - (-ref.fun)) < 1e-7, seed
+            seen.add(sol.status)
+            seen.update(r for _, r, _ in rows)
+            seen.update(("negative rhs" for *_, b in rows if b < 0))
+            seen.update(("free", "nonneg")[nn] for nn in nonneg)
+        assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED, "<=", ">=", "==", "negative rhs", "free", "nonneg"}
+
     def test_point_satisfies_constraints_exactly(self):
         rng = random.Random(99)
         for _ in range(10):
