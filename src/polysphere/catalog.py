@@ -78,7 +78,6 @@ def _padded(f: Functional, before: int, after: int) -> Functional:
 
 def linf_sum(a: PolyhedralSpace, b: PolyhedralSpace, name: str | None = None) -> PolyhedralSpace:
     """Product space with norm max(|x_a|, |x_b|)."""
-    _check_sum_dim(a, b)
     fs = [_padded(f, 0, b.dim) for f in a.hrep] + [_padded(g, a.dim, 0) for g in b.hrep]
     return PolyhedralSpace.from_functionals(
         fs, name=name or f"linfsum({a.name or '?'},{b.name or '?'})"
@@ -87,7 +86,6 @@ def linf_sum(a: PolyhedralSpace, b: PolyhedralSpace, name: str | None = None) ->
 
 def l1_sum(a: PolyhedralSpace, b: PolyhedralSpace, name: str | None = None) -> PolyhedralSpace:
     """Product space with norm |x_a| + |x_b|; facets are all pairwise sums."""
-    _check_sum_dim(a, b)
     fs = [
         Functional(f.coeffs + g.coeffs)
         for f in a.hrep
@@ -208,13 +206,6 @@ def catalog_entries() -> tuple[CatalogEntry, ...]:
 def _check_range(n: int):
     if not 1 <= n <= MAX_ENUM_DIM:
         raise EnumerationCapError(f"dimension {n} outside the supported range 1..{MAX_ENUM_DIM}")
-
-
-def _check_sum_dim(a: PolyhedralSpace, b: PolyhedralSpace):
-    if a.dim + b.dim > MAX_ENUM_DIM:
-        raise EnumerationCapError(
-            f"combined dimension {a.dim + b.dim} exceeds the cap of {MAX_ENUM_DIM}"
-        )
 
 
 class _Parser:

@@ -7,7 +7,7 @@ render, catalog. Exit codes partition the outcomes:
     1   the property fails / a counterexample was found
     2   not established (the T-property certificate search was exhausted;
         the property is existential, so this is not a refutation)
-    64  usage or parse error
+    64  usage or parse error, or a file that cannot be read or written
     141 stdout was closed before the report was written (a broken pipe;
         the code a shell reports for a process ended by SIGPIPE)
 
@@ -55,9 +55,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_space(ref: str, max_dim: int) -> PolyhedralSpace:
+def _load_space(ref: str) -> PolyhedralSpace:
     if os.path.exists(ref):
-        return parse_space_file(ref, max_dim=max_dim)
+        return parse_space_file(ref)
     try:
         return cat.resolve(ref)
     except GeometryError as err:
@@ -75,7 +75,7 @@ def _parse_point(text: str, dim: int) -> Vector:
 
 
 def _cmd_facets(args, out) -> int:
-    space = _load_space(args.space, args.max_dim)
+    space = _load_space(args.space)
     print(space.summary(), file=out)
     for face in facets(space):
         verts = ", ".join(f"v{j} {space.vrep[j]}" for j in face.vertex_ids)
@@ -84,7 +84,7 @@ def _cmd_facets(args, out) -> int:
 
 
 def _cmd_star(args, out) -> int:
-    space = _load_space(args.space, args.max_dim)
+    space = _load_space(args.space)
     x = _parse_point(args.point, space.dim)
     st = star(space, x)
     print(f"star of {x} in {space.summary()}", file=out)
@@ -96,7 +96,7 @@ def _cmd_star(args, out) -> int:
 
 
 def _cmd_check_cl(args, out) -> int:
-    space = _load_space(args.space, args.max_dim)
+    space = _load_space(args.space)
     if args.decompose:
         x = _parse_point(args.decompose, space.dim)
         if space.norm(x) != 1:
@@ -124,7 +124,7 @@ def _cmd_check_cl(args, out) -> int:
 
 
 def _cmd_check_t(args, out) -> int:
-    space = _load_space(args.space, args.max_dim)
+    space = _load_space(args.space)
     candidates = None
     if args.candidates:
         candidates = list(parse_candidates_file(args.candidates, space.dim))
@@ -165,15 +165,8 @@ def _cmd_check_t(args, out) -> int:
     return NOT_ESTABLISHED
 
 
-def _resolver(max_dim: int):
-    def resolve_ref(ref: str) -> PolyhedralSpace:
-        return _load_space(ref, max_dim)
-
-    return resolve_ref
-
-
 def _cmd_verify_iso(args, out) -> int:
-    m = parse_map_file(args.map, _resolver(args.max_dim))
+    m = parse_map_file(args.map, _load_space)
     report = verify_isometry(m, seed=args.seed)
     print(f"domain:   {m.domain.summary()}", file=out)
     print(f"codomain: {m.codomain.summary()}", file=out)
@@ -189,7 +182,7 @@ def _cmd_verify_iso(args, out) -> int:
 
 
 def _cmd_extend(args, out) -> int:
-    m = parse_map_file(args.map, _resolver(args.max_dim))
+    m = parse_map_file(args.map, _load_space)
     report = verify_isometry(m, seed=args.seed)
     if not report.passed:
         print(f"VERDICT: not an isometry: {report.reason}", file=out)
@@ -216,11 +209,14 @@ def _cmd_extend(args, out) -> int:
 
 
 def _cmd_sum(args, out) -> int:
-    a = _load_space(args.a, args.max_dim)
-    b = _load_space(args.b, args.max_dim)
+    a = _load_space(args.a)
+    b = _load_space(args.b)
     builder = cat.l1_sum if args.kind == "l1" else cat.linf_sum
     space = builder(a, b, name=args.name)
-    text = serialize_space(space, kind="V")
+    try:
+        text = serialize_space(space, kind="V")
+    except ValueError as err:
+        raise _UsageError(str(err)) from err
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -231,7 +227,7 @@ def _cmd_sum(args, out) -> int:
 
 
 def _cmd_render(args, out) -> int:
-    space = _load_space(args.space, args.max_dim)
+    space = _load_space(args.space)
     candidates = None
     report = None
     if space.dim == 2:
@@ -266,7 +262,6 @@ def build_parser() -> _Parser:
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--max-dim", type=int, default=6, help="enumeration cap, from 1 to 6")
         return p
 
     p = add("facets", _cmd_facets, help="list the maximal convex subsets of the sphere")
@@ -312,8 +307,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not 1 <= args.max_dim <= 6:
-            raise _UsageError("--max-dim must be between 1 and 6")
         code = args.func(args, sys.stdout)
         sys.stdout.flush()
         return code
@@ -328,7 +321,9 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return USAGE
-    except FileNotFoundError as err:
+    except OSError as err:
+        # After BrokenPipeError, which is an OSError too: a file that
+        # cannot be opened, read or written is bad input.
         print(f"error: {err}", file=sys.stderr)
         return USAGE
     except GeometryError as err:

@@ -99,14 +99,8 @@ def subspace_section(
     sum(c_i * basis_i). Raises ValueError for a dependent basis.
     """
     _require_basis(space, basis)
-    projected = set()
-    for f in space.hrep:
-        row = tuple(f(b) for b in basis)
-        if any(c != 0 for c in row):
-            projected.add(Functional(row))
-    return PolyhedralSpace.from_functionals(
-        sorted(projected, key=lambda f: f.coeffs), name=name
-    )
+    projected = [tuple(f(b) for b in basis) for f in space.hrep]
+    return PolyhedralSpace.from_functionals(projected, name=name)
 
 
 def face_section(space: PolyhedralSpace, face: Face, basis: list[Vector]) -> tuple[Vector, ...]:

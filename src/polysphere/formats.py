@@ -1,14 +1,14 @@
 """Textual file formats for spaces, sphere maps, and candidate lists.
 
-Rationals are written as ``p/q`` or integer tokens; decimals are rejected
-so files stay exact. Parse errors carry a structured kind plus line and
-column, both one-based.
+Files are UTF-8. Rationals are written as ``p/q`` or integer tokens;
+decimals are rejected so files stay exact. Parse errors carry a structured
+kind plus line and column, both one-based.
 
 Space files::
 
     # optional comments
     version 1
-    name hexagon
+    name hexagon      # the rest of the line: it may hold spaces, not a '#'
     dim 2
     kind H            # H: rows are functionals, V: rows are vertices
     symmetric true    # optional: close the rows under negation
@@ -76,7 +76,20 @@ def _iter_rows(text: str):
 _HEADER_KEYS = {"version", "name", "dim", "kind", "symmetric"}
 
 
-def parse_space_text(text: str, name: str | None = None, max_dim: int = 6) -> PolyhedralSpace:
+def _read_text(path) -> str:
+    """A file's text; bytes that are not UTF-8 are a parse error of kind "encoding"."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        col = err.start - data.rfind(b"\n", 0, err.start)
+        message = f"byte 0x{data[err.start]:02x} is not valid UTF-8"
+        raise ParseError("encoding", line, col, message) from None
+
+
+def parse_space_text(text: str, name: str | None = None) -> PolyhedralSpace:
     header: dict[str, str] = {}
     rows: list[tuple[int, tuple[Fraction, ...]]] = []
     header_done = False
@@ -84,9 +97,10 @@ def parse_space_text(text: str, name: str | None = None, max_dim: int = 6) -> Po
         tokens = list(_TOKEN_RE.finditer(line))
         first = tokens[0].group()
         if not header_done and first in _HEADER_KEYS:
-            if len(tokens) != 2:
+            # A name is the rest of the line, so it may contain spaces.
+            if len(tokens) < 2 or (first != "name" and len(tokens) != 2):
                 raise ParseError("header", ln, tokens[0].start() + 1, f"{first} needs one value")
-            header[first] = tokens[1].group()
+            header[first] = line[tokens[0].end():].strip()
             continue
         if not header_done and first[0].isalpha():
             raise ParseError("header", ln, tokens[0].start() + 1, f"unknown header key {first!r}")
@@ -125,26 +139,31 @@ def parse_space_text(text: str, name: str | None = None, max_dim: int = 6) -> Po
                 )
 
     label = header.get("name", name)
-    data = [row for _, row in rows]
-    if kind == "H":
-        return PolyhedralSpace.from_functionals(
-            data, name=label, symmetrize=symmetric, max_dim=max_dim
-        )
-    return PolyhedralSpace.from_vertices(data, name=label, symmetrize=symmetric, max_dim=max_dim)
+    build = PolyhedralSpace.from_functionals if kind == "H" else PolyhedralSpace.from_vertices
+    return build([row for _, row in rows], name=label, symmetrize=symmetric)
 
 
-def parse_space_file(path, max_dim: int = 6) -> PolyhedralSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_space_text(fh.read(), name=str(path), max_dim=max_dim)
+def parse_space_file(path) -> PolyhedralSpace:
+    return parse_space_text(_read_text(path), name=str(path))
 
 
 def serialize_space(space: PolyhedralSpace, kind: str = "V") -> str:
-    """Round-trippable text form; parsing it rebuilds an equal space."""
+    """Round-trippable text form; parsing it rebuilds an equal space.
+
+    Raises ValueError for a name the parser would not read back: one with
+    a '#', a line break, or leading or trailing whitespace.
+    """
     if kind not in ("H", "V"):
         raise ValueError("kind must be 'H' or 'V'")
+    label = space.name
+    if label and ("#" in label or label.splitlines() != [label] or label != label.strip()):
+        raise ValueError(
+            f"space name {label!r} cannot be written to a space file: "
+            "it has a '#', a line break, or leading or trailing whitespace"
+        )
     lines = ["version 1"]
-    if space.name:
-        lines.append(f"name {space.name}")
+    if label:
+        lines.append(f"name {label}")
     lines.append(f"dim {space.dim}")
     lines.append(f"kind {kind}")
     source = space.vrep if kind == "V" else space.hrep
@@ -215,7 +234,7 @@ def parse_map_text(
             return space.vertex_id(Vector(value))
         except GeometryError:
             raise ParseError(
-                "vertex", ln, 1, f"{value} is not a vertex of the space"
+                "vertex", ln, 1, f"{Vector(value)} is not a vertex of the space"
             ) from None
 
     assignment: dict[int, int] = {}
@@ -238,8 +257,7 @@ def parse_map_text(
 
 
 def parse_map_file(path, resolver: Callable[[str], PolyhedralSpace]) -> SphereMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_map_text(fh.read(), resolver)
+    return parse_map_text(_read_text(path), resolver)
 
 
 def serialize_map(m: SphereMap, domain_ref: str, codomain_ref: str) -> str:
@@ -266,5 +284,4 @@ def parse_candidates_text(text: str, dim: int) -> tuple[Vector, ...]:
 
 
 def parse_candidates_file(path, dim: int) -> tuple[Vector, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_candidates_text(fh.read(), dim)
+    return parse_candidates_text(_read_text(path), dim)

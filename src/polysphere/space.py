@@ -8,10 +8,17 @@ are rejected outright so that downstream verdicts stay exact.
 
 Construction goes through :meth:`PolyhedralSpace.from_functionals`,
 :meth:`PolyhedralSpace.from_vertices`, or the catalog builders, all of
-which guarantee the two descriptions are polar to each other. The raw
-constructor validates the structural invariants it can check cheaply
-(symmetry, unit norms, facet and vertex ranks); full re-enumeration is
-available as :meth:`verify_mutual_polarity`.
+which guarantee the two descriptions are polar to each other. Both
+methods run one polar routine: given rows, it enumerates the vertices of
+{x : r(x) <= 1 for every row r} and keeps the rows that support a facet
+of that ball. Read as functionals, the rows and the points are a space's
+H- and V-forms; read as points, they are its V- and H-forms, because the
+ball of the polar rows is the polar body. The enumerator alone applies
+the two caps, ``MAX_ENUM_DIM`` on the dimension and ``MAX_FACETS`` on the
+number of distinct nonzero rows. The raw constructor validates the
+structural invariants it can check cheaply (symmetry, unit norms, facet
+and vertex ranks); full re-enumeration is available as
+:meth:`verify_mutual_polarity`.
 """
 
 import itertools
@@ -177,7 +184,8 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
     The functional set must be symmetric (closed under negation) and span
     the dual space, so the ball is bounded with the origin interior.
     Raises DegenerateInputError otherwise, carrying a recession direction.
-    Zero functionals are vacuous and ignored.
+    Zero functionals are vacuous and ignored. Raises EnumerationCapError
+    above ``MAX_ENUM_DIM`` dimensions or ``MAX_FACETS`` distinct rows.
     """
     rows = sorted(
         {
@@ -190,14 +198,16 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
         raise DegenerateInputError("no nonzero functionals", direction=None)
     if any(len(r) != dim for r in rows):
         raise DimensionMismatchError("functional length does not match the dimension")
+    if dim > MAX_ENUM_DIM:
+        raise EnumerationCapError(f"dimension {dim} exceeds the enumeration cap of {MAX_ENUM_DIM}")
+    if len(rows) > MAX_FACETS:
+        raise EnumerationCapError(f"{len(rows)} rows exceed the cap of {MAX_FACETS}")
     row_set = set(rows)
     for r in rows:
         if tuple(-c for c in r) not in row_set:
             raise AsymmetricInputError(
                 f"functional {r} appears without its negation", offender=r
             )
-    if len(rows) > MAX_FACETS:
-        raise EnumerationCapError(f"{len(rows)} functionals exceed the cap of {MAX_FACETS}")
 
     direction = linalg.null_space_vector(rows, dim)
     if direction is not None:
@@ -250,6 +260,22 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
             raise GeometryError("internal: unbounded ray survived enumeration")
         vertices.append(tuple(c / t for c in ray[:-1]))
     return tuple(sorted(set(vertices)))
+
+
+def _polar_pair(rows: Sequence, dim: int, symmetrize: bool):
+    """The rows that support a facet of {x : r(x) <= 1}, and that ball's vertices.
+
+    Zero rows are dropped, and the rows are closed under negation when
+    ``symmetrize`` is set. A row supports a facet when the vertices where
+    it equals one have rank ``dim``; on the hyperplane {r = 1} rank equals
+    affine rank, because the homogenising column is r applied to the point.
+    """
+    items = {tuple(r) for r in rows if any(c != 0 for c in r)}
+    if symmetrize:
+        items |= {tuple(-c for c in r) for r in items}
+    points = enumerate_ball_vertices(sorted(items), dim)
+    kept = [r for r in items if linalg.rank([p for p in points if linalg.dot(r, p) == 1]) == dim]
+    return kept, points
 
 
 def _coerce_functionals(fs) -> list[Functional]:
@@ -334,11 +360,7 @@ class PolyhedralSpace:
 
     @classmethod
     def from_functionals(
-        cls,
-        fs: Sequence,
-        name: str | None = None,
-        symmetrize: bool = False,
-        max_dim: int = MAX_ENUM_DIM,
+        cls, fs: Sequence, name: str | None = None, symmetrize: bool = False
     ) -> "PolyhedralSpace":
         """Build the space whose ball is {x : f(x) <= 1 for every f}.
 
@@ -349,57 +371,32 @@ class PolyhedralSpace:
         fs = _coerce_functionals(fs)
         if not fs:
             raise GeometryError("no functionals given")
-        dim = fs[0].dim
-        _check_enum_caps(dim, len(fs), max_dim)
-        items = {f for f in fs if any(c != 0 for c in f.coeffs)}
-        if symmetrize:
-            items |= {-f for f in items}
-        verts = enumerate_ball_vertices(sorted(items, key=lambda f: f.coeffs), dim)
-        vectors = [Vector(v) for v in verts]
-        kept = []
-        for f in sorted(items, key=lambda f: f.coeffs):
-            incident = [v.coords for v in vectors if f(v) == 1]
-            if linalg.affine_rank(incident) == dim:
-                kept.append(f)
-        return cls(kept, vectors, name=name)
+        kept, verts = _polar_pair([f.coeffs for f in fs], fs[0].dim, symmetrize)
+        return cls(kept, verts, name=name)
 
     @classmethod
     def from_vertices(
-        cls,
-        vs: Sequence,
-        name: str | None = None,
-        symmetrize: bool = False,
-        max_dim: int = MAX_ENUM_DIM,
+        cls, vs: Sequence, name: str | None = None, symmetrize: bool = False
     ) -> "PolyhedralSpace":
         """Build the space whose ball is the convex hull of the given points.
 
-        Non-extreme points are removed. The facets come from the polar body,
-        enumerated with the same double-description routine.
+        This is :meth:`from_functionals` read through polarity: the points,
+        taken as functionals, cut out the polar body, whose vertices are the
+        facet functionals of the hull. Non-extreme points are the redundant
+        rows and are removed. Asymmetric input is rejected unless
+        ``symmetrize`` asks for closure under negation explicitly.
         """
         vs = _coerce_vectors(vs)
         if not vs:
             raise GeometryError("no vertices given")
-        dim = vs[0].dim
-        _check_enum_caps(dim, len(vs), max_dim)
-        items = {v for v in vs if any(c != 0 for c in v.coords)}
-        if symmetrize:
-            items |= {-v for v in items}
-        ordered = sorted(items, key=lambda v: v.coords)
-        polar_rows = [v.coords for v in ordered]
         try:
-            facet_rows = enumerate_ball_vertices(polar_rows, dim)
+            kept, facet_rows = _polar_pair([v.coords for v in vs], vs[0].dim, symmetrize)
         except DegenerateInputError as err:
             raise DegenerateInputError(
                 "vertices do not span the space: hull is lower-dimensional",
                 direction=err.direction,
             ) from err
-        functionals = [Functional(r) for r in facet_rows]
-        kept = []
-        for v in ordered:
-            active = [f.coeffs for f in functionals if f(v) == 1]
-            if linalg.rank(active) == dim:
-                kept.append(v)
-        return cls(functionals, kept, name=name)
+        return cls(facet_rows, kept, name=name)
 
     # -- basic queries ---------------------------------------------------
 
@@ -495,14 +492,4 @@ class PolyhedralSpace:
 
     def __repr__(self):
         return f"<PolyhedralSpace {self.summary()}>"
-
-
-def _check_enum_caps(dim: int, count: int, max_dim: int):
-    cap = min(max_dim, MAX_ENUM_DIM)
-    if dim > cap:
-        raise EnumerationCapError(
-            f"dimension {dim} exceeds the enumeration cap of {cap}"
-        )
-    if count > MAX_FACETS:
-        raise EnumerationCapError(f"{count} rows exceed the cap of {MAX_FACETS}")
 

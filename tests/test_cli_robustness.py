@@ -54,8 +54,12 @@ def test_map_that_breaks_facets_fails_verification(tmp_path, text, codomain):
 
 @pytest.mark.parametrize(
     "argv",
-    [["check-cl", "linf:3", "--decompose", "1,0,0", "--eps", "0"], ["render", "hex", "--seed", "0"]],
-    ids=["check-cl-eps", "render-seed"],
+    [
+        ["check-cl", "linf:3", "--decompose", "1,0,0", "--eps", "0"],
+        ["render", "hex", "--seed", "0"],
+        ["facets", "hex", "--max-dim", "6"],
+    ],
+    ids=["check-cl-eps", "render-seed", "max-dim"],
 )
 def test_removed_options_are_usage_errors(argv):
     code, out, err = run_cli(argv)
@@ -114,14 +118,58 @@ def test_bad_decompose_point_is_rejected_before_any_output(point, message):
     assert err == message + "\n"
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "7"])
-def test_max_dim_out_of_range_is_a_usage_error(value):
-    code, out, err = run_cli(["facets", "hex", "--max-dim", value])
+# A directory stands for any path that exists but cannot be read or written.
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        lambda d: ["facets", d],
+        lambda d: ["verify-iso", d],
+        lambda d: ["check-t", "hex", "--candidates", d],
+        lambda d: ["sum", "l1", "hex", "l1:1", "--out", d],
+        lambda d: ["render", "hex", "--svg", d],
+    ],
+    ids=["facets", "verify-iso", "check-t-candidates", "sum-out", "render-svg"],
+)
+def test_os_error_is_a_usage_error(tmp_path, make_argv):
+    code, out, err = run_cli(make_argv(str(tmp_path)))
     assert (code, out) == (64, b"")
-    assert err == "usage error: --max-dim must be between 1 and 6\n"
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
-def test_max_dim_six_is_accepted():
-    code, out, err = run_cli(["facets", "hex", "--max-dim", "6"])
+def test_file_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "s.space"
+    path.write_bytes(b"version 1\nname caf\xff\ndim 2\nkind H\n")
+    code, out, err = run_cli(["facets", str(path)])
+    assert (code, out) == (64, b"")
+    assert err == "parse error: line 2, col 9: byte 0xff is not valid UTF-8\n"
+
+
+def test_sum_file_reads_back_under_a_name_with_spaces(tmp_path):
+    path = tmp_path / "s.space"
+    code, out, err = run_cli(["sum", "l1", "hex", "l1:1", "--name", "my space", "--out", str(path)])
     assert (code, err) == (0, "")
-    assert out.decode().startswith("hex: dim 2, 6 facets")
+    code, out, err = run_cli(["facets", str(path)])
+    assert (code, err) == (0, "")
+    assert out.decode().startswith("my space: dim 3, 12 facets")
+
+
+def test_default_sum_name_from_a_path_with_a_space_reads_back(tmp_path):
+    operand = tmp_path / "my dir" / "a.space"
+    operand.parent.mkdir()
+    operand.write_text("version 1\ndim 1\nkind V\n1\n-1\n", encoding="utf-8")
+    path = tmp_path / "s.space"
+    code, out, err = run_cli(["sum", "linf", str(operand), "hex", "--out", str(path)])
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(["facets", str(path)])
+    assert (code, err) == (0, "")
+    assert out.decode().startswith(f"linfsum({operand},hex): dim 3")
+
+
+def test_sum_name_that_cannot_be_written_back_is_rejected(tmp_path):
+    path = tmp_path / "s.space"
+    code, out, err = run_cli(["sum", "l1", "hex", "l1:1", "--name", "a#b", "--out", str(path)])
+    assert (code, out) == (64, b"")
+    assert err.startswith("usage error: space name 'a#b' cannot be written to a space file")
+    assert err.count("\n") == 1
+    assert not path.exists()

@@ -1,0 +1,126 @@
+"""Text formats: every parse-error kind with its position, names, and encoding."""
+
+import pytest
+
+from polysphere import hexagon_space, l1_space
+from polysphere.catalog import resolve
+from polysphere.formats import (
+    ParseError,
+    parse_candidates_file,
+    parse_candidates_text,
+    parse_map_file,
+    parse_map_text,
+    parse_space_file,
+    parse_space_text,
+    serialize_space,
+)
+
+HEX_H = "version 1\nname hexagon\ndim 2\nkind H\nsymmetric true\n0 1\n1 1/2\n1 -1/2\n"
+
+
+def map_text(lines):
+    return "version 1\ndomain hex\ncodomain hex\nmap\n" + "".join(line + "\n" for line in lines)
+
+
+IDENTITY = [f"v{i} -> w{i}" for i in range(6)]
+
+SPACE_ERRORS = [
+    ("version 1\ndim\nkind H\n1\n-1\n", "header", 2, 1, "dim needs one value"),
+    ("version 1\ndim 1 2\nkind H\n1\n-1\n", "header", 2, 1, "dim needs one value"),
+    ("version 1\n  color red\n", "header", 2, 3, "unknown header key 'color'"),
+    ("dim 1\nkind H\n1\n-1\n", "header", 1, 1, "missing or unsupported 'version'"),
+    ("version 1\ndim 1\nkind X\n1\n-1\n", "header", 1, 1, "missing or bad 'kind'"),
+    ("version 1\ndim two\nkind H\n1\n-1\n", "header", 1, 1, "missing or bad 'dim'"),
+    ("version 1\ndim 1\nkind H\n", "header", 1, 1, "no data rows"),
+    ("version 1\ndim 2\nkind H\n1 0.5\n", "malformed-rational", 4, 3, "decimal tokens"),
+    ("version 1\ndim 2\nkind H\n1 x/2\n", "malformed-rational", 4, 3, "bad rational 'x/2'"),
+    ("version 1\ndim 2\nkind H\n1 0\n-1 0\n0 1 2\n", "dimension-mismatch", 6, 1, "row has 3"),
+    ("version 1\ndim 1\nkind V\n1\n", "asymmetric-input", 4, 1, "row lacks its negation"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,kind,line,col,message", SPACE_ERRORS, ids=[f"{c[1]}-{i}" for i, c in enumerate(SPACE_ERRORS)]
+)
+def test_space_parse_errors(text, kind, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse_space_text(text)
+    assert (err.value.kind, err.value.line, err.value.col) == (kind, line, col)
+    assert str(err.value).startswith(f"line {line}, col {col}: {message}")
+
+
+MAP_ERRORS = [
+    ("version 1\ndomain hex\ncolor hex\nmap\n", "header", 3, 1, "unexpected header line"),
+    ("domain hex\ncodomain hex\nmap\n", "header", 1, 1, "missing or unsupported 'version'"),
+    ("version 1\ndomain hex\nmap\n", "header", 1, 1, "missing 'codomain'"),
+    (map_text(["v0 w1"]), "mapping", 5, 1, "mapping lines look like"),
+    (map_text(["(1/2, 1 -> w0"]), "mapping", 5, 1, "unclosed coordinate tuple"),
+    (map_text(["v0 -> x1"]), "mapping", 5, 6, "bad vertex reference 'x1'"),
+    (map_text(["(1/2, 1/0) -> w0"]), "malformed-rational", 5, 1, "bad rational '1/0'"),
+    (map_text(["v6 -> w0"]), "vertex", 5, 1, "vertex index 6 out of range"),
+    (map_text(["(1, 1) -> w0"]), "vertex", 5, 1, "(1, 1) is not a vertex of the space"),
+    (map_text(["(1, 0, 0) -> w0"]), "dimension-mismatch", 5, 1, "coordinate tuple"),
+    (map_text(["v0 -> w0", "v0 -> w1"]), "coverage", 6, 1, "domain vertex 0 mapped twice"),
+    (map_text(IDENTITY[:5]), "coverage", 1, 1, "domain vertices without an image: [5]"),
+    (map_text(IDENTITY[:5] + ["v5 -> w0"]), "coverage", 1, 1, "two domain vertices share"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,kind,line,col,message", MAP_ERRORS, ids=[f"{c[1]}-{i}" for i, c in enumerate(MAP_ERRORS)]
+)
+def test_map_parse_errors(text, kind, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse_map_text(text, resolve)
+    assert (err.value.kind, err.value.line, err.value.col) == (kind, line, col)
+    assert str(err.value).startswith(f"line {line}, col {col}: {message}")
+
+
+def test_candidate_parse_errors():
+    with pytest.raises(ParseError) as err:
+        parse_candidates_text("3/4 1/2\n1 0 0\n", 2)
+    assert (err.value.kind, err.value.line, err.value.col) == ("dimension-mismatch", 2, 1)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [parse_space_file, lambda p: parse_map_file(p, resolve), lambda p: parse_candidates_file(p, 2)],
+    ids=["space", "map", "candidates"],
+)
+def test_file_that_is_not_utf8_is_an_encoding_error(tmp_path, read):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"version 1\n\xc3\xa9 ok\nab\xff\n")
+    with pytest.raises(ParseError) as err:
+        read(path)
+    assert (err.value.kind, err.value.line, err.value.col) == ("encoding", 3, 3)
+    assert str(err.value) == "line 3, col 3: byte 0xff is not valid UTF-8"
+
+
+def test_name_is_the_rest_of_the_line():
+    text = HEX_H.replace("name hexagon", "name  my\tnamed space  # comment")
+    assert parse_space_text(text).name == "my\tnamed space"
+
+
+@pytest.mark.parametrize("name", ["my space", "l1sum(/data/a b.space,l1:1)", "x -> y", "version"])
+def test_serialized_name_reads_back(name):
+    space = l1_space(2)
+    space.name = name
+    for kind in ("H", "V"):
+        again = parse_space_text(serialize_space(space, kind))
+        assert (again, again.name) == (space, name)
+
+
+@pytest.mark.parametrize("name", ["a#b", " a", "a ", "a\nb", "a\rb", "a\u2028b"])
+def test_name_that_cannot_be_written_back_is_rejected(name):
+    space = hexagon_space()
+    space.name = name
+    with pytest.raises(ValueError, match="cannot be written to a space file"):
+        serialize_space(space)
+
+
+def test_file_name_is_the_default_label(tmp_path):
+    path = tmp_path / "a b.space"
+    path.write_text(HEX_H.replace("name hexagon\n", ""), encoding="utf-8")
+    assert parse_space_file(path).name == str(path)
+    path.write_text(HEX_H, encoding="utf-8")
+    assert parse_space_file(path).name == "hexagon"

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polysphere import (
     AsymmetricInputError,
@@ -18,11 +20,29 @@ from polysphere import (
     linf_space,
     vector,
 )
-from polysphere.linalg import solve
+from polysphere.formats import parse_space_text, serialize_space
+from polysphere.linalg import rank, solve
 from polysphere.sampling import random_direction
 from polysphere.space import as_fraction
 
 F = Fraction
+
+
+@st.composite
+def symmetric_point_rows(draw):
+    """A spanning rational point set in dim 2 or 3, closed under negation,
+    with repeated rows, a zero row and non-extreme points (interior points
+    and midpoints, which may lie on the boundary)."""
+    dim = draw(st.integers(2, 3))
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    points = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim, max_size=5))
+    assume(rank(points) == dim)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from(points)), max_size=3))
+    rows = points + [p for p, _ in pairs] + [(F(0),) * dim]
+    rows += [tuple(c / 2 for c in p) for p, _ in pairs]
+    rows += [tuple((a + b) / 2 for a, b in zip(p, q)) for p, q in pairs]
+    rows += [tuple(-c for c in r) for r in rows]
+    return draw(st.permutations(rows))
 
 
 def hull_2d(points):
@@ -210,6 +230,17 @@ class TestDuality:
 
     def test_cube_double_dual(self, cube3):
         assert cube3.dual().dual() == cube3
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_point_rows())
+    def test_vertex_build_is_the_polar_functional_build(self, rows):
+        space = PolyhedralSpace.from_vertices(rows, name="random-set")
+        assert space == PolyhedralSpace.from_functionals(rows).dual()
+        assert space.dual().dual() == space
+        for kind in ("H", "V"):
+            again = parse_space_text(serialize_space(space, kind))
+            assert again == space
+            assert again.name == "random-set"
 
 
 class TestInvariants:
