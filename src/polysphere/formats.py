@@ -173,21 +173,29 @@ def serialize_space(space: PolyhedralSpace, kind: str = "V") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_point_side(side: str, ln: int, col: int) -> tuple[str, object]:
-    """A mapping side: ('index', i) or ('coords', tuple of Fraction)."""
-    side = side.strip()
-    if side.startswith("("):
-        if not side.endswith(")"):
+def _parse_point_side(side: str, ln: int, col: int) -> tuple[str, object, int]:
+    """A mapping side: ('index', i, col) or ('coords', tuple of Fraction, col).
+
+    ``side`` is the raw text of the side and ``col`` the column where it
+    starts in its line; errors, and the returned column, point at the
+    side's first character, or at the offending coordinate token.
+    """
+    body = side.strip()
+    col += len(side) - len(side.lstrip())
+    if body.startswith("("):
+        if not body.endswith(")"):
             raise ParseError("mapping", ln, col, "unclosed coordinate tuple")
-        parts = side[1:-1].split(",")
-        coords = tuple(
-            _parse_rational(p.strip(), ln, col) for p in parts
-        )
-        return "coords", coords
-    m = _INDEX_RE.match(side)
+        coords = []
+        start = col + 1
+        for part in body[1:-1].split(","):
+            token_col = start + len(part) - len(part.lstrip())
+            coords.append(_parse_rational(part.strip(), ln, token_col))
+            start += len(part) + 1
+        return "coords", tuple(coords), col
+    m = _INDEX_RE.match(body)
     if not m:
-        raise ParseError("mapping", ln, col, f"bad vertex reference {side!r}")
-    return "index", int(m.group(1))
+        raise ParseError("mapping", ln, col, f"bad vertex reference {body!r}")
+    return "index", int(m.group(1)), col
 
 
 def parse_map_text(
@@ -207,11 +215,11 @@ def parse_map_text(
                 raise ParseError("header", ln, 1, f"unexpected header line {body!r}")
             header[key] = value.strip()
             continue
-        lhs, arrow, rhs = body.partition("->")
+        lhs, arrow, rhs = line.partition("->")
         if not arrow:
             raise ParseError("mapping", ln, 1, "mapping lines look like 'v0 -> w1'")
         pairs.append(
-            (ln, _parse_point_side(lhs, ln, 1), _parse_point_side(rhs, ln, body.find("->") + 3))
+            (ln, _parse_point_side(lhs, ln, 1), _parse_point_side(rhs, ln, len(lhs) + 3))
         )
 
     if header.get("version") != "1":
@@ -223,18 +231,18 @@ def parse_map_text(
     codomain = resolver(header["codomain"])
 
     def vertex_index(space: PolyhedralSpace, side, ln: int) -> int:
-        tag, value = side
+        tag, value, col = side
         if tag == "index":
             if not 0 <= value < len(space.vrep):
-                raise ParseError("vertex", ln, 1, f"vertex index {value} out of range")
+                raise ParseError("vertex", ln, col, f"vertex index {value} out of range")
             return value
         if len(value) != space.dim:
-            raise ParseError("dimension-mismatch", ln, 1, "coordinate tuple has wrong length")
+            raise ParseError("dimension-mismatch", ln, col, "coordinate tuple has wrong length")
         try:
             return space.vertex_id(Vector(value))
         except GeometryError:
             raise ParseError(
-                "vertex", ln, 1, f"{Vector(value)} is not a vertex of the space"
+                "vertex", ln, col, f"{Vector(value)} is not a vertex of the space"
             ) from None
 
     assignment: dict[int, int] = {}
@@ -242,7 +250,7 @@ def parse_map_text(
         i = vertex_index(domain, lhs, ln)
         j = vertex_index(codomain, rhs, ln)
         if i in assignment:
-            raise ParseError("coverage", ln, 1, f"domain vertex {i} mapped twice")
+            raise ParseError("coverage", ln, lhs[2], f"domain vertex {i} mapped twice")
         assignment[i] = j
     missing = [i for i in range(len(domain.vrep)) if i not in assignment]
     if missing:

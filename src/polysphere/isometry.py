@@ -10,6 +10,12 @@ affine consistency on each facet that makes the evaluation rule well
 defined. Only a failure of the last marks a map as malformed; every other
 failure is an honest verdict with a counterexample.
 
+Distances are read from rows of facet values. Every facet functional f is
+linear, so f(p - q) = f(p) - f(q), and ||p - q|| = max_i (F[p][i] - F[q][i])
+where F[p] is the row of facet values at p. Each side's rows are scaled to
+integers by one common denominator, so a pair costs one integer
+subtraction per facet.
+
 The linear extension is built from exact linear algebra on the vertex
 images and certified exactly by two checks: vertex agreement, which with
 the vertex bijection carries the domain ball onto the codomain ball, and
@@ -19,6 +25,8 @@ make it a linear isometry; no norm is sampled.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import sub
 
 from . import linalg
 from .errors import (
@@ -146,6 +154,32 @@ def _barycentric_weights(points: list[Vector], x: Vector) -> tuple[Fraction, ...
     return sol.point
 
 
+def _first_unequal_pair(dom_rows, cod_rows, start=0) -> tuple[int, int] | None:
+    """The first pair (i, j) whose two distances differ, or None.
+
+    Row k of each side holds the facet values of point k of that side, so
+    the distance of points i and j is max_t (row_i[t] - row_j[t]). Pairs
+    run over i < j with j >= ``start``, i outer, j inner. Each side's rows
+    are scaled to integers by the LCM s of its denominators; a pair fails
+    when lhs * s_cod != rhs * s_dom, which is lhs / s_dom != rhs / s_cod.
+    """
+    drows, s_dom = _integer_rows(dom_rows)
+    crows, s_cod = _integer_rows(cod_rows)
+    n = len(drows)
+    for i in range(n):
+        p, q = drows[i], crows[i]
+        for j in range(max(i + 1, start), n):
+            if max(map(sub, p, drows[j])) * s_cod != max(map(sub, q, crows[j])) * s_dom:
+                return i, j
+    return None
+
+
+def _integer_rows(rows) -> tuple[list[tuple[int, ...]], int]:
+    """Rational rows as integer rows over their common denominator s."""
+    s = lcm(*(c.denominator for row in rows for c in row))
+    return [tuple(c.numerator * (s // c.denominator) for c in row) for row in rows], s
+
+
 def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
     """Check that a sphere map is a well-formed surjective isometry.
 
@@ -155,6 +189,14 @@ def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
     distances on the deterministic facet samples (barycenters, midpoints,
     and a few seeded rational facet points). The first failure is reported
     with its counterexample.
+
+    Distances are exact and read from facet values: with F[p] the row of
+    facet functional values at p, ||p - q|| = max_i (F[p][i] - F[q][i]),
+    because f(p - q) = f(p) - f(q). Vertex rows come from the two spaces'
+    ``facet_values`` tables, the codomain's permuted by ``vertex_map``;
+    each sample and each image under :meth:`SphereMap.apply` gets one
+    functional pass. The counterexample's two distances are evaluated by
+    :meth:`PolyhedralSpace.norm`.
     """
     dom, cod = m.domain, m.codomain
 
@@ -182,16 +224,15 @@ def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
                 counterexample=(dom.vrep[i], -dom.vrep[i]),
             )
 
-    for i in range(len(dom.vrep)):
-        for j in range(i + 1, len(dom.vrep)):
-            lhs = dom.norm(dom.vrep[i] - dom.vrep[j])
-            rhs = cod.norm(m.vertex_image(i) - m.vertex_image(j))
-            if lhs != rhs:
-                return IsometryReport(
-                    False,
-                    reason="vertex pair distance not preserved",
-                    counterexample=(dom.vrep[i], dom.vrep[j], lhs, rhs),
-                )
+    hit = _first_unequal_pair(dom.facet_values, [cod.facet_values[k] for k in m.vertex_map])
+    if hit is not None:
+        i, j = hit
+        p, q = dom.vrep[i], dom.vrep[j]
+        return IsometryReport(
+            False,
+            reason="vertex pair distance not preserved",
+            counterexample=(p, q, dom.norm(p - q), cod.norm(m.vertex_image(i) - m.vertex_image(j))),
+        )
 
     for fid, ids in enumerate(dom.facet_index):
         # The facet rule must extend affinely, otherwise evaluation at
@@ -212,18 +253,18 @@ def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
         samples.append(random_facet_point(dom, fid, rng))
     pool = list(dom.vrep) + samples
     images = [m.apply(p) for p in pool]
-    nv = len(dom.vrep)
-    for i in range(len(pool)):
-        # Vertex pairs already passed above; start at the first sample.
-        for j in range(max(i + 1, nv), len(pool)):
-            lhs = dom.norm(pool[i] - pool[j])
-            rhs = cod.norm(images[i] - images[j])
-            if lhs != rhs:
-                return IsometryReport(
-                    False,
-                    reason="sampled distance not preserved",
-                    counterexample=(pool[i], pool[j], lhs, rhs),
-                )
+    dom_rows = list(dom.facet_values) + [tuple(f(p) for f in dom.hrep) for p in samples]
+    cod_rows = [tuple(g(w) for g in cod.hrep) for w in images]
+    # Vertex pairs already passed above; start at the first sample.
+    hit = _first_unequal_pair(dom_rows, cod_rows, start=len(dom.vrep))
+    if hit is not None:
+        i, j = hit
+        p, q = pool[i], pool[j]
+        return IsometryReport(
+            False,
+            reason="sampled distance not preserved",
+            counterexample=(p, q, dom.norm(p - q), cod.norm(images[i] - images[j])),
+        )
     return IsometryReport(True)
 
 
@@ -232,7 +273,8 @@ def transported_functionals(m: SphereMap) -> tuple[tuple[Functional, Functional]
 
     Certifies the transport relation exactly on the generating set: for
     every domain vertex v and every pair (f, g), g at the image of v must
-    equal f at v. Raises CertificationError with the offending facet and
+    equal f at v. Both values are read from the spaces' ``facet_values``
+    tables. Raises CertificationError with the offending facet and
     vertex otherwise, and when a domain facet has no image facet. Intended
     to run after :func:`verify_isometry`.
     """
@@ -245,7 +287,7 @@ def transported_functionals(m: SphereMap) -> tuple[tuple[Functional, Functional]
         f = m.domain.hrep[fid]
         g = m.codomain.hrep[gid]
         for i, v in enumerate(m.domain.vrep):
-            if g(m.vertex_image(i)) != f(v):
+            if m.codomain.facet_values[m.vertex_map[i]][gid] != m.domain.facet_values[i][fid]:
                 raise CertificationError(
                     f"functional transport fails at facet {fid}, vertex {v}",
                     detail=(fid, v),

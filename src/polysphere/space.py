@@ -300,10 +300,17 @@ class PolyhedralSpace:
         hrep: facet functionals, canonically sorted, closed under negation.
         vrep: ball vertices, canonically sorted, closed under negation.
         facet_index: per functional, the ids of the vertices lying on it.
+        facet_values: the table ``facet_values[j][i] = hrep[i](vrep[j])``, a
+            tuple of tuples of Fractions. The functionals are linear, so
+            ``norm(vrep[a] - vrep[b])`` is the maximum over i of
+            ``facet_values[a][i] - facet_values[b][i]``.
         name: optional label used in reports; ignored by equality.
     """
 
-    __slots__ = ("dim", "hrep", "vrep", "facet_index", "name", "_neg_f", "_neg_v", "_v_pos", "_f_pos")
+    __slots__ = (
+        "dim", "hrep", "vrep", "facet_index", "facet_values", "name",
+        "_neg_f", "_neg_v", "_v_pos", "_f_pos",
+    )
 
     def __init__(self, hrep: Sequence, vrep: Sequence, name: str | None = None):
         fs = sorted({f for f in _coerce_functionals(hrep)}, key=lambda f: f.coeffs)
@@ -320,8 +327,7 @@ class PolyhedralSpace:
         self._f_pos = {f: i for i, f in enumerate(self.hrep)}
         self._v_pos = {v: i for i, v in enumerate(self.vrep)}
         self._validate_symmetry()
-        # values[j][i] = f_i(v_j), computed once for every check below.
-        values = [[f(v) for f in self.hrep] for v in self.vrep]
+        values = self.facet_values = tuple(tuple(f(v) for f in self.hrep) for v in self.vrep)
         self._validate_norms(values)
         self.facet_index = tuple(
             tuple(j for j, row in enumerate(values) if row[i] == 1) for i in range(len(self.hrep))

@@ -173,3 +173,19 @@ def test_sum_name_that_cannot_be_written_back_is_rejected(tmp_path):
     assert err.startswith("usage error: space name 'a#b' cannot be written to a space file")
     assert err.count("\n") == 1
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sum", "l1", "l1:4", "l1:3"], "error: dimension 7 exceeds the enumeration cap of 6"),
+        (["sum", "linf", "linf:6", "hex"], "error: dimension 8 exceeds the enumeration cap of 6"),
+        (["star", "hex", "2,0"], "error: (2, 0) has norm 2, expected 1"),
+        (["star", "hex", "1,0,0"], "usage error: point needs 2 coordinates, got 3"),
+    ],
+    ids=["sum-dim-7", "sum-dim-8", "star-off-sphere", "star-wrong-length"],
+)
+def test_failing_sum_and_star_exit_64_with_one_line(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (64, b"")
+    assert err == message + "\n"

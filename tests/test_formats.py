@@ -55,14 +55,22 @@ MAP_ERRORS = [
     ("version 1\ndomain hex\nmap\n", "header", 1, 1, "missing 'codomain'"),
     (map_text(["v0 w1"]), "mapping", 5, 1, "mapping lines look like"),
     (map_text(["(1/2, 1 -> w0"]), "mapping", 5, 1, "unclosed coordinate tuple"),
-    (map_text(["v0 -> x1"]), "mapping", 5, 6, "bad vertex reference 'x1'"),
-    (map_text(["(1/2, 1/0) -> w0"]), "malformed-rational", 5, 1, "bad rational '1/0'"),
+    (map_text(["v0 -> x1"]), "mapping", 5, 7, "bad vertex reference 'x1'"),
+    (map_text(["(1/2, 1/0) -> w0"]), "malformed-rational", 5, 7, "bad rational '1/0'"),
     (map_text(["v6 -> w0"]), "vertex", 5, 1, "vertex index 6 out of range"),
     (map_text(["(1, 1) -> w0"]), "vertex", 5, 1, "(1, 1) is not a vertex of the space"),
     (map_text(["(1, 0, 0) -> w0"]), "dimension-mismatch", 5, 1, "coordinate tuple"),
     (map_text(["v0 -> w0", "v0 -> w1"]), "coverage", 6, 1, "domain vertex 0 mapped twice"),
     (map_text(IDENTITY[:5]), "coverage", 1, 1, "domain vertices without an image: [5]"),
     (map_text(IDENTITY[:5] + ["v5 -> w0"]), "coverage", 1, 1, "two domain vertices share"),
+    # Columns count from the start of the original line, leading whitespace included.
+    (map_text(["   v0 ->  x1"]), "mapping", 5, 11, "bad vertex reference 'x1'"),
+    (map_text(["  (1/2 -> w0"]), "mapping", 5, 3, "unclosed coordinate tuple"),
+    (map_text(["v0 -> ( 1,  1/x)"]), "malformed-rational", 5, 13, "bad rational '1/x'"),
+    (map_text(["v0 ->   w6"]), "vertex", 5, 9, "vertex index 6 out of range"),
+    (map_text(["v0 -> (1, 1)"]), "vertex", 5, 7, "(1, 1) is not a vertex of the space"),
+    (map_text([" v0 -> (1, 0, 0)"]), "dimension-mismatch", 5, 8, "coordinate tuple"),
+    (map_text(["v0 -> w0", "  v0 -> w1"]), "coverage", 6, 3, "domain vertex 0 mapped twice"),
 ]
 
 

@@ -4,20 +4,27 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysphere import (
     CertificationError,
     GeometryError,
+    IsometryReport,
     PolyhedralSpace,
     SphereMap,
     extend,
+    hexagon_space,
     l1_space,
     linf_space,
     transported_functionals,
     vector,
     verify_isometry,
 )
-from polysphere.linalg import mat_mul
+from polysphere import linalg
+from polysphere.isometry import _first_unequal_pair
+from polysphere.linalg import ONE, mat_mul, mat_vec
+from polysphere.sampling import DEFAULT_SEED, facet_sample_points, random_facet_point, rng_from
 
 F = Fraction
 
@@ -47,10 +54,10 @@ def hex_symmetries():
     return out
 
 
-def moved_hexagon():
-    """The hexagon with the vertex pair +-(1/2, 1) moved to +-(1/4, 1); same face lattice."""
+def moved_hexagon(b=(F(1, 4), 1)):
+    """The hexagon with the vertex pair +-(1/2, 1) moved to +-b (default (1/4, 1))."""
     return PolyhedralSpace.from_vertices(
-        [vector(1, 0), vector(F(1, 4), 1), vector(F(-1, 2), 1)], symmetrize=True, name="moved"
+        [vector(1, 0), vector(*b), vector(F(-1, 2), 1)], symmetrize=True, name="moved"
     )
 
 
@@ -148,3 +155,212 @@ class TestRejections:
     def test_from_linear_rejects_a_matrix_that_breaks_facets(self, domain, codomain, matrix):
         with pytest.raises(GeometryError):
             SphereMap.from_linear(domain, codomain, matrix)
+
+
+def reference_verify_isometry(m, seed=DEFAULT_SEED):
+    """The pair passes as plain double loops over exact norms of differences."""
+    dom, cod = m.domain, m.codomain
+
+    for fid, gid in enumerate(m.facet_map):
+        if gid is None:
+            return IsometryReport(
+                False,
+                reason=f"vertex images of facet {fid} do not form a codomain facet",
+                counterexample=tuple(m.vertex_image(j) for j in dom.facet_index[fid]),
+            )
+    if len(dom.hrep) != len(cod.hrep):
+        return IsometryReport(
+            False,
+            reason=(
+                f"facet counts differ: {len(dom.hrep)} in the domain, "
+                f"{len(cod.hrep)} in the codomain"
+            ),
+        )
+
+    for i in range(len(dom.vrep)):
+        if m.vertex_map[dom.neg_vertex_id(i)] != cod.neg_vertex_id(m.vertex_map[i]):
+            return IsometryReport(
+                False,
+                reason="antipodality fails on vertices",
+                counterexample=(dom.vrep[i], -dom.vrep[i]),
+            )
+
+    for i in range(len(dom.vrep)):
+        for j in range(i + 1, len(dom.vrep)):
+            lhs = dom.norm(dom.vrep[i] - dom.vrep[j])
+            rhs = cod.norm(m.vertex_image(i) - m.vertex_image(j))
+            if lhs != rhs:
+                return IsometryReport(
+                    False,
+                    reason="vertex pair distance not preserved",
+                    counterexample=(dom.vrep[i], dom.vrep[j], lhs, rhs),
+                )
+
+    for fid, ids in enumerate(dom.facet_index):
+        hom = [dom.vrep[j].coords + (ONE,) for j in ids]
+        images = [m.vertex_image(j).coords for j in ids]
+        if linalg.rank(hom) != linalg.rank([h + w for h, w in zip(hom, images)]):
+            return IsometryReport(
+                False,
+                malformed=True,
+                reason="evaluation not well defined: no affine map matches the facet data",
+                counterexample=(fid,),
+            )
+
+    samples = facet_sample_points(dom)
+    rng = rng_from(seed)
+    for fid in range(len(dom.hrep)):
+        samples.append(random_facet_point(dom, fid, rng))
+    pool = list(dom.vrep) + samples
+    images = [m.apply(p) for p in pool]
+    nv = len(dom.vrep)
+    for i in range(len(pool)):
+        for j in range(max(i + 1, nv), len(pool)):
+            lhs = dom.norm(pool[i] - pool[j])
+            rhs = cod.norm(images[i] - images[j])
+            if lhs != rhs:
+                return IsometryReport(
+                    False,
+                    reason="sampled distance not preserved",
+                    counterexample=(pool[i], pool[j], lhs, rhs),
+                )
+    return IsometryReport(True)
+
+
+def assert_same_report(m):
+    report = verify_isometry(m)
+    assert report == reference_verify_isometry(m)
+    return report
+
+
+def sheared_image(space, matrix):
+    """The map x -> matrix x from ``space`` onto the image of its ball."""
+    image = PolyhedralSpace.from_vertices([mat_vec(matrix, v.coords) for v in space.vrep])
+    return SphereMap.from_linear(space, image, matrix)
+
+
+SHEARS = [
+    ((F(1), F(1)), (F(0), F(1))),
+    ((F(1), F(0)), (F(-3, 2), F(1))),
+    ((F(2), F(1, 3)), (F(1, 2), F(1))),
+]
+SHEARS_3D = [
+    ((F(1), F(1), F(0)), (F(0), F(1), F(0)), (F(0), F(-1, 2), F(1))),
+    ((F(1), F(0), F(2)), (F(1, 3), F(1), F(0)), (F(0), F(0), F(1))),
+]
+
+
+class TestAgainstReference:
+    """The facet-value passes give the reports of the double loops over norms."""
+
+    def test_hexagon_symmetries(self, hexagon):
+        for matrix in hex_symmetries():
+            assert assert_same_report(SphereMap.from_linear(hexagon, hexagon, matrix)).passed
+
+    @pytest.mark.parametrize(
+        "space,limit",
+        [(l1_space(3), None), (linf_space(3), None), (linf_space(4), 2)],
+        ids=["l1_3", "linf3", "linf4"],
+    )
+    def test_signed_permutations(self, space, limit):
+        for matrix in itertools.islice(signed_permutations(space.dim), limit):
+            assert assert_same_report(SphereMap.from_linear(space, space, matrix)).passed
+
+    def test_sheared_linear_images(self, hexagon):
+        cases = [(hexagon, t) for t in SHEARS] + [(moved_hexagon(), t) for t in SHEARS]
+        cases += [(space, t) for space in (l1_space(3), linf_space(3)) for t in SHEARS_3D]
+        for space, matrix in cases:
+            assert assert_same_report(sheared_image(space, matrix)).passed
+
+    def test_moved_hexagon_grid(self, hexagon):
+        verdicts = set()
+        for x, y in itertools.product(range(0, 6), range(2, 8)):
+            b = (F(x, 4), F(y, 4))
+            moved = moved_hexagon(b)
+            if len(moved.vrep) != 6:
+                continue
+            shift = {vector(F(1, 2), 1): vector(*b), vector(F(-1, 2), -1): -vector(*b)}
+            for domain, codomain, pairs in [
+                (hexagon, moved, [(v, shift.get(v, v)) for v in hexagon.vrep]),
+                (moved, hexagon, [(shift.get(v, v), v) for v in hexagon.vrep]),
+            ]:
+                report = assert_same_report(map_by_coordinates(domain, codomain, pairs))
+                pair = report.counterexample[:2] if report.counterexample else None
+                verdicts.add((report.passed, report.reason, pair))
+        assert (True, "", None) in verdicts
+        # The grid reaches several first failing pairs, not one.
+        assert len({v[2] for v in verdicts if not v[0]}) > 2
+
+    @pytest.mark.parametrize("k", [0, 2, 3, 5])
+    def test_sampled_failures(self, hexagon, monkeypatch, k):
+        # None of the maps above fails on a sample after passing the vertex
+        # pairs, so swap the images of two samples to reach that branch.
+        samples = facet_sample_points(hexagon)
+        swap = {samples[k]: samples[k - 2], samples[k - 2]: samples[k]}
+        apply = SphereMap.apply
+        monkeypatch.setattr(SphereMap, "apply", lambda m, x: apply(m, swap.get(x, x)))
+        for matrix in hex_symmetries()[:4]:
+            report = assert_same_report(SphereMap.from_linear(hexagon, hexagon, matrix))
+            assert report.reason == "sampled distance not preserved"
+
+
+@st.composite
+def facet_value_rows(draw):
+    """Rows of two sides with equal distances, up to a few changed entries.
+
+    The codomain rows are the domain rows with columns permuted and shifted
+    by one constant row, which keeps every difference of rows."""
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 4))
+    dom = draw(st.lists(st.tuples(*[rational] * k), min_size=n, max_size=n))
+    perm = draw(st.permutations(range(k)))
+    shift = draw(st.tuples(*[rational] * k))
+    cod = [tuple(r[t] + c for t, c in zip(perm, shift)) for r in dom]
+    for _ in range(draw(st.integers(0, 2))):
+        i, t = draw(st.integers(0, n - 1)), draw(st.integers(0, k - 1))
+        cod[i] = cod[i][:t] + (draw(rational),) + cod[i][t + 1:]
+    return dom, cod, draw(st.integers(0, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(facet_value_rows())
+def test_first_unequal_pair_matches_fraction_differences(rows):
+    dom, cod, start = rows
+    expected = None
+    for i, j in itertools.combinations(range(len(dom)), 2):
+        if j >= start and max(a - b for a, b in zip(dom[i], dom[j])) != max(
+            a - b for a, b in zip(cod[i], cod[j])
+        ):
+            expected = (i, j)
+            break
+    assert _first_unequal_pair(dom, cod, start) == expected
+
+
+LINF3_SIGNED_PERMUTATION = ((F(0), F(-1), F(0)), (F(0), F(0), F(1)), (F(-1), F(0), F(0)))
+
+
+@pytest.mark.parametrize(
+    "space,matrix",
+    [(hexagon_space(), HEX_ROTATION), (linf_space(3), LINF3_SIGNED_PERMUTATION)],
+    ids=["hex_rotation", "linf3_signed_permutation"],
+)
+def test_only_apply_evaluates_norms_on_a_passing_map(monkeypatch, space, matrix):
+    """Pair distances come from facet values; the sphere check in apply is the only norm call."""
+    m = SphereMap.from_linear(space, space, matrix)
+    calls = {"norm": 0, "apply": 0}
+    norm, apply = PolyhedralSpace.norm, SphereMap.apply
+
+    def counting_norm(self, x):
+        calls["norm"] += 1
+        return norm(self, x)
+
+    def counting_apply(self, x):
+        calls["apply"] += 1
+        return apply(self, x)
+
+    monkeypatch.setattr(PolyhedralSpace, "norm", counting_norm)
+    monkeypatch.setattr(SphereMap, "apply", counting_apply)
+    assert verify_isometry(m).passed
+    assert extend(m).matrix == matrix
+    assert calls["apply"] > 0 and calls["norm"] == calls["apply"]

@@ -125,6 +125,14 @@ class TestNorm:
                 x = random_direction(rng, space.dim)
                 assert space.norm(x) == space.gauge_norm(x)
 
+    @settings(max_examples=40, deadline=None)
+    @given(symmetric_point_rows(), st.data())
+    def test_hrep_norm_equals_vrep_gauge_on_random_polytopes(self, rows, data):
+        space = PolyhedralSpace.from_vertices(rows)
+        coord = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+        for x in data.draw(st.lists(st.tuples(*[coord] * space.dim), min_size=1, max_size=4)):
+            assert space.norm(vector(*x)) == space.gauge_norm(vector(*x))
+
 
 class TestFromFunctionals:
     def test_hexagon_vertices_match_line_intersections(self, hexagon):
@@ -261,6 +269,14 @@ class TestInvariants:
         crippled = PolyhedralSpace(cube.hrep, vrep)
         with pytest.raises(GeometryError):
             crippled.verify_mutual_polarity()
+
+    def test_facet_values_is_the_table_of_functionals_at_vertices(self, small_catalog):
+        for space in small_catalog:
+            assert isinstance(space.facet_values, tuple)
+            assert all(isinstance(row, tuple) for row in space.facet_values)
+            assert [list(row) for row in space.facet_values] == [
+                [f(v) for f in space.hrep] for v in space.vrep
+            ]
 
     def test_symmetric_representations(self, small_catalog):
         for space in small_catalog:
