@@ -66,7 +66,7 @@ def _parse_rational(token: str, line: int, col: int) -> Fraction:
 
 
 def _iter_rows(text: str):
-    """Yield (line_number, stripped_line) for content lines."""
+    """Yield (line_number, line) for content lines, the line with its comment removed."""
     for ln, raw in enumerate(text.splitlines(), start=1):
         body = _strip_comment(raw).strip()
         if body:
@@ -90,7 +90,8 @@ def _read_text(path) -> str:
 
 
 def parse_space_text(text: str, name: str | None = None) -> PolyhedralSpace:
-    header: dict[str, str] = {}
+    # A header key maps to its value and the line and column of that value.
+    header: dict[str, tuple[str, int, int]] = {}
     rows: list[tuple[int, tuple[Fraction, ...]]] = []
     header_done = False
     for ln, line in _iter_rows(text):
@@ -100,7 +101,7 @@ def parse_space_text(text: str, name: str | None = None) -> PolyhedralSpace:
             # A name is the rest of the line, so it may contain spaces.
             if len(tokens) < 2 or (first != "name" and len(tokens) != 2):
                 raise ParseError("header", ln, tokens[0].start() + 1, f"{first} needs one value")
-            header[first] = line[tokens[0].end():].strip()
+            header[first] = (line[tokens[0].end():].strip(), ln, tokens[1].start() + 1)
             continue
         if not header_done and first[0].isalpha():
             raise ParseError("header", ln, tokens[0].start() + 1, f"unknown header key {first!r}")
@@ -110,16 +111,24 @@ def parse_space_text(text: str, name: str | None = None) -> PolyhedralSpace:
         )
         rows.append((ln, row))
 
-    if header.get("version") != "1":
-        raise ParseError("header", 1, 1, "missing or unsupported 'version' (expected 1)")
-    kind = header.get("kind")
+    # A missing key is reported at line 1, col 1; a bad value at its token.
+    version, ln, col = header.get("version", (None, 1, 1))
+    if version != "1":
+        raise ParseError("header", ln, col, "missing or unsupported 'version' (expected 1)")
+    kind, ln, col = header.get("kind", (None, 1, 1))
     if kind not in ("H", "V"):
-        raise ParseError("header", 1, 1, "missing or bad 'kind' (expected H or V)")
+        raise ParseError("header", ln, col, "missing or bad 'kind' (expected H or V)")
+    dim_text, ln, col = header.get("dim", (None, 1, 1))
     try:
-        dim = int(header.get("dim", ""))
-    except ValueError:
-        raise ParseError("header", 1, 1, "missing or bad 'dim'") from None
-    symmetric = header.get("symmetric", "false").lower() == "true"
+        dim = int(dim_text)
+    except (TypeError, ValueError):
+        dim = 0
+    if dim < 1:
+        raise ParseError("header", ln, col, "missing or bad 'dim' (expected a positive integer)")
+    flag, ln, col = header.get("symmetric", ("false", 1, 1))
+    if flag.lower() not in ("true", "false"):
+        raise ParseError("header", ln, col, "bad 'symmetric' (expected true or false)")
+    symmetric = flag.lower() == "true"
     if not rows:
         raise ParseError("header", 1, 1, "no data rows")
     for ln, row in rows:
@@ -138,7 +147,7 @@ def parse_space_text(text: str, name: str | None = None) -> PolyhedralSpace:
                     "row lacks its negation and 'symmetric true' is not set",
                 )
 
-    label = header.get("name", name)
+    label = header["name"][0] if "name" in header else name
     build = PolyhedralSpace.from_functionals if kind == "H" else PolyhedralSpace.from_vertices
     return build([row for _, row in rows], name=label, symmetrize=symmetric)
 

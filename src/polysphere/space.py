@@ -15,15 +15,21 @@ of that ball. Read as functionals, the rows and the points are a space's
 H- and V-forms; read as points, they are its V- and H-forms, because the
 ball of the polar rows is the polar body. The enumerator alone applies
 the two caps, ``MAX_ENUM_DIM`` on the dimension and ``MAX_FACETS`` on the
-number of distinct nonzero rows. The raw constructor validates the
-structural invariants it can check cheaply (symmetry, unit norms, facet
-and vertex ranks); full re-enumeration is available as
-:meth:`verify_mutual_polarity`.
+number of distinct nonzero rows. It is the double description method on
+exact integers: rows and rays are primitive integer vectors, each ray
+carries a bitmask of the rows tight at it, and two rays are adjacent by
+the combinatorial test of Fukuda & Prodon ("Double description method
+revisited", 1996), with no rank computation. Vertices leave it as
+Fractions. The raw constructor validates the structural invariants it
+can check cheaply (symmetry, unit norms, facet and vertex ranks); full
+re-enumeration is available as :meth:`verify_mutual_polarity`.
 """
 
 import itertools
+import math
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -166,16 +172,12 @@ def functional(*coeffs) -> Functional:
     return Functional(coeffs)
 
 
-def _normalize_ray(ray: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    s = sum(abs(c) for c in ray)
-    if s == 0:
-        raise ValueError("zero ray")
-    return tuple(c / s for c in ray)
-
-
-def _adjacent(p, q, processed, homdim) -> bool:
-    tight = [row for row in processed if linalg.dot(row, p) == 0 and linalg.dot(row, q) == 0]
-    return linalg.rank(tight) == homdim - 2
+def _primitive(v: Sequence) -> tuple[int, ...]:
+    """The positive multiple of a nonzero rational vector whose entries are coprime integers."""
+    den = math.lcm(*(c.denominator for c in v))
+    ints = [c.numerator * (den // c.denominator) for c in v]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
 
 
 def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -186,6 +188,16 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
     Raises DegenerateInputError otherwise, carrying a recession direction.
     Zero functionals are vacuous and ignored. Raises EnumerationCapError
     above ``MAX_ENUM_DIM`` dimensions or ``MAX_FACETS`` distinct rows.
+
+    The ball is the slice t = 1 of the cone {(x, t) : f(x) <= t}, which
+    is built one row at a time from a box over ``dim`` independent rows.
+    Rows and rays are primitive integer vectors, a positive rescaling that
+    leaves the cone and its extreme rays unchanged. Each ray carries a
+    bitmask of the processed rows that vanish on it. Two rays on opposite
+    sides of a new row are adjacent, and so combine into a new ray, iff
+    their common mask has at least ``dim - 1`` bits and no third ray's mask
+    contains it: the combinatorial test of Fukuda & Prodon, "Double
+    description method revisited" (1996).
     """
     rows = sorted(
         {
@@ -216,49 +228,52 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
             direction=direction,
         )
 
-    homdim = dim + 1
     base_idx = linalg.independent_row_indices(rows, limit=dim)
     base = [rows[i] for i in base_idx]
     base_inv = linalg.invert(tuple(tuple(r) for r in base))
     assert base_inv is not None
 
-    processed: list[tuple[Fraction, ...]] = []
-    consumed: set[tuple[Fraction, ...]] = set()
-    for r in base:
-        for signed in (r, tuple(-c for c in r)):
-            processed.append(signed + (-ONE,))
-            consumed.add(signed)
+    box = [_primitive(signed + (-ONE,)) for r in base for signed in (r, tuple(-c for c in r))]
+    consumed = set(base) | {tuple(-c for c in r) for r in base}
 
     # Initial cone: |f(x)| <= t over the basis rows, a combinatorial box
     # whose extreme rays are the solutions of (basis) x = signs at t = 1.
-    rays: set[tuple[Fraction, ...]] = set()
+    rays: list[tuple[int, ...]] = []
+    masks: list[int] = []
     for signs in itertools.product((ONE, -ONE), repeat=dim):
-        x = linalg.mat_vec(base_inv, signs)
-        rays.add(_normalize_ray(x + (ONE,)))
+        ray = _primitive(linalg.mat_vec(base_inv, signs) + (ONE,))
+        rays.append(ray)
+        masks.append(sum(1 << i for i, a in enumerate(box) if sum(map(mul, a, ray)) == 0))
 
-    remaining = [r for r in rows if r not in consumed]
-    for f in remaining:
-        a = f + (-ONE,)
-        ordered = sorted(rays)
-        vals = {r: linalg.dot(a, r) for r in ordered}
-        positive = [r for r in ordered if vals[r] > 0]
-        if positive:
-            negative = [r for r in ordered if vals[r] < 0]
-            survivors = {r for r in ordered if vals[r] <= 0}
-            for p in positive:
-                for q in negative:
-                    if _adjacent(p, q, processed, homdim):
-                        combo = tuple(vals[p] * qc - vals[q] * pc for pc, qc in zip(p, q))
-                        survivors.add(_normalize_ray(combo))
-            rays = survivors
-        processed.append(a)
+    need = dim - 1  # homogenised dimension minus two
+    for bit, f in enumerate((r for r in rows if r not in consumed), start=len(box)):
+        a = _primitive(f + (-ONE,))
+        flag = 1 << bit
+        vals = [sum(map(mul, a, ray)) for ray in rays]
+        positive = [i for i, v in enumerate(vals) if v > 0]
+        negative = [i for i, v in enumerate(vals) if v < 0]
+        new_rays = [ray for ray, v in zip(rays, vals) if v <= 0]
+        new_masks = [z | flag if v == 0 else z for z, v in zip(masks, vals) if v <= 0]
+        for i in positive:
+            p, vp, zp = rays[i], vals[i], masks[i]
+            for j in negative:
+                common = zp & masks[j]
+                if common.bit_count() < need:
+                    continue
+                # p and q contain their own common mask; a third ray must not.
+                if sum(1 for z in masks if z & common == common) > 2:
+                    continue
+                q, vq = rays[j], vals[j]
+                new_rays.append(_primitive([vp * qc - vq * pc for pc, qc in zip(p, q)]))
+                new_masks.append(common | flag)
+        rays, masks = new_rays, new_masks
 
     vertices = []
-    for ray in sorted(rays):
+    for ray in rays:
         t = ray[-1]
         if t <= 0:
             raise GeometryError("internal: unbounded ray survived enumeration")
-        vertices.append(tuple(c / t for c in ray[:-1]))
+        vertices.append(tuple(Fraction(c, t) for c in ray[:-1]))
     return tuple(sorted(set(vertices)))
 
 

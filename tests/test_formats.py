@@ -29,13 +29,18 @@ SPACE_ERRORS = [
     ("version 1\ndim 1 2\nkind H\n1\n-1\n", "header", 2, 1, "dim needs one value"),
     ("version 1\n  color red\n", "header", 2, 3, "unknown header key 'color'"),
     ("dim 1\nkind H\n1\n-1\n", "header", 1, 1, "missing or unsupported 'version'"),
-    ("version 1\ndim 1\nkind X\n1\n-1\n", "header", 1, 1, "missing or bad 'kind'"),
-    ("version 1\ndim two\nkind H\n1\n-1\n", "header", 1, 1, "missing or bad 'dim'"),
+    ("version 1\ndim 1\nkind X\n1\n-1\n", "header", 3, 6, "missing or bad 'kind'"),
+    ("version 1\ndim two\nkind H\n1\n-1\n", "header", 2, 5, "missing or bad 'dim'"),
     ("version 1\ndim 1\nkind H\n", "header", 1, 1, "no data rows"),
     ("version 1\ndim 2\nkind H\n1 0.5\n", "malformed-rational", 4, 3, "decimal tokens"),
     ("version 1\ndim 2\nkind H\n1 x/2\n", "malformed-rational", 4, 3, "bad rational 'x/2'"),
     ("version 1\ndim 2\nkind H\n1 0\n-1 0\n0 1 2\n", "dimension-mismatch", 6, 1, "row has 3"),
     ("version 1\ndim 1\nkind V\n1\n", "asymmetric-input", 4, 1, "row lacks its negation"),
+    ("version 2\ndim 1\nkind H\n1\n-1\n", "header", 1, 9, "missing or unsupported 'version'"),
+    ("version 1\ndim 0\nkind H\n1\n-1\n", "header", 2, 5, "missing or bad 'dim'"),
+    ("version 1\n dim  -1\nkind H\n1\n-1\n", "header", 2, 7, "missing or bad 'dim'"),
+    ("version 1\nkind H\n1\n-1\n", "header", 1, 1, "missing or bad 'dim'"),
+    ("version 1\ndim 1\nkind V\nsymmetric yes\n1\n", "header", 4, 11, "bad 'symmetric'"),
 ]
 
 
@@ -102,6 +107,11 @@ def test_file_that_is_not_utf8_is_an_encoding_error(tmp_path, read):
         read(path)
     assert (err.value.kind, err.value.line, err.value.col) == ("encoding", 3, 3)
     assert str(err.value) == "line 3, col 3: byte 0xff is not valid UTF-8"
+
+
+@pytest.mark.parametrize("flag", ["True", "TRUE", "true"])
+def test_symmetric_flag_is_case_insensitive(flag):
+    assert parse_space_text(HEX_H.replace("symmetric true", f"symmetric {flag}")) == hexagon_space()
 
 
 def test_name_is_the_rest_of_the_line():

@@ -1,5 +1,7 @@
 """Core representation tests: norms, enumeration, duality, invariants."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,26 +16,29 @@ from polysphere import (
     EnumerationCapError,
     GeometryError,
     PolyhedralSpace,
+    catalog,
     functional,
     hexagon_space,
     l1_space,
+    linalg,
     linf_space,
     vector,
 )
+from polysphere import space as space_module
 from polysphere.formats import parse_space_text, serialize_space
-from polysphere.linalg import rank, solve
+from polysphere.linalg import ONE, rank, solve
 from polysphere.sampling import random_direction
-from polysphere.space import as_fraction
+from polysphere.space import MAX_ENUM_DIM, MAX_FACETS, Functional, as_fraction
 
 F = Fraction
 
 
 @st.composite
-def symmetric_point_rows(draw):
-    """A spanning rational point set in dim 2 or 3, closed under negation,
+def symmetric_point_rows(draw, dims=(2, 3)):
+    """A spanning rational point set in one of ``dims``, closed under negation,
     with repeated rows, a zero row and non-extreme points (interior points
     and midpoints, which may lie on the boundary)."""
-    dim = draw(st.integers(2, 3))
+    dim = draw(st.sampled_from(dims))
     coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
     points = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim, max_size=5))
     assume(rank(points) == dim)
@@ -43,6 +48,102 @@ def symmetric_point_rows(draw):
     rows += [tuple((a + b) / 2 for a, b in zip(p, q)) for p, q in pairs]
     rows += [tuple(-c for c in r) for r in rows]
     return draw(st.permutations(rows))
+
+
+def reference_enumerate_ball_vertices(functionals, dim):
+    """The double description loop on Fraction rays with a rank adjacency test.
+
+    Every processed row is applied to both rays of each candidate pair,
+    and the pair is adjacent when the rows tight at both have rank
+    ``dim - 1``. Slow, but it takes none of the shortcuts of the integer,
+    bitmask version in ``polysphere.space``, so it serves as its oracle.
+    """
+    rows = sorted(
+        {
+            tuple(f.coeffs) if isinstance(f, Functional) else tuple(as_fraction(c) for c in f)
+            for f in functionals
+        }
+    )
+    rows = [r for r in rows if any(c != 0 for c in r)]
+    if not rows:
+        raise DegenerateInputError("no nonzero functionals", direction=None)
+    if any(len(r) != dim for r in rows):
+        raise DimensionMismatchError("functional length does not match the dimension")
+    if dim > MAX_ENUM_DIM:
+        raise EnumerationCapError(f"dimension {dim} exceeds the enumeration cap of {MAX_ENUM_DIM}")
+    if len(rows) > MAX_FACETS:
+        raise EnumerationCapError(f"{len(rows)} rows exceed the cap of {MAX_FACETS}")
+    row_set = set(rows)
+    for r in rows:
+        if tuple(-c for c in r) not in row_set:
+            raise AsymmetricInputError(f"functional {r} appears without its negation", offender=r)
+    direction = linalg.null_space_vector(rows, dim)
+    if direction is not None:
+        raise DegenerateInputError(
+            "ball is unbounded: functionals do not span the dual space", direction=direction
+        )
+
+    def normalize(ray):
+        s = sum(abs(c) for c in ray)
+        return tuple(c / s for c in ray)
+
+    def adjacent(p, q):
+        tight = [r for r in processed if linalg.dot(r, p) == 0 and linalg.dot(r, q) == 0]
+        return linalg.rank(tight) == dim - 1
+
+    base = [rows[i] for i in linalg.independent_row_indices(rows, limit=dim)]
+    base_inv = linalg.invert(tuple(base))
+    processed, consumed = [], set()
+    for r in base:
+        for signed in (r, tuple(-c for c in r)):
+            processed.append(signed + (-ONE,))
+            consumed.add(signed)
+    rays = {
+        normalize(linalg.mat_vec(base_inv, signs) + (ONE,))
+        for signs in itertools.product((ONE, -ONE), repeat=dim)
+    }
+    for f in [r for r in rows if r not in consumed]:
+        a = f + (-ONE,)
+        vals = {r: linalg.dot(a, r) for r in rays}
+        if any(v > 0 for v in vals.values()):
+            survivors = {r for r in rays if vals[r] <= 0}
+            for p in [r for r in rays if vals[r] > 0]:
+                for q in [r for r in rays if vals[r] < 0]:
+                    if adjacent(p, q):
+                        combo = tuple(vals[p] * qc - vals[q] * pc for pc, qc in zip(p, q))
+                        survivors.add(normalize(combo))
+            rays = survivors
+        processed.append(a)
+    return tuple(sorted({tuple(c / r[-1] for c in r[:-1]) for r in rays}))
+
+
+@st.composite
+def dd_rows(draw):
+    """Rows in dims 2 to 5: random, with repeats, zero rows, non-spanning
+    sets (one coordinate never used) and asymmetric sets (one negation
+    missing) mixed in. At most six rows are drawn before negation: in
+    dim 5 a seventh makes the reference take over a second."""
+    dim = draw(st.integers(2, 5))
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    rows = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim, max_size=min(dim + 2, 6)))
+    if draw(st.booleans()):
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    if draw(st.booleans()):
+        rows.append((F(0),) * dim)
+    if draw(st.integers(0, 5)) == 0:
+        rows = [r[:-1] + (F(0),) for r in rows]
+    rows += [tuple(-c for c in r) for r in rows]
+    if draw(st.integers(0, 5)) == 0:
+        rows.pop(draw(st.integers(0, len(rows) - 1)))
+    return draw(st.permutations(rows)), dim
+
+
+def outcome(enumerate_vertices, rows, dim):
+    """The vertices, or the type and message of the error raised."""
+    try:
+        return enumerate_vertices(rows, dim)
+    except GeometryError as err:
+        return type(err), str(err)
 
 
 def hull_2d(points):
@@ -214,6 +315,47 @@ class TestFromFunctionals:
             PolyhedralSpace.from_functionals(fs)
 
 
+class TestEnumeration:
+    @settings(max_examples=40, deadline=None)
+    @given(dd_rows())
+    def test_matches_the_rank_test_reference(self, case):
+        rows, dim = case
+        expected = outcome(reference_enumerate_ball_vertices, rows, dim)
+        assert outcome(space_module.enumerate_ball_vertices, rows, dim) == expected
+
+    @settings(max_examples=30)
+    @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7), min_size=1, max_size=6))
+    def test_primitive_is_the_same_ray_with_coprime_integers(self, v):
+        assume(any(c != 0 for c in v))
+        p = space_module._primitive(v)
+        assert all(isinstance(c, int) for c in p)
+        assert math.gcd(*p) == 1
+        # A positive multiple: signs agree, so t > 0 stays t > 0, and ratios agree.
+        assert [(c > 0) - (c < 0) for c in p] == [(c > 0) - (c < 0) for c in v]
+        assert all(p[i] * v[j] == p[j] * v[i] for i in range(len(v)) for j in range(len(v)))
+
+    def test_builders_enumerate_once_through_the_module_binding(self, monkeypatch):
+        """Tracing wraps the module binding, so every build must go through it."""
+        hexagon = hexagon_space()
+        hrep, vrep = l1_space(3).hrep, linf_space(3).vrep
+        calls = []
+        original = space_module.enumerate_ball_vertices
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(space_module, "enumerate_ball_vertices", counted)
+        for build in (
+            lambda: PolyhedralSpace.from_functionals(hrep),
+            lambda: PolyhedralSpace.from_vertices(vrep),
+            lambda: catalog.l1_sum(hexagon, hexagon),
+        ):
+            calls.clear()
+            build()
+            assert len(calls) == 1
+
+
 class TestDuality:
     def test_cross_polytope_dual_is_cube(self):
         assert l1_space(2).dual() == linf_space(2)
@@ -250,6 +392,11 @@ class TestDuality:
             assert again == space
             assert again.name == "random-set"
 
+    @settings(max_examples=6, deadline=None)
+    @given(symmetric_point_rows(dims=(4,)))
+    def test_vertex_build_is_the_polar_functional_build_in_dim_4(self, rows):
+        assert PolyhedralSpace.from_vertices(rows) == PolyhedralSpace.from_functionals(rows).dual()
+
 
 class TestInvariants:
     def test_facet_has_enough_vertices(self, small_catalog):
@@ -259,8 +406,11 @@ class TestInvariants:
 
     def test_mutual_polarity_verified(self, small_catalog):
         for space in small_catalog:
-            if space.dim <= 3:
-                space.verify_mutual_polarity()
+            space.verify_mutual_polarity()
+
+    @pytest.mark.parametrize("build", [l1_space, linf_space], ids=["l1", "linf"])
+    def test_mutual_polarity_verified_in_dim_6(self, build):
+        build(6).verify_mutual_polarity()
 
     def test_incomplete_vertex_set_caught_by_polarity_check(self):
         """A cube missing one corner pair passes the cheap checks but not re-enumeration."""
