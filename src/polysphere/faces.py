@@ -118,14 +118,8 @@ def face_section(space: PolyhedralSpace, face: Face, basis: list[Vector]) -> tup
     attained = max(g(c) for c in section.vrep)
     if attained != 1:
         return ()
-    ambient = []
-    for c in section.vrep:
-        if g(c) == 1:
-            coords = [linalg.ZERO] * space.dim
-            for weight, b in zip(c.coords, basis):
-                for t, bc in enumerate(b.coords):
-                    coords[t] += weight * bc
-            ambient.append(Vector(coords))
+    cols = [b.coords for b in basis]
+    ambient = [Vector(linalg.combination(c.coords, cols)) for c in section.vrep if g(c) == 1]
     return tuple(sorted(ambient, key=lambda v: v.coords))
 
 

@@ -25,6 +25,9 @@ Map files::
     v0 -> w3          # domain vertex 0 to codomain vertex 3
     (1/2, 1) -> (1, 0)   # or by exact coordinates
 
+A space file names each header key at most once; a repeated key is a
+parse error at its second occurrence.
+
 The facet correspondence of a map is derived from the vertex pairs. A
 well-formed file whose vertex assignment does not send facets onto facets
 parses; :func:`polysphere.isometry.verify_isometry` rejects the map.
@@ -98,6 +101,9 @@ def parse_space_text(text: str, name: str | None = None) -> PolyhedralSpace:
         tokens = list(_TOKEN_RE.finditer(line))
         first = tokens[0].group()
         if not header_done and first in _HEADER_KEYS:
+            if first in header:
+                col = tokens[0].start() + 1
+                raise ParseError("header", ln, col, f"repeated header key {first!r}")
             # A name is the rest of the line, so it may contain spaces.
             if len(tokens) < 2 or (first != "name" and len(tokens) != 2):
                 raise ParseError("header", ln, tokens[0].start() + 1, f"{first} needs one value")

@@ -25,7 +25,6 @@ make it a linear isometry; no norm is sampled.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import sub
 
 from . import linalg
@@ -93,12 +92,7 @@ class SphereMap:
         fid = active[0]
         ids = self.domain.facet_index[fid]
         weights = _barycentric_weights([self.domain.vrep[j] for j in ids], x)
-        coords = [ZERO] * self.codomain.dim
-        for w, j in zip(weights, ids):
-            img = self.vertex_image(j)
-            for t, c in enumerate(img.coords):
-                coords[t] += w * c
-        return Vector(coords)
+        return Vector(linalg.combination(weights, [self.vertex_image(j).coords for j in ids]))
 
     @classmethod
     def from_linear(cls, domain: PolyhedralSpace, codomain: PolyhedralSpace, matrix: Matrix) -> "SphereMap":
@@ -163,8 +157,8 @@ def _first_unequal_pair(dom_rows, cod_rows, start=0) -> tuple[int, int] | None:
     are scaled to integers by the LCM s of its denominators; a pair fails
     when lhs * s_cod != rhs * s_dom, which is lhs / s_dom != rhs / s_cod.
     """
-    drows, s_dom = _integer_rows(dom_rows)
-    crows, s_cod = _integer_rows(cod_rows)
+    drows, s_dom = linalg.integer_rows(dom_rows)
+    crows, s_cod = linalg.integer_rows(cod_rows)
     n = len(drows)
     for i in range(n):
         p, q = drows[i], crows[i]
@@ -172,12 +166,6 @@ def _first_unequal_pair(dom_rows, cod_rows, start=0) -> tuple[int, int] | None:
             if max(map(sub, p, drows[j])) * s_cod != max(map(sub, q, crows[j])) * s_dom:
                 return i, j
     return None
-
-
-def _integer_rows(rows) -> tuple[list[tuple[int, ...]], int]:
-    """Rational rows as integer rows over their common denominator s."""
-    s = lcm(*(c.denominator for row in rows for c in row))
-    return [tuple(c.numerator * (s // c.denominator) for c in row) for row in rows], s
 
 
 def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:

@@ -2,15 +2,23 @@
 
 Helper routines shared by the geometry modules. Matrices are tuples of
 row tuples. Nothing here is meant to scale beyond desk-size systems
-(dimension around seven); clarity and exactness win over speed.
+(dimension around seven). Fractions are the public type; questions that
+only need integers are answered on integers.
 
-:func:`pivot` is the package's only elimination step: the echelon form
-behind rank, solve, invert and the independence tests, and the simplex
-tableau of :mod:`polysphere.lp`, all run on it.
+There are two elimination steps. :func:`pivot` is one Gauss-Jordan step on
+Fractions; the reduced rows behind :func:`solve`, :func:`invert` and
+:func:`null_space_vector`, and the simplex tableau of
+:mod:`polysphere.lp`, run on it. Rank-type questions (:func:`rank`,
+:func:`affine_rank`, :func:`independent_row_indices`) only need the pivot
+columns, which :func:`_pivot_columns` finds by fraction-free elimination
+on rows scaled to integers by :func:`integer_rows`. :func:`value_table`
+evaluates many rows at many points on the same integers.
 """
 
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -40,9 +48,45 @@ def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Row:
     return tuple(dot(row, v) for row in m)
 
 
+def combination(weights: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> Row:
+    """The weighted sum of the points, sum over i of weights[i] * points[i]."""
+    return tuple(dot(weights, col) for col in zip(*points))
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
+
+
+def integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
+    """The rows times the least common multiple s of all their denominators,
+    as integer rows, and s.
+
+    Scaling by a positive number keeps ranks, pivot columns, signs and zero
+    patterns; an entry's value is its integer divided by s. Ints pass as
+    Fractions with denominator one.
+    """
+    rows = list(rows)
+    s = math.lcm(*{c.denominator for row in rows for c in row})
+    return [tuple(c.numerator * (s // c.denominator) for c in row) for row in rows], s
+
+
+def value_table(
+    rows: Iterable[Sequence[Fraction]], points: Iterable[Sequence[Fraction]]
+) -> Iterator[Row]:
+    """The rows of the table ``table[j][i] = dot(rows[i], points[j])``, one
+    per point, computed on integers.
+
+    With R = s * rows and P = e * points integer, each value is the
+    integer dot product of R[i] and P[j] over s * e. Rows and points must
+    have one common length. The rows are yielded lazily, so a caller that
+    reads each once never holds the whole table.
+    """
+    ints, s = integer_rows(rows)
+    pts, e = integer_rows(points)
+    se = s * e
+    for p in pts:
+        yield tuple(Fraction(sum(map(mul, r, p)), se) for r in ints)
 
 
 def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
@@ -77,12 +121,43 @@ def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], 
     return work[:r], pivots
 
 
+def _pivot_columns(rows: Iterable[Sequence[Fraction]]) -> list[int]:
+    """The pivot columns of the rows' echelon form, by integer elimination.
+
+    The rows are scaled to integers first, which changes no pivot column.
+    Elimination is Bareiss's fraction-free step ("Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", 1968): below the
+    pivot a of row ``top``, ``row <- (a * row - row[c] * top) // prev`` with
+    ``prev`` the previous pivot. Every entry stays a minor of the input,
+    so the division is exact and the integers stay small.
+    """
+    work, _ = integer_rows(rows)
+    if not work:
+        return []
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(len(work[0])):
+        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        top = work[r]
+        a = top[c]
+        for i in range(r + 1, len(work)):
+            row = work[i]
+            b = row[c]
+            work[i] = [(a * x - b * y) // prev for x, y in zip(row, top)]
+        prev = a
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return pivots
+
+
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    rows = list(rows)
-    if not rows:
-        return 0
-    _, pivots = _echelon(rows)
-    return len(pivots)
+    return len(_pivot_columns(rows))
 
 
 def null_space_vector(rows: Iterable[Sequence[Fraction]], ncols: int) -> Row | None:
@@ -144,10 +219,7 @@ def independent_row_indices(rows: Sequence[Sequence[Fraction]], limit: int | Non
     A row is independent of the rows before it exactly when its column is a
     pivot column of the transposed matrix, so one elimination decides all.
     """
-    if not rows:
-        return []
-    _, pivots = _echelon(transpose(tuple(tuple(r) for r in rows)))
-    return pivots[:limit]
+    return _pivot_columns(transpose(tuple(tuple(r) for r in rows)))[:limit]
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import GeometryError, NotAlmostClError, NotOnSphereError
 from .faces import Face, facets, star
-from .linalg import ONE, ZERO, dot
+from .linalg import ONE, ZERO, combination
 from .lp import LpConstraint, LpProblem, solve_lp
 from .space import PolyhedralSpace, Vector
 
@@ -148,12 +148,7 @@ def _distance_lp(space: PolyhedralSpace, x: Vector, points: list[Vector]) -> tup
     )
     if sol.status != "optimal":
         raise GeometryError("distance LP failed unexpectedly")
-    weights = sol.point[:k]
-    coords = [ZERO] * space.dim
-    for w, p in zip(weights, points):
-        for t, c in enumerate(p.coords):
-            coords[t] += w * c
-    return sol.point[k], Vector(coords)
+    return sol.point[k], Vector(combination(sol.point[:k], [p.coords for p in points]))
 
 
 def check_cl(space: PolyhedralSpace) -> ClReport:
@@ -321,20 +316,12 @@ def cl_decomposition(
     if lam == 0:
         y1 = face.vertices[0]
     else:
-        coords = [ZERO] * space.dim
-        for w, p in zip(weights[: len(plus)], plus):
-            for t, c in enumerate(p.coords):
-                coords[t] += (w / lam) * c
-        y1 = Vector(coords)
+        y1 = Vector(combination([w / lam for w in weights[: len(plus)]], [p.coords for p in plus]))
     if lam == 1:
         y2 = minus[0]
     else:
         rest = 1 - lam
-        coords = [ZERO] * space.dim
-        for w, p in zip(weights[len(plus):], minus):
-            for t, c in enumerate(p.coords):
-                coords[t] += (w / rest) * c
-        y2 = Vector(coords)
+        y2 = Vector(combination([w / rest for w in weights[len(plus):]], [p.coords for p in minus]))
     combo = y1.scale(lam) + y2.scale(1 - lam)
     if combo != x:
         raise GeometryError("decomposition arithmetic failed; this is a bug")

@@ -7,6 +7,7 @@ reports and failures are reproducible byte for byte.
 import random
 from fractions import Fraction
 
+from . import linalg
 from .space import PolyhedralSpace, Vector
 
 DEFAULT_SEED = 0
@@ -46,11 +47,8 @@ def random_facet_point(space: PolyhedralSpace, fid: int, rng: random.Random) -> 
     if sum(weights) == 0:
         weights[rng.randrange(len(weights))] = Fraction(1)
     total = sum(weights)
-    coords = [Fraction(0)] * space.dim
-    for w, j in zip(weights, ids):
-        for t, c in enumerate(space.vrep[j].coords):
-            coords[t] += (w / total) * c
-    return Vector(coords)
+    points = [space.vrep[j].coords for j in ids]
+    return Vector(linalg.combination([w / total for w in weights], points))
 
 
 def facet_sample_points(space: PolyhedralSpace) -> list[Vector]:

@@ -16,13 +16,18 @@ H- and V-forms; read as points, they are its V- and H-forms, because the
 ball of the polar rows is the polar body. The enumerator alone applies
 the two caps, ``MAX_ENUM_DIM`` on the dimension and ``MAX_FACETS`` on the
 number of distinct nonzero rows. It is the double description method on
-exact integers: rows and rays are primitive integer vectors, each ray
-carries a bitmask of the rows tight at it, and two rays are adjacent by
-the combinatorial test of Fukuda & Prodon ("Double description method
+exact integers: rows and rays are integer vectors, each ray carries a
+bitmask of the rows tight at it, and two rays are adjacent by the
+combinatorial test of Fukuda & Prodon ("Double description method
 revisited", 1996), with no rank computation. Vertices leave it as
 Fractions. The raw constructor validates the structural invariants it
 can check cheaply (symmetry, unit norms, facet and vertex ranks); full
 re-enumeration is available as :meth:`verify_mutual_polarity`.
+
+Fractions are the public type of every coordinate, but the work is done
+on integers: the spanning test, the facet and vertex rank checks and the
+table of facet values run on rows scaled to integers by
+:func:`polysphere.linalg.integer_rows`.
 """
 
 import itertools
@@ -40,7 +45,7 @@ from .errors import (
     EnumerationCapError,
     GeometryError,
 )
-from .linalg import ONE, ZERO
+from .linalg import ONE
 from .lp import LpProblem, equal, solve_lp
 
 MAX_ENUM_DIM = 6
@@ -172,14 +177,6 @@ def functional(*coeffs) -> Functional:
     return Functional(coeffs)
 
 
-def _primitive(v: Sequence) -> tuple[int, ...]:
-    """The positive multiple of a nonzero rational vector whose entries are coprime integers."""
-    den = math.lcm(*(c.denominator for c in v))
-    ints = [c.numerator * (den // c.denominator) for c in v]
-    g = math.gcd(*ints)
-    return tuple(c // g for c in ints)
-
-
 def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Fraction, ...], ...]:
     """All vertices of {x : f(x) <= 1 for every f}, by double description.
 
@@ -191,13 +188,14 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
 
     The ball is the slice t = 1 of the cone {(x, t) : f(x) <= t}, which
     is built one row at a time from a box over ``dim`` independent rows.
-    Rows and rays are primitive integer vectors, a positive rescaling that
-    leaves the cone and its extreme rays unchanged. Each ray carries a
-    bitmask of the processed rows that vanish on it. Two rays on opposite
-    sides of a new row are adjacent, and so combine into a new ray, iff
-    their common mask has at least ``dim - 1`` bits and no third ray's mask
-    contains it: the combinatorial test of Fukuda & Prodon, "Double
-    description method revisited" (1996).
+    Rows and rays are integer vectors, a positive rescaling that leaves the
+    cone and its extreme rays unchanged; a ray made from two others is
+    divided by the gcd of its entries. Each ray carries a bitmask of the
+    processed rows that vanish on it. Two rays on opposite sides of a new
+    row are adjacent, and so combine into a new ray, iff their common mask
+    has at least ``dim - 1`` bits and no third ray's mask contains it: the
+    combinatorial test of Fukuda & Prodon, "Double description method
+    revisited" (1996).
     """
     rows = sorted(
         {
@@ -221,33 +219,33 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
                 f"functional {r} appears without its negation", offender=r
             )
 
-    direction = linalg.null_space_vector(rows, dim)
-    if direction is not None:
+    base_idx = linalg.independent_row_indices(rows, limit=dim)
+    if len(base_idx) < dim:
         raise DegenerateInputError(
             "ball is unbounded: functionals do not span the dual space",
-            direction=direction,
+            direction=linalg.null_space_vector(rows, dim),
         )
-
-    base_idx = linalg.independent_row_indices(rows, limit=dim)
     base = [rows[i] for i in base_idx]
-    base_inv = linalg.invert(tuple(tuple(r) for r in base))
-    assert base_inv is not None
+    base_inv, scale = linalg.integer_rows(linalg.invert(tuple(base)))
 
-    box = [_primitive(signed + (-ONE,)) for r in base for signed in (r, tuple(-c for c in r))]
+    hom_rows, _ = linalg.integer_rows(r + (-ONE,) for r in rows)
+    hom = dict(zip(rows, hom_rows))
+    box = [hom[signed] for r in base for signed in (r, tuple(-c for c in r))]
     consumed = set(base) | {tuple(-c for c in r) for r in base}
 
     # Initial cone: |f(x)| <= t over the basis rows, a combinatorial box
-    # whose extreme rays are the solutions of (basis) x = signs at t = 1.
+    # whose extreme rays are the solutions of (basis) x = signs at t = 1,
+    # here scaled by the common denominator of the inverse basis.
     rays: list[tuple[int, ...]] = []
     masks: list[int] = []
-    for signs in itertools.product((ONE, -ONE), repeat=dim):
-        ray = _primitive(linalg.mat_vec(base_inv, signs) + (ONE,))
+    for signs in itertools.product((1, -1), repeat=dim):
+        ray = tuple(sum(map(mul, row, signs)) for row in base_inv) + (scale,)
         rays.append(ray)
         masks.append(sum(1 << i for i, a in enumerate(box) if sum(map(mul, a, ray)) == 0))
 
     need = dim - 1  # homogenised dimension minus two
     for bit, f in enumerate((r for r in rows if r not in consumed), start=len(box)):
-        a = _primitive(f + (-ONE,))
+        a = hom[f]
         flag = 1 << bit
         vals = [sum(map(mul, a, ray)) for ray in rays]
         positive = [i for i, v in enumerate(vals) if v > 0]
@@ -264,7 +262,9 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
                 if sum(1 for z in masks if z & common == common) > 2:
                     continue
                 q, vq = rays[j], vals[j]
-                new_rays.append(_primitive([vp * qc - vq * pc for pc, qc in zip(p, q)]))
+                ray = [vp * qc - vq * pc for pc, qc in zip(p, q)]
+                g = math.gcd(*ray)
+                new_rays.append(tuple(c // g for c in ray))
                 new_masks.append(common | flag)
         rays, masks = new_rays, new_masks
 
@@ -288,8 +288,15 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool):
     items = {tuple(r) for r in rows if any(c != 0 for c in r)}
     if symmetrize:
         items |= {tuple(-c for c in r) for r in items}
+    items = list(items)
     points = enumerate_ball_vertices(sorted(items), dim)
-    kept = [r for r in items if linalg.rank([p for p in points if linalg.dot(r, p) == 1]) == dim]
+    # Row k of this table holds items[k] at every point.
+    values = linalg.value_table(points, items)
+    kept = [
+        r
+        for r, row in zip(items, values)
+        if linalg.rank([p for p, value in zip(points, row) if value == 1]) == dim
+    ]
     return kept, points
 
 
@@ -342,7 +349,9 @@ class PolyhedralSpace:
         self._f_pos = {f: i for i, f in enumerate(self.hrep)}
         self._v_pos = {v: i for i, v in enumerate(self.vrep)}
         self._validate_symmetry()
-        values = self.facet_values = tuple(tuple(f(v) for f in self.hrep) for v in self.vrep)
+        values = self.facet_values = tuple(
+            linalg.value_table((f.coeffs for f in self.hrep), (v.coords for v in self.vrep))
+        )
         self._validate_norms(values)
         self.facet_index = tuple(
             tuple(j for j, row in enumerate(values) if row[i] == 1) for i in range(len(self.hrep))
@@ -474,12 +483,8 @@ class PolyhedralSpace:
 
     def facet_barycenter(self, fid: int) -> Vector:
         ids = self.facet_index[fid]
-        k = Fraction(len(ids))
-        coords = [ZERO] * self.dim
-        for j in ids:
-            for t, c in enumerate(self.vrep[j].coords):
-                coords[t] += c
-        return Vector(c / k for c in coords)
+        w = Fraction(1, len(ids))
+        return Vector(linalg.combination([w] * len(ids), [self.vrep[j].coords for j in ids]))
 
     def dual(self, name: str | None = None) -> "PolyhedralSpace":
         """The polar space: vertices become functionals and vice versa."""

@@ -41,6 +41,10 @@ SPACE_ERRORS = [
     ("version 1\n dim  -1\nkind H\n1\n-1\n", "header", 2, 7, "missing or bad 'dim'"),
     ("version 1\nkind H\n1\n-1\n", "header", 1, 1, "missing or bad 'dim'"),
     ("version 1\ndim 1\nkind V\nsymmetric yes\n1\n", "header", 4, 11, "bad 'symmetric'"),
+    # A repeated key is reported at its second occurrence, not read by its last.
+    ("version 1\ndim 2\nkind H\n  dim 3\n0 1\n0 -1\n", "header", 4, 3, "repeated header key 'dim'"),
+    ("version 1\nversion 1\ndim 1\nkind H\n1\n-1\n", "header", 2, 1, "repeated header key"),
+    ("version 1\nname a\nname b c\ndim 1\nkind H\n1\n", "header", 3, 1, "repeated header key"),
 ]
 
 

@@ -1,13 +1,127 @@
 """Exact linear algebra helpers."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polysphere.linalg import independent_row_indices, pivot, rank
+from polysphere.linalg import (
+    ONE,
+    _echelon,
+    _pivot_columns,
+    affine_rank,
+    dot,
+    independent_row_indices,
+    integer_rows,
+    pivot,
+    rank,
+    transpose,
+    value_table,
+)
 
 F = Fraction
+
+
+# The reference: the Fraction Gauss-Jordan echelon form and dot product.
+def reference_pivot_columns(rows):
+    return _echelon(rows)[1] if rows else []
+
+
+def reference_rank(rows):
+    return len(reference_pivot_columns(rows))
+
+
+def reference_independent_rows(rows, limit=None):
+    return reference_pivot_columns(transpose(tuple(tuple(r) for r in rows)))[:limit]
+
+
+def reference_value_table(rows, points):
+    return tuple(tuple(dot(r, p) for r in rows) for p in points)
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# Large numerators and denominators, mixed in one matrix with small ones.
+LARGE = st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**6)
+
+
+@st.composite
+def matrices(draw, ncols=None):
+    """Rational matrices of 0 to 6 rows and 1 to 6 columns, 1 x n and n x 1
+    included, with zero rows, all-zero columns, repeated rows, rows scaled
+    by positive or negative factors, and small entries next to large ones."""
+    if ncols is None:
+        ncols = draw(st.integers(1, 6))
+    entry = st.one_of(SMALL, SMALL, LARGE)
+    rows = draw(st.lists(st.tuples(*[entry] * ncols), max_size=6))
+    extra = []
+    for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "scale"]), max_size=3)):
+        if kind == "zero" or not rows:
+            extra.append((F(0),) * ncols)
+            continue
+        base = draw(st.sampled_from(rows))
+        factor = ONE if kind == "repeat" else draw(st.one_of(SMALL, LARGE))
+        extra.append(tuple(factor * c for c in base))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+    rows = [tuple(F(0) if t in zero_cols else c for t, c in enumerate(r)) for r in rows + extra]
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def shapes(draw):
+    """A matrix of any shape above, or one row or one column on purpose."""
+    shape = draw(st.sampled_from(["any", "row", "column"]))
+    if shape == "row":
+        return [draw(st.tuples(*[st.one_of(SMALL, LARGE)] * draw(st.integers(1, 6))))]
+    if shape == "column":
+        return draw(st.lists(st.tuples(st.one_of(SMALL, LARGE)), min_size=1, max_size=6))
+    return draw(matrices())
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes())
+def test_rank_and_pivot_columns_match_the_fraction_echelon(rows):
+    assert _pivot_columns(rows) == reference_pivot_columns(rows)
+    assert rank(rows) == reference_rank(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes())
+def test_affine_rank_matches_the_fraction_echelon(points):
+    assert affine_rank(points) == reference_rank([tuple(p) + (ONE,) for p in points])
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes(), st.sampled_from([None, 1, 2, 3]))
+def test_independent_rows_match_the_fraction_echelon(rows, limit):
+    assert independent_row_indices(rows, limit=limit) == reference_independent_rows(rows, limit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(matrices(ncols=n), matrices(ncols=n))))
+def test_value_table_matches_fraction_dot_products(case):
+    rows, points = case
+    table = tuple(value_table(rows, points))
+    assert table == reference_value_table(rows, points)
+    assert all(type(v) is Fraction for line in table for v in line)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes())
+def test_integer_rows_scale_every_row_by_the_common_denominator(rows):
+    ints, s = integer_rows(rows)
+    assert s == math.lcm(*(c.denominator for r in rows for c in r))
+    assert all(type(c) is int for r in ints for c in r)
+    assert [tuple(Fraction(c, s) for c in r) for r in ints] == [tuple(r) for r in rows]
+
+
+def test_bareiss_handles_negative_pivots_and_row_swaps():
+    rows = [(F(0), F(0), F(3)), (F(-2), F(4), F(1)), (F(1), F(-2), F(5, 7)), (F(-3), F(1), F(0))]
+    assert _pivot_columns(rows) == reference_pivot_columns(rows) == [0, 1, 2]
+    assert _pivot_columns(rows[1:3]) == [0, 2]
+    assert rank([]) == 0 and independent_row_indices([]) == []
 
 
 def greedy_independent_rows(rows, limit=None):

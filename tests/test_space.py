@@ -1,7 +1,6 @@
 """Core representation tests: norms, enumeration, duality, invariants."""
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -135,6 +134,23 @@ def dd_rows(draw):
     rows += [tuple(-c for c in r) for r in rows]
     if draw(st.integers(0, 5)) == 0:
         rows.pop(draw(st.integers(0, len(rows) - 1)))
+    return draw(st.permutations(rows)), dim
+
+
+@st.composite
+def non_spanning_rows(draw):
+    """Symmetric rows in dims 2 to 4 that span a proper subspace: small
+    integer combinations of fewer than ``dim`` rational rows, with zero
+    rows, repeats and at least one nonzero row."""
+    dim = draw(st.integers(2, 4))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    basis = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=dim - 1))
+    weights = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)),
+                            min_size=1, max_size=6))
+    rows = [tuple(sum((w * b[t] for w, b in zip(ws, basis)), F(0)) for t in range(dim))
+            for ws in weights]
+    assume(any(any(c != 0 for c in r) for r in rows))
+    rows += [tuple(-c for c in r) for r in rows]
     return draw(st.permutations(rows)), dim
 
 
@@ -276,6 +292,23 @@ class TestFromFunctionals:
         with pytest.raises(DegenerateInputError):
             PolyhedralSpace.from_vertices([vector(1, 1), vector(-1, -1)])
 
+    @settings(max_examples=60, deadline=None)
+    @given(non_spanning_rows(), st.booleans())
+    def test_non_spanning_input_reports_the_kernel_direction(self, case, symmetrize):
+        """Both builders raise with the kernel vector of the rows as given,
+        whatever their order, repeats and zero rows."""
+        rows, dim = case
+        direction = linalg.null_space_vector(rows, dim)
+        for build, message in (
+            (PolyhedralSpace.from_functionals, "ball is unbounded: functionals do not span"),
+            (PolyhedralSpace.from_vertices, "vertices do not span the space"),
+        ):
+            with pytest.raises(DegenerateInputError) as err:
+                build(rows, symmetrize=symmetrize)
+            assert type(err.value) is DegenerateInputError
+            assert str(err.value).startswith(message)
+            assert err.value.direction == direction
+
     def test_asymmetric_rejected(self):
         with pytest.raises(AsymmetricInputError):
             PolyhedralSpace.from_functionals(
@@ -322,17 +355,6 @@ class TestEnumeration:
         rows, dim = case
         expected = outcome(reference_enumerate_ball_vertices, rows, dim)
         assert outcome(space_module.enumerate_ball_vertices, rows, dim) == expected
-
-    @settings(max_examples=30)
-    @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7), min_size=1, max_size=6))
-    def test_primitive_is_the_same_ray_with_coprime_integers(self, v):
-        assume(any(c != 0 for c in v))
-        p = space_module._primitive(v)
-        assert all(isinstance(c, int) for c in p)
-        assert math.gcd(*p) == 1
-        # A positive multiple: signs agree, so t > 0 stays t > 0, and ratios agree.
-        assert [(c > 0) - (c < 0) for c in p] == [(c > 0) - (c < 0) for c in v]
-        assert all(p[i] * v[j] == p[j] * v[i] for i in range(len(v)) for j in range(len(v)))
 
     def test_builders_enumerate_once_through_the_module_binding(self, monkeypatch):
         """Tracing wraps the module binding, so every build must go through it."""
