@@ -25,8 +25,8 @@ Map files::
     v0 -> w3          # domain vertex 0 to codomain vertex 3
     (1/2, 1) -> (1, 0)   # or by exact coordinates
 
-A space file names each header key at most once; a repeated key is a
-parse error at its second occurrence.
+A space or map file names each header key at most once; a repeated key
+is a parse error at its second occurrence.
 
 The facet correspondence of a map is derived from the vertex pairs. A
 well-formed file whose vertex assignment does not send facets onto facets
@@ -228,6 +228,9 @@ def parse_map_text(
             key, _, value = body.partition(" ")
             if key not in ("version", "domain", "codomain") or not value.strip():
                 raise ParseError("header", ln, 1, f"unexpected header line {body!r}")
+            if key in header:
+                col = len(line) - len(line.lstrip()) + 1
+                raise ParseError("header", ln, col, f"repeated header key {key!r}")
             header[key] = value.strip()
             continue
         lhs, arrow, rhs = line.partition("->")

@@ -14,7 +14,10 @@ Distances are read from rows of facet values. Every facet functional f is
 linear, so f(p - q) = f(p) - f(q), and ||p - q|| = max_i (F[p][i] - F[q][i])
 where F[p] is the row of facet values at p. Each side's rows are scaled to
 integers by one common denominator, so a pair costs one integer
-subtraction per facet.
+subtraction per facet. A vertex's row is read from its space's
+``facet_values`` table, and a vertex's image is its vertex image, because
+its only barycentric weights are one-hot; only the other samples are
+evaluated with a barycentric LP, and a passing map makes no norm call.
 
 The linear extension is built from exact linear algebra on the vertex
 images and certified exactly by two checks: vertex agreement, which with
@@ -81,16 +84,17 @@ class SphereMap:
     def apply(self, x: Vector) -> Vector:
         """Evaluate the map at a sphere point via barycentric weights.
 
-        Deterministic: the first containing facet in canonical order is
-        used, and the weights come from the exact LP solver's canonical
-        basic solution. For facet-consistent maps the result does not
-        depend on either choice.
+        One pass of the domain's facet functionals gives both the sphere
+        check (their maximum is one) and the facet used: the first facet
+        in canonical order that contains x. The weights come from the
+        exact LP solver's canonical basic solution. For facet-consistent
+        maps the result does not depend on either choice. At a vertex the
+        only weights are one-hot, so the result is :meth:`vertex_image`.
         """
-        active = self.domain.active_functional_ids(x)
-        if not active or self.domain.norm(x) != 1:
+        values = [f(x) for f in self.domain.hrep]
+        if max(values) != 1:
             raise NotOnSphereError(f"{x} is not on the domain sphere")
-        fid = active[0]
-        ids = self.domain.facet_index[fid]
+        ids = self.domain.facet_index[values.index(1)]
         weights = _barycentric_weights([self.domain.vrep[j] for j in ids], x)
         return Vector(linalg.combination(weights, [self.vertex_image(j).coords for j in ids]))
 
@@ -181,10 +185,14 @@ def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
     Distances are exact and read from facet values: with F[p] the row of
     facet functional values at p, ||p - q|| = max_i (F[p][i] - F[q][i]),
     because f(p - q) = f(p) - f(q). Vertex rows come from the two spaces'
-    ``facet_values`` tables, the codomain's permuted by ``vertex_map``;
-    each sample and each image under :meth:`SphereMap.apply` gets one
-    functional pass. The counterexample's two distances are evaluated by
-    :meth:`PolyhedralSpace.norm`.
+    ``facet_values`` tables, the codomain's permuted by ``vertex_map``.
+    A vertex's image is :meth:`SphereMap.vertex_image`, since its only
+    barycentric weights are one-hot, so only the samples that are not
+    vertices go through :meth:`SphereMap.apply`, one barycentric LP each.
+    The rows of the samples and of their images each come from one
+    :func:`linalg.value_table` pass. The counterexample's two distances
+    are evaluated by :meth:`PolyhedralSpace.norm`; a passing map makes no
+    norm call.
     """
     dom, cod = m.domain, m.codomain
 
@@ -240,11 +248,16 @@ def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
     for fid in range(len(dom.hrep)):
         samples.append(random_facet_point(dom, fid, rng))
     pool = list(dom.vrep) + samples
-    images = [m.apply(p) for p in pool]
-    dom_rows = list(dom.facet_values) + [tuple(f(p) for f in dom.hrep) for p in samples]
-    cod_rows = [tuple(g(w) for g in cod.hrep) for w in images]
+    # A vertex's only barycentric weights are one-hot, so its image is its
+    # vertex image; only the other samples go through apply.
+    images = [m.vertex_image(dom._v_pos[p]) if p in dom._v_pos else m.apply(p) for p in pool]
+    nv = len(dom.vrep)
+    dom_rows = list(dom.facet_values)
+    dom_rows += linalg.value_table((f.coeffs for f in dom.hrep), (p.coords for p in samples))
+    cod_rows = [cod.facet_values[k] for k in m.vertex_map]
+    cod_rows += linalg.value_table((g.coeffs for g in cod.hrep), (w.coords for w in images[nv:]))
     # Vertex pairs already passed above; start at the first sample.
-    hit = _first_unequal_pair(dom_rows, cod_rows, start=len(dom.vrep))
+    hit = _first_unequal_pair(dom_rows, cod_rows, start=nv)
     if hit is not None:
         i, j = hit
         p, q = pool[i], pool[j]

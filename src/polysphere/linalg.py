@@ -5,14 +5,17 @@ row tuples. Nothing here is meant to scale beyond desk-size systems
 (dimension around seven). Fractions are the public type; questions that
 only need integers are answered on integers.
 
-There are two elimination steps. :func:`pivot` is one Gauss-Jordan step on
-Fractions; the reduced rows behind :func:`solve`, :func:`invert` and
+There is one elimination step, on integers. :func:`pivot` is one
+Gauss-Jordan step on integer rows, each over a positive scale of its own;
+the reduced rows behind :func:`solve`, :func:`invert` and
 :func:`null_space_vector`, and the simplex tableau of
-:mod:`polysphere.lp`, run on it. Rank-type questions (:func:`rank`,
+:mod:`polysphere.lp`, run on it, and Fractions are built only for the
+values they return. Rank-type questions (:func:`rank`,
 :func:`affine_rank`, :func:`independent_row_indices`) only need the pivot
-columns, which :func:`_pivot_columns` finds by fraction-free elimination
-on rows scaled to integers by :func:`integer_rows`. :func:`value_table`
-evaluates many rows at many points on the same integers.
+columns, which :func:`_pivot_columns` finds by Bareiss's fraction-free
+elimination on rows scaled to integers by :func:`integer_rows`.
+:func:`value_table` evaluates many rows at many points on the same
+integers.
 """
 
 import math
@@ -89,20 +92,40 @@ def value_table(
         yield tuple(Fraction(sum(map(mul, r, p)), se) for r in ints)
 
 
-def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
-    """One Gauss-Jordan step, in place: scale row r so that its entry in
-    column c is one, then clear column c from every other row."""
-    inv = ONE / rows[r][c]
-    rows[r] = pr = [x * inv for x in rows[r]]
+def pivot(rows: list[list[int]], r: int, c: int) -> None:
+    """One Gauss-Jordan step on integer rows, in place.
+
+    Each row stands for itself divided by a positive scale of its own, so
+    signs, zero patterns and ratios of entries within a row are those of
+    the rational row. The step makes row r's entry in column c positive
+    and clears column c from every other row: with a = rows[r][c] and
+    b = row[c], ``row <- (a * row - b * rows[r]) / gcd(a, b)``, then the
+    row is divided by the gcd of its entries. Afterwards row r stands for
+    itself divided by its entry in column c, which is the unit column of
+    the rational step (Edmonds' integer pivoting, 1967).
+    """
+    pr = rows[r]
+    if pr[c] < 0:
+        rows[r] = pr = [-x for x in pr]
+    a = pr[c]
     for i, row in enumerate(rows):
-        f = row[c]
-        if i != r and f != 0:
-            rows[i] = [x - f * y for x, y in zip(row, pr)]
+        b = row[c]
+        if i != r and b:
+            g = math.gcd(a, b)
+            ag, bg = a // g, b // g
+            new = [ag * x - bg * y for x, y in zip(row, pr)]
+            g = math.gcd(*new)
+            rows[i] = [x // g for x in new] if g > 1 else new
 
 
-def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form. Returns the nonzero rows and their pivot columns."""
-    work = [list(r) for r in rows]
+def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form on integers.
+
+    Returns the nonzero rows and their pivot columns. Reduced row k stands
+    for itself divided by its entry in column ``pivots[k]``, which is
+    positive; that quotient is the rational reduced row.
+    """
+    work = [list(r) for r in integer_rows(rows)[0]]
     if not work:
         return [], []
     ncols = len(work[0])
@@ -176,7 +199,7 @@ def null_space_vector(rows: Iterable[Sequence[Fraction]], ncols: int) -> Row | N
     x = [ZERO] * ncols
     x[f0] = ONE
     for row, pc in zip(red, pivots):
-        x[pc] = -row[f0]
+        x[pc] = Fraction(-row[f0], row[pc])
     return tuple(x)
 
 
@@ -196,7 +219,7 @@ def solve(a_rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Row 
     for row, pc in zip(red, pivots):
         if pc == ncols:
             return None
-        x[pc] = row[-1]
+        x[pc] = Fraction(row[-1], row[pc])
     return tuple(x)
 
 
@@ -210,7 +233,7 @@ def invert(m: Matrix) -> Matrix | None:
     red, pivots = _echelon(aug)
     if pivots[:n] != list(range(n)):
         return None
-    return tuple(tuple(row[n:]) for row in red)
+    return tuple(tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(red))
 
 
 def independent_row_indices(rows: Sequence[Sequence[Fraction]], limit: int | None = None) -> list[int]:

@@ -1,22 +1,29 @@
 """Exact linear programming with a two-phase simplex method.
 
-The solver is deliberately small: one dense rational tableau and Bland's
-pivoting rule, which cannot cycle, so termination needs no perturbation
-tricks. The tableau's rows are the constraints, with the right-hand side
-in the last column, and its last row is the objective row, with the
-objective value in the corner; :func:`polysphere.linalg.pivot` moves it
-from basis to basis. It targets the desk-scale systems that arise in
-unit-ball geometry (tens of variables), not production LP workloads.
+The solver is deliberately small: one dense tableau and Bland's pivoting
+rule, which cannot cycle, so termination needs no perturbation tricks.
+The tableau's rows are the constraints, with the right-hand side in the
+last column, and its last row is the objective row, with the objective
+value in the corner. Every row is a list of ints over a positive scale of
+its own, and :func:`polysphere.linalg.pivot`, the integer Gauss-Jordan
+step, moves it from basis to basis. A constraint row's scale is its entry
+in its basic column, so the values of the basic variables are read as
+Fractions only at the end. Bland's rule needs only signs and ratios
+within a row, which the scales do not change, so the pivots are those of
+the same tableau on Fractions. It targets the desk-scale systems that
+arise in unit-ball geometry (tens of variables), not production LP
+workloads.
 
 Variables are free by default; per-variable nonnegativity can be declared
 so the geometric programs (barycentric weights, gauge values) do not pay
 for the free-variable split.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import ONE, ZERO, dot, pivot
+from .linalg import ZERO, dot, integer_rows, pivot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -76,24 +83,30 @@ def equal(coeffs, bound) -> LpConstraint:
     return LpConstraint(tuple(Fraction(c) for c in coeffs), "==", Fraction(bound))
 
 
-def _run_simplex(tab: list[list[Fraction]], basis: list[int]) -> str:
+def _run_simplex(tab: list[list[int]], basis: list[int]) -> str:
     """Pivot by Bland's rule until the objective row has no negative entry.
 
     The entering column is the first with a negative objective entry; the
     leaving row has the least ratio, ties going to the least basic column.
+    Row i's ratio is ``tab[i][-1] / tab[i][col]`` whatever the row's
+    scale, and two ratios with positive denominators compare by cross
+    multiplication.
     """
     while True:
         z = tab[-1]
         col = next((j for j in range(len(z) - 1) if z[j] < 0), None)
         if col is None:
             return OPTIMAL
-        row = best = None
+        row = None
         for i in range(len(tab) - 1):
             a = tab[i][col]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
-                    row, best = i, ratio
+                if row is None:
+                    row, num, den = i, tab[i][-1], a
+                    continue
+                lhs, rhs = tab[i][-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
+                    row, num, den = i, tab[i][-1], a
         if row is None:
             return UNBOUNDED
         pivot(tab, row, col)
@@ -145,30 +158,34 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     n_art = sum(1 for _, has_slack, b in body if not has_slack or b < 0)
     width = total + n_art
 
-    tab: list[list[Fraction]] = []
+    # Row i is scaled to integers by s; its basic column then holds s.
+    tab: list[list[int]] = []
     basis: list[int] = []
     slack, art = ncols, total
     for r, has_slack, b in body:
-        row = r + [ZERO] * (width - ncols) + [b]
+        (ints,), s = integer_rows([r + [b]])
+        row = list(ints[:-1]) + [0] * (width - ncols) + [ints[-1]]
         if has_slack:
-            row[slack] = ONE
+            row[slack] = s
             slack += 1
         if b < 0:
             row = [-x for x in row]
         if has_slack and b >= 0:
             basis.append(slack - 1)
         else:
-            row[art] = ONE
+            row[art] = s
             basis.append(art)
             art += 1
         tab.append(row)
 
     # Phase one: maximise minus the sum of artificials.
     if n_art:
-        z = [ZERO] * total + [ONE] * n_art + [ZERO]
+        scale = math.lcm(*(row[b] for row, b in zip(tab, basis) if b >= total))
+        z = [0] * total + [scale] * n_art + [0]
         for row, b in zip(tab, basis):
             if b >= total:
-                z = [x - y for x, y in zip(z, row)]
+                k = scale // row[b]
+                z = [x - k * y for x, y in zip(z, row)]
         tab.append(z)
         status = _run_simplex(tab, basis)
         if status != OPTIMAL or tab[-1][-1] < 0:
@@ -186,20 +203,24 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         tab = [tab[i][:total] + [tab[i][-1]] for i in keep]
         basis = [basis[i] for i in keep]
 
-    # Phase two with the real objective.
+    # Phase two with the real objective, z = -c + sum of cb * (basic row),
+    # over one common scale; a basic row's own scale is its entry row[b].
     c_struct = expand(problem.objective)
-    z = [-c for c in c_struct] + [ZERO] * (total - ncols + 1)
-    for row, b in zip(tab, basis):
-        cb = c_struct[b] if b < ncols else ZERO
-        if cb != 0:
-            z = [x + cb * y for x, y in zip(z, row)]
+    costs = [(c_struct[b], row, b) for row, b in zip(tab, basis) if b < ncols and c_struct[b] != 0]
+    scale = math.lcm(
+        *(c.denominator for c in c_struct), *(cb.denominator * row[b] for cb, row, b in costs)
+    )
+    z = [-c.numerator * (scale // c.denominator) for c in c_struct] + [0] * (total - ncols + 1)
+    for cb, row, b in costs:
+        k = cb.numerator * (scale // (cb.denominator * row[b]))
+        z = [x + k * y for x, y in zip(z, row)]
     tab.append(z)
     if _run_simplex(tab, basis) == UNBOUNDED:
         return LpSolution(UNBOUNDED, None, None)
 
     struct_vals = [ZERO] * total
     for row, b in zip(tab, basis):
-        struct_vals[b] = row[-1]
+        struct_vals[b] = Fraction(row[-1], row[b])
     point = []
     for j in range(n):
         pos, neg = col_of[j]

@@ -80,6 +80,13 @@ MAP_ERRORS = [
     (map_text(["v0 -> (1, 1)"]), "vertex", 5, 7, "(1, 1) is not a vertex of the space"),
     (map_text([" v0 -> (1, 0, 0)"]), "dimension-mismatch", 5, 8, "coordinate tuple"),
     (map_text(["v0 -> w0", "  v0 -> w1"]), "coverage", 6, 3, "domain vertex 0 mapped twice"),
+    # A repeated header key is reported at its second occurrence, not read by its last.
+    ("version 1\ndomain l1:2\ncodomain hex\ndomain hex\nmap\n" + "\n".join(IDENTITY) + "\n",
+     "header", 4, 1, "repeated header key 'domain'"),
+    ("version 1\ndomain hex\ncodomain hex\n   codomain hex\nmap\n",
+     "header", 4, 4, "repeated header key 'codomain'"),
+    ("version 1\nversion 1\ndomain hex\ncodomain hex\nmap\n",
+     "header", 2, 1, "repeated header key 'version'"),
 ]
 
 

@@ -21,6 +21,7 @@ from polysphere import (
     vector,
     verify_isometry,
 )
+from polysphere import isometry as isometry_module
 from polysphere import linalg
 from polysphere.isometry import _first_unequal_pair
 from polysphere.linalg import ONE, mat_mul, mat_vec
@@ -304,6 +305,35 @@ class TestAgainstReference:
             assert report.reason == "sampled distance not preserved"
 
 
+def moved_hexagon_maps(hexagon):
+    """Vertex maps between the hexagon and moved hexagons, both ways; most
+    of them are not isometries."""
+    maps = []
+    for x, y in itertools.product(range(0, 6), range(2, 8)):
+        b = (F(x, 4), F(y, 4))
+        moved = moved_hexagon(b)
+        if len(moved.vrep) != 6:
+            continue
+        shift = {vector(F(1, 2), 1): vector(*b), vector(F(-1, 2), -1): -vector(*b)}
+        pairs = [(v, shift.get(v, v)) for v in hexagon.vrep]
+        maps.append(map_by_coordinates(hexagon, moved, pairs))
+        maps.append(map_by_coordinates(moved, hexagon, [(w, v) for v, w in pairs]))
+    return maps
+
+
+def test_apply_sends_each_vertex_to_its_vertex_image(hexagon):
+    """A vertex's only barycentric weights are one-hot, so apply agrees with
+    vertex_image, which verify_isometry reads instead of calling apply."""
+    maps = [SphereMap.from_linear(hexagon, hexagon, t) for t in hex_symmetries()]
+    for space in (l1_space(3), linf_space(3)):
+        maps += [SphereMap.from_linear(space, space, t) for t in signed_permutations(3)]
+    moved = moved_hexagon_maps(hexagon)
+    assert any(not verify_isometry(m).passed for m in moved)
+    for m in maps + moved:
+        for i, v in enumerate(m.domain.vrep):
+            assert m.apply(v) == m.vertex_image(i)
+
+
 @st.composite
 def facet_value_rows(draw):
     """Rows of two sides with equal distances, up to a few changed entries.
@@ -346,10 +376,12 @@ LINF3_SIGNED_PERMUTATION = ((F(0), F(-1), F(0)), (F(0), F(0), F(1)), (F(-1), F(0
     ids=["hex_rotation", "linf3_signed_permutation"],
 )
 def test_only_apply_evaluates_norms_on_a_passing_map(monkeypatch, space, matrix):
-    """Pair distances come from facet values; the sphere check in apply is the only norm call."""
+    """Pair distances come from facet values and vertex images from the
+    vertex map: a passing map makes no norm call, and one apply and one LP
+    per sample that is not a vertex."""
     m = SphereMap.from_linear(space, space, matrix)
-    calls = {"norm": 0, "apply": 0}
-    norm, apply = PolyhedralSpace.norm, SphereMap.apply
+    calls = {"norm": 0, "apply": 0, "solve_lp": 0}
+    norm, apply, solve = PolyhedralSpace.norm, SphereMap.apply, isometry_module.solve_lp
 
     def counting_norm(self, x):
         calls["norm"] += 1
@@ -359,8 +391,19 @@ def test_only_apply_evaluates_norms_on_a_passing_map(monkeypatch, space, matrix)
         calls["apply"] += 1
         return apply(self, x)
 
+    def counting_solve(problem):
+        calls["solve_lp"] += 1
+        return solve(problem)
+
     monkeypatch.setattr(PolyhedralSpace, "norm", counting_norm)
     monkeypatch.setattr(SphereMap, "apply", counting_apply)
+    monkeypatch.setattr(isometry_module, "solve_lp", counting_solve)
     assert verify_isometry(m).passed
     assert extend(m).matrix == matrix
-    assert calls["apply"] > 0 and calls["norm"] == calls["apply"]
+    samples = facet_sample_points(space)
+    rng = rng_from(DEFAULT_SEED)
+    samples += [random_facet_point(space, fid, rng) for fid in range(len(space.hrep))]
+    vertices = set(space.vrep)
+    non_vertex = sum(1 for p in samples if p not in vertices)
+    assert non_vertex > 0
+    assert calls == {"norm": 0, "apply": non_vertex, "solve_lp": non_vertex}

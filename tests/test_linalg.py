@@ -10,14 +10,18 @@ from hypothesis import strategies as st
 
 from polysphere.linalg import (
     ONE,
-    _echelon,
+    ZERO,
     _pivot_columns,
     affine_rank,
     dot,
+    identity,
     independent_row_indices,
     integer_rows,
+    invert,
+    null_space_vector,
     pivot,
     rank,
+    solve,
     transpose,
     value_table,
 )
@@ -26,8 +30,69 @@ F = Fraction
 
 
 # The reference: the Fraction Gauss-Jordan echelon form and dot product.
+def reference_pivot(rows, r, c):
+    inv = ONE / rows[r][c]
+    rows[r] = pr = [x * inv for x in rows[r]]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i != r and f != 0:
+            rows[i] = [x - f * y for x, y in zip(row, pr)]
+
+
+def reference_echelon(rows):
+    work = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(work[0]) if work else 0):
+        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        reference_pivot(work, r, c)
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], pivots
+
+
 def reference_pivot_columns(rows):
-    return _echelon(rows)[1] if rows else []
+    return reference_echelon(rows)[1]
+
+
+def reference_invert(m):
+    n = len(m)
+    red, pivots = reference_echelon([list(row) + list(e) for row, e in zip(m, identity(n))])
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in red)
+
+
+def reference_solve(a_rows, rhs):
+    if not a_rows:
+        return ()
+    ncols = len(a_rows[0])
+    red, pivots = reference_echelon([list(r) + [b] for r, b in zip(a_rows, rhs)])
+    x = [ZERO] * ncols
+    for row, pc in zip(red, pivots):
+        if pc == ncols:
+            return None
+        x[pc] = row[-1]
+    return tuple(x)
+
+
+def reference_null_space_vector(rows, ncols):
+    if not rows:
+        return (ONE,) + (ZERO,) * (ncols - 1) if ncols else None
+    red, pivots = reference_echelon(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    if not free:
+        return None
+    x = [ZERO] * ncols
+    x[free[0]] = ONE
+    for row, pc in zip(red, pivots):
+        x[pc] = -row[free[0]]
+    return tuple(x)
 
 
 def reference_rank(rows):
@@ -166,6 +231,9 @@ def test_independent_rows_skip_zero_and_dependent_rows():
 
 
 def test_pivot_leaves_a_unit_column():
+    """The integer step clears column c outside row r and leaves a positive
+    entry in row r, so each row over its own entry in column c is the unit
+    column of the Fraction step, and the row space is kept."""
     rng = random.Random(5)
     for _ in range(300):
         rows, ncols = random_matrix(rng)
@@ -173,8 +241,71 @@ def test_pivot_leaves_a_unit_column():
         if not cells:
             continue
         r, c = rng.choice(cells)
-        work = [list(row) for row in rows]
+        work = [list(row) for row in integer_rows(rows)[0]]
         pivot(work, r, c)
-        assert [row[c] for row in work] == [F(int(i == r)) for i in range(len(rows))]
+        assert all(type(x) is int for row in work for x in row)
+        assert [F(row[c], work[r][c]) for row in work] == [F(int(i == r)) for i in range(len(rows))]
         # Row operations keep the row space.
         assert rank(work) == rank(rows) == rank(rows + [tuple(x) for x in work])
+
+
+def test_pivot_matches_the_fraction_step_row_by_row():
+    """After the same pivots, each integer row is a positive multiple of the
+    Fraction row."""
+    rng = random.Random(7)
+    for _ in range(300):
+        rows, ncols = random_matrix(rng)
+        work, ref = [list(row) for row in integer_rows(rows)[0]], [list(row) for row in rows]
+        for _ in range(3):
+            cells = [(r, c) for r in range(len(ref)) for c in range(ncols) if ref[r][c] != 0]
+            if not cells:
+                break
+            r, c = rng.choice(cells)
+            pivot(work, r, c)
+            reference_pivot(ref, r, c)
+        for got, want in zip(work, ref):
+            k = next((F(x) / y for x, y in zip(got, want) if y), None)
+            assert k is None or (k > 0 and [F(x) for x in got] == [k * y for y in want])
+
+
+def square_matrices(rng, n):
+    """Random n x n rational matrices, singular ones among them."""
+    m = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.3:
+        m[-1] = [F(rng.randint(-2, 2)) * x for x in m[0]]
+    return tuple(tuple(row) for row in m)
+
+
+def test_invert_solve_and_kernel_match_the_fraction_echelon():
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        m = square_matrices(rng, n)
+        inv = invert(m)
+        assert inv == reference_invert(m)
+        rows, ncols = random_matrix(rng)
+        rhs = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in rows]
+        assert solve(rows, rhs) == reference_solve(rows, rhs)
+        assert null_space_vector(rows, ncols) == reference_null_space_vector(rows, ncols)
+        kernel = null_space_vector(rows, ncols)
+        outcomes.add((inv is None, solve(rows, rhs) is None, kernel is None))
+        assert all(type(x) is Fraction for row in (inv or ()) for x in row)
+    # Singular and regular matrices, consistent and inconsistent systems,
+    # trivial and nontrivial kernels all occur.
+    assert all({o[k] for o in outcomes} == {True, False} for k in range(3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes(), st.data())
+def test_solve_and_kernel_match_the_fraction_echelon_on_large_entries(rows, data):
+    ncols = len(rows[0]) if rows else data.draw(st.integers(0, 3))
+    rhs = data.draw(st.lists(st.one_of(SMALL, LARGE), min_size=len(rows), max_size=len(rows)))
+    x = solve(rows, rhs)
+    assert x == reference_solve(rows, rhs)
+    assert null_space_vector(rows, ncols) == reference_null_space_vector(rows, ncols)
+    if x is not None:
+        assert all(type(c) is Fraction for c in x)
+        assert [dot(r, x) for r in rows] == rhs
+    if len(rows) == ncols:
+        assert invert(tuple(rows)) == reference_invert(rows)

@@ -4,14 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polysphere import linf_space
+from polysphere import faces, linf_space, lp, properties, resolve
+from polysphere.errors import NotAlmostClError
 from polysphere.lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LpConstraint,
     LpProblem,
+    LpSolution,
     solve_lp,
 )
 
@@ -220,3 +224,210 @@ class TestAgainstScipy:
             assert sol.status == OPTIMAL
             for con in p.constraints:
                 assert con.holds_at(sol.point)
+
+
+# The reference: the two-phase simplex on a tableau of Fractions, with the
+# same Bland's rule, the integer solver must follow pivot for pivot. Each
+# pivot (row, column) is appended to REFERENCE_PIVOTS.
+REFERENCE_PIVOTS = []
+
+
+def reference_pivot(rows, r, c):
+    REFERENCE_PIVOTS.append((r, c))
+    inv = 1 / rows[r][c]
+    rows[r] = pr = [x * inv for x in rows[r]]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i != r and f != 0:
+            rows[i] = [x - f * y for x, y in zip(row, pr)]
+
+
+def reference_run_simplex(tab, basis):
+    while True:
+        z = tab[-1]
+        col = next((j for j in range(len(z) - 1) if z[j] < 0), None)
+        if col is None:
+            return OPTIMAL
+        row = best = None
+        for i in range(len(tab) - 1):
+            a = tab[i][col]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
+                    row, best = i, ratio
+        if row is None:
+            return UNBOUNDED
+        reference_pivot(tab, row, col)
+        basis[row] = col
+
+
+def reference_solve_lp(problem):
+    zero, one = F(0), F(1)
+    n = problem.num_vars
+    nonneg = problem.nonneg or (False,) * n
+    col_of = []
+    ncols = 0
+    for j in range(n):
+        if nonneg[j]:
+            col_of.append((ncols, None))
+            ncols += 1
+        else:
+            col_of.append((ncols, ncols + 1))
+            ncols += 2
+
+    def expand(coeffs):
+        row = [zero] * ncols
+        for j, c in enumerate(coeffs):
+            pos, neg = col_of[j]
+            row[pos] = c
+            if neg is not None:
+                row[neg] = -c
+        return row
+
+    body = []
+    for con in problem.constraints:
+        r, b = expand(con.coeffs), con.bound
+        if con.relation == ">=":
+            r, b = [-x for x in r], -b
+        body.append((r, con.relation != "==", b))
+    total = ncols + sum(1 for _, has_slack, _ in body if has_slack)
+    n_art = sum(1 for _, has_slack, b in body if not has_slack or b < 0)
+    width = total + n_art
+    tab, basis = [], []
+    slack, art = ncols, total
+    for r, has_slack, b in body:
+        row = r + [zero] * (width - ncols) + [b]
+        if has_slack:
+            row[slack] = one
+            slack += 1
+        if b < 0:
+            row = [-x for x in row]
+        if has_slack and b >= 0:
+            basis.append(slack - 1)
+        else:
+            row[art] = one
+            basis.append(art)
+            art += 1
+        tab.append(row)
+
+    if n_art:
+        z = [zero] * total + [one] * n_art + [zero]
+        for row, b in zip(tab, basis):
+            if b >= total:
+                z = [x - y for x, y in zip(z, row)]
+        tab.append(z)
+        status = reference_run_simplex(tab, basis)
+        if status != OPTIMAL or tab[-1][-1] < 0:
+            return LpSolution(INFEASIBLE, None, None)
+        keep = []
+        for i in range(len(basis)):
+            if basis[i] >= total:
+                col = next((j for j in range(total) if tab[i][j] != 0), None)
+                if col is None:
+                    continue
+                reference_pivot(tab, i, col)
+                basis[i] = col
+            keep.append(i)
+        tab = [tab[i][:total] + [tab[i][-1]] for i in keep]
+        basis = [basis[i] for i in keep]
+
+    c_struct = expand(problem.objective)
+    z = [-c for c in c_struct] + [zero] * (total - ncols + 1)
+    for row, b in zip(tab, basis):
+        cb = c_struct[b] if b < ncols else zero
+        if cb != 0:
+            z = [x + cb * y for x, y in zip(z, row)]
+    tab.append(z)
+    if reference_run_simplex(tab, basis) == UNBOUNDED:
+        return LpSolution(UNBOUNDED, None, None)
+    vals = [zero] * total
+    for row, b in zip(tab, basis):
+        vals[b] = row[-1]
+    point = tuple(
+        vals[pos] - (vals[neg] if neg is not None else zero) for pos, neg in col_of
+    )
+    return LpSolution(OPTIMAL, point, sum((c * x for c, x in zip(problem.objective, point)), zero))
+
+
+COEFF = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+BOUND = st.fractions(min_value=-6, max_value=6, max_denominator=2)
+
+
+@st.composite
+def lp_problems(draw):
+    """LPs over "<=", ">=" and "==" rows with right-hand sides of either
+    sign (zero often, which makes ties in the ratio test), free,
+    nonnegative and mixed variables, and rows repeated with a scale."""
+    n = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if rows and draw(st.booleans()):
+            coeffs, rel, bound = draw(st.sampled_from(rows))
+            k = draw(st.sampled_from([F(1), F(2), F(1, 3), F(-1), F(-3, 2)]))
+            if k < 0 and rel != "==":
+                rel = "<=" if rel == ">=" else ">="
+            rows.append((tuple(k * c for c in coeffs), rel, k * bound))
+        else:
+            rel = draw(st.sampled_from(["<=", ">=", "=="]))
+            bound = draw(st.one_of(st.just(F(0)), BOUND))
+            rows.append((draw(st.tuples(*[COEFF] * n)), rel, bound))
+    if draw(st.booleans()):
+        for j in range(n):
+            unit = tuple(F(int(i == j)) for i in range(n))
+            rows.append((unit, "<=", draw(st.sampled_from([F(0), F(1), F(3)]))))
+    mode = draw(st.sampled_from(["default", "free", "nonneg", "mixed"]))
+    if mode == "default":
+        nonneg = None
+    elif mode == "mixed":
+        nonneg = draw(st.tuples(*[st.booleans()] * n))
+    else:
+        nonneg = (mode == "nonneg",) * n
+    objective = draw(st.tuples(*[COEFF] * n))
+    constraints = tuple(LpConstraint(c, r, b) for c, r, b in draw(st.permutations(rows)))
+    return LpProblem(num_vars=n, objective=objective, constraints=constraints, nonneg=nonneg)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lp_problems())
+def test_integer_simplex_matches_the_fraction_tableau(problem):
+    """The same pivots in the same order, and the same solution."""
+    pivots = []
+    step = lp.pivot
+
+    def recording_pivot(rows, r, c):
+        pivots.append((r, c))
+        step(rows, r, c)
+
+    REFERENCE_PIVOTS.clear()
+    lp.pivot = recording_pivot
+    try:
+        got = solve_lp(problem)
+    finally:
+        lp.pivot = step
+    assert repr(got) == repr(reference_solve_lp(problem))
+    assert pivots == REFERENCE_PIVOTS
+
+
+@pytest.mark.parametrize("name", ["hex", "l1:3", "l1sum(hex,l1:1)"])
+def test_hull_weights_match_the_fraction_tableau(monkeypatch, name):
+    """in_convex_hull and cl_decomposition give the reference's weights on
+    every vertex and facet barycenter against every facet."""
+    space = resolve(name)
+    points = list(space.vrep) + [space.facet_barycenter(g) for g in range(len(space.hrep))]
+
+    def run():
+        out = []
+        for face in faces.facets(space):
+            gens = list(face.vertices) + [-v for v in face.vertices]
+            for x in points:
+                out.append(properties.in_convex_hull(x, gens))
+                try:
+                    out.append(properties.cl_decomposition(space, x, face))
+                except NotAlmostClError:
+                    out.append(None)
+        return out
+
+    got = run()
+    monkeypatch.setattr(properties, "solve_lp", reference_solve_lp)
+    assert repr(got) == repr(run())
+    assert any(w is not None for w in got)
