@@ -144,9 +144,8 @@ class CatalogEntry:
     name: str
     description: str
     build: Callable[[], PolyhedralSpace]
-    expected_cl: bool | None
-    expected_t: bool | None
-    exploratory: bool = False
+    expected_cl: bool
+    expected_t: bool
 
 
 def catalog_entries() -> tuple[CatalogEntry, ...]:
@@ -178,16 +177,13 @@ def catalog_entries() -> tuple[CatalogEntry, ...]:
                 expected_t=True,
             )
         )
-    # Sums involving the hexagon sit outside the two-sided hull theory;
-    # their T verdicts are observations, not declared expectations.
     entries.append(
         CatalogEntry(
             "linfsum(hex,linf:1)",
             "hexagon times a segment under the max norm",
             lambda: resolve("linfsum(hex,linf:1)"),
             expected_cl=False,
-            expected_t=None,
-            exploratory=True,
+            expected_t=True,
         )
     )
     entries.append(
@@ -196,8 +192,7 @@ def catalog_entries() -> tuple[CatalogEntry, ...]:
             "hexagon times a segment under the sum norm",
             lambda: resolve("l1sum(hex,l1:1)"),
             expected_cl=False,
-            expected_t=None,
-            exploratory=True,
+            expected_t=True,
         )
     )
     return tuple(entries)

@@ -5,8 +5,6 @@ render, catalog. Exit codes partition the outcomes:
 
     0   the property holds / the verification passed
     1   the property fails / a counterexample was found
-    2   not established (the T-property certificate search was exhausted;
-        the property is existential, so this is not a refutation)
     64  usage or parse error, or a file that cannot be read or written
     141 stdout was closed before the report was written (a broken pipe;
         the code a shell reports for a process ended by SIGPIPE)
@@ -26,13 +24,7 @@ import sys
 from . import catalog as cat
 from .errors import GeometryError
 from .faces import facets, star
-from .formats import (
-    ParseError,
-    parse_candidates_file,
-    parse_map_file,
-    parse_space_file,
-    serialize_space,
-)
+from .formats import ParseError, parse_map_file, parse_space_file, serialize_space
 from .isometry import extend as extend_map
 from .isometry import verify_isometry
 from .properties import check_cl, check_t_property, cl_decomposition
@@ -41,7 +33,6 @@ from .space import PolyhedralSpace, Vector, as_fraction
 
 OK = 0
 FAIL = 1
-NOT_ESTABLISHED = 2
 USAGE = 64
 BROKEN_PIPE = 141
 
@@ -125,44 +116,33 @@ def _cmd_check_cl(args, out) -> int:
 
 def _cmd_check_t(args, out) -> int:
     space = _load_space(args.space)
-    candidates = None
-    if args.candidates:
-        candidates = list(parse_candidates_file(args.candidates, space.dim))
-    report = check_t_property(space, candidates)
+    report = check_t_property(space)
     print(space.summary(), file=out)
-    print(f"candidates ({len(report.candidates)}):", file=out)
+    m = len(report.candidates)
+    print(f"candidates ({m}):", file=out)
     for k, c in enumerate(report.candidates):
-        smooth = "maximal-convex star" if report.condition_i[k] else "star is not maximal convex"
-        print(f"  x{k} = {c}  [{smooth}]", file=out)
-    if report.uncovered_facet is None:
-        pairs = ", ".join(f"f{p.facet_id}<-x{p.candidate_index}" for p in report.coverage)
-        print(f"covering: {pairs}", file=out)
-    else:
-        print(f"covering FAILS: facet f{report.uncovered_facet} is nobody's star", file=out)
-
-    if report.condition_iii:
-        print("two-sided distance values (rows: ball vertices, columns: candidates):", file=out)
-        cols = sorted({rec.candidate_index for rec in report.condition_iii})
-        by_key = {(rec.vertex.coords, rec.candidate_index): rec for rec in report.condition_iii}
-        header = "vertex".ljust(18) + " ".join(f"x{k}".rjust(6) for k in cols)
-        print(header, file=out)
-        for v in space.vrep:
-            cells = []
-            for k in cols:
-                rec = by_key.get((v.coords, k))
-                cells.append(str(rec.value).rjust(6) if rec else "-".rjust(6))
-            print(str(v).ljust(18) + " ".join(cells), file=out)
-        sample = report.condition_iii[0]
-        print(
-            f"witness example: vertex {sample.vertex}, candidate x{sample.candidate_index}: "
-            f"y+ = {sample.witness_plus}, y- = {sample.witness_minus}, value {sample.value}",
-            file=out,
-        )
+        print(f"  x{k} = {c}", file=out)
+    # One record per (vertex, facet), vertex major: row j is records[j*m : (j+1)*m].
+    print("two-sided distance values (rows: ball vertices, columns: candidates):", file=out)
+    print("vertex".ljust(18) + " ".join(f"x{k}".rjust(6) for k in range(m)), file=out)
+    for j, v in enumerate(space.vrep):
+        row = report.condition_iii[j * m:(j + 1) * m]
+        print(str(v).ljust(18) + " ".join(str(rec.value).rjust(6) for rec in row), file=out)
+    sample = report.condition_iii[0]
+    print(
+        f"witness example: vertex {sample.vertex}, candidate x{sample.candidate_index}: "
+        f"y+ = {sample.witness_plus}, y- = {sample.witness_minus}, value {sample.value}",
+        file=out,
+    )
     if report.holds:
-        print("VERDICT: T-property established by this candidate family", file=out)
+        print("VERDICT: T-property holds", file=out)
         return OK
-    print("VERDICT: not established (this family fails; the property is existential)", file=out)
-    return NOT_ESTABLISHED
+    bad = report.violation
+    print(
+        f"VERDICT: T-property fails: vertex {bad.vertex}, facet f{bad.candidate_index}, value {bad.value}",
+        file=out,
+    )
+    return FAIL
 
 
 def _cmd_verify_iso(args, out) -> int:
@@ -228,14 +208,8 @@ def _cmd_sum(args, out) -> int:
 
 def _cmd_render(args, out) -> int:
     space = _load_space(args.space)
-    candidates = None
-    report = None
-    if space.dim == 2:
-        if args.candidates:
-            candidates = list(parse_candidates_file(args.candidates, space.dim))
-        report = check_t_property(space, candidates)
-        candidates = report.candidates
-    svg = render_space_svg(space, candidates=candidates, report=report)
+    report = check_t_property(space) if space.dim == 2 else None
+    svg = render_space_svg(space, report=report)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -248,10 +222,9 @@ def _cmd_render(args, out) -> int:
 def _cmd_catalog(args, out) -> int:
     print("catalog expressions: hex | l1:N | linf:N | l1sum(A,B) | linfsum(A,B)", file=out)
     for entry in cat.catalog_entries():
-        cl = "-" if entry.expected_cl is None else ("yes" if entry.expected_cl else "no")
-        tp = "-" if entry.expected_t is None else ("yes" if entry.expected_t else "no")
-        tag = "  [exploratory]" if entry.exploratory else ""
-        print(f"{entry.name:22} CL={cl:3} T={tp:3} {entry.description}{tag}", file=out)
+        cl = "yes" if entry.expected_cl else "no"
+        tp = "yes" if entry.expected_t else "no"
+        print(f"{entry.name:22} CL={cl:3} T={tp:3} {entry.description}", file=out)
     return OK
 
 
@@ -275,9 +248,8 @@ def build_parser() -> _Parser:
     p.add_argument("space")
     p.add_argument("--decompose", metavar="POINT", help="also decompose POINT over every facet")
 
-    p = add("check-t", _cmd_check_t, help="certificate search for the T-property")
+    p = add("check-t", _cmd_check_t, help="decide the T-property")
     p.add_argument("space")
-    p.add_argument("--candidates", metavar="FILE", help="candidate points, one row each")
 
     p = add("verify-iso", _cmd_verify_iso, help="verify a sphere map is a surjective isometry")
     p.add_argument("map")
@@ -296,7 +268,6 @@ def build_parser() -> _Parser:
 
     p = add("render", _cmd_render, help="SVG of a 2D sphere, or a facet incidence graph")
     p.add_argument("space")
-    p.add_argument("--candidates", metavar="FILE")
     p.add_argument("--svg", metavar="FILE", help="output path (default: stdout)")
 
     add("catalog", _cmd_catalog, help="list built-in spaces and the name grammar")

@@ -1,4 +1,4 @@
-"""Textual file formats for spaces, sphere maps, and candidate lists.
+"""Textual file formats for spaces and sphere maps.
 
 Files are UTF-8. Rationals are written as ``p/q`` or integer tokens;
 decimals are rejected so files stay exact. Parse errors carry a structured
@@ -46,7 +46,7 @@ _INDEX_RE = re.compile(r"^[vw]?(\d+)$")
 
 
 class ParseError(GeometryError):
-    """A malformed space, map or candidate file, with its kind and position."""
+    """A malformed space or map file, with its kind and position."""
 
     def __init__(self, kind: str, line: int, col: int, message: str):
         super().__init__(f"line {line}, col {col}: {message}")
@@ -291,23 +291,3 @@ def serialize_map(m: SphereMap, domain_ref: str, codomain_ref: str) -> str:
     for i, j in enumerate(m.vertex_map):
         lines.append(f"v{i} -> w{j}")
     return "\n".join(lines) + "\n"
-
-
-def parse_candidates_text(text: str, dim: int) -> tuple[Vector, ...]:
-    """Candidate sphere points, one per row of exact rationals."""
-    out = []
-    for ln, line in _iter_rows(text):
-        tokens = list(_TOKEN_RE.finditer(line))
-        row = tuple(
-            _parse_rational(t.group(), ln, t.start() + 1) for t in tokens
-        )
-        if len(row) != dim:
-            raise ParseError(
-                "dimension-mismatch", ln, 1, f"candidate has {len(row)} entries, expected {dim}"
-            )
-        out.append(Vector(row))
-    return tuple(out)
-
-
-def parse_candidates_file(path, dim: int) -> tuple[Vector, ...]:
-    return parse_candidates_text(_read_text(path), dim)

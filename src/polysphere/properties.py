@@ -4,9 +4,22 @@ A space is CL when for every maximal convex set C of the sphere the ball
 is the convex hull of C and -C. The T-property asks for a family of
 sphere points whose stars are maximal convex sets covering the sphere,
 such that every sphere point is within total distance two of each star
-and its opposite. Everything here is decided exactly: faces are compact
-polytopes, so the distance minima are attained and checked as equalities
-or rational inequalities, never with tolerances.
+and its opposite. On a polytope ball the property is decided by one
+family, the facet barycenters:
+
+(i) a star is a maximal convex set only when it is a single facet, so
+    every point of a family is smooth and names one facet;
+(ii) a relative-interior point of a facet lies on no other facet, so the
+    stars cover the sphere only when every facet is some point's star;
+(iii) the two-sided distance d(v, F) + d(v, -F) depends only on the star
+    facet F, not on the point whose star it is.
+
+Every family that passes (i) and (ii) therefore yields the same table of
+(iii) values over (vertex, facet) pairs as the barycenters do, and the
+property holds exactly when that table is all twos. Everything here is
+decided exactly: faces are compact polytopes, so the distance minima are
+attained and checked as equalities or rational inequalities, never with
+tolerances.
 """
 
 from dataclasses import dataclass
@@ -68,25 +81,20 @@ class ConditionThreeRecord:
 
 
 @dataclass(frozen=True)
-class CoveragePair:
-    facet_id: int
-    candidate_index: int
-
-
-@dataclass(frozen=True)
 class TPropertyReport:
-    """Certificate search outcome for the T-property.
+    """The T-property decided over the facet barycenters.
 
-    ``holds`` means the given candidate family establishes the property.
-    A False verdict only means this family failed; the property is
-    existential, so no family can refute it.
+    ``candidates[k]`` is the barycenter of facet k, a smooth point whose
+    star is that facet, so the family passes conditions (i) and (ii).
+    ``condition_iii`` holds one record per (vertex, facet) pair, vertex
+    major, with ``candidate_index`` the facet id. Any family that passes
+    (i) and (ii) gives the same values (see the module docstring), so
+    ``holds`` is a decision: when it is False, ``violation``, the first
+    record with a value above two, refutes the property.
     """
 
     holds: bool
     candidates: tuple[Vector, ...]
-    condition_i: tuple[bool, ...]
-    coverage: tuple[CoveragePair, ...]
-    uncovered_facet: int | None
     condition_iii: tuple[ConditionThreeRecord, ...]
     violation: ConditionThreeRecord | None
 
@@ -217,47 +225,19 @@ def _distance_to_face(space: PolyhedralSpace, x: Vector, fid: int) -> tuple[Frac
     return distance_to_hull(space, x, pts)
 
 
-def default_candidates(space: PolyhedralSpace) -> tuple[Vector, ...]:
-    """One barycenter per facet; closed under negation since facets are."""
-    return tuple(space.facet_barycenter(fid) for fid in range(len(space.hrep)))
+def check_t_property(space: PolyhedralSpace) -> TPropertyReport:
+    """Decide the T-property from the facet barycenters.
 
-
-def check_t_property(
-    space: PolyhedralSpace, candidates: list[Vector] | None = None
-) -> TPropertyReport:
-    """Test a candidate family against the three T-property conditions.
-
-    (i) each candidate's star is a maximal convex set, i.e. the candidate
-    is smooth; (ii) every facet is the star of some candidate; (iii) for
-    every ball vertex and every candidate the two-sided distance value is
-    at most two. Condition (iii) is evaluated on vertices only: the
-    quantity is convex in the sphere point, so its maximum over the ball
-    is attained at a vertex. A vertex on the facet or on its opposite,
-    or a facet vertex that meets the facet-functional bound, settles each
-    side exactly without an LP; the distance LP runs only when none does.
+    Each facet's barycenter is smooth and has that facet as its star, so
+    the family passes (i) and (ii), and by (iii) its value table is the
+    one every such family gives: the property holds iff every value is
+    two. Condition (iii) is evaluated on vertices only: the quantity is
+    convex in the sphere point, so its maximum over the ball is attained
+    at a vertex. A vertex on the facet or on its opposite, or a facet
+    vertex that meets the facet-functional bound, settles each side
+    exactly without an LP; the distance LP runs only when none does.
     """
-    cands = tuple(candidates) if candidates is not None else default_candidates(space)
-    for c in cands:
-        if space.norm(c) != 1:
-            raise NotOnSphereError(f"candidate {c} is not on the sphere")
-
-    cond_i = []
-    star_facet: list[int | None] = []
-    for c in cands:
-        active = space.active_functional_ids(c)
-        cond_i.append(len(active) == 1)
-        star_facet.append(active[0] if len(active) == 1 else None)
-
-    coverage = []
-    uncovered = None
-    for fid in range(len(space.hrep)):
-        owner = next((k for k, sf in enumerate(star_facet) if sf == fid), None)
-        if owner is None:
-            if uncovered is None:
-                uncovered = fid
-        else:
-            coverage.append(CoveragePair(fid, owner))
-
+    candidates = tuple(space.facet_barycenter(fid) for fid in range(len(space.hrep)))
     records = []
     violation = None
     memo: dict[tuple[tuple[Fraction, ...], int], tuple[Fraction, Vector]] = {}
@@ -269,25 +249,19 @@ def check_t_property(
         return memo[key]
 
     for v in space.vrep:
-        for k, fid in enumerate(star_facet):
-            if fid is None:
-                continue
+        for fid in range(len(space.hrep)):
             d_plus, w_plus = dist(v, fid)
             d_minus, w_neg = dist(-v, fid)
-            rec = ConditionThreeRecord(v, k, d_plus + d_minus, w_plus, -w_neg)
+            rec = ConditionThreeRecord(v, fid, d_plus + d_minus, w_plus, -w_neg)
             if rec.value < 2:
                 raise GeometryError("two-sided distance fell below two; this is a bug")
             records.append(rec)
             if rec.value > 2 and violation is None:
                 violation = rec
 
-    holds = all(cond_i) and uncovered is None and violation is None and bool(cands)
     return TPropertyReport(
-        holds=holds,
-        candidates=cands,
-        condition_i=tuple(cond_i),
-        coverage=tuple(coverage),
-        uncovered_facet=uncovered,
+        holds=violation is None,
+        candidates=candidates,
         condition_iii=tuple(records),
         violation=violation,
     )

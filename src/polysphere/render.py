@@ -1,9 +1,9 @@
 """Static SVG views of unit spheres.
 
 Two-dimensional spaces are drawn directly: the sphere polygon, facet
-labels, candidate points, and the two-sided distance witnesses from a
-property report. Higher-dimensional spaces get their facet incidence
-graph instead (facets as nodes, ridges as edges). Output is plain SVG
+labels, and, from a T-property report, the facet barycenters and the
+two-sided distance witnesses. Higher-dimensional spaces get their facet
+incidence graph instead (facets as nodes, ridges as edges). Output is plain SVG
 text, byte-identical across runs for the same inputs: iteration follows
 the canonical orders and coordinates are formatted to fixed precision.
 Floats appear only in drawing coordinates, never in any verdict.
@@ -24,13 +24,9 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def render_space_svg(
-    space: PolyhedralSpace,
-    candidates: tuple[Vector, ...] | None = None,
-    report: TPropertyReport | None = None,
-) -> str:
+def render_space_svg(space: PolyhedralSpace, report: TPropertyReport | None = None) -> str:
     if space.dim == 2:
-        return _render_2d(space, candidates or (), report)
+        return _render_2d(space, report)
     return _render_incidence(space)
 
 
@@ -47,7 +43,8 @@ def _collect_witnesses(report: TPropertyReport | None) -> list[Vector]:
     return points
 
 
-def _render_2d(space, candidates, report) -> str:
+def _render_2d(space, report) -> str:
+    candidates = report.candidates if report is not None else ()
     witnesses = _collect_witnesses(report)
     xs = [float(v.coords[0]) for v in space.vrep]
     ys = [float(v.coords[1]) for v in space.vrep]

@@ -5,8 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from polysphere import EnumerationCapError, Functional, GeometryError, Vector
+from polysphere import (
+    EnumerationCapError,
+    Functional,
+    GeometryError,
+    Vector,
+    check_cl,
+    check_t_property,
+)
 from polysphere.catalog import (
+    catalog_entries,
     hexagon_space,
     l1_space,
     l1_sum,
@@ -89,3 +97,10 @@ def test_remark_section_face_shrinks_to_a_point_on_a_sphere_segment():
         assert fixture.section.norm(Vector((1 - t, t))) == 1
     # The midpoint (1, 0, 1/2) is off the top facet: the segment properly contains the face.
     assert fixture.face.functional(top.scale(half) + other.scale(half)) == half
+
+
+@pytest.mark.parametrize("entry", catalog_entries(), ids=lambda e: e.name)
+def test_declared_verdicts_are_the_decided_ones(entry):
+    space = entry.build()
+    assert check_cl(space).is_cl == entry.expected_cl
+    assert check_t_property(space).holds == entry.expected_t

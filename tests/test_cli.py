@@ -16,9 +16,19 @@ from polysphere import cli
 
 EXPECTED = Path(__file__).parent / "cli_expected"
 
-# Smooth points on two opposite hexagon facets: the family covers only two
-# of the six facets, so the T-property is not established (exit 2).
-FAILING_CANDIDATES = "3/4 1/2\n-3/4 -1/2\n"
+# A hexagon without the T-property: the two-sided distance value at vertex
+# (-4/3, -5/2) for facet f0 is 2291/1128 > 2, a refutation (exit 1).
+FAILING_HEXAGON_SPACE = """version 1
+name failing-hexagon
+dim 2
+kind V
+2 5/3
+-2 -5/3
+4/3 5/2
+-4/3 -5/2
+4/3 -3/2
+-4/3 3/2
+"""
 
 # The rotation of the hexagon by one facet, a linear symmetry.
 HEX_ROTATION_MAP = """version 1
@@ -97,9 +107,9 @@ CASES = [
     ("check_cl_hex", lambda d: ["check-cl", "hex"], 1),
     ("check_t_hex", lambda d: ["check-t", "hex"], 0),
     (
-        "check_t_hex_failing_candidates",
-        lambda d: ["check-t", "hex", "--candidates", _write(d, "cands.txt", FAILING_CANDIDATES)],
-        2,
+        "check_t_failing_hexagon",
+        lambda d: ["check-t", _write(d, "failing-hex.space", FAILING_HEXAGON_SPACE)],
+        1,
     ),
     ("verify_iso_hex_rotation", lambda d: ["verify-iso", _write(d, "rot.map", HEX_ROTATION_MAP)], 0),
     ("extend_hex_rotation", lambda d: ["extend", _write(d, "rot.map", HEX_ROTATION_MAP)], 0),

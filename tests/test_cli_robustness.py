@@ -58,8 +58,10 @@ def test_map_that_breaks_facets_fails_verification(tmp_path, text, codomain):
         ["check-cl", "linf:3", "--decompose", "1,0,0", "--eps", "0"],
         ["render", "hex", "--seed", "0"],
         ["facets", "hex", "--max-dim", "6"],
+        ["check-t", "hex", "--candidates", "X"],
+        ["render", "hex", "--candidates", "X"],
     ],
-    ids=["check-cl-eps", "render-seed", "max-dim"],
+    ids=["check-cl-eps", "render-seed", "max-dim", "check-t-candidates", "render-candidates"],
 )
 def test_removed_options_are_usage_errors(argv):
     code, out, err = run_cli(argv)
@@ -124,11 +126,10 @@ def test_bad_decompose_point_is_rejected_before_any_output(point, message):
     [
         lambda d: ["facets", d],
         lambda d: ["verify-iso", d],
-        lambda d: ["check-t", "hex", "--candidates", d],
         lambda d: ["sum", "l1", "hex", "l1:1", "--out", d],
         lambda d: ["render", "hex", "--svg", d],
     ],
-    ids=["facets", "verify-iso", "check-t-candidates", "sum-out", "render-svg"],
+    ids=["facets", "verify-iso", "sum-out", "render-svg"],
 )
 def test_os_error_is_a_usage_error(tmp_path, make_argv):
     code, out, err = run_cli(make_argv(str(tmp_path)))

@@ -6,8 +6,6 @@ from polysphere import hexagon_space, l1_space
 from polysphere.catalog import resolve
 from polysphere.formats import (
     ParseError,
-    parse_candidates_file,
-    parse_candidates_text,
     parse_map_file,
     parse_map_text,
     parse_space_file,
@@ -100,16 +98,10 @@ def test_map_parse_errors(text, kind, line, col, message):
     assert str(err.value).startswith(f"line {line}, col {col}: {message}")
 
 
-def test_candidate_parse_errors():
-    with pytest.raises(ParseError) as err:
-        parse_candidates_text("3/4 1/2\n1 0 0\n", 2)
-    assert (err.value.kind, err.value.line, err.value.col) == ("dimension-mismatch", 2, 1)
-
-
 @pytest.mark.parametrize(
     "read",
-    [parse_space_file, lambda p: parse_map_file(p, resolve), lambda p: parse_candidates_file(p, 2)],
-    ids=["space", "map", "candidates"],
+    [parse_space_file, lambda p: parse_map_file(p, resolve)],
+    ids=["space", "map"],
 )
 def test_file_that_is_not_utf8_is_an_encoding_error(tmp_path, read):
     path = tmp_path / "f.txt"
