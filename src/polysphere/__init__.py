@@ -9,14 +9,12 @@ on a floating-point comparison.
 
 from .catalog import (
     CatalogEntry,
-    SectionFixture,
     catalog_entries,
     hexagon_space,
     l1_space,
     l1_sum,
     linf_space,
     linf_sum,
-    remark_section,
     resolve,
 )
 from .errors import (
@@ -33,12 +31,9 @@ from .errors import (
 from .faces import (
     Face,
     Star,
-    face_section,
     facets,
     is_smooth,
-    section_coordinates,
     star,
-    subspace_section,
 )
 from .isometry import (
     ExtensionCertificate,
@@ -60,9 +55,7 @@ from .lp import (
 from .properties import (
     ClReport,
     ConditionThreeRecord,
-    SmoothPointReport,
     TPropertyReport,
-    admits_smooth_points,
     check_cl,
     check_t_property,
     cl_decomposition,
@@ -110,14 +103,11 @@ __all__ = [
     "NotOnSphereError",
     "OPTIMAL",
     "PolyhedralSpace",
-    "SectionFixture",
-    "SmoothPointReport",
     "SphereMap",
     "Star",
     "TPropertyReport",
     "UNBOUNDED",
     "Vector",
-    "admits_smooth_points",
     "as_fraction",
     "catalog_entries",
     "check_cl",
@@ -127,7 +117,6 @@ __all__ = [
     "distance_to_hull",
     "enumerate_ball_vertices",
     "extend",
-    "face_section",
     "facets",
     "functional",
     "hexagon_space",
@@ -137,13 +126,10 @@ __all__ = [
     "l1_sum",
     "linf_space",
     "linf_sum",
-    "remark_section",
     "resolve",
-    "section_coordinates",
     "solve_lp",
     "sphere_points",
     "star",
-    "subspace_section",
     "transported_functionals",
     "vector",
     "verify_isometry",

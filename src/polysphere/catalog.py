@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import EnumerationCapError, GeometryError
-from .faces import Face, face_section, section_coordinates, subspace_section
 from .space import MAX_ENUM_DIM, Functional, PolyhedralSpace, Vector
 
 _ZERO = Fraction(0)
@@ -51,7 +50,13 @@ def linf_space(n: int) -> PolyhedralSpace:
 
 
 def hexagon_space() -> PolyhedralSpace:
-    """The plane with norm max(|y|, |x| + |y|/2); the sphere is a hexagon."""
+    """The plane with norm max(|y|, |x| + |y|/2); the sphere is a hexagon.
+
+    Its vertices (1, 0), (1/2, 1), (-1/2, 1) make it a linear image of the
+    regular hexagon. Conjecture, checked on a grid: among symmetric
+    hexagons only these images have the T-property (see
+    :mod:`polysphere.properties`), and none is CL.
+    """
     half = Fraction(1, 2)
     hrep = [
         Functional((_ZERO, _ONE)),
@@ -94,48 +99,6 @@ def l1_sum(a: PolyhedralSpace, b: PolyhedralSpace, name: str | None = None) -> P
     # from_functionals deduplicates and drops anything redundant.
     return PolyhedralSpace.from_functionals(
         fs, name=name or f"l1sum({a.name or '?'},{b.name or '?'})"
-    )
-
-
-@dataclass(frozen=True)
-class SectionFixture:
-    """The cube section showing a maximal face can shrink to a point.
-
-    In the 3-cube ball, the top facet meets the plane spanned by the two
-    basis vectors in exactly one point, and that point is not a maximal
-    convex subset of the section sphere: the segment joining the two basis
-    vectors lies on the section sphere and properly contains it.
-    """
-
-    ambient: PolyhedralSpace
-    basis: tuple[Vector, Vector]
-    section: PolyhedralSpace
-    face: Face
-    face_points: tuple[Vector, ...]
-    face_points_in_basis: tuple[Vector, ...]
-    sphere_segment_in_basis: tuple[Vector, Vector]
-
-
-def remark_section() -> SectionFixture:
-    """Canonical regression fixture for the cube-section phenomenon."""
-    cube = linf_space(3)
-    basis = (Vector((1, 1, 1)), Vector((1, -1, 0)))
-    section = subspace_section(cube, list(basis), name="cube-section")
-    top = Face(cube, cube.functional_id(Functional((0, 0, 1))))
-    pts = face_section(cube, top, list(basis))
-    coords = tuple(section_coordinates(list(basis), p) for p in pts)
-    segment = (
-        section_coordinates(list(basis), basis[0]),
-        section_coordinates(list(basis), basis[1]),
-    )
-    return SectionFixture(
-        ambient=cube,
-        basis=basis,
-        section=section,
-        face=top,
-        face_points=pts,
-        face_points_in_basis=coords,
-        sphere_segment_in_basis=segment,
     )
 
 

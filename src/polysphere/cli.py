@@ -124,10 +124,12 @@ def _cmd_check_t(args, out) -> int:
         print(f"  x{k} = {c}", file=out)
     # One record per (vertex, facet), vertex major: row j is records[j*m : (j+1)*m].
     print("two-sided distance values (rows: ball vertices, columns: candidates):", file=out)
-    print("vertex".ljust(18) + " ".join(f"x{k}".rjust(6) for k in range(m)), file=out)
+    vw = max(18, *(len(str(v)) + 1 for v in space.vrep))
+    cw = max(6, *(len(str(rec.value)) for rec in report.condition_iii))
+    print("vertex".ljust(vw) + " ".join(f"x{k}".rjust(cw) for k in range(m)), file=out)
     for j, v in enumerate(space.vrep):
         row = report.condition_iii[j * m:(j + 1) * m]
-        print(str(v).ljust(18) + " ".join(str(rec.value).rjust(6) for rec in row), file=out)
+        print(str(v).ljust(vw) + " ".join(str(rec.value).rjust(cw) for rec in row), file=out)
     sample = report.condition_iii[0]
     print(
         f"witness example: vertex {sample.vertex}, candidate x{sample.candidate_index}: "

@@ -284,10 +284,3 @@ def parse_map_text(
 
 def parse_map_file(path, resolver: Callable[[str], PolyhedralSpace]) -> SphereMap:
     return parse_map_text(_read_text(path), resolver)
-
-
-def serialize_map(m: SphereMap, domain_ref: str, codomain_ref: str) -> str:
-    lines = ["version 1", f"domain {domain_ref}", f"codomain {codomain_ref}", "map"]
-    for i, j in enumerate(m.vertex_map):
-        lines.append(f"v{i} -> w{j}")
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Space-level sphere properties: CL, smooth-point admission, T-property.
+"""Space-level sphere properties: CL and the T-property.
 
 A space is CL when for every maximal convex set C of the sphere the ball
 is the convex hull of C and -C. The T-property asks for a family of
@@ -20,13 +20,19 @@ property holds exactly when that table is all twos. Everything here is
 decided exactly: faces are compact polytopes, so the distance minima are
 attained and checked as equalities or rational inequalities, never with
 tolerances.
+
+Which hexagons have the property is open here. Every symmetric hexagon
+is a linear image of one with vertices +-(1, 0), +-(a, b), +-(0, 1).
+Conjecture, checked on a grid: the T-property holds only for linear
+images of the regular hexagon, (a, b) = (1, 1), and no hexagon is CL.
+The grid is a and b in 1/4, 1/2, ..., 3, which gives 66 hexagons.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GeometryError, NotAlmostClError, NotOnSphereError
-from .faces import Face, facets, star
+from .faces import Face, facets
 from .linalg import ONE, ZERO, combination
 from .lp import LpConstraint, LpProblem, solve_lp
 from .space import PolyhedralSpace, Vector
@@ -53,22 +59,6 @@ class ClReport:
 
     def __bool__(self):
         return self.is_cl
-
-
-@dataclass(frozen=True)
-class SmoothWitness:
-    facet_id: int
-    point: Vector
-    active_count: int
-
-
-@dataclass(frozen=True)
-class SmoothPointReport:
-    admits: bool
-    witnesses: tuple[SmoothWitness, ...]
-
-    def __bool__(self):
-        return self.admits
 
 
 @dataclass(frozen=True)
@@ -178,16 +168,6 @@ def check_cl(space: PolyhedralSpace) -> ClReport:
             counterexample = (face.functional_id, failing)
     ok = counterexample is None
     return ClReport(ok, tuple(verdicts), counterexample)
-
-
-def admits_smooth_points(space: PolyhedralSpace) -> SmoothPointReport:
-    """Every facet of a polytope ball has a smooth point: its barycenter."""
-    witnesses = []
-    for fid in range(len(space.hrep)):
-        b = space.facet_barycenter(fid)
-        count = len(space.active_functional_ids(b))
-        witnesses.append(SmoothWitness(fid, b, count))
-    return SmoothPointReport(all(w.active_count == 1 for w in witnesses), tuple(witnesses))
 
 
 def condition_iii_value(

@@ -1,13 +1,11 @@
 """Catalog grammar and the norm laws of the two sums."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from polysphere import (
     EnumerationCapError,
-    Functional,
     GeometryError,
     Vector,
     check_cl,
@@ -20,7 +18,6 @@ from polysphere.catalog import (
     l1_sum,
     linf_space,
     linf_sum,
-    remark_section,
     resolve,
 )
 from polysphere.sampling import random_direction
@@ -78,25 +75,6 @@ def test_sum_norm_laws(a, b):
         z = Vector(x.coords + y.coords)
         assert l1s.norm(z) == sa.norm(x) + sb.norm(y)
         assert linfs.norm(z) == max(sa.norm(x), sb.norm(y))
-
-
-def test_remark_section_face_shrinks_to_a_point_on_a_sphere_segment():
-    """The top facet of the 3-cube meets span{(1, 1, 1), (1, -1, 0)} in one point,
-    and the segment from that point to (1, -1, 0) lies on the section sphere."""
-    fixture = remark_section()
-    top, other = fixture.basis
-    assert (top, other) == (Vector((1, 1, 1)), Vector((1, -1, 0)))
-    assert fixture.face.functional == Functional((0, 0, 1))
-    assert fixture.face_points == (top,)
-    assert fixture.face_points_in_basis == (Vector((1, 0)),)
-    assert fixture.sphere_segment_in_basis == (Vector((1, 0)), Vector((0, 1)))
-    half = Fraction(1, 2)
-    for t in (0, Fraction(1, 4), half, 1):
-        point = top.scale(1 - t) + other.scale(t)
-        assert fixture.ambient.norm(point) == 1
-        assert fixture.section.norm(Vector((1 - t, t))) == 1
-    # The midpoint (1, 0, 1/2) is off the top facet: the segment properly contains the face.
-    assert fixture.face.functional(top.scale(half) + other.scale(half)) == half
 
 
 @pytest.mark.parametrize("entry", catalog_entries(), ids=lambda e: e.name)

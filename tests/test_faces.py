@@ -1,4 +1,4 @@
-"""Facets, stars, smooth points, and subspace sections."""
+"""Facets, stars, and smooth points."""
 
 import random
 from fractions import Fraction
@@ -8,15 +8,10 @@ import pytest
 from polysphere import (
     Face,
     NotOnSphereError,
-    face_section,
     facets,
     functional,
     is_smooth,
-    l1_space,
-    linf_space,
-    section_coordinates,
     star,
-    subspace_section,
     vector,
 )
 from polysphere.sampling import random_facet_point, sphere_points
@@ -157,13 +152,16 @@ class TestSmoothness:
         assert cube3.norm(midpoint) < 1
         assert not st.contains(midpoint)
 
-    def test_smooth_point_star_equals_containing_face(self, small_catalog):
+    def test_smooth_point_star_equals_containing_face(self, small_catalog, cube3, cross2):
         for space in small_catalog:
             for face in facets(space):
                 b = face.barycenter
                 assert is_smooth(space, b)
                 st = star(space, b)
                 assert st.face_ids == (face.functional_id,)
+        # oracle: the vertex averages of the cube's top facet and of an l1:2 edge
+        assert face_by_functional(cube3, (0, 0, 1)).barycenter == vector(0, 0, 1)
+        assert face_by_functional(cross2, (1, 1)).barycenter == vector("1/2", "1/2")
 
 
 class TestSupportingFunctional:
@@ -187,52 +185,3 @@ class TestSupportingFunctional:
                 assert all(abs(f(v)) <= 1 for v in space.vrep)
                 assert all(f(v) == 1 for v in face.vertices)
 
-
-class TestSections:
-    def test_identity_section(self, cube3):
-        basis = [vector(1, 0, 0), vector(0, 1, 0), vector(0, 0, 1)]
-        assert subspace_section(cube3, basis) == cube3
-
-    def test_coordinate_section_of_cross_polytope(self):
-        section = subspace_section(l1_space(3), [vector(1, 0, 0), vector(0, 1, 0)])
-        assert section == l1_space(2)
-
-    def test_dependent_basis_rejected(self, cube3):
-        with pytest.raises(ValueError):
-            subspace_section(cube3, [vector(1, 1, 0), vector(2, 2, 0)])
-
-    def test_section_norm_agrees_with_ambient(self, cube3):
-        basis = [vector(1, 1, 1), vector(1, -1, 0)]
-        section = subspace_section(cube3, basis)
-        rng = random.Random(31)
-        for _ in range(20):
-            a = F(rng.randint(-4, 4), rng.randint(1, 3))
-            b = F(rng.randint(-4, 4), rng.randint(1, 3))
-            ambient = basis[0].scale(a) + basis[1].scale(b)
-            assert section.norm(vector(a, b)) == cube3.norm(ambient)
-
-    def test_cube_diagonal_section_face_is_one_point(self, cube3):
-        top = face_by_functional(cube3, (0, 0, 1))
-        pts = face_section(cube3, top, [vector(1, 1, 1), vector(1, -1, 0)])
-        assert pts == (vector(1, 1, 1),)
-
-    def test_cube_section_missing_facet(self, cube3):
-        top = face_by_functional(cube3, (0, 0, 1))
-        assert face_section(cube3, top, [vector(1, 0, 0), vector(0, 1, 0)]) == ()
-
-    def test_cube_section_segment(self, cube3):
-        top = face_by_functional(cube3, (0, 0, 1))
-        pts = face_section(cube3, top, [vector(1, 0, 0), vector(0, 0, 1)])
-        assert set(pts) == {vector(1, 0, 1), vector(-1, 0, 1)}
-
-    def test_section_point_not_maximal_in_section(self, cube3):
-        """The single section point lies on the section sphere segment joining
-        the basis images, so it is not maximal convex in the section."""
-        basis = [vector(1, 1, 1), vector(1, -1, 0)]
-        section = subspace_section(cube3, basis)
-        a = section_coordinates(basis, basis[0])
-        b = section_coordinates(basis, basis[1])
-        assert section.norm(a) == 1
-        assert section.norm(b) == 1
-        assert section.norm((a + b).scale(F(1, 2))) == 1
-        assert not is_smooth(section, a)

@@ -15,7 +15,6 @@ from polysphere import (
     NotOnSphereError,
     PolyhedralSpace,
     Vector,
-    admits_smooth_points,
     check_cl,
     check_t_property,
     cl_decomposition,
@@ -33,6 +32,13 @@ from polysphere.linalg import combination, rank
 from polysphere.sampling import facet_sample_points, sphere_points
 
 F = Fraction
+
+
+# Point lists of dimension 2 or 3 whose symmetric hull is a random polytope
+# ball, once the test assumes they span the space.
+SYMMETRIC_POLYTOPE_POINTS = st.sampled_from([2, 3]).flatmap(
+    lambda dim: st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=dim, max_size=4)
+)
 
 
 def face_by_functional(space, coeffs):
@@ -111,32 +117,6 @@ class TestCheckCl:
                     polygon_contains(gens, v.coords) for v in space.vrep
                 )
                 assert fv.ok == dense_ok == vertex_ok
-
-
-class TestSmoothPoints:
-    def test_cube_witness(self, cube3):
-        report = admits_smooth_points(cube3)
-        assert report.admits
-        top = cube3.functional_id(functional(0, 0, 1))
-        witness = next(w for w in report.witnesses if w.facet_id == top)
-        assert witness.point == vector(0, 0, 1)
-        assert witness.active_count == 1
-
-    def test_hexagon_witness(self, hexagon):
-        report = admits_smooth_points(hexagon)
-        top = hexagon.functional_id(functional(0, 1))
-        witness = next(w for w in report.witnesses if w.facet_id == top)
-        assert witness.point == vector(0, 1)
-
-    def test_cross_polytope_edge_witness(self, cross2):
-        report = admits_smooth_points(cross2)
-        fid = cross2.functional_id(functional(1, 1))
-        witness = next(w for w in report.witnesses if w.facet_id == fid)
-        assert witness.point == vector("1/2", "1/2")
-
-    def test_always_admits_for_polytopes(self, small_catalog):
-        for space in small_catalog:
-            assert admits_smooth_points(space)
 
 
 class TestConditionThree:
@@ -318,22 +298,39 @@ class TestTProperty:
             neg = (tuple(-x for x in v), tuple(-x for x in c))
             assert table[neg] == value
 
-    def test_cl_plus_smooth_implies_t_at_desk_scale(self, small_catalog):
+    def test_cl_implies_t_on_the_catalog(self, small_catalog):
+        """The paper's implication: almost-CL (CL, for a polytope ball) gives T."""
         for space in small_catalog:
             if space.dim > 3:
                 continue
-            if check_cl(space).is_cl and admits_smooth_points(space).admits:
+            if check_cl(space).is_cl:
                 assert check_t_property(space).holds
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from([2, 3]).flatmap(
-            lambda dim: st.lists(
-                st.tuples(*[st.integers(-3, 3)] * dim), min_size=dim, max_size=4
-            )
-        ),
-        st.randoms(use_true_random=False),
-    )
+    @given(SYMMETRIC_POLYTOPE_POINTS)
+    def test_cl_implies_t_on_random_symmetric_polytopes(self, points):
+        assume(rank(points) == len(points[0]))
+        space = PolyhedralSpace.from_vertices(points, symmetrize=True)
+        if check_cl(space).is_cl:
+            assert check_t_property(space).holds
+
+    def test_hexagon_census_t_only_at_the_affine_regular_hexagon(self):
+        """Every symmetric hexagon is a linear image of one with vertices
+        +-(1, 0), +-(a, b), +-(0, 1). On the 1/4 grid in (0, 3], T holds
+        only at (1, 1), a linear image of the regular hexagon, and no
+        hexagon is CL."""
+        grid = [F(k, 4) for k in range(1, 13)]
+        hexagons = {}
+        for a, b in itertools.product(grid, grid):
+            space = PolyhedralSpace.from_vertices([(1, 0), (a, b), (0, 1)], symmetrize=True)
+            if len(space.vrep) == 6:
+                hexagons[a, b] = space
+        assert len(hexagons) == 66
+        assert [ab for ab, space in hexagons.items() if check_t_property(space).holds] == [(1, 1)]
+        assert not any(check_cl(space).is_cl for space in hexagons.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(SYMMETRIC_POLYTOPE_POINTS, st.randoms(use_true_random=False))
     def test_barycenters_decide_on_random_symmetric_polytopes(self, points, rng):
         """The reduction behind the decision: a relative-interior point of a
         facet has that facet as its star, so any family passing (i) and (ii)
