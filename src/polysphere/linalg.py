@@ -6,14 +6,13 @@ row tuples. Nothing here is meant to scale beyond desk-size systems
 only need integers are answered on integers.
 
 There is one elimination step, on integers. :func:`pivot` is one
-Gauss-Jordan step on integer rows, each over a positive scale of its own;
-the reduced rows behind :func:`solve`, :func:`invert` and
-:func:`null_space_vector`, and the simplex tableau of
-:mod:`polysphere.lp`, run on it, and Fractions are built only for the
-values they return. Rank-type questions (:func:`rank`,
-:func:`affine_rank`, :func:`independent_row_indices`) only need the pivot
-columns, which :func:`_pivot_columns` finds by Bareiss's fraction-free
-elimination on rows scaled to integers by :func:`integer_rows`.
+fraction-free Gauss-Jordan step on integer rows that share one positive
+scale d; a row's rational value is the row over d. :func:`_echelon` runs
+it on rows scaled to integers by :func:`integer_rows`, and :func:`rank`,
+:func:`affine_rank`, :func:`independent_row_indices`, :func:`solve`,
+:func:`invert` and :func:`null_space_vector` read their answers from the
+reduced rows; the simplex tableau of :mod:`polysphere.lp` runs on the same
+step. Fractions are built only for the values returned.
 :func:`value_table` evaluates many rows at many points on the same
 integers.
 """
@@ -92,95 +91,64 @@ def value_table(
         yield tuple(Fraction(sum(map(mul, r, p)), se) for r in ints)
 
 
-def pivot(rows: list[list[int]], r: int, c: int) -> None:
-    """One Gauss-Jordan step on integer rows, in place.
+def pivot(rows: list[Sequence[int]], r: int, c: int, d: int) -> int:
+    """One fraction-free Gauss-Jordan step on integer rows, in place.
 
-    Each row stands for itself divided by a positive scale of its own, so
-    signs, zero patterns and ratios of entries within a row are those of
-    the rational row. The step makes row r's entry in column c positive
-    and clears column c from every other row: with a = rows[r][c] and
-    b = row[c], ``row <- (a * row - b * rows[r]) / gcd(a, b)``, then the
-    row is divided by the gcd of its entries. Afterwards row r stands for
-    itself divided by its entry in column c, which is the unit column of
-    the rational step (Edmonds' integer pivoting, 1967).
+    Every row stands for itself divided by the common positive scale d. The
+    step negates row r if its entry in column c is negative and clears
+    column c from every other row: with a = rows[r][c],
+    ``row <- (a * row - row[c] * rows[r]) // d``. It returns a, the new
+    common scale, over which row r has the rational step's unit column.
+    Started from d = 1, every entry stays a minor of the input, so each
+    division is exact (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", 1968, here applied above and
+    below the pivot).
     """
     pr = rows[r]
     if pr[c] < 0:
         rows[r] = pr = [-x for x in pr]
     a = pr[c]
     for i, row in enumerate(rows):
-        b = row[c]
-        if i != r and b:
-            g = math.gcd(a, b)
-            ag, bg = a // g, b // g
-            new = [ag * x - bg * y for x, y in zip(row, pr)]
-            g = math.gcd(*new)
-            rows[i] = [x // g for x in new] if g > 1 else new
+        if i != r:
+            b = row[c]
+            if b:
+                rows[i] = [(a * x - b * y) // d for x, y in zip(row, pr)]
+            elif a != d:
+                rows[i] = [a * x // d for x in row]
+    return a
 
 
-def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Sequence[int]], list[int], int]:
     """Reduced row echelon form on integers.
 
-    Returns the nonzero rows and their pivot columns. Reduced row k stands
-    for itself divided by its entry in column ``pivots[k]``, which is
-    positive; that quotient is the rational reduced row.
-    """
-    work = [list(r) for r in integer_rows(rows)[0]]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        pivot(work, r, c)
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
-
-
-def _pivot_columns(rows: Iterable[Sequence[Fraction]]) -> list[int]:
-    """The pivot columns of the rows' echelon form, by integer elimination.
-
-    The rows are scaled to integers first, which changes no pivot column.
-    Elimination is Bareiss's fraction-free step ("Sylvester's identity and
-    multistep integer-preserving Gaussian elimination", 1968): below the
-    pivot a of row ``top``, ``row <- (a * row - row[c] * top) // prev`` with
-    ``prev`` the previous pivot. Every entry stays a minor of the input,
-    so the division is exact and the integers stay small.
+    Returns the nonzero rows, their pivot columns and their common scale d:
+    each row divided by d is the rational reduced row, so it holds d in its
+    own pivot column and 0 in the others.
     """
     work, _ = integer_rows(rows)
-    if not work:
-        return []
     pivots: list[int] = []
-    prev = 1
+    d = 1
     r = 0
-    for c in range(len(work[0])):
+    for c in range(len(work[0]) if work else 0):
         pr = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
-        top = work[r]
-        a = top[c]
-        for i in range(r + 1, len(work)):
-            row = work[i]
-            b = row[c]
-            work[i] = [(a * x - b * y) // prev for x, y in zip(row, top)]
-        prev = a
+        d = pivot(work, r, c, d)
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return pivots
+    return work[:r], pivots, d
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    return len(_pivot_columns(rows))
+    """Row rank equals column rank, so the rows are eliminated as given or
+    transposed, whichever has fewer rows: each step reduces every other row."""
+    rows = list(rows)
+    if rows and len(rows) > len(rows[0]):
+        rows = transpose(rows)
+    return len(_echelon(rows)[1])
 
 
 def null_space_vector(rows: Iterable[Sequence[Fraction]], ncols: int) -> Row | None:
@@ -190,7 +158,7 @@ def null_space_vector(rows: Iterable[Sequence[Fraction]], ncols: int) -> Row | N
         if ncols == 0:
             return None
         return (ONE,) + (ZERO,) * (ncols - 1)
-    red, pivots = _echelon(rows)
+    red, pivots, d = _echelon(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     if not free:
@@ -199,7 +167,7 @@ def null_space_vector(rows: Iterable[Sequence[Fraction]], ncols: int) -> Row | N
     x = [ZERO] * ncols
     x[f0] = ONE
     for row, pc in zip(red, pivots):
-        x[pc] = Fraction(-row[f0], row[pc])
+        x[pc] = Fraction(-row[f0], d)
     return tuple(x)
 
 
@@ -214,12 +182,12 @@ def solve(a_rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Row 
         return ()
     ncols = len(a_rows[0])
     aug = [list(r) + [b] for r, b in zip(a_rows, rhs)]
-    red, pivots = _echelon(aug)
+    red, pivots, d = _echelon(aug)
     x = [ZERO] * ncols
     for row, pc in zip(red, pivots):
         if pc == ncols:
             return None
-        x[pc] = Fraction(row[-1], row[pc])
+        x[pc] = Fraction(row[-1], d)
     return tuple(x)
 
 
@@ -230,10 +198,10 @@ def invert(m: Matrix) -> Matrix | None:
         raise ValueError("matrix is not square")
     eye = identity(n)
     aug = [list(row) + list(erow) for row, erow in zip(m, eye)]
-    red, pivots = _echelon(aug)
+    red, pivots, d = _echelon(aug)
     if pivots[:n] != list(range(n)):
         return None
-    return tuple(tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(red))
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in red)
 
 
 def independent_row_indices(rows: Sequence[Sequence[Fraction]], limit: int | None = None) -> list[int]:
@@ -242,7 +210,7 @@ def independent_row_indices(rows: Sequence[Sequence[Fraction]], limit: int | Non
     A row is independent of the rows before it exactly when its column is a
     pivot column of the transposed matrix, so one elimination decides all.
     """
-    return _pivot_columns(transpose(tuple(tuple(r) for r in rows)))[:limit]
+    return _echelon(transpose(tuple(tuple(r) for r in rows)))[1][:limit]
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from polysphere.linalg import (
     ONE,
     ZERO,
-    _pivot_columns,
+    _echelon,
     affine_rank,
     dot,
     identity,
@@ -148,7 +148,10 @@ def shapes(draw):
 @settings(max_examples=150, deadline=None)
 @given(shapes())
 def test_rank_and_pivot_columns_match_the_fraction_echelon(rows):
-    assert _pivot_columns(rows) == reference_pivot_columns(rows)
+    red, pivots, d = _echelon(rows)
+    ref, ref_pivots = reference_echelon(rows)
+    assert pivots == ref_pivots
+    assert d > 0 and [[F(x, d) for x in row] for row in red] == ref
     assert rank(rows) == reference_rank(rows)
 
 
@@ -184,8 +187,9 @@ def test_integer_rows_scale_every_row_by_the_common_denominator(rows):
 
 def test_bareiss_handles_negative_pivots_and_row_swaps():
     rows = [(F(0), F(0), F(3)), (F(-2), F(4), F(1)), (F(1), F(-2), F(5, 7)), (F(-3), F(1), F(0))]
-    assert _pivot_columns(rows) == reference_pivot_columns(rows) == [0, 1, 2]
-    assert _pivot_columns(rows[1:3]) == [0, 2]
+    assert _echelon(rows)[1] == reference_pivot_columns(rows) == [0, 1, 2]
+    assert rank(rows) == 3
+    assert _echelon(rows[1:3])[1] == [0, 2] and rank(rows[1:3]) == 2
     assert rank([]) == 0 and independent_row_indices([]) == []
 
 
@@ -231,8 +235,8 @@ def test_independent_rows_skip_zero_and_dependent_rows():
 
 
 def test_pivot_leaves_a_unit_column():
-    """The integer step clears column c outside row r and leaves a positive
-    entry in row r, so each row over its own entry in column c is the unit
+    """The integer step clears column c outside row r and leaves the
+    returned positive scale d in row r, so column c over d is the unit
     column of the Fraction step, and the row space is kept."""
     rng = random.Random(5)
     for _ in range(300):
@@ -242,30 +246,30 @@ def test_pivot_leaves_a_unit_column():
             continue
         r, c = rng.choice(cells)
         work = [list(row) for row in integer_rows(rows)[0]]
-        pivot(work, r, c)
+        d = pivot(work, r, c, 1)
         assert all(type(x) is int for row in work for x in row)
-        assert [F(row[c], work[r][c]) for row in work] == [F(int(i == r)) for i in range(len(rows))]
+        assert d > 0 and [row[c] for row in work] == [d * int(i == r) for i in range(len(rows))]
         # Row operations keep the row space.
         assert rank(work) == rank(rows) == rank(rows + [tuple(x) for x in work])
 
 
 def test_pivot_matches_the_fraction_step_row_by_row():
-    """After the same pivots, each integer row is a positive multiple of the
-    Fraction row."""
+    """After the same pivots from the same integer rows, each integer row is
+    the returned scale d > 0 times the Fraction row."""
     rng = random.Random(7)
     for _ in range(300):
         rows, ncols = random_matrix(rng)
-        work, ref = [list(row) for row in integer_rows(rows)[0]], [list(row) for row in rows]
+        work = [list(row) for row in integer_rows(rows)[0]]
+        ref = [[F(x) for x in row] for row in work]
+        d = 1
         for _ in range(3):
             cells = [(r, c) for r in range(len(ref)) for c in range(ncols) if ref[r][c] != 0]
             if not cells:
                 break
             r, c = rng.choice(cells)
-            pivot(work, r, c)
+            d = pivot(work, r, c, d)
             reference_pivot(ref, r, c)
-        for got, want in zip(work, ref):
-            k = next((F(x) / y for x, y in zip(got, want) if y), None)
-            assert k is None or (k > 0 and [F(x) for x in got] == [k * y for y in want])
+        assert d > 0 and [[F(x) for x in row] for row in work] == [[d * y for y in row] for row in ref]
 
 
 def square_matrices(rng, n):

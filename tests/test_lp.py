@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysphere import faces, linf_space, lp, properties, resolve
+from polysphere import faces, linalg, linf_space, lp, properties, resolve
 from polysphere.errors import NotAlmostClError
 from polysphere.lp import (
     INFEASIBLE,
@@ -18,6 +18,7 @@ from polysphere.lp import (
     LpSolution,
     solve_lp,
 )
+from test_linalg import matrices
 
 F = Fraction
 
@@ -223,7 +224,7 @@ class TestAgainstScipy:
             sol = solve_lp(p)
             assert sol.status == OPTIMAL
             for con in p.constraints:
-                assert con.holds_at(sol.point)
+                assert linalg.dot(con.coeffs, sol.point) <= con.bound
 
 
 # The reference: the two-phase simplex on a tableau of Fractions, with the
@@ -394,9 +395,9 @@ def test_integer_simplex_matches_the_fraction_tableau(problem):
     pivots = []
     step = lp.pivot
 
-    def recording_pivot(rows, r, c):
+    def recording_pivot(rows, r, c, d):
         pivots.append((r, c))
-        step(rows, r, c)
+        return step(rows, r, c, d)
 
     REFERENCE_PIVOTS.clear()
     lp.pivot = recording_pivot
@@ -406,6 +407,50 @@ def test_integer_simplex_matches_the_fraction_tableau(problem):
         lp.pivot = step
     assert repr(got) == repr(reference_solve_lp(problem))
     assert pivots == REFERENCE_PIVOTS
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), lp_problems())
+def test_every_division_of_the_pivot_is_exact(rows, problem):
+    """The fraction-free step divides ``a * x - b * y`` by the common scale
+    d with no remainder: in echelon forms of matrices with negative pivots,
+    row swaps, zero rows and entries up to 10^9, and along the simplex."""
+    step = linalg.pivot
+
+    def checked_pivot(work, r, c, d):
+        sign = 1 if work[r][c] > 0 else -1
+        a, pr = sign * work[r][c], [sign * y for y in work[r]]
+        for i, row in enumerate(work):
+            if i != r:
+                assert all((a * x - row[c] * y) % d == 0 for x, y in zip(row, pr))
+        return step(work, r, c, d)
+
+    linalg.pivot = lp.pivot = checked_pivot
+    try:
+        linalg._echelon(rows)
+        solve_lp(problem)
+    finally:
+        linalg.pivot = lp.pivot = step
+
+
+@pytest.mark.parametrize(
+    "shift, message",
+    [(1, "simplex produced an infeasible point"), (-2, "simplex violated a sign constraint")],
+)
+def test_a_corrupted_pivot_is_caught_by_the_exact_recheck(monkeypatch, shift, message):
+    """The re-check on integers rejects a point the tableau got wrong: the
+    pivot moves x's basic value from 1 to 1 + shift, which breaks x <= 1
+    or x >= 0."""
+    step = lp.pivot
+
+    def corrupted_pivot(rows, r, c, d):
+        d = step(rows, r, c, d)
+        rows[r][-1] += shift * d
+        return d
+
+    monkeypatch.setattr(lp, "pivot", corrupted_pivot)
+    with pytest.raises(RuntimeError, match=message):
+        solve_lp(_problem([1], [([1], "<=", 1)], 1, nonneg=(True,)))
 
 
 @pytest.mark.parametrize("name", ["hex", "l1:3", "l1sum(hex,l1:1)"])
