@@ -256,7 +256,7 @@ def build_parser() -> _Parser:
 
     p = add("extend", _cmd_extend, help="build and certify the linear extension of a sphere map")
     p.add_argument("map")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed for the rational sampler")
 
     p = add("sum", _cmd_sum, help="direct sum of two spaces")
     p.add_argument("kind", choices=["l1", "linf"])

@@ -216,7 +216,14 @@ def _parse_point_side(side: str, ln: int, col: int) -> tuple[str, object, int]:
 def parse_map_text(
     text: str, resolver: Callable[[str], PolyhedralSpace]
 ) -> SphereMap:
-    header: dict[str, str] = {}
+    """A sphere map; ``resolver`` turns a domain or codomain value into a space.
+
+    A :class:`ParseError` of the resolver, from a space file the map names,
+    is raised again at that value, its message naming the reference and
+    the position inside the space file.
+    """
+    # A header key maps to its value and the line and column of that value.
+    header: dict[str, tuple[str, int, int]] = {}
     pairs: list[tuple[int, tuple, tuple]] = []
     in_map = False
     for ln, line in _iter_rows(text):
@@ -228,10 +235,11 @@ def parse_map_text(
             key, _, value = body.partition(" ")
             if key not in ("version", "domain", "codomain") or not value.strip():
                 raise ParseError("header", ln, 1, f"unexpected header line {body!r}")
+            indent = len(line) - len(line.lstrip())
             if key in header:
-                col = len(line) - len(line.lstrip()) + 1
-                raise ParseError("header", ln, col, f"repeated header key {key!r}")
-            header[key] = value.strip()
+                raise ParseError("header", ln, indent + 1, f"repeated header key {key!r}")
+            value = value.strip()
+            header[key] = (value, ln, line.index(value, indent + len(key)) + 1)
             continue
         lhs, arrow, rhs = line.partition("->")
         if not arrow:
@@ -240,13 +248,22 @@ def parse_map_text(
             (ln, _parse_point_side(lhs, ln, 1), _parse_point_side(rhs, ln, len(lhs) + 3))
         )
 
-    if header.get("version") != "1":
-        raise ParseError("header", 1, 1, "missing or unsupported 'version' (expected 1)")
+    version, ln, col = header.get("version", (None, 1, 1))
+    if version != "1":
+        raise ParseError("header", ln, col, "missing or unsupported 'version' (expected 1)")
     for key in ("domain", "codomain"):
         if key not in header:
             raise ParseError("header", 1, 1, f"missing '{key}'")
-    domain = resolver(header["domain"])
-    codomain = resolver(header["codomain"])
+
+    def resolve(key: str) -> PolyhedralSpace:
+        ref, ln, col = header[key]
+        try:
+            return resolver(ref)
+        except ParseError as err:
+            raise ParseError(err.kind, ln, col, f"{key} {ref!r}: {err}") from None
+
+    domain = resolve("domain")
+    codomain = resolve("codomain")
 
     def vertex_index(space: PolyhedralSpace, side, ln: int) -> int:
         tag, value, col = side

@@ -144,9 +144,7 @@ def _barycentric_weights(points: list[Vector], x: Vector) -> tuple[Fraction, ...
         for i in range(x.dim)
     ]
     cons.append(LpConstraint((ONE,) * k, "==", ONE))
-    sol = solve_lp(
-        LpProblem(num_vars=k, objective=(ZERO,) * k, constraints=tuple(cons), nonneg=(True,) * k)
-    )
+    sol = solve_lp(LpProblem((ZERO,) * k, tuple(cons)))
     if sol.status != "optimal":
         raise GeometryError("point is not in the facet it claims to be on")
     return sol.point

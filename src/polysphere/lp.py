@@ -1,5 +1,9 @@
 """Exact linear programming with a two-phase simplex method.
 
+One problem shape: maximise over nonnegative variables, rows ``<=`` or
+``==``. The hull, distance, barycentric and gauge LPs of the package all
+have it, so a structural column of the tableau is the variable itself.
+
 The solver is deliberately small: one dense tableau and Bland's pivoting
 rule, which cannot cycle, so termination needs no perturbation tricks.
 The tableau's rows are the constraints, with the right-hand side in the
@@ -14,16 +18,12 @@ column, which neither rescaling changes, so the pivots are those of the
 same tableau on Fractions. Basic values are read as row[-1] / d only at
 the end. It targets the desk-scale systems that arise in unit-ball
 geometry (tens of variables), not production LP workloads.
-
-Variables are free by default; per-variable nonnegativity can be declared
-so the geometric programs (barycentric weights, gauge values) do not pay
-for the free-variable split.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import eq, ge, le, mul
+from operator import eq, le, mul
 
 from .linalg import dot, integer_rows, pivot
 
@@ -31,7 +31,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-_RELATIONS = {"<=": le, ">=": ge, "==": eq}
+_RELATIONS = {"<=": le, "==": eq}
 
 
 @dataclass(frozen=True)
@@ -47,23 +47,24 @@ class LpConstraint:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Maximisation problem over free or nonnegative rational variables."""
+    """Maximise ``objective`` over nonnegative variables, rows ``<=`` or ``==``.
 
-    num_vars: int
+    There is one variable per objective coefficient.
+    """
+
     objective: tuple[Fraction, ...]
     constraints: tuple[LpConstraint, ...]
-    nonneg: tuple[bool, ...] | None = None
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
 
     def __post_init__(self):
-        if self.num_vars < 1:
+        if not self.objective:
             raise ValueError("need at least one variable")
-        if len(self.objective) != self.num_vars:
-            raise ValueError("objective length does not match variable count")
         for con in self.constraints:
             if len(con.coeffs) != self.num_vars:
                 raise ValueError("constraint length does not match variable count")
-        if self.nonneg is not None and len(self.nonneg) != self.num_vars:
-            raise ValueError("nonneg flags do not match variable count")
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,6 @@ class LpSolution:
     status: str
     point: tuple[Fraction, ...] | None
     value: Fraction | None
-
-
-def equal(coeffs, bound) -> LpConstraint:
-    return LpConstraint(tuple(Fraction(c) for c in coeffs), "==", Fraction(bound))
 
 
 def _run_simplex(tab: list[list[int]], basis: list[int], d: int) -> tuple[str, int]:
@@ -115,42 +112,16 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     constraint exactly, which is re-checked on integers before returning.
     """
     n = problem.num_vars
-    nonneg = problem.nonneg or (False,) * n
-
-    # Structural columns: one per nonnegative variable, a split pair otherwise.
-    col_of: list[tuple[int, int | None]] = []
-    ncols = 0
-    for j in range(n):
-        if nonneg[j]:
-            col_of.append((ncols, None))
-            ncols += 1
-        else:
-            col_of.append((ncols, ncols + 1))
-            ncols += 2
-
-    def expand(coeffs) -> list:
-        row = [0] * ncols
-        for j, c in enumerate(coeffs):
-            pos, neg = col_of[j]
-            row[pos] = c
-            if neg is not None:
-                row[neg] = -c
-        return row
 
     # Each constraint, scaled to integers once by the lcm s of its
     # denominators, as "<=" (with a slack) or "==" (without one).
-    ints = []
     body = []
     for con in problem.constraints:
         (row,), s = integer_rows([(*con.coeffs, con.bound)])
-        ints.append((row[:-1], row[-1]))
-        r, b = expand(row[:-1]), row[-1]
-        if con.relation == ">=":
-            r, b = [-x for x in r], -b
-        body.append((r, con.relation != "==", b, s))
+        body.append((row[:-1], con.relation == "<=", row[-1], s))
 
     n_slack = sum(1 for _, has_slack, _, _ in body if has_slack)
-    total = ncols + n_slack
+    total = n + n_slack
     # A row starts on its slack when its right-hand side is nonnegative,
     # and on an artificial column otherwise; either column holds 1, and the
     # common scale starts at d = 1.
@@ -160,9 +131,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     tab: list[list[int]] = []
     basis: list[int] = []
-    slack, art = ncols, total
+    slack, art = n, total
     for r, has_slack, b, _ in body:
-        row = r + [0] * (width - ncols) + [b]
+        row = list(r) + [0] * (width - n) + [b]
         if has_slack:
             row[slack] = 1
             slack += 1
@@ -206,11 +177,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     # Phase two with the real objective, z = -L*d*c + sum of L*cb * (basic
     # row), with L the lcm of the cost denominators.
-    (obj,), _ = integer_rows([problem.objective])
-    c = expand(obj)
-    z = [-d * x for x in c] + [0] * (total - ncols + 1)
+    (c,), _ = integer_rows([problem.objective])
+    z = [-d * x for x in c] + [0] * (total - n + 1)
     for row, b in zip(tab, basis):
-        if b < ncols and c[b]:
+        if b < n and c[b]:
             z = [x + c[b] * y for x, y in zip(z, row)]
     tab.append(z)
     status, d = _run_simplex(tab, basis, d)
@@ -222,12 +192,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     vals = [0] * total
     for row, b in zip(tab, basis):
         vals[b] = row[-1]
-    nums = [vals[pos] - (vals[neg] if neg is not None else 0) for pos, neg in col_of]
-    for con, (coeffs, bound) in zip(problem.constraints, ints):
+    nums = vals[:n]
+    for con, (coeffs, _, bound, _) in zip(problem.constraints, body):
         lhs, rhs = sum(map(mul, coeffs, nums)), bound * d
         if not _RELATIONS[con.relation](lhs, rhs):
             raise RuntimeError("simplex produced an infeasible point; this is a bug")
-    if any(nn and x < 0 for nn, x in zip(nonneg, nums)):
+    if any(x < 0 for x in nums):
         raise RuntimeError("simplex violated a sign constraint; this is a bug")
 
     point = tuple(Fraction(x, d) for x in nums)

@@ -100,9 +100,7 @@ def in_convex_hull(x: Vector, points: list[Vector]) -> tuple[Fraction, ...] | No
         for i in range(x.dim)
     ]
     cons.append(LpConstraint((ONE,) * k, "==", ONE))
-    sol = solve_lp(
-        LpProblem(num_vars=k, objective=(ZERO,) * k, constraints=tuple(cons), nonneg=(True,) * k)
-    )
+    sol = solve_lp(LpProblem((ZERO,) * k, tuple(cons)))
     if sol.status != "optimal":
         return None
     return sol.point
@@ -134,16 +132,13 @@ def _distance_lp(space: PolyhedralSpace, x: Vector, points: list[Vector]) -> tup
     by every facet functional.
     """
     k = len(points)
-    nvars = k + 1
     cons = []
     for f in space.hrep:
         row = tuple(-f(p) for p in points) + (-ONE,)
         cons.append(LpConstraint(row, "<=", -f(x)))
     cons.append(LpConstraint((ONE,) * k + (ZERO,), "==", ONE))
     objective = (ZERO,) * k + (-ONE,)
-    sol = solve_lp(
-        LpProblem(num_vars=nvars, objective=objective, constraints=tuple(cons), nonneg=(True,) * nvars)
-    )
+    sol = solve_lp(LpProblem(objective, tuple(cons)))
     if sol.status != "optimal":
         raise GeometryError("distance LP failed unexpectedly")
     return sol.point[k], Vector(combination(sol.point[:k], [p.coords for p in points]))
@@ -220,18 +215,16 @@ def check_t_property(space: PolyhedralSpace) -> TPropertyReport:
     candidates = tuple(space.facet_barycenter(fid) for fid in range(len(space.hrep)))
     records = []
     violation = None
-    memo: dict[tuple[tuple[Fraction, ...], int], tuple[Fraction, Vector]] = {}
-
-    def dist(point: Vector, fid: int) -> tuple[Fraction, Vector]:
-        key = (point.coords, fid)
-        if key not in memo:
-            memo[key] = _distance_to_face(space, point, fid)
-        return memo[key]
-
-    for v in space.vrep:
-        for fid in range(len(space.hrep)):
-            d_plus, w_plus = dist(v, fid)
-            d_minus, w_neg = dist(-v, fid)
+    # table[j][fid] is d(v_j, F_fid) with its witness; d(-v_j, F) is read
+    # from the row of the vertex -v_j.
+    table = [
+        [_distance_to_face(space, v, fid) for fid in range(len(space.hrep))]
+        for v in space.vrep
+    ]
+    for j, v in enumerate(space.vrep):
+        opposite = table[space.neg_vertex_id(j)]
+        for fid, (d_plus, w_plus) in enumerate(table[j]):
+            d_minus, w_neg = opposite[fid]
             rec = ConditionThreeRecord(v, fid, d_plus + d_minus, w_plus, -w_neg)
             if rec.value < 2:
                 raise GeometryError("two-sided distance fell below two; this is a bug")

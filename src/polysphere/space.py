@@ -46,7 +46,7 @@ from .errors import (
     GeometryError,
 )
 from .linalg import ONE
-from .lp import LpProblem, equal, solve_lp
+from .lp import LpConstraint, LpProblem, solve_lp
 
 MAX_ENUM_DIM = 6
 MAX_FACETS = 200
@@ -445,16 +445,11 @@ class PolyhedralSpace:
         if x.dim != self.dim:
             raise DimensionMismatchError(f"point has dim {x.dim}, space has {self.dim}")
         k = len(self.vrep)
-        cons = [
-            equal([v.coords[i] for v in self.vrep], x.coords[i]) for i in range(self.dim)
-        ]
-        problem = LpProblem(
-            num_vars=k,
-            objective=tuple(-ONE for _ in range(k)),
-            constraints=tuple(cons),
-            nonneg=(True,) * k,
+        cons = tuple(
+            LpConstraint(tuple(v.coords[i] for v in self.vrep), "==", x.coords[i])
+            for i in range(self.dim)
         )
-        sol = solve_lp(problem)
+        sol = solve_lp(LpProblem((-ONE,) * k, cons))
         if sol.status != "optimal":
             raise GeometryError("gauge LP failed; vertex set cannot be polar to the facets")
         return -sol.value

@@ -146,6 +146,26 @@ def test_file_that_is_not_utf8_is_a_parse_error(tmp_path):
     assert err == "parse error: line 2, col 9: byte 0xff is not valid UTF-8\n"
 
 
+@pytest.mark.parametrize(
+    "header, where",
+    [
+        ("domain {}\ncodomain hex", "line 2, col 8: domain"),
+        ("domain hex\n  codomain   {}  # c", "line 3, col 14: codomain"),
+    ],
+    ids=["domain", "codomain"],
+)
+def test_bad_space_file_named_by_a_map_is_reported_at_its_reference(tmp_path, header, where):
+    """The error is placed at the map's domain or codomain value, and names
+    the space file and the position inside it."""
+    space = tmp_path / "bad.space"
+    space.write_text("version 1\ndim 2\nkind V\n1 0.5\n-1 -1/2\n0 1\n0 -1\n", encoding="utf-8")
+    path = tmp_path / "nested.map"
+    path.write_text(f"version 1\n{header.format(space)}\nmap\nv0 -> w0\n", encoding="utf-8")
+    code, out, err = run_cli(["verify-iso", str(path)])
+    assert (code, out) == (64, b"")
+    assert err == f"parse error: {where} '{space}': line 4, col 3: decimal tokens are not accepted\n"
+
+
 def test_sum_file_reads_back_under_a_name_with_spaces(tmp_path):
     path = tmp_path / "s.space"
     code, out, err = run_cli(["sum", "l1", "hex", "l1:1", "--name", "my space", "--out", str(path)])

@@ -85,6 +85,8 @@ MAP_ERRORS = [
      "header", 4, 4, "repeated header key 'codomain'"),
     ("version 1\nversion 1\ndomain hex\ncodomain hex\nmap\n",
      "header", 2, 1, "repeated header key 'version'"),
+    # A bad header value is reported at its token.
+    ("version 2\ndomain hex\ncodomain hex\nmap\n", "header", 1, 9, "missing or unsupported 'version'"),
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from polysphere import faces, linalg, linf_space, lp, properties, resolve
 from polysphere.errors import NotAlmostClError
+from polysphere.isometry import SphereMap
 from polysphere.lp import (
     INFEASIBLE,
     OPTIMAL,
@@ -18,39 +19,28 @@ from polysphere.lp import (
     LpSolution,
     solve_lp,
 )
+from polysphere.sampling import facet_sample_points, sphere_points
 from test_linalg import matrices
 
 F = Fraction
 
 
-def _problem(objective, rows, num_vars, nonneg=None):
+def _problem(objective, rows):
     cons = tuple(LpConstraint(tuple(F(c) for c in coeffs), rel, F(b)) for coeffs, rel, b in rows)
-    return LpProblem(
-        num_vars=num_vars,
-        objective=tuple(F(c) for c in objective),
-        constraints=cons,
-        nonneg=nonneg,
-    )
+    return LpProblem(tuple(F(c) for c in objective), cons)
 
 
 class TestBasics:
     def test_single_variable_box(self):
         """maximize x subject to x <= 1, -x <= 1."""
-        sol = solve_lp(_problem([1], [([1], "<=", 1), ([-1], "<=", 1)], 1))
+        sol = solve_lp(_problem([1], [([1], "<=", 1), ([-1], "<=", 1)]))
         assert sol.status == OPTIMAL
         assert sol.value == 1
         assert sol.point == (F(1),)
 
     def test_segment_barycentric(self):
         """maximize x+y over the segment conv{(1,0),(0,1)} written barycentrically."""
-        sol = solve_lp(
-            _problem(
-                [1, 1],
-                [([1, 1], "==", 1)],
-                2,
-                nonneg=(True, True),
-            )
-        )
+        sol = solve_lp(_problem([1, 1], [([1, 1], "==", 1)]))
         assert sol.status == OPTIMAL
         assert sol.value == 1
 
@@ -65,33 +55,30 @@ class TestBasics:
             for i in range(3)
         ]
         cons.append(LpConstraint((F(1),) * k, "==", F(1)))
-        sol = solve_lp(
-            LpProblem(num_vars=k, objective=(F(0),) * k, constraints=tuple(cons), nonneg=(True,) * k)
-        )
+        sol = solve_lp(LpProblem((F(0),) * k, tuple(cons)))
         assert sol.status == OPTIMAL
 
     def test_infeasible_status(self):
-        sol = solve_lp(_problem([1], [([1], "<=", 0), ([1], ">=", 1)], 1))
+        sol = solve_lp(_problem([1], [([1], "<=", 0), ([-1], "<=", -1)]))
         assert sol.status == INFEASIBLE
         assert sol.point is None
 
     def test_unbounded_status(self):
-        sol = solve_lp(_problem([1], [([1], ">=", 0)], 1))
+        sol = solve_lp(_problem([1], [([-1], "<=", 0)]))
         assert sol.status == UNBOUNDED
 
     def test_negative_rhs_equality(self):
-        sol = solve_lp(_problem([0, 0], [([1, 1], "==", -3), ([1, -1], "==", 1)], 2))
+        """-x - y = -3 and y - x = 1 meet at (1, 2)."""
+        sol = solve_lp(_problem([0, 0], [([-1, -1], "==", -3), ([-1, 1], "==", 1)]))
         assert sol.status == OPTIMAL
-        assert sol.point == (F(-1), F(-2))
+        assert sol.point == (F(1), F(2))
 
     def test_exact_fractional_solution(self):
-        sol = solve_lp(
-            _problem([1], [([F(3)], "<=", F(1, 7))], 1, nonneg=(True,))
-        )
+        sol = solve_lp(_problem([1], [([F(3)], "<=", F(1, 7))]))
         assert sol.value == F(1, 21)
 
-    def test_nonneg_flag_respected(self):
-        sol = solve_lp(_problem([-1], [([1], "<=", 5)], 1, nonneg=(True,)))
+    def test_variables_are_nonnegative(self):
+        sol = solve_lp(_problem([-1], [([1], "<=", 5)]))
         assert sol.status == OPTIMAL
         assert sol.point == (F(0),)
 
@@ -107,8 +94,6 @@ class TestPivoting:
                     ([F(1, 2), -90, F(-1, 50), 3], "<=", 0),
                     ([0, 0, 1, 0], "<=", 1),
                 ],
-                4,
-                nonneg=(True,) * 4,
             )
         )
         assert sol.status == OPTIMAL
@@ -119,7 +104,6 @@ class TestPivoting:
             _problem(
                 [1, 0],
                 [([1, 1], "==", 2), ([2, 2], "==", 4), ([1, 0], "<=", 1)],
-                2,
             )
         )
         assert sol.status == OPTIMAL
@@ -156,59 +140,73 @@ class TestAgainstScipy:
             b_ub.extend([10, 10])
         objective = [rng.randint(-5, 5) for _ in range(n)]
 
-        sol = solve_lp(_problem(objective, rows, n))
+        sol = solve_lp(_problem(objective, rows))
         assert sol.status == OPTIMAL
 
         ref = scipy_opt.linprog(
             [-c for c in objective],
             A_ub=a_ub,
             b_ub=b_ub,
-            bounds=[(None, None)] * n,
+            bounds=[(0, None)] * n,
             method="highs",
         )
         assert ref.status == 0
         assert abs(float(sol.value) - (-ref.fun)) < 1e-7
 
     def test_mixed_relations_and_signs(self):
-        """Random LPs over "<=", ">=" and "==" rows with right-hand sides of
-        either sign and a mix of free and nonnegative variables: the status
-        (optimal, infeasible or unbounded) and the optimal value agree."""
+        """Random LPs over "<=" and "==" rows with right-hand sides of either
+        sign: the status (optimal, infeasible or unbounded) and the optimal
+        value agree. A third of the rows are drawn as greater-or-equal rows
+        and negated into "<=" rows."""
         scipy_opt = pytest.importorskip("scipy.optimize")
         scipy_status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
         seen = set()
         for seed in range(200):
             rng = random.Random(seed)
             n = rng.randint(1, 4)
-            rows = [
-                ([rng.randint(-4, 4) for _ in range(n)], rng.choice(["<=", ">=", "=="]), rng.randint(-6, 6))
-                for _ in range(rng.randint(1, 6))
-            ]
-            nonneg = tuple(rng.random() < 0.5 for _ in range(n))
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                coeffs = [rng.randint(-4, 4) for _ in range(n)]
+                kind, b = rng.choice(["le", "ge", "eq"]), rng.randint(-6, 6)
+                if kind == "ge":
+                    coeffs, b = [-c for c in coeffs], -b
+                rows.append((coeffs, "==" if kind == "eq" else "<=", b))
+            # One draw per variable is skipped, so that each seed keeps the
+            # objective of its case.
+            for _ in range(n):
+                rng.random()
             objective = [rng.randint(-5, 5) for _ in range(n)]
 
-            sol = solve_lp(_problem(objective, rows, n, nonneg=nonneg))
+            sol = solve_lp(_problem(objective, rows))
 
-            ub = [(c, b) if r == "<=" else ([-x for x in c], -b) for c, r, b in rows if r != "=="]
+            ub = [(c, b) for c, r, b in rows if r == "<="]
             eq = [(c, b) for c, r, b in rows if r == "=="]
-            ref = scipy_opt.linprog(
-                [-c for c in objective],
-                A_ub=[c for c, _ in ub] or None,
-                b_ub=[b for _, b in ub] or None,
-                A_eq=[c for c, _ in eq] or None,
-                b_eq=[b for _, b in eq] or None,
-                bounds=[(0, None) if nn else (None, None) for nn in nonneg],
-                method="highs",
-                # HiGHS's presolve reports some unbounded problems as infeasible.
-                options={"presolve": False},
-            )
+
+            def reference(presolve):
+                return scipy_opt.linprog(
+                    [-c for c in objective],
+                    A_ub=[c for c, _ in ub] or None,
+                    b_ub=[b for _, b in ub] or None,
+                    A_eq=[c for c, _ in eq] or None,
+                    b_eq=[b for _, b in eq] or None,
+                    bounds=[(0, None)] * n,
+                    method="highs",
+                    options={"presolve": presolve},
+                )
+
+            # HiGHS's presolve reports some unbounded problems as infeasible,
+            # and without it HiGHS gives up (status 4) on a zero row with a
+            # negative right-hand side, which presolve settles.
+            ref = reference(False)
+            if ref.status == 4:
+                ref = reference(True)
             assert sol.status == scipy_status.get(ref.status), (seed, ref.message)
             if sol.status == OPTIMAL:
                 assert abs(float(sol.value) - (-ref.fun)) < 1e-7, seed
             seen.add(sol.status)
             seen.update(r for _, r, _ in rows)
             seen.update(("negative rhs" for *_, b in rows if b < 0))
-            seen.update(("free", "nonneg")[nn] for nn in nonneg)
-        assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED, "<=", ">=", "==", "negative rhs", "free", "nonneg"}
+        assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED, "<=", "==", "negative rhs"}
 
     def test_point_satisfies_constraints_exactly(self):
         rng = random.Random(99)
@@ -220,11 +218,12 @@ class TestAgainstScipy:
                 e[j] = 1
                 rows.append((list(e), "<=", 7))
                 rows.append(([-c for c in e], "<=", 7))
-            p = _problem([rng.randint(-4, 4) for _ in range(n)], rows, n)
+            p = _problem([rng.randint(-4, 4) for _ in range(n)], rows)
             sol = solve_lp(p)
             assert sol.status == OPTIMAL
             for con in p.constraints:
                 assert linalg.dot(con.coeffs, sol.point) <= con.bound
+            assert min(sol.point) >= 0
 
 
 # The reference: the two-phase simplex on a tableau of Fractions, with the
@@ -265,39 +264,14 @@ def reference_run_simplex(tab, basis):
 def reference_solve_lp(problem):
     zero, one = F(0), F(1)
     n = problem.num_vars
-    nonneg = problem.nonneg or (False,) * n
-    col_of = []
-    ncols = 0
-    for j in range(n):
-        if nonneg[j]:
-            col_of.append((ncols, None))
-            ncols += 1
-        else:
-            col_of.append((ncols, ncols + 1))
-            ncols += 2
-
-    def expand(coeffs):
-        row = [zero] * ncols
-        for j, c in enumerate(coeffs):
-            pos, neg = col_of[j]
-            row[pos] = c
-            if neg is not None:
-                row[neg] = -c
-        return row
-
-    body = []
-    for con in problem.constraints:
-        r, b = expand(con.coeffs), con.bound
-        if con.relation == ">=":
-            r, b = [-x for x in r], -b
-        body.append((r, con.relation != "==", b))
-    total = ncols + sum(1 for _, has_slack, _ in body if has_slack)
+    body = [(list(con.coeffs), con.relation == "<=", con.bound) for con in problem.constraints]
+    total = n + sum(1 for _, has_slack, _ in body if has_slack)
     n_art = sum(1 for _, has_slack, b in body if not has_slack or b < 0)
     width = total + n_art
     tab, basis = [], []
-    slack, art = ncols, total
+    slack, art = n, total
     for r, has_slack, b in body:
-        row = r + [zero] * (width - ncols) + [b]
+        row = r + [zero] * (width - n) + [b]
         if has_slack:
             row[slack] = one
             slack += 1
@@ -332,10 +306,10 @@ def reference_solve_lp(problem):
         tab = [tab[i][:total] + [tab[i][-1]] for i in keep]
         basis = [basis[i] for i in keep]
 
-    c_struct = expand(problem.objective)
-    z = [-c for c in c_struct] + [zero] * (total - ncols + 1)
+    c = problem.objective
+    z = [-x for x in c] + [zero] * (total - n + 1)
     for row, b in zip(tab, basis):
-        cb = c_struct[b] if b < ncols else zero
+        cb = c[b] if b < n else zero
         if cb != 0:
             z = [x + cb * y for x, y in zip(z, row)]
     tab.append(z)
@@ -344,9 +318,7 @@ def reference_solve_lp(problem):
     vals = [zero] * total
     for row, b in zip(tab, basis):
         vals[b] = row[-1]
-    point = tuple(
-        vals[pos] - (vals[neg] if neg is not None else zero) for pos, neg in col_of
-    )
+    point = tuple(vals[:n])
     return LpSolution(OPTIMAL, point, sum((c * x for c, x in zip(problem.objective, point)), zero))
 
 
@@ -356,36 +328,31 @@ BOUND = st.fractions(min_value=-6, max_value=6, max_denominator=2)
 
 @st.composite
 def lp_problems(draw):
-    """LPs over "<=", ">=" and "==" rows with right-hand sides of either
-    sign (zero often, which makes ties in the ratio test), free,
-    nonnegative and mixed variables, and rows repeated with a scale."""
+    """LPs over "<=" and "==" rows with right-hand sides of either sign
+    (zero often, which makes ties in the ratio test), and rows repeated
+    with a scale. Coefficients and bounds are symmetric about zero, so a
+    greater-or-equal row, negated, is one more "<=" row: two rows in three
+    are "<=". A "<=" row repeated with a negative scale is negated back."""
     n = draw(st.integers(1, 4))
     rows = []
     for _ in range(draw(st.integers(1, 6))):
         if rows and draw(st.booleans()):
             coeffs, rel, bound = draw(st.sampled_from(rows))
             k = draw(st.sampled_from([F(1), F(2), F(1, 3), F(-1), F(-3, 2)]))
-            if k < 0 and rel != "==":
-                rel = "<=" if rel == ">=" else ">="
+            if rel == "<=":
+                k = abs(k)
             rows.append((tuple(k * c for c in coeffs), rel, k * bound))
         else:
-            rel = draw(st.sampled_from(["<=", ">=", "=="]))
+            rel = draw(st.sampled_from(["<=", "<=", "=="]))
             bound = draw(st.one_of(st.just(F(0)), BOUND))
             rows.append((draw(st.tuples(*[COEFF] * n)), rel, bound))
     if draw(st.booleans()):
         for j in range(n):
             unit = tuple(F(int(i == j)) for i in range(n))
             rows.append((unit, "<=", draw(st.sampled_from([F(0), F(1), F(3)]))))
-    mode = draw(st.sampled_from(["default", "free", "nonneg", "mixed"]))
-    if mode == "default":
-        nonneg = None
-    elif mode == "mixed":
-        nonneg = draw(st.tuples(*[st.booleans()] * n))
-    else:
-        nonneg = (mode == "nonneg",) * n
     objective = draw(st.tuples(*[COEFF] * n))
     constraints = tuple(LpConstraint(c, r, b) for c, r, b in draw(st.permutations(rows)))
-    return LpProblem(num_vars=n, objective=objective, constraints=constraints, nonneg=nonneg)
+    return LpProblem(objective, constraints)
 
 
 @settings(max_examples=400, deadline=None)
@@ -440,7 +407,7 @@ def test_every_division_of_the_pivot_is_exact(rows, problem):
 def test_a_corrupted_pivot_is_caught_by_the_exact_recheck(monkeypatch, shift, message):
     """The re-check on integers rejects a point the tableau got wrong: the
     pivot moves x's basic value from 1 to 1 + shift, which breaks x <= 1
-    or x >= 0."""
+    or the sign of x."""
     step = lp.pivot
 
     def corrupted_pivot(rows, r, c, d):
@@ -450,15 +417,19 @@ def test_a_corrupted_pivot_is_caught_by_the_exact_recheck(monkeypatch, shift, me
 
     monkeypatch.setattr(lp, "pivot", corrupted_pivot)
     with pytest.raises(RuntimeError, match=message):
-        solve_lp(_problem([1], [([1], "<=", 1)], 1, nonneg=(True,)))
+        solve_lp(_problem([1], [([1], "<=", 1)]))
 
 
 @pytest.mark.parametrize("name", ["hex", "l1:3", "l1sum(hex,l1:1)"])
 def test_hull_weights_match_the_fraction_tableau(monkeypatch, name):
-    """in_convex_hull and cl_decomposition give the reference's weights on
-    every vertex and facet barycenter against every facet."""
+    """Every LP the package builds gives the reference's solution:
+    in_convex_hull and cl_decomposition on every vertex and facet
+    barycenter against every facet, the distance LP of every vertex to
+    every facet, the antipodal map on the facet samples, and gauge_norm
+    on sphere points."""
     space = resolve(name)
     points = list(space.vrep) + [space.facet_barycenter(g) for g in range(len(space.hrep))]
+    antipodal = SphereMap(space, space, tuple(map(space.neg_vertex_id, range(len(space.vrep)))))
 
     def run():
         out = []
@@ -470,9 +441,15 @@ def test_hull_weights_match_the_fraction_tableau(monkeypatch, name):
                     out.append(properties.cl_decomposition(space, x, face))
                 except NotAlmostClError:
                     out.append(None)
+        for ids in space.facet_index:
+            facet = [space.vrep[j] for j in ids]
+            out.extend(properties._distance_lp(space, v, facet) for v in space.vrep)
+        out.extend(antipodal.apply(x) for x in facet_sample_points(space))
+        out.extend(space.gauge_norm(x) for x in sphere_points(space, 10))
         return out
 
     got = run()
-    monkeypatch.setattr(properties, "solve_lp", reference_solve_lp)
+    for module in ("properties", "isometry", "space"):
+        monkeypatch.setattr(f"polysphere.{module}.solve_lp", reference_solve_lp)
     assert repr(got) == repr(run())
     assert any(w is not None for w in got)
