@@ -13,8 +13,10 @@ A map file that parses but does not carry facets onto facets is a failed
 verification (exit 1), not a parse error.
 
 Space arguments are file paths when such a file exists, catalog
-expressions otherwise (see ``polysphere catalog``). Reports are plain
-deterministic text; rerunning a command reproduces its bytes.
+expressions otherwise (see ``polysphere catalog``). A relative space-file
+path in a map file's ``domain`` or ``codomain`` line is read from the map
+file's directory. Reports are plain deterministic text; rerunning a
+command reproduces its bytes.
 """
 
 import argparse
@@ -46,13 +48,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_space(ref: str) -> PolyhedralSpace:
-    if os.path.exists(ref):
-        return parse_space_file(ref)
+def _load_space(ref: str, directory: str = "") -> PolyhedralSpace:
+    """The space file ``ref``, relative to ``directory``, or else the catalog expression."""
+    path = os.path.join(directory, ref)
+    if os.path.exists(path):
+        return parse_space_file(path)
     try:
         return cat.resolve(ref)
     except GeometryError as err:
         raise _UsageError(f"{ref!r} is neither a file nor a catalog expression ({err})") from err
+
+
+def _load_map(path: str):
+    directory = os.path.dirname(path)
+    return parse_map_file(path, lambda ref: _load_space(ref, directory))
 
 
 def _parse_point(text: str, dim: int) -> Vector:
@@ -148,7 +157,7 @@ def _cmd_check_t(args, out) -> int:
 
 
 def _cmd_verify_iso(args, out) -> int:
-    m = parse_map_file(args.map, _load_space)
+    m = _load_map(args.map)
     report = verify_isometry(m, seed=args.seed)
     print(f"domain:   {m.domain.summary()}", file=out)
     print(f"codomain: {m.codomain.summary()}", file=out)
@@ -164,7 +173,7 @@ def _cmd_verify_iso(args, out) -> int:
 
 
 def _cmd_extend(args, out) -> int:
-    m = parse_map_file(args.map, _load_space)
+    m = _load_map(args.map)
     report = verify_isometry(m, seed=args.seed)
     if not report.passed:
         print(f"VERDICT: not an isometry: {report.reason}", file=out)

@@ -17,7 +17,9 @@ integers by one common denominator, so a pair costs one integer
 subtraction per facet. A vertex's row is read from its space's
 ``facet_values`` table, and a vertex's image is its vertex image, because
 its only barycentric weights are one-hot; only the other samples are
-evaluated with a barycentric LP, and a passing map makes no norm call.
+evaluated by :meth:`SphereMap.apply`, which reads the sphere check and the
+facet that carries the point from one pass of the domain's integer facet
+rows, then solves one barycentric LP. A passing map makes no norm call.
 
 The linear extension is built from exact linear algebra on the vertex
 images and certified exactly by two checks: vertex agreement, which with
@@ -84,17 +86,17 @@ class SphereMap:
     def apply(self, x: Vector) -> Vector:
         """Evaluate the map at a sphere point via barycentric weights.
 
-        One pass of the domain's facet functionals gives both the sphere
-        check (their maximum is one) and the facet used: the first facet
-        in canonical order that contains x. The weights come from the
+        One pass of the domain's integer facet rows at x gives both the
+        sphere check (their maximum is one) and the facet used: the first
+        facet in canonical order that contains x. The weights come from the
         exact LP solver's canonical basic solution. For facet-consistent
         maps the result does not depend on either choice. At a vertex the
         only weights are one-hot, so the result is :meth:`vertex_image`.
         """
-        values = [f(x) for f in self.domain.hrep]
-        if max(values) != 1:
+        (values,), d = self.domain._values_at((x,))
+        if max(values) != d:
             raise NotOnSphereError(f"{x} is not on the domain sphere")
-        ids = self.domain.facet_index[values.index(1)]
+        ids = self.domain.facet_index[values.index(d)]
         weights = _barycentric_weights([self.domain.vrep[j] for j in ids], x)
         return Vector(linalg.combination(weights, [self.vertex_image(j).coords for j in ids]))
 

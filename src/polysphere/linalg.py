@@ -13,8 +13,8 @@ it on rows scaled to integers by :func:`integer_rows`, and :func:`rank`,
 :func:`invert` and :func:`null_space_vector` read their answers from the
 reduced rows; the simplex tableau of :mod:`polysphere.lp` runs on the same
 step. Fractions are built only for the values returned.
-:func:`value_table` evaluates many rows at many points on the same
-integers.
+:func:`integer_values` evaluates integer rows at many points on integers,
+and :func:`value_table` reads Fraction values from it.
 """
 
 import math
@@ -73,22 +73,34 @@ def integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[tuple[int, ..
     return [tuple(c.numerator * (s // c.denominator) for c in row) for row in rows], s
 
 
+def integer_values(
+    ints: Sequence[Sequence[int]], points: Iterable[Sequence[Fraction]]
+) -> tuple[list[list[int]], int]:
+    """The integer rows at the points, on integers, and the points' scale e.
+
+    With P = e * points scaled to integers by :func:`integer_rows`,
+    ``values[j][i]`` is the integer dot product of ``ints[i]`` and P[j];
+    over e it is the value of row i at point j. Rows and points must have
+    one common length.
+    """
+    pts, e = integer_rows(points)
+    return [[sum(map(mul, r, p)) for r in ints] for p in pts], e
+
+
 def value_table(
     rows: Iterable[Sequence[Fraction]], points: Iterable[Sequence[Fraction]]
 ) -> Iterator[Row]:
     """The rows of the table ``table[j][i] = dot(rows[i], points[j])``, one
     per point, computed on integers.
 
-    With R = s * rows and P = e * points integer, each value is the
-    integer dot product of R[i] and P[j] over s * e. Rows and points must
-    have one common length. The rows are yielded lazily, so a caller that
-    reads each once never holds the whole table.
+    With R = s * rows scaled to integers, each value is the matching entry
+    of :func:`integer_values` of R, over s * e.
     """
     ints, s = integer_rows(rows)
-    pts, e = integer_rows(points)
+    values, e = integer_values(ints, points)
     se = s * e
-    for p in pts:
-        yield tuple(Fraction(sum(map(mul, r, p)), se) for r in ints)
+    for row in values:
+        yield tuple(Fraction(v, se) for v in row)
 
 
 def pivot(rows: list[Sequence[int]], r: int, c: int, d: int) -> int:

@@ -112,13 +112,16 @@ def distance_to_hull(space: PolyhedralSpace, x: Vector, points: list[Vector]) ->
     Witness first, LP as fallback. Every facet functional f has dual norm
     one, so on the hull norm(x - y) >= f(y) - f(x) >= min_p f(p) - f(x);
     the best of these bounds (and zero) is a lower bound on the distance.
-    The first of ``points`` whose distance to x meets that bound is a
+    The bound is computed in one pass on integers: the space's integer
+    facet rows at x and at the points, all over one denominator. The
+    first of ``points`` whose distance to x meets that bound is a
     minimiser, certified by exact norm evaluation. Only when no point does
     is the distance LP solved.
     """
     if not points:
         raise GeometryError("distance to the hull of no points")
-    lower = max(ZERO, *(min(f(p) for p in points) - f(x) for f in space.hrep))
+    (at_x, *at_points), d = space._values_at([x, *points])
+    lower = Fraction(max(0, *(min(col) - v for col, v in zip(zip(*at_points), at_x))), d)
     for p in points:
         if space.norm(x - p) == lower:
             return lower, p
@@ -180,16 +183,19 @@ def condition_iii_value(
         raise NotOnSphereError(f"{x} is not on the sphere")
     if face.space != space:
         raise GeometryError("face does not belong to the given space")
-    d_plus, w_plus = _distance_to_face(space, x, face.functional_id)
-    d_minus, w_minus = _distance_to_face(space, x, face.opposite.functional_id)
+    plus, minus = face.functional_id, face.opposite.functional_id
+    d_plus, w_plus = _distance_to_face(space, x, plus, space.hrep[plus](x))
+    d_minus, w_minus = _distance_to_face(space, x, minus, space.hrep[minus](x))
     value = d_plus + d_minus
     if value < 2:
         raise GeometryError("two-sided distance fell below two; this is a bug")
     return value, w_plus, w_minus
 
 
-def _distance_to_face(space: PolyhedralSpace, x: Vector, fid: int) -> tuple[Fraction, Vector]:
-    value = space.hrep[fid](x)
+def _distance_to_face(
+    space: PolyhedralSpace, x: Vector, fid: int, value: Fraction
+) -> tuple[Fraction, Vector]:
+    """d(x, F) for the facet F of ``fid``, given ``value``, the functional of F at x."""
     if value == 1:
         return ZERO, x
     if value == -1:
@@ -211,6 +217,8 @@ def check_t_property(space: PolyhedralSpace) -> TPropertyReport:
     at a vertex. A vertex on the facet or on its opposite, or a facet
     vertex that meets the facet-functional bound, settles each side
     exactly without an LP; the distance LP runs only when none does.
+    The functional of each facet at each vertex is read from
+    ``space.facet_values``.
     """
     candidates = tuple(space.facet_barycenter(fid) for fid in range(len(space.hrep)))
     records = []
@@ -218,8 +226,8 @@ def check_t_property(space: PolyhedralSpace) -> TPropertyReport:
     # table[j][fid] is d(v_j, F_fid) with its witness; d(-v_j, F) is read
     # from the row of the vertex -v_j.
     table = [
-        [_distance_to_face(space, v, fid) for fid in range(len(space.hrep))]
-        for v in space.vrep
+        [_distance_to_face(space, v, fid, value) for fid, value in enumerate(row)]
+        for v, row in zip(space.vrep, space.facet_values)
     ]
     for j, v in enumerate(space.vrep):
         opposite = table[space.neg_vertex_id(j)]

@@ -25,9 +25,12 @@ can check cheaply (symmetry, unit norms, facet and vertex ranks); full
 re-enumeration is available as :meth:`verify_mutual_polarity`.
 
 Fractions are the public type of every coordinate, but the work is done
-on integers: the spanning test, the facet and vertex rank checks and the
-table of facet values run on rows scaled to integers by
-:func:`polysphere.linalg.integer_rows`.
+on integers: the spanning test and the facet and vertex rank checks run on
+rows scaled to integers by :func:`polysphere.linalg.integer_rows`. A
+space scales its facet functionals to integer rows over one common scale
+once, when it is built. The table of facet values, the norm and the
+active facets of a point are read from those rows, evaluated on integers
+at the point's coordinates scaled to integers.
 """
 
 import itertools
@@ -331,7 +334,7 @@ class PolyhedralSpace:
 
     __slots__ = (
         "dim", "hrep", "vrep", "facet_index", "facet_values", "name",
-        "_neg_f", "_neg_v", "_v_pos", "_f_pos",
+        "_neg_f", "_neg_v", "_v_pos", "_f_pos", "_rows", "_scale",
     )
 
     def __init__(self, hrep: Sequence, vrep: Sequence, name: str | None = None):
@@ -349,9 +352,10 @@ class PolyhedralSpace:
         self._f_pos = {f: i for i, f in enumerate(self.hrep)}
         self._v_pos = {v: i for i, v in enumerate(self.vrep)}
         self._validate_symmetry()
-        values = self.facet_values = tuple(
-            linalg.value_table((f.coeffs for f in self.hrep), (v.coords for v in self.vrep))
-        )
+        # The facet functionals times the common scale, as integer rows.
+        self._rows, self._scale = linalg.integer_rows(f.coeffs for f in self.hrep)
+        ints, d = self._values_at(self.vrep)
+        values = self.facet_values = tuple(tuple(Fraction(v, d) for v in row) for row in ints)
         self._validate_norms(values)
         self.facet_index = tuple(
             tuple(j for j, row in enumerate(values) if row[i] == 1) for i in range(len(self.hrep))
@@ -430,11 +434,24 @@ class PolyhedralSpace:
 
     # -- basic queries ---------------------------------------------------
 
+    def _values_at(self, points: Sequence[Vector]) -> tuple[list[list[int]], int]:
+        """Every facet functional at each point, as integers over one denominator.
+
+        Returns ``values`` and d with ``values[j][i] / d == hrep[i](points[j])``:
+        the integer facet rows at the points scaled to integers, over the
+        rows' scale times the points' scale.
+        """
+        for x in points:
+            if x.dim != self.dim:
+                raise DimensionMismatchError(f"point has dim {x.dim}, space has {self.dim}")
+        values, e = linalg.integer_values(self._rows, (x.coords for x in points))
+        return values, self._scale * e
+
     def norm(self, x: Vector) -> Fraction:
-        """Gauge of the unit ball: the maximum of the facet functionals at x."""
-        if x.dim != self.dim:
-            raise DimensionMismatchError(f"point has dim {x.dim}, space has {self.dim}")
-        return max(f(x) for f in self.hrep)
+        """Gauge of the unit ball: the maximum of the facet functionals at x,
+        taken on their integer rows."""
+        (values,), d = self._values_at((x,))
+        return Fraction(max(values), d)
 
     def gauge_norm(self, x: Vector) -> Fraction:
         """The norm computed from the vertex description via an exact LP.
@@ -456,7 +473,8 @@ class PolyhedralSpace:
 
     def active_functional_ids(self, x: Vector) -> tuple[int, ...]:
         """Ids of facet functionals attaining one at x (x need not be normalised)."""
-        return tuple(i for i, f in enumerate(self.hrep) if f(x) == 1)
+        (values,), d = self._values_at((x,))
+        return tuple(i for i, v in enumerate(values) if v == d)
 
     def vertex_id(self, v: Vector) -> int:
         try:

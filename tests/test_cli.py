@@ -106,6 +106,7 @@ CASES = [
     ("check_cl_linf3_decompose", lambda d: ["check-cl", "linf:3", "--decompose", "1,0,0"], 0),
     ("check_cl_hex", lambda d: ["check-cl", "hex"], 1),
     ("check_t_hex", lambda d: ["check-t", "hex"], 0),
+    ("check_t_l1sum_hex_l1_1", lambda d: ["check-t", "l1sum(hex,l1:1)"], 0),
     (
         "check_t_failing_hexagon",
         lambda d: ["check-t", _write(d, "failing-hex.space", FAILING_HEXAGON_SPACE)],

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import polysphere
-from test_cli import run_cli
+from polysphere import hexagon_space
+from polysphere.formats import serialize_space
+from test_cli import EXPECTED, HEX_ROTATION_MAP, run_cli
 
 SWAPPED_HEX_MAP = """version 1
 domain hex
@@ -210,3 +212,52 @@ def test_failing_sum_and_star_exit_64_with_one_line(argv, message):
     code, out, err = run_cli(argv)
     assert (code, out) == (64, b"")
     assert err == message + "\n"
+
+
+@pytest.mark.parametrize("map_arg", ["absolute", "relative"])
+@pytest.mark.parametrize(
+    "header",
+    ["domain spaces/hexagon.space\ncodomain hex", "domain hex\ncodomain spaces/hexagon.space"],
+    ids=["domain", "codomain"],
+)
+@pytest.mark.parametrize("command", ["verify-iso", "extend"])
+def test_space_file_named_by_a_map_is_read_from_the_map_directory(
+    tmp_path, monkeypatch, command, header, map_arg
+):
+    """A relative space-file reference in a map resolves against the map
+    file's directory, whatever the working directory is; the report is the
+    one for the catalog hexagon."""
+    maps = tmp_path / "maps"
+    (maps / "spaces").mkdir(parents=True)
+    (maps / "spaces" / "hexagon.space").write_text(
+        serialize_space(hexagon_space(), kind="V"), encoding="utf-8"
+    )
+    path = maps / "rot.map"
+    path.write_text(HEX_ROTATION_MAP.replace("domain hex\ncodomain hex", header), encoding="utf-8")
+    if map_arg == "absolute":
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        argv = [command, str(path)]
+    else:
+        monkeypatch.chdir(tmp_path)
+        argv = [command, os.path.join("maps", "rot.map")]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    case = "verify_iso_hex_rotation" if command == "verify-iso" else "extend_hex_rotation"
+    assert out == (EXPECTED / f"{case}.txt").read_bytes()
+
+
+def test_space_file_beside_the_working_directory_is_not_read_for_a_map(tmp_path, monkeypatch):
+    """The working directory no longer stands in for the map's directory."""
+    (tmp_path / "hexagon.space").write_text(
+        serialize_space(hexagon_space(), kind="V"), encoding="utf-8"
+    )
+    (tmp_path / "maps").mkdir()
+    path = tmp_path / "maps" / "rot.map"
+    path.write_text(
+        HEX_ROTATION_MAP.replace("domain hex", "domain hexagon.space", 1), encoding="utf-8"
+    )
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["verify-iso", str(path)])
+    assert (code, out) == (64, b"")
+    assert err.startswith("usage error: 'hexagon.space' is neither a file nor a catalog expression")

@@ -1,5 +1,6 @@
 """CL checks, two-sided distance values, T-property reports, decompositions."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from polysphere import (
     Face,
+    Functional,
     GeometryError,
     NotAlmostClError,
     NotOnSphereError,
@@ -202,7 +204,7 @@ def lp_calls(monkeypatch):
 
 def assert_distance_matches_lp(space, x, fid):
     """The witness-first distance equals the LP's and its witness attains it."""
-    value, w = properties._distance_to_face(space, x, fid)
+    value, w = properties._distance_to_face(space, x, fid, space.hrep[fid](x))
     pts = [space.vrep[j] for j in space.facet_index[fid]]
     lp_value, _ = properties._distance_lp(space, x, pts)
     assert value == lp_value
@@ -223,7 +225,7 @@ class TestWitnessFirstDistance:
     def test_lp_runs_when_no_vertex_meets_the_bound(self, lp_calls):
         space = l1_space(3)
         x = vector(F(-1, 3), F(-1, 3), F(-1, 3))
-        value, w = properties._distance_to_face(space, x, 1)
+        value, w = properties._distance_to_face(space, x, 1, space.hrep[1](x))
         assert len(lp_calls) == 1
         assert value == F(2, 3)
         assert space.norm(x - w) == value
@@ -241,6 +243,33 @@ class TestWitnessFirstDistance:
         """A deterministic count: raising it is a regression."""
         assert check_t_property(resolve(name)).holds
         assert len(lp_calls) == 0
+
+    @pytest.mark.parametrize(
+        "name,hull_calls,norm_calls",
+        [("hex", 12, 18), ("l1:3", 0, 0), ("linf:3", 0, 0), ("l1sum(hex,l1:1)", 24, 48)],
+    )
+    def test_t_property_evaluates_no_functional(self, monkeypatch, name, hull_calls, norm_calls):
+        """Deterministic counts: the value of a facet at a vertex is read from
+        ``facet_values`` and every bound and norm from the integer facet rows,
+        so no Functional is called, while the distance_to_hull and norm calls
+        stay those of the Fraction evaluation they replaced."""
+        space = resolve(name)
+        calls = collections.Counter()
+
+        def counting(key, func):
+            def wrapper(*args):
+                calls[key] += 1
+                return func(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(Functional, "__call__", counting("functional", Functional.__call__))
+        monkeypatch.setattr(
+            properties, "distance_to_hull", counting("hull", properties.distance_to_hull)
+        )
+        monkeypatch.setattr(PolyhedralSpace, "norm", counting("norm", PolyhedralSpace.norm))
+        check_t_property(space)
+        assert (calls["functional"], calls["hull"], calls["norm"]) == (0, hull_calls, norm_calls)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,10 +15,13 @@ from polysphere import (
     DimensionMismatchError,
     EnumerationCapError,
     GeometryError,
+    NotOnSphereError,
     PolyhedralSpace,
+    SphereMap,
     catalog,
     functional,
     hexagon_space,
+    isometry,
     l1_space,
     linalg,
     linf_space,
@@ -26,7 +30,7 @@ from polysphere import (
 from polysphere import space as space_module
 from polysphere.formats import parse_space_text, serialize_space
 from polysphere.linalg import ONE, rank, solve
-from polysphere.sampling import random_direction
+from polysphere.sampling import facet_sample_points, random_direction, sphere_points
 from polysphere.space import MAX_ENUM_DIM, MAX_FACETS, Functional, as_fraction
 
 F = Fraction
@@ -249,6 +253,44 @@ class TestNorm:
         coord = st.fractions(min_value=-3, max_value=3, max_denominator=5)
         for x in data.draw(st.lists(st.tuples(*[coord] * space.dim), min_size=1, max_size=4)):
             assert space.norm(vector(*x)) == space.gauge_norm(vector(*x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(symmetric_point_rows(), st.data())
+    def test_integer_rows_agree_with_the_fraction_functionals(self, rows, data):
+        """norm, active_functional_ids and the facet apply picks are read from
+        the integer facet rows; each equals the Fraction evaluation of the
+        functionals, at the origin, at points off the sphere and on it."""
+        space = PolyhedralSpace.from_vertices(rows)
+        coord = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+        drawn = data.draw(st.lists(st.tuples(*[coord] * space.dim), max_size=3))
+        on_sphere = sphere_points(space, 4, seed=data.draw(st.integers(0, 999)))
+        points = [vector(*[0] * space.dim)] + [vector(*x) for x in drawn]
+        points += on_sphere + [x.scale(F(3, 2)) for x in on_sphere]
+        for x in points:
+            values = [f(x) for f in space.hrep]
+            assert space.norm(x) == max(values)
+            assert space.active_functional_ids(x) == tuple(
+                i for i, value in enumerate(values) if value == 1
+            )
+
+        m = SphereMap(space, space, tuple(range(len(space.vrep))))
+        chosen = []
+        weights = isometry._barycentric_weights
+
+        def recording(pts, x):
+            chosen.append(pts)
+            return weights(pts, x)
+
+        with mock.patch.object(isometry, "_barycentric_weights", recording):
+            for x in facet_sample_points(space) + on_sphere:
+                chosen.clear()
+                assert m.apply(x) == x
+                first = next(fid for fid, f in enumerate(space.hrep) if f(x) == 1)
+                assert chosen == [[space.vrep[j] for j in space.facet_index[first]]]
+            for x in points:
+                if max(f(x) for f in space.hrep) != 1:
+                    with pytest.raises(NotOnSphereError):
+                        m.apply(x)
 
 
 class TestFromFunctionals:
