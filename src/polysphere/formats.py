@@ -232,13 +232,14 @@ def parse_map_text(
             if body == "map":
                 in_map = True
                 continue
-            key, _, value = body.partition(" ")
-            if key not in ("version", "domain", "codomain") or not value.strip():
+            # The value is the rest of the line, so a path may contain spaces.
+            key, *rest = body.split(None, 1)
+            if key not in ("version", "domain", "codomain") or not rest:
                 raise ParseError("header", ln, 1, f"unexpected header line {body!r}")
             indent = len(line) - len(line.lstrip())
             if key in header:
                 raise ParseError("header", ln, indent + 1, f"repeated header key {key!r}")
-            value = value.strip()
+            value = rest[0]
             header[key] = (value, ln, line.index(value, indent + len(key)) + 1)
             continue
         lhs, arrow, rhs = line.partition("->")

@@ -12,14 +12,14 @@ failure is an honest verdict with a counterexample.
 
 Distances are read from rows of facet values. Every facet functional f is
 linear, so f(p - q) = f(p) - f(q), and ||p - q|| = max_i (F[p][i] - F[q][i])
-where F[p] is the row of facet values at p. Each side's rows are scaled to
-integers by one common denominator, so a pair costs one integer
-subtraction per facet. A vertex's row is read from its space's
-``facet_values`` table, and a vertex's image is its vertex image, because
-its only barycentric weights are one-hot; only the other samples are
-evaluated by :meth:`SphereMap.apply`, which reads the sphere check and the
-facet that carries the point from one pass of the domain's integer facet
-rows, then solves one barycentric LP. A passing map makes no norm call.
+where F[p] is the row of facet values at p. Each side's rows are integers
+over one scale, so a pair costs one integer subtraction per facet. Vertex
+rows are the spaces' ``facet_table``. A vertex's image is its vertex
+image, because its only barycentric weights are one-hot; only the other
+samples are evaluated by :meth:`SphereMap.apply`, which reads the sphere
+check and the facet that carries the point from one pass of the domain's
+integer facet rows, then solves one barycentric LP. A passing map makes
+no norm call.
 
 The linear extension is built from exact linear algebra on the vertex
 images and certified exactly by two checks: vertex agreement, which with
@@ -152,17 +152,15 @@ def _barycentric_weights(points: list[Vector], x: Vector) -> tuple[Fraction, ...
     return sol.point
 
 
-def _first_unequal_pair(dom_rows, cod_rows, start=0) -> tuple[int, int] | None:
+def _first_unequal_pair(drows, s_dom, crows, s_cod, start=0) -> tuple[int, int] | None:
     """The first pair (i, j) whose two distances differ, or None.
 
-    Row k of each side holds the facet values of point k of that side, so
-    the distance of points i and j is max_t (row_i[t] - row_j[t]). Pairs
-    run over i < j with j >= ``start``, i outer, j inner. Each side's rows
-    are scaled to integers by the LCM s of its denominators; a pair fails
-    when lhs * s_cod != rhs * s_dom, which is lhs / s_dom != rhs / s_cod.
+    Row k of each side holds the facet values of point k of that side as
+    integers over that side's one scale, so the distance of points i and j
+    is max_t (row_i[t] - row_j[t]) over the scale. Pairs run over i < j
+    with j >= ``start``, i outer, j inner. A pair fails when
+    lhs * s_cod != rhs * s_dom, which is lhs / s_dom != rhs / s_cod.
     """
-    drows, s_dom = linalg.integer_rows(dom_rows)
-    crows, s_cod = linalg.integer_rows(cod_rows)
     n = len(drows)
     for i in range(n):
         p, q = drows[i], crows[i]
@@ -184,15 +182,15 @@ def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
 
     Distances are exact and read from facet values: with F[p] the row of
     facet functional values at p, ||p - q|| = max_i (F[p][i] - F[q][i]),
-    because f(p - q) = f(p) - f(q). Vertex rows come from the two spaces'
-    ``facet_values`` tables, the codomain's permuted by ``vertex_map``.
-    A vertex's image is :meth:`SphereMap.vertex_image`, since its only
-    barycentric weights are one-hot, so only the samples that are not
-    vertices go through :meth:`SphereMap.apply`, one barycentric LP each.
-    The rows of the samples and of their images each come from one
-    :func:`linalg.value_table` pass. The counterexample's two distances
-    are evaluated by :meth:`PolyhedralSpace.norm`; a passing map makes no
-    norm call.
+    because f(p - q) = f(p) - f(q). Rows are integers over one scale per
+    side: vertex rows are the two spaces' ``facet_table``, the codomain's
+    permuted by ``vertex_map``, and the rows of the sample pool and of its
+    images each come from one ``_values_at`` call. A vertex's image is
+    :meth:`SphereMap.vertex_image`, since its only barycentric weights are
+    one-hot, so only the samples that are not vertices go through
+    :meth:`SphereMap.apply`, one barycentric LP each. The counterexample's
+    two distances are evaluated by :meth:`PolyhedralSpace.norm`; a passing
+    map makes no norm call.
     """
     dom, cod = m.domain, m.codomain
 
@@ -220,7 +218,8 @@ def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
                 counterexample=(dom.vrep[i], -dom.vrep[i]),
             )
 
-    hit = _first_unequal_pair(dom.facet_values, [cod.facet_values[k] for k in m.vertex_map])
+    cod_rows = [cod.facet_table[k] for k in m.vertex_map]
+    hit = _first_unequal_pair(dom.facet_table, dom.facet_scale, cod_rows, cod.facet_scale)
     if hit is not None:
         i, j = hit
         p, q = dom.vrep[i], dom.vrep[j]
@@ -251,13 +250,8 @@ def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
     # A vertex's only barycentric weights are one-hot, so its image is its
     # vertex image; only the other samples go through apply.
     images = [m.vertex_image(dom._v_pos[p]) if p in dom._v_pos else m.apply(p) for p in pool]
-    nv = len(dom.vrep)
-    dom_rows = list(dom.facet_values)
-    dom_rows += linalg.value_table((f.coeffs for f in dom.hrep), (p.coords for p in samples))
-    cod_rows = [cod.facet_values[k] for k in m.vertex_map]
-    cod_rows += linalg.value_table((g.coeffs for g in cod.hrep), (w.coords for w in images[nv:]))
     # Vertex pairs already passed above; start at the first sample.
-    hit = _first_unequal_pair(dom_rows, cod_rows, start=nv)
+    hit = _first_unequal_pair(*dom._values_at(pool), *cod._values_at(images), start=len(dom.vrep))
     if hit is not None:
         i, j = hit
         p, q = pool[i], pool[j]
@@ -274,21 +268,23 @@ def transported_functionals(m: SphereMap) -> tuple[tuple[Functional, Functional]
 
     Certifies the transport relation exactly on the generating set: for
     every domain vertex v and every pair (f, g), g at the image of v must
-    equal f at v. Both values are read from the spaces' ``facet_values``
-    tables. Raises CertificationError with the offending facet and
-    vertex otherwise, and when a domain facet has no image facet. Intended
-    to run after :func:`verify_isometry`.
+    equal f at v. Both are read from the spaces' ``facet_table`` and
+    compared across the two scales. Raises CertificationError with the
+    offending facet and vertex otherwise, and when a domain facet has no
+    image facet. Intended to run after :func:`verify_isometry`.
     """
+    dom, cod = m.domain, m.codomain
     pairs = []
     for fid, gid in enumerate(m.facet_map):
         if gid is None:
             raise CertificationError(
                 f"vertex images of facet {fid} do not form a codomain facet", detail=(fid,)
             )
-        f = m.domain.hrep[fid]
-        g = m.codomain.hrep[gid]
-        for i, v in enumerate(m.domain.vrep):
-            if m.codomain.facet_values[m.vertex_map[i]][gid] != m.domain.facet_values[i][fid]:
+        f = dom.hrep[fid]
+        g = cod.hrep[gid]
+        for i, v in enumerate(dom.vrep):
+            g_value = cod.facet_table[m.vertex_map[i]][gid] * dom.facet_scale
+            if g_value != dom.facet_table[i][fid] * cod.facet_scale:
                 raise CertificationError(
                     f"functional transport fails at facet {fid}, vertex {v}",
                     detail=(fid, v),

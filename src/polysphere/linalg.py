@@ -13,14 +13,15 @@ it on rows scaled to integers by :func:`integer_rows`, and :func:`rank`,
 :func:`invert` and :func:`null_space_vector` read their answers from the
 reduced rows; the simplex tableau of :mod:`polysphere.lp` runs on the same
 step. Fractions are built only for the values returned.
-:func:`integer_values` evaluates integer rows at many points on integers,
-and :func:`value_table` reads Fraction values from it.
+:func:`integer_values` evaluates integer rows at many points on integers;
+its values stay integers over one scale, so tables of them are compared
+without building a Fraction.
 """
 
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -85,22 +86,6 @@ def integer_values(
     """
     pts, e = integer_rows(points)
     return [[sum(map(mul, r, p)) for r in ints] for p in pts], e
-
-
-def value_table(
-    rows: Iterable[Sequence[Fraction]], points: Iterable[Sequence[Fraction]]
-) -> Iterator[Row]:
-    """The rows of the table ``table[j][i] = dot(rows[i], points[j])``, one
-    per point, computed on integers.
-
-    With R = s * rows scaled to integers, each value is the matching entry
-    of :func:`integer_values` of R, over s * e.
-    """
-    ints, s = integer_rows(rows)
-    values, e = integer_values(ints, points)
-    se = s * e
-    for row in values:
-        yield tuple(Fraction(v, se) for v in row)
 
 
 def pivot(rows: list[Sequence[int]], r: int, c: int, d: int) -> int:

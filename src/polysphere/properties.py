@@ -19,7 +19,8 @@ Every family that passes (i) and (ii) therefore yields the same table of
 property holds exactly when that table is all twos. Everything here is
 decided exactly: faces are compact polytopes, so the distance minima are
 attained and checked as equalities or rational inequalities, never with
-tolerances.
+tolerances. Facet values at vertices are read from the space's one
+integer table, ``facet_table`` over ``facet_scale``.
 
 Which hexagons have the property is open here. Every symmetric hexagon
 is a linear image of one with vertices +-(1, 0), +-(a, b), +-(0, 1).
@@ -179,13 +180,14 @@ def condition_iii_value(
     is returned without an LP; the witnesses may therefore differ from the
     LP's own choice of minimiser, while the value is the same.
     """
-    if space.norm(x) != 1:
+    (at_x,), d = space._values_at([x])
+    if max(at_x) != d:
         raise NotOnSphereError(f"{x} is not on the sphere")
     if face.space != space:
         raise GeometryError("face does not belong to the given space")
     plus, minus = face.functional_id, face.opposite.functional_id
-    d_plus, w_plus = _distance_to_face(space, x, plus, space.hrep[plus](x))
-    d_minus, w_minus = _distance_to_face(space, x, minus, space.hrep[minus](x))
+    d_plus, w_plus = _distance_to_face(space, x, plus, at_x[plus], d)
+    d_minus, w_minus = _distance_to_face(space, x, minus, at_x[minus], d)
     value = d_plus + d_minus
     if value < 2:
         raise GeometryError("two-sided distance fell below two; this is a bug")
@@ -193,12 +195,12 @@ def condition_iii_value(
 
 
 def _distance_to_face(
-    space: PolyhedralSpace, x: Vector, fid: int, value: Fraction
+    space: PolyhedralSpace, x: Vector, fid: int, value: int, d: int
 ) -> tuple[Fraction, Vector]:
-    """d(x, F) for the facet F of ``fid``, given ``value``, the functional of F at x."""
-    if value == 1:
+    """d(x, F) for the facet F of ``fid``, given ``value`` / d, F's functional at x."""
+    if value == d:
         return ZERO, x
-    if value == -1:
+    if value == -d:
         # x is on the sphere, so -x lies on the facet at distance two, and
         # the facet functional shows that nothing on the facet is closer.
         return Fraction(2), -x
@@ -218,16 +220,17 @@ def check_t_property(space: PolyhedralSpace) -> TPropertyReport:
     vertex that meets the facet-functional bound, settles each side
     exactly without an LP; the distance LP runs only when none does.
     The functional of each facet at each vertex is read from
-    ``space.facet_values``.
+    ``space.facet_table``, an integer over ``space.facet_scale``.
     """
     candidates = tuple(space.facet_barycenter(fid) for fid in range(len(space.hrep)))
     records = []
     violation = None
     # table[j][fid] is d(v_j, F_fid) with its witness; d(-v_j, F) is read
     # from the row of the vertex -v_j.
+    d = space.facet_scale
     table = [
-        [_distance_to_face(space, v, fid, value) for fid, value in enumerate(row)]
-        for v, row in zip(space.vrep, space.facet_values)
+        [_distance_to_face(space, v, fid, value, d) for fid, value in enumerate(row)]
+        for v, row in zip(space.vrep, space.facet_table)
     ]
     for j, v in enumerate(space.vrep):
         opposite = table[space.neg_vertex_id(j)]

@@ -28,9 +28,9 @@ Fractions are the public type of every coordinate, but the work is done
 on integers: the spanning test and the facet and vertex rank checks run on
 rows scaled to integers by :func:`polysphere.linalg.integer_rows`. A
 space scales its facet functionals to integer rows over one common scale
-once, when it is built. The table of facet values, the norm and the
-active facets of a point are read from those rows, evaluated on integers
-at the point's coordinates scaled to integers.
+once, when it is built. Their values at the vertices are kept as one
+integer table, ``facet_table`` over ``facet_scale``; the norm and the active
+facets of other points are read from the same rows on integers.
 """
 
 import itertools
@@ -293,12 +293,13 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool):
         items |= {tuple(-c for c in r) for r in items}
     items = list(items)
     points = enumerate_ball_vertices(sorted(items), dim)
-    # Row k of this table holds items[k] at every point.
-    values = linalg.value_table(points, items)
+    # Row k of this table holds items[k] at every point, over s * e.
+    ints, s = linalg.integer_rows(points)
+    values, e = linalg.integer_values(ints, items)
     kept = [
         r
         for r, row in zip(items, values)
-        if linalg.rank([p for p, value in zip(points, row) if value == 1]) == dim
+        if linalg.rank([p for p, value in zip(points, row) if value == s * e]) == dim
     ]
     return kept, points
 
@@ -325,15 +326,15 @@ class PolyhedralSpace:
         hrep: facet functionals, canonically sorted, closed under negation.
         vrep: ball vertices, canonically sorted, closed under negation.
         facet_index: per functional, the ids of the vertices lying on it.
-        facet_values: the table ``facet_values[j][i] = hrep[i](vrep[j])``, a
-            tuple of tuples of Fractions. The functionals are linear, so
-            ``norm(vrep[a] - vrep[b])`` is the maximum over i of
-            ``facet_values[a][i] - facet_values[b][i]``.
+        facet_table: the int table ``facet_table[j][i] == hrep[i](vrep[j]) *
+            facet_scale``; ``norm(vrep[a] - vrep[b]) * facet_scale`` is the
+            maximum over i of ``facet_table[a][i] - facet_table[b][i]``.
+        facet_scale: the one positive int scale of ``facet_table``.
         name: optional label used in reports; ignored by equality.
     """
 
     __slots__ = (
-        "dim", "hrep", "vrep", "facet_index", "facet_values", "name",
+        "dim", "hrep", "vrep", "facet_index", "facet_table", "facet_scale", "name",
         "_neg_f", "_neg_v", "_v_pos", "_f_pos", "_rows", "_scale",
     )
 
@@ -354,13 +355,13 @@ class PolyhedralSpace:
         self._validate_symmetry()
         # The facet functionals times the common scale, as integer rows.
         self._rows, self._scale = linalg.integer_rows(f.coeffs for f in self.hrep)
-        ints, d = self._values_at(self.vrep)
-        values = self.facet_values = tuple(tuple(Fraction(v, d) for v in row) for row in ints)
-        self._validate_norms(values)
+        table, d = self._values_at(self.vrep)
+        self.facet_table, self.facet_scale = tuple(map(tuple, table)), d
+        self._validate_norms(table, d)
         self.facet_index = tuple(
-            tuple(j for j, row in enumerate(values) if row[i] == 1) for i in range(len(self.hrep))
+            tuple(j for j, row in enumerate(table) if row[i] == d) for i in range(len(self.hrep))
         )
-        self._validate_ranks(values)
+        self._validate_ranks(table, d)
         self._neg_f = tuple(self._f_pos[-f] for f in self.hrep)
         self._neg_v = tuple(self._v_pos[-v] for v in self.vrep)
 
@@ -372,21 +373,21 @@ class PolyhedralSpace:
             if -v not in self._v_pos:
                 raise AsymmetricInputError(f"vertex {v} lacks its negation", offender=v)
 
-    def _validate_norms(self, values):
+    def _validate_norms(self, values, d):
         for v, row in zip(self.vrep, values):
-            if max(row) != 1:
+            if max(row) != d:
                 raise GeometryError(f"listed vertex {v} does not have norm one")
         for i, f in enumerate(self.hrep):
-            if max(row[i] for row in values) != 1:
+            if max(row[i] for row in values) != d:
                 raise GeometryError(f"functional {f} does not have dual norm one")
 
-    def _validate_ranks(self, values):
+    def _validate_ranks(self, values, d):
         for f, ids in zip(self.hrep, self.facet_index):
             pts = [self.vrep[j].coords for j in ids]
             if linalg.affine_rank(pts) != self.dim:
                 raise GeometryError(f"functional {f} does not support a facet")
         for v, row in zip(self.vrep, values):
-            active = [f.coeffs for f, value in zip(self.hrep, row) if value == 1]
+            active = [f.coeffs for f, value in zip(self.hrep, row) if value == d]
             if linalg.rank(active) != self.dim:
                 raise GeometryError(f"listed point {v} is not a vertex of the ball")
 
@@ -496,8 +497,7 @@ class PolyhedralSpace:
 
     def facet_barycenter(self, fid: int) -> Vector:
         ids = self.facet_index[fid]
-        w = Fraction(1, len(ids))
-        return Vector(linalg.combination([w] * len(ids), [self.vrep[j].coords for j in ids]))
+        return Vector(sum(col) / len(ids) for col in zip(*(self.vrep[j].coords for j in ids)))
 
     def dual(self, name: str | None = None) -> "PolyhedralSpace":
         """The polar space: vertices become functionals and vice versa."""

@@ -87,6 +87,7 @@ MAP_ERRORS = [
      "header", 2, 1, "repeated header key 'version'"),
     # A bad header value is reported at its token.
     ("version 2\ndomain hex\ncodomain hex\nmap\n", "header", 1, 9, "missing or unsupported 'version'"),
+    ("version\t\t2\ndomain hex\ncodomain hex\nmap\n", "header", 1, 10, "missing or unsupported"),
 ]
 
 
@@ -98,6 +99,32 @@ def test_map_parse_errors(text, kind, line, col, message):
         parse_map_text(text, resolve)
     assert (err.value.kind, err.value.line, err.value.col) == (kind, line, col)
     assert str(err.value).startswith(f"line {line}, col {col}: {message}")
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "version\t1\ndomain\thex\ncodomain\thex\n",
+        "version 1\ndomain \t hex\t\ncodomain\t\thex\n",
+        " \tversion\t1  \ndomain hex\t# a comment\ncodomain hex\n",
+    ],
+    ids=["tabs", "spaces-and-tabs", "indent-and-comment"],
+)
+def test_map_header_key_and_value_may_be_separated_by_tabs(header):
+    text = header + "map\n" + "".join(line + "\n" for line in IDENTITY)
+    assert parse_map_text(text, resolve) == parse_map_text(map_text(IDENTITY), resolve)
+
+
+def test_map_header_value_is_the_rest_of_the_line():
+    refs = []
+
+    def recording(ref):
+        refs.append(ref)
+        return resolve("hex")
+
+    header = "version 1\ndomain\t/data/a b.space \ncodomain  l1sum(hex, l1:1)\t\nmap\n"
+    parse_map_text(header + "".join(line + "\n" for line in IDENTITY), recording)
+    assert refs == ["/data/a b.space", "l1sum(hex, l1:1)"]
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from polysphere import (
 from polysphere import isometry as isometry_module
 from polysphere import linalg
 from polysphere.isometry import _first_unequal_pair
-from polysphere.linalg import ONE, mat_mul, mat_vec
+from polysphere.linalg import ONE, integer_rows, mat_mul, mat_vec
 from polysphere.sampling import DEFAULT_SEED, facet_sample_points, random_facet_point, rng_from
 
 F = Fraction
@@ -95,6 +95,14 @@ class TestLinearSymmetries:
         backward = ((F(1, 2), F(1, 2)), (F(1, 2), F(-1, 2)))
         assert_certified(SphereMap.from_linear(l1, linf, forward), forward)
         assert_certified(SphereMap.from_linear(linf, l1, backward), backward)
+
+    def test_sheared_images_whose_tables_have_another_scale(self, hexagon):
+        """Functional transport compares facet values across two scales."""
+        cases = [(hexagon, t) for t in SHEARS[1:]] + [(l1_space(3), t) for t in SHEARS_3D]
+        for space, matrix in cases:
+            m = sheared_image(space, matrix)
+            assert m.domain.facet_scale != m.codomain.facet_scale
+            assert_certified(m, matrix)
 
 
 class TestRejections:
@@ -364,7 +372,7 @@ def test_first_unequal_pair_matches_fraction_differences(rows):
         ):
             expected = (i, j)
             break
-    assert _first_unequal_pair(dom, cod, start) == expected
+    assert _first_unequal_pair(*integer_rows(dom), *integer_rows(cod), start) == expected
 
 
 LINF3_SIGNED_PERMUTATION = ((F(0), F(-1), F(0)), (F(0), F(0), F(1)), (F(-1), F(0), F(0)))

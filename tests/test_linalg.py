@@ -17,13 +17,13 @@ from polysphere.linalg import (
     identity,
     independent_row_indices,
     integer_rows,
+    integer_values,
     invert,
     null_space_vector,
     pivot,
     rank,
     solve,
     transpose,
-    value_table,
 )
 
 F = Fraction
@@ -169,11 +169,13 @@ def test_independent_rows_match_the_fraction_echelon(rows, limit):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(matrices(ncols=n), matrices(ncols=n))))
-def test_value_table_matches_fraction_dot_products(case):
+def test_integer_values_match_fraction_dot_products(case):
     rows, points = case
-    table = tuple(value_table(rows, points))
+    ints, s = integer_rows(rows)
+    values, e = integer_values(ints, points)
+    assert all(type(v) is int for line in values for v in line)
+    table = tuple(tuple(Fraction(v, s * e) for v in line) for line in values)
     assert table == reference_value_table(rows, points)
-    assert all(type(v) is Fraction for line in table for v in line)
 
 
 @settings(max_examples=100, deadline=None)

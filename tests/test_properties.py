@@ -204,7 +204,8 @@ def lp_calls(monkeypatch):
 
 def assert_distance_matches_lp(space, x, fid):
     """The witness-first distance equals the LP's and its witness attains it."""
-    value, w = properties._distance_to_face(space, x, fid, space.hrep[fid](x))
+    (at_x,), d = space._values_at([x])
+    value, w = properties._distance_to_face(space, x, fid, at_x[fid], d)
     pts = [space.vrep[j] for j in space.facet_index[fid]]
     lp_value, _ = properties._distance_lp(space, x, pts)
     assert value == lp_value
@@ -225,7 +226,8 @@ class TestWitnessFirstDistance:
     def test_lp_runs_when_no_vertex_meets_the_bound(self, lp_calls):
         space = l1_space(3)
         x = vector(F(-1, 3), F(-1, 3), F(-1, 3))
-        value, w = properties._distance_to_face(space, x, 1, space.hrep[1](x))
+        (at_x,), d = space._values_at([x])
+        value, w = properties._distance_to_face(space, x, 1, at_x[1], d)
         assert len(lp_calls) == 1
         assert value == F(2, 3)
         assert space.norm(x - w) == value
@@ -250,9 +252,10 @@ class TestWitnessFirstDistance:
     )
     def test_t_property_evaluates_no_functional(self, monkeypatch, name, hull_calls, norm_calls):
         """Deterministic counts: the value of a facet at a vertex is read from
-        ``facet_values`` and every bound and norm from the integer facet rows,
-        so no Functional is called, while the distance_to_hull and norm calls
-        stay those of the Fraction evaluation they replaced."""
+        the integer ``facet_table`` over ``facet_scale``, and every bound and
+        norm from the integer facet rows, so no Functional is called, while
+        the distance_to_hull and norm calls stay those of the Fraction
+        evaluation they replaced."""
         space = resolve(name)
         calls = collections.Counter()
 

@@ -257,15 +257,19 @@ class TestNorm:
     @settings(max_examples=40, deadline=None)
     @given(symmetric_point_rows(), st.data())
     def test_integer_rows_agree_with_the_fraction_functionals(self, rows, data):
-        """norm, active_functional_ids and the facet apply picks are read from
-        the integer facet rows; each equals the Fraction evaluation of the
-        functionals, at the origin, at points off the sphere and on it."""
+        """norm, active_functional_ids, the facet apply picks and the vertex
+        table over its scale are read from the integer facet rows; each
+        equals the Fraction evaluation of the functionals, at the vertices,
+        the origin, and points off the sphere and on it."""
         space = PolyhedralSpace.from_vertices(rows)
         coord = st.fractions(min_value=-3, max_value=3, max_denominator=5)
         drawn = data.draw(st.lists(st.tuples(*[coord] * space.dim), max_size=3))
         on_sphere = sphere_points(space, 4, seed=data.draw(st.integers(0, 999)))
         points = [vector(*[0] * space.dim)] + [vector(*x) for x in drawn]
         points += on_sphere + [x.scale(F(3, 2)) for x in on_sphere]
+        table, scale = space.facet_table, space.facet_scale
+        for j, v in enumerate(space.vrep):
+            assert [F(value, scale) for value in table[j]] == [f(v) for f in space.hrep]
         for x in points:
             values = [f(x) for f in space.hrep]
             assert space.norm(x) == max(values)
@@ -484,11 +488,13 @@ class TestInvariants:
         with pytest.raises(GeometryError):
             crippled.verify_mutual_polarity()
 
-    def test_facet_values_is_the_table_of_functionals_at_vertices(self, small_catalog):
+    def test_facet_table_over_its_scale_is_the_functionals_at_vertices(self, small_catalog):
         for space in small_catalog:
-            assert isinstance(space.facet_values, tuple)
-            assert all(isinstance(row, tuple) for row in space.facet_values)
-            assert [list(row) for row in space.facet_values] == [
+            table, scale = space.facet_table, space.facet_scale
+            assert isinstance(table, tuple) and type(scale) is int and scale > 0
+            assert all(isinstance(row, tuple) for row in table)
+            assert all(type(value) is int for row in table for value in row)
+            assert [[F(value, scale) for value in row] for row in table] == [
                 [f(v) for f in space.hrep] for v in space.vrep
             ]
 
