@@ -19,18 +19,24 @@ number of distinct nonzero rows. It is the double description method on
 exact integers: rows and rays are integer vectors, each ray carries a
 bitmask of the rows tight at it, and two rays are adjacent by the
 combinatorial test of Fukuda & Prodon ("Double description method
-revisited", 1996), with no rank computation. Vertices leave it as
-Fractions. The raw constructor validates the structural invariants it
-can check cheaply (symmetry, unit norms, facet and vertex ranks); full
-re-enumeration is available as :meth:`verify_mutual_polarity`.
+revisited", 1996), with no rank computation. The facet test is
+combinatorial too: a row supports a facet iff the set of vertices where
+it equals one is nonempty and inclusion-maximal among the rows' sets.
+Vertices leave the enumerator as Fractions. The raw constructor validates
+the structural invariants it can check cheaply (symmetry, unit norms,
+facet and vertex ranks); full re-enumeration is available as
+:meth:`verify_mutual_polarity`.
 
 Fractions are the public type of every coordinate, but the work is done
-on integers: the spanning test and the facet and vertex rank checks run on
-rows scaled to integers by :func:`polysphere.linalg.integer_rows`. A
-space scales its facet functionals to integer rows over one common scale
-once, when it is built. Their values at the vertices are kept as one
-integer table, ``facet_table`` over ``facet_scale``; the norm and the active
-facets of other points are read from the same rows on integers.
+on integers. Each description is scaled to integer rows once, by
+:func:`polysphere.linalg.integer_rows`, over one positive common scale,
+which keeps equality and the lexicographic order: rows are deduplicated,
+sorted, negated and matched with their negations as int tuples, and
+Fractions are made only for the public ``hrep`` and ``vrep`` and for error
+payloads. A space keeps its facet functionals as integer rows and the
+values of those rows at the vertices as one integer table,
+``facet_table`` over ``facet_scale``; the rank checks, the norm and the
+active facets of other points are read from the same integer rows.
 """
 
 import itertools
@@ -109,20 +115,28 @@ class Vector:
     def __hash__(self):
         return hash(("Vector", self.coords))
 
+    @classmethod
+    def _of(cls, coords: tuple[Fraction, ...]) -> "Vector":
+        """A Vector on a nonempty tuple of Fractions, taken as it is; only the
+        arithmetic below, whose results are Fractions already, uses it."""
+        v = object.__new__(cls)
+        v.coords = coords
+        return v
+
     def __neg__(self):
-        return Vector(-c for c in self.coords)
+        return Vector._of(tuple(-c for c in self.coords))
 
     def __add__(self, other):
         self._check(other)
-        return Vector(a + b for a, b in zip(self.coords, other.coords))
+        return Vector._of(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
         self._check(other)
-        return Vector(a - b for a, b in zip(self.coords, other.coords))
+        return Vector._of(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def scale(self, s) -> "Vector":
         s = as_fraction(s)
-        return Vector(s * c for c in self.coords)
+        return Vector._of(tuple(s * c for c in self.coords))
 
     def _check(self, other):
         if not isinstance(other, Vector):
@@ -162,8 +176,16 @@ class Functional:
     def __hash__(self):
         return hash(("Functional", self.coeffs))
 
+    @classmethod
+    def _of(cls, coeffs: tuple[Fraction, ...]) -> "Functional":
+        """A Functional on a nonempty tuple of Fractions, taken as it is; only
+        negation uses it."""
+        f = object.__new__(cls)
+        f.coeffs = coeffs
+        return f
+
     def __neg__(self):
-        return Functional(-c for c in self.coeffs)
+        return Functional._of(tuple(-c for c in self.coeffs))
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
@@ -180,6 +202,10 @@ def functional(*coeffs) -> Functional:
     return Functional(coeffs)
 
 
+def _neg(row: tuple) -> tuple:
+    return tuple(-c for c in row)
+
+
 def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Fraction, ...], ...]:
     """All vertices of {x : f(x) <= 1 for every f}, by double description.
 
@@ -188,25 +214,32 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
     Raises DegenerateInputError otherwise, carrying a recession direction.
     Zero functionals are vacuous and ignored. Raises EnumerationCapError
     above ``MAX_ENUM_DIM`` dimensions or ``MAX_FACETS`` distinct rows.
+    Errors carry the Fraction rows as given; the vertices are returned as
+    sorted Fraction tuples.
 
-    The ball is the slice t = 1 of the cone {(x, t) : f(x) <= t}, which
-    is built one row at a time from a box over ``dim`` independent rows.
-    Rows and rays are integer vectors, a positive rescaling that leaves the
-    cone and its extreme rays unchanged; a ray made from two others is
-    divided by the gcd of its entries. Each ray carries a bitmask of the
-    processed rows that vanish on it. Two rays on opposite sides of a new
-    row are adjacent, and so combine into a new ray, iff their common mask
-    has at least ``dim - 1`` bits and no third ray's mask contains it: the
-    combinatorial test of Fukuda & Prodon, "Double description method
-    revisited" (1996).
+    The rows are scaled to integers once, over one common scale s, and
+    deduplicated, sorted and checked for symmetry as int tuples. The ball
+    is the slice t = 1 of the cone {(x, t) : f(x) <= t}, whose integer rows
+    are the scaled rows k extended by -s; the cone is built one row at a
+    time from a box over ``dim`` independent rows. Rays are integer vectors,
+    a positive rescaling that leaves the cone and its extreme rays
+    unchanged; a ray made from two others is divided by the gcd of its
+    entries. Each ray carries a bitmask of the processed rows that vanish
+    on it. Two rays on opposite sides of a new row are adjacent, and so
+    combine into a new ray, iff their common mask has at least ``dim - 1``
+    bits and no third ray's mask contains it: the combinatorial test of
+    Fukuda & Prodon, "Double description method revisited" (1996).
     """
-    rows = sorted(
-        {
-            tuple(f.coeffs) if isinstance(f, Functional) else tuple(as_fraction(c) for c in f)
-            for f in functionals
-        }
-    )
-    rows = [r for r in rows if any(c != 0 for c in r)]
+    given = [
+        tuple(f.coeffs) if isinstance(f, Functional) else tuple(as_fraction(c) for c in f)
+        for f in functionals
+    ]
+    # One positive scale keeps equality and the lexicographic order, so the
+    # rows are deduplicated and sorted as integer keys; ``frac`` maps each key
+    # back to its Fraction row for the error payloads.
+    ints, s = linalg.integer_rows(given)
+    frac = dict(zip(ints, given))
+    rows = sorted(k for k in frac if any(k))
     if not rows:
         raise DegenerateInputError("no nonzero functionals", direction=None)
     if any(len(r) != dim for r in rows):
@@ -215,26 +248,24 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
         raise EnumerationCapError(f"dimension {dim} exceeds the enumeration cap of {MAX_ENUM_DIM}")
     if len(rows) > MAX_FACETS:
         raise EnumerationCapError(f"{len(rows)} rows exceed the cap of {MAX_FACETS}")
-    row_set = set(rows)
     for r in rows:
-        if tuple(-c for c in r) not in row_set:
+        if _neg(r) not in frac:
             raise AsymmetricInputError(
-                f"functional {r} appears without its negation", offender=r
+                f"functional {frac[r]} appears without its negation", offender=frac[r]
             )
 
     base_idx = linalg.independent_row_indices(rows, limit=dim)
     if len(base_idx) < dim:
         raise DegenerateInputError(
             "ball is unbounded: functionals do not span the dual space",
-            direction=linalg.null_space_vector(rows, dim),
+            direction=linalg.null_space_vector([frac[r] for r in rows], dim),
         )
     base = [rows[i] for i in base_idx]
-    base_inv, scale = linalg.integer_rows(linalg.invert(tuple(base)))
+    base_inv, scale = linalg.integer_rows(linalg.invert(tuple(frac[r] for r in base)))
 
-    hom_rows, _ = linalg.integer_rows(r + (-ONE,) for r in rows)
-    hom = dict(zip(rows, hom_rows))
-    box = [hom[signed] for r in base for signed in (r, tuple(-c for c in r))]
-    consumed = set(base) | {tuple(-c for c in r) for r in base}
+    hom = {r: r + (-s,) for r in rows}
+    box = [hom[signed] for r in base for signed in (r, _neg(r))]
+    consumed = set(base) | {_neg(r) for r in base}
 
     # Initial cone: |f(x)| <= t over the basis rows, a combinatorial box
     # whose extreme rays are the solutions of (basis) x = signs at t = 1,
@@ -284,24 +315,50 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool):
     """The rows that support a facet of {x : r(x) <= 1}, and that ball's vertices.
 
     Zero rows are dropped, and the rows are closed under negation when
-    ``symmetrize`` is set. A row supports a facet when the vertices where
-    it equals one have rank ``dim``; on the hyperplane {r = 1} rank equals
-    affine rank, because the homogenising column is r applied to the point.
+    ``symmetrize`` is set; both are done on the rows scaled to integers.
+    A row is kept iff the set of vertices where it equals one, its mask, is
+    nonempty and no other row's mask strictly contains it. Let P be the
+    ball. It is bounded with the origin interior, so no row equals one on
+    all of P, and each mask is the vertex set of a proper face of P, or
+    empty. A row that supports a facet is kept: a mask strictly containing
+    the facet's would be a face strictly containing a facet, hence P. A row
+    whose mask is a face G of lower dimension is dropped:
+
+    - every proper face of a polytope lies in a facet, which has strictly
+      more vertices than G, since a face is the hull of its vertices;
+    - every facet of {r <= 1} is supported by one of the rows r, so that
+      facet's row has a mask strictly containing G's.
+
+    A facet determines its functional, the one f with affine hull {f = 1},
+    so two kept rows never share a mask: the kept rows are the facet
+    functionals, once each. This is the face-lattice reasoning of Fukuda &
+    Prodon's double description, and it needs no rank computation.
     """
-    items = {tuple(r) for r in rows if any(c != 0 for c in r)}
+    ints, s = linalg.integer_rows(rows)
+    frac = {k: r for k, r in zip(ints, rows) if any(k)}
     if symmetrize:
-        items |= {tuple(-c for c in r) for r in items}
-    items = list(items)
-    points = enumerate_ball_vertices(sorted(items), dim)
-    # Row k of this table holds items[k] at every point, over s * e.
-    ints, s = linalg.integer_rows(points)
-    values, e = linalg.integer_values(ints, items)
-    kept = [
-        r
-        for r, row in zip(items, values)
-        if linalg.rank([p for p, value in zip(points, row) if value == s * e]) == dim
-    ]
-    return kept, points
+        frac.update([(_neg(k), _neg(r)) for k, r in frac.items()])
+    keys = sorted(frac)
+    points = enumerate_ball_vertices([frac[k] for k in keys], dim)
+    pts, e = linalg.integer_rows(points)
+    tight = s * e
+    masks = [sum(1 << j for j, p in enumerate(pts) if sum(map(mul, k, p)) == tight) for k in keys]
+    distinct = set(masks)
+    maximal = {m for m in distinct if m and not any(m != o and m & o == m for o in distinct)}
+    return [frac[k] for k, m in zip(keys, masks) if m in maximal], points
+
+
+def _negation_ids(keys: list, items: tuple, kind: str) -> tuple[int, ...]:
+    """Per item, the position of its negation, read from the items' sorted
+    integer rows; raises on the first item listed without its negation."""
+    pos = {k: i for i, k in enumerate(keys)}
+    ids = []
+    for k, item in zip(keys, items):
+        j = pos.get(_neg(k))
+        if j is None:
+            raise AsymmetricInputError(f"{kind} {item} lacks its negation", offender=item)
+        ids.append(j)
+    return tuple(ids)
 
 
 def _coerce_functionals(fs) -> list[Functional]:
@@ -321,6 +378,15 @@ def _coerce_vectors(vs) -> list[Vector]:
 class PolyhedralSpace:
     """A finite-dimensional normed space whose unit ball is a symmetric polytope.
 
+    The constructor scales each description to integer rows once, over one
+    positive scale per description, and does all its work on them: it
+    deduplicates and sorts the rows, pairs each with its negation, fills
+    ``facet_table`` and runs every check. Each check raises on the first
+    offender in canonical order: asymmetry, then the norm of each vertex
+    and the dual norm of each functional, then the rank of each facet's
+    vertices and of each vertex's active functionals. The builders' output
+    passes the same checks.
+
     Attributes:
         dim: ambient dimension.
         hrep: facet functionals, canonically sorted, closed under negation.
@@ -335,43 +401,41 @@ class PolyhedralSpace:
 
     __slots__ = (
         "dim", "hrep", "vrep", "facet_index", "facet_table", "facet_scale", "name",
-        "_neg_f", "_neg_v", "_v_pos", "_f_pos", "_rows", "_scale",
+        "_neg_f", "_neg_v", "_v_pos", "_f_pos", "_rows", "_scale", "_points",
     )
 
     def __init__(self, hrep: Sequence, vrep: Sequence, name: str | None = None):
-        fs = sorted({f for f in _coerce_functionals(hrep)}, key=lambda f: f.coeffs)
-        vs = sorted({v for v in _coerce_vectors(vrep)}, key=lambda v: v.coords)
+        fs, vs = _coerce_functionals(hrep), _coerce_vectors(vrep)
         if not fs or not vs:
             raise GeometryError("need at least one functional and one vertex")
         dim = fs[0].dim
         if any(f.dim != dim for f in fs) or any(v.dim != dim for v in vs):
             raise DimensionMismatchError("mixed dimensions in the descriptions")
         self.dim = dim
-        self.hrep = tuple(fs)
-        self.vrep = tuple(vs)
         self.name = name
+        # Each description is scaled to integer rows once, over one positive
+        # scale, which keeps equality and the lexicographic order: the rows
+        # are deduplicated and sorted as ints, in the order of the Fractions.
+        rows, s = linalg.integer_rows(f.coeffs for f in fs)
+        by_row = dict(zip(rows, fs))
+        self._rows, self._scale = sorted(by_row), s
+        points, e = linalg.integer_rows(v.coords for v in vs)
+        by_point = dict(zip(points, vs))
+        self._points = sorted(by_point)
+        self.hrep = tuple(by_row[r] for r in self._rows)
+        self.vrep = tuple(by_point[p] for p in self._points)
+        self._neg_f = _negation_ids(self._rows, self.hrep, "functional")
+        self._neg_v = _negation_ids(self._points, self.vrep, "vertex")
         self._f_pos = {f: i for i, f in enumerate(self.hrep)}
         self._v_pos = {v: i for i, v in enumerate(self.vrep)}
-        self._validate_symmetry()
-        # The facet functionals times the common scale, as integer rows.
-        self._rows, self._scale = linalg.integer_rows(f.coeffs for f in self.hrep)
-        table, d = self._values_at(self.vrep)
+        d = s * e
+        table = [[sum(map(mul, r, p)) for r in self._rows] for p in self._points]
         self.facet_table, self.facet_scale = tuple(map(tuple, table)), d
         self._validate_norms(table, d)
         self.facet_index = tuple(
             tuple(j for j, row in enumerate(table) if row[i] == d) for i in range(len(self.hrep))
         )
-        self._validate_ranks(table, d)
-        self._neg_f = tuple(self._f_pos[-f] for f in self.hrep)
-        self._neg_v = tuple(self._v_pos[-v] for v in self.vrep)
-
-    def _validate_symmetry(self):
-        for f in self.hrep:
-            if -f not in self._f_pos:
-                raise AsymmetricInputError(f"functional {f} lacks its negation", offender=f)
-        for v in self.vrep:
-            if -v not in self._v_pos:
-                raise AsymmetricInputError(f"vertex {v} lacks its negation", offender=v)
+        self._validate_ranks(table, d, e)
 
     def _validate_norms(self, values, d):
         for v, row in zip(self.vrep, values):
@@ -381,13 +445,15 @@ class PolyhedralSpace:
             if max(row[i] for row in values) != d:
                 raise GeometryError(f"functional {f} does not have dual norm one")
 
-    def _validate_ranks(self, values, d):
+    def _validate_ranks(self, values, d, e):
+        # A facet's vertices, homogenised with their scale e, have rank dim
+        # iff their affine hull is a hyperplane; a vertex's active rows have
+        # rank dim iff it is the only point of the ball where they are one.
         for f, ids in zip(self.hrep, self.facet_index):
-            pts = [self.vrep[j].coords for j in ids]
-            if linalg.affine_rank(pts) != self.dim:
+            if linalg.rank([self._points[j] + (e,) for j in ids]) != self.dim:
                 raise GeometryError(f"functional {f} does not support a facet")
         for v, row in zip(self.vrep, values):
-            active = [f.coeffs for f, value in zip(self.hrep, row) if value == d]
+            active = [r for r, value in zip(self._rows, row) if value == d]
             if linalg.rank(active) != self.dim:
                 raise GeometryError(f"listed point {v} is not a vertex of the ball")
 
@@ -497,7 +563,8 @@ class PolyhedralSpace:
 
     def facet_barycenter(self, fid: int) -> Vector:
         ids = self.facet_index[fid]
-        return Vector(sum(col) / len(ids) for col in zip(*(self.vrep[j].coords for j in ids)))
+        n = len(ids) * (self.facet_scale // self._scale)  # the vertex rows' scale e
+        return Vector(Fraction(sum(col), n) for col in zip(*(self._points[j] for j in ids)))
 
     def dual(self, name: str | None = None) -> "PolyhedralSpace":
         """The polar space: vertices become functionals and vice versa."""

@@ -70,6 +70,22 @@ map
 (1, 0) -> (1, 0)
 """
 
+# The cube with three redundant rows, closed under negation by the header:
+# 1/2 1/2 0 touches the ball along an edge, 1/3 1/3 1/3 at a vertex, and
+# 1/4 0 0 nowhere. Only the six cube facets are kept.
+REDUNDANT_ROWS_SPACE = """version 1
+name redundant-rows
+dim 3
+kind H
+symmetric true
+1 0 0
+0 1 0
+0 0 1
+1/2 1/2 0
+1/3 1/3 1/3
+1/4 0 0
+"""
+
 MALFORMED_SPACE = """version 1
 name broken
 dim 2
@@ -116,7 +132,13 @@ CASES = [
     ("extend_hex_rotation", lambda d: ["extend", _write(d, "rot.map", HEX_ROTATION_MAP)], 0),
     ("verify_iso_moved_vertex", lambda d: ["verify-iso", _moved_map(d)], 1),
     ("extend_moved_vertex", lambda d: ["extend", _moved_map(d)], 1),
+    (
+        "facets_redundant_rows",
+        lambda d: ["facets", _write(d, "redundant.space", REDUNDANT_ROWS_SPACE)],
+        0,
+    ),
     ("sum_l1_hex_l1_1", lambda d: ["sum", "l1", "hex", "l1:1"], 0),
+    ("sum_linf_hex_l1_1", lambda d: ["sum", "linf", "hex", "l1:1"], 0),
     ("render_hex", lambda d: ["render", "hex"], 0),
     ("render_linf3", lambda d: ["render", "linf:3"], 0),
     ("catalog", lambda d: ["catalog"], 0),

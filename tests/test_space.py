@@ -120,6 +120,19 @@ def reference_enumerate_ball_vertices(functionals, dim):
     return tuple(sorted({tuple(c / r[-1] for c in r[:-1]) for r in rays}))
 
 
+def reference_polar_pair(rows, dim, symmetrize):
+    """The facet test by rank, one ``rank`` call per row: a row is kept when
+    the vertices where it equals one have rank ``dim``. On the hyperplane
+    {r = 1} rank equals affine rank, because the homogenising column is r
+    applied to the point. Returns the kept rows sorted, and the vertices."""
+    items = {tuple(r) for r in rows if any(c != 0 for c in r)}
+    if symmetrize:
+        items |= {tuple(-c for c in r) for r in items}
+    points = space_module.enumerate_ball_vertices(sorted(items), dim)
+    kept = [r for r in items if rank([p for p in points if linalg.dot(r, p) == 1]) == dim]
+    return sorted(kept), points
+
+
 @st.composite
 def dd_rows(draw):
     """Rows in dims 2 to 5: random, with repeats, zero rows, non-spanning
@@ -402,6 +415,21 @@ class TestEnumeration:
         expected = outcome(reference_enumerate_ball_vertices, rows, dim)
         assert outcome(space_module.enumerate_ball_vertices, rows, dim) == expected
 
+    @settings(max_examples=40, deadline=None)
+    @given(symmetric_point_rows(dims=(2, 3, 4)), st.booleans())
+    def test_incidence_facet_test_matches_the_rank_reference(self, rows, symmetrize):
+        """The kept rows are those whose tight vertices are inclusion-maximal.
+        Midpoints and interior points among the rows touch lower-dimensional
+        faces or nothing, and must be dropped as the rank test drops them."""
+
+        def polar_pair(rows, dim, symmetrize):
+            kept, points = space_module._polar_pair(rows, dim, symmetrize)
+            return sorted(kept), points
+
+        dim = len(rows[0])
+        expected = outcome(lambda r, d: reference_polar_pair(r, d, symmetrize), rows, dim)
+        assert outcome(lambda r, d: polar_pair(r, d, symmetrize), rows, dim) == expected
+
     def test_builders_enumerate_once_through_the_module_binding(self, monkeypatch):
         """Tracing wraps the module binding, so every build must go through it."""
         hexagon = hexagon_space()
@@ -487,6 +515,46 @@ class TestInvariants:
         crippled = PolyhedralSpace(cube.hrep, vrep)
         with pytest.raises(GeometryError):
             crippled.verify_mutual_polarity()
+
+    @pytest.mark.parametrize(
+        "extra_h,extra_v,error,message,offender",
+        [
+            (None, None, GeometryError, "need at least one functional and one vertex", None),
+            ((), [(1, 1, 1), (-1, -1, -1)], DimensionMismatchError,
+             "mixed dimensions in the descriptions", None),
+            ([(1, 1)], (), AsymmetricInputError, "functional (1, 1) lacks its negation",
+             functional(1, 1)),
+            ((), [(1, 0)], AsymmetricInputError, "vertex (1, 0) lacks its negation", vector(1, 0)),
+            ([(1, 1), (-1, -1)], (), GeometryError,
+             "listed vertex (-1, -1) does not have norm one", None),
+            ((), [(2, 0), (-2, 0)], GeometryError,
+             "listed vertex (-2, 0) does not have norm one", None),
+            ([("1/2", 0), ("-1/2", 0)], (), GeometryError,
+             "functional (-1/2, 0) does not have dual norm one", None),
+            ([("1/2", "1/2"), ("-1/2", "-1/2")], (), GeometryError,
+             "functional (-1/2, -1/2) does not support a facet", None),
+            ((), [(1, 0), (-1, 0)], GeometryError,
+             "listed point (-1, 0) is not a vertex of the ball", None),
+        ],
+        ids=["empty", "mixed-dims", "asymmetric-functional", "asymmetric-vertex",
+             "functional-over-a-vertex", "vertex-outside", "short-functional",
+             "corner-functional", "edge-midpoints"],
+    )
+    def test_direct_construction_rejects_one_defect(self, extra_h, extra_v, error, message,
+                                                    offender):
+        """The square with one defect: each check of the raw constructor
+        raises its own error, on the first offender in canonical order."""
+        square = linf_space(2)
+        if extra_h is None:
+            hrep, vrep = (), square.vrep
+        else:
+            hrep = list(square.hrep) + [functional(*f) for f in extra_h]
+            vrep = list(square.vrep) + [vector(*v) for v in extra_v]
+        with pytest.raises(GeometryError) as err:
+            PolyhedralSpace(hrep, vrep)
+        assert type(err.value) is error
+        assert str(err.value) == message
+        assert getattr(err.value, "offender", None) == offender
 
     def test_facet_table_over_its_scale_is_the_functionals_at_vertices(self, small_catalog):
         for space in small_catalog:
