@@ -1,8 +1,9 @@
 """Textual file formats for spaces and sphere maps.
 
-Files are UTF-8. Rationals are written as ``p/q`` or integer tokens;
-decimals are rejected so files stay exact. Parse errors carry a structured
-kind plus line and column, both one-based.
+Files are UTF-8; a leading byte-order mark is ignored. Rationals are
+written as ``p/q`` or integer tokens; decimals are rejected so files stay
+exact. Parse errors carry a structured kind plus line and column, both
+one-based.
 
 Space files::
 
@@ -82,7 +83,7 @@ _HEADER_KEYS = {"version", "name", "dim", "kind", "symmetric"}
 def _read_text(path) -> str:
     """A file's text; bytes that are not UTF-8 are a parse error of kind "encoding"."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:

@@ -314,7 +314,7 @@ def extend(m: SphereMap, seed=DEFAULT_SEED) -> ExtensionCertificate:
     """
     dom = m.domain
     rows = [v.coords for v in dom.vrep]
-    base_ids = linalg.independent_row_indices(rows, limit=dom.dim)
+    base_ids = linalg.independent_row_indices(rows)
     vcols = linalg.transpose(tuple(dom.vrep[i].coords for i in base_ids))
     wcols = linalg.transpose(tuple(m.vertex_image(i).coords for i in base_ids))
     matrix = linalg.mat_mul(wcols, linalg.invert(vcols))

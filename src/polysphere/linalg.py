@@ -201,13 +201,13 @@ def invert(m: Matrix) -> Matrix | None:
     return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in red)
 
 
-def independent_row_indices(rows: Sequence[Sequence[Fraction]], limit: int | None = None) -> list[int]:
+def independent_row_indices(rows: Sequence[Sequence[Fraction]]) -> list[int]:
     """Indices of a maximal linearly independent subset, greedy in listed order.
 
     A row is independent of the rows before it exactly when its column is a
     pivot column of the transposed matrix, so one elimination decides all.
     """
-    return _echelon(transpose(tuple(tuple(r) for r in rows)))[1][:limit]
+    return _echelon(transpose(tuple(tuple(r) for r in rows)))[1]
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:

@@ -19,8 +19,10 @@ Every family that passes (i) and (ii) therefore yields the same table of
 property holds exactly when that table is all twos. Everything here is
 decided exactly: faces are compact polytopes, so the distance minima are
 attained and checked as equalities or rational inequalities, never with
-tolerances. Facet values at vertices are read from the space's one
-integer table, ``facet_table`` over ``facet_scale``.
+tolerances. Both tests read the space's own tables: ``facet_table`` over
+``facet_scale`` for facet values, ``facet_index`` for each facet F and
+for -F, its ``neg_functional_id``. CL gives F and -F one verdict, and
+(iii) reads d(v, F) and d(v, -F) from one row of distances at v.
 
 Which hexagons have the property is open here. Every symmetric hexagon
 is a linear image of one with vertices +-(1, 0), +-(a, b), +-(0, 1).
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GeometryError, NotAlmostClError, NotOnSphereError
-from .faces import Face, facets
+from .faces import Face
 from .linalg import ONE, ZERO, combination
 from .lp import LpConstraint, LpProblem, solve_lp
 from .space import PolyhedralSpace, Vector
@@ -149,24 +151,30 @@ def _distance_lp(space: PolyhedralSpace, x: Vector, points: list[Vector]) -> tup
 
 
 def check_cl(space: PolyhedralSpace) -> ClReport:
-    """Decide whether every ball vertex lies in conv(C u -C) for each facet C."""
+    """Decide whether every ball vertex lies in conv(C u -C) for each facet C.
+
+    C u -C is one set of vertex ids for C and -C, so a facet copies the
+    verdict of an opposite that came first: one hull LP per antipodal pair.
+    That LP always fails. Every vertex v of the ball B is extreme, and the
+    extreme points of the hull of a compact set lie in the set: so if
+    B = conv(C u -C), v lies in C u -C. If every vertex does, B =
+    conv(vertices) lies in conv(C u -C). So facet f fails exactly at the
+    first vertex with |f(v)| < 1, and CL holds iff every entry of
+    ``facet_table`` is +-``facet_scale``.
+    """
     verdicts = []
-    counterexample = None
-    for face in facets(space):
-        gens = list(face.vertices) + [-v for v in face.vertices]
-        gen_set = {g.coords for g in gens}
-        failing = None
-        for v in space.vrep:
-            if v.coords in gen_set:
-                continue
-            if in_convex_hull(v, gens) is None:
-                failing = v
-                break
-        verdicts.append(FacetClVerdict(face.functional_id, failing is None, failing))
-        if failing is not None and counterexample is None:
-            counterexample = (face.functional_id, failing)
-    ok = counterexample is None
-    return ClReport(ok, tuple(verdicts), counterexample)
+    for fid in range(len(space.hrep)):
+        neg = space.neg_functional_id(fid)
+        if neg < fid:
+            failing = verdicts[neg].failing_vertex
+        else:
+            ids = space.facet_index[fid] + space.facet_index[neg]
+            gens = [space.vrep[j] for j in ids]
+            others = (v for j, v in enumerate(space.vrep) if j not in ids)
+            failing = next((v for v in others if in_convex_hull(v, gens) is None), None)
+        verdicts.append(FacetClVerdict(fid, failing is None, failing))
+    counterexample = next(((v.facet_id, v.failing_vertex) for v in verdicts if not v.ok), None)
+    return ClReport(counterexample is None, tuple(verdicts), counterexample)
 
 
 def condition_iii_value(
@@ -219,30 +227,21 @@ def check_t_property(space: PolyhedralSpace) -> TPropertyReport:
     at a vertex. A vertex on the facet or on its opposite, or a facet
     vertex that meets the facet-functional bound, settles each side
     exactly without an LP; the distance LP runs only when none does.
-    The functional of each facet at each vertex is read from
-    ``space.facet_table``, an integer over ``space.facet_scale``.
+    The record of (v, F) adds the entries for F and -F of v's row of
+    distances, so no row of -v is needed for d(-v, F) = d(v, -F).
     """
     candidates = tuple(space.facet_barycenter(fid) for fid in range(len(space.hrep)))
     records = []
-    violation = None
-    # table[j][fid] is d(v_j, F_fid) with its witness; d(-v_j, F) is read
-    # from the row of the vertex -v_j.
     d = space.facet_scale
-    table = [
-        [_distance_to_face(space, v, fid, value, d) for fid, value in enumerate(row)]
-        for v, row in zip(space.vrep, space.facet_table)
-    ]
-    for j, v in enumerate(space.vrep):
-        opposite = table[space.neg_vertex_id(j)]
-        for fid, (d_plus, w_plus) in enumerate(table[j]):
-            d_minus, w_neg = opposite[fid]
-            rec = ConditionThreeRecord(v, fid, d_plus + d_minus, w_plus, -w_neg)
+    for v, row in zip(space.vrep, space.facet_table):
+        dist = [_distance_to_face(space, v, fid, value, d) for fid, value in enumerate(row)]
+        for fid, (d_plus, w_plus) in enumerate(dist):
+            d_minus, w_minus = dist[space.neg_functional_id(fid)]
+            rec = ConditionThreeRecord(v, fid, d_plus + d_minus, w_plus, w_minus)
             if rec.value < 2:
                 raise GeometryError("two-sided distance fell below two; this is a bug")
             records.append(rec)
-            if rec.value > 2 and violation is None:
-                violation = rec
-
+    violation = next((rec for rec in records if rec.value > 2), None)
     return TPropertyReport(
         holds=violation is None,
         candidates=candidates,

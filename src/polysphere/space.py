@@ -254,7 +254,7 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
                 f"functional {frac[r]} appears without its negation", offender=frac[r]
             )
 
-    base_idx = linalg.independent_row_indices(rows, limit=dim)
+    base_idx = linalg.independent_row_indices(rows)
     if len(base_idx) < dim:
         raise DegenerateInputError(
             "ball is unbounded: functionals do not span the dual space",

@@ -121,6 +121,7 @@ CASES = [
     ("star_hex", lambda d: ["star", "hex", "3/4,1/2"], 0),
     ("check_cl_linf3_decompose", lambda d: ["check-cl", "linf:3", "--decompose", "1,0,0"], 0),
     ("check_cl_hex", lambda d: ["check-cl", "hex"], 1),
+    ("check_cl_linfsum_hex_linf_1", lambda d: ["check-cl", "linfsum(hex,linf:1)"], 1),
     ("check_t_hex", lambda d: ["check-t", "hex"], 0),
     ("check_t_l1sum_hex_l1_1", lambda d: ["check-t", "l1sum(hex,l1:1)"], 0),
     (

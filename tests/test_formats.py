@@ -141,6 +141,36 @@ def test_file_that_is_not_utf8_is_an_encoding_error(tmp_path, read):
     assert str(err.value) == "line 3, col 3: byte 0xff is not valid UTF-8"
 
 
+BOM = b"\xef\xbb\xbf"
+ROTATION = map_text(["v0 -> w1", "v1 -> w3", "v2 -> w0", "v3 -> w5", "v4 -> w2", "v5 -> w4"])
+
+
+@pytest.mark.parametrize(
+    "read,text",
+    [(parse_space_file, HEX_H), (lambda p: parse_map_file(p, resolve), ROTATION)],
+    ids=["space", "map"],
+)
+def test_leading_byte_order_mark_is_ignored(tmp_path, read, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(BOM + text.encode("utf-8"))
+    assert read(marked) == read(plain)
+
+
+@pytest.mark.parametrize(
+    "data,line,col,byte",
+    [(BOM + b"ab\xff\n", 1, 3, 0xFF), (BOM + b"version 1\n\xc3\xa9 ok\nab\xfe\n", 3, 3, 0xFE)],
+    ids=["first-line", "third-line"],
+)
+def test_invalid_byte_after_a_byte_order_mark_is_named(tmp_path, data, line, col, byte):
+    path = tmp_path / "f.space"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        parse_space_file(path)
+    assert (err.value.kind, err.value.line, err.value.col) == ("encoding", line, col)
+    assert str(err.value) == f"line {line}, col {col}: byte 0x{byte:02x} is not valid UTF-8"
+
+
 @pytest.mark.parametrize("flag", ["True", "TRUE", "true"])
 def test_symmetric_flag_is_case_insensitive(flag):
     assert parse_space_text(HEX_H.replace("symmetric true", f"symmetric {flag}")) == hexagon_space()

@@ -43,6 +43,34 @@ SYMMETRIC_POLYTOPE_POINTS = st.sampled_from([2, 3]).flatmap(
 )
 
 
+def symmetric_builds(dims):
+    """A builder and integer rows of one dimension from ``dims``, closed
+    under negation by the builder once the test assumes the rows span."""
+    rows = st.sampled_from(dims).flatmap(
+        lambda dim: st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=dim, max_size=dim + 2)
+    )
+    builders = st.sampled_from([PolyhedralSpace.from_vertices, PolyhedralSpace.from_functionals])
+    return st.tuples(builders, rows)
+
+
+def build_symmetric(case):
+    builder, rows = case
+    assume(rank(rows) == len(rows[0]))
+    return builder(rows, symmetrize=True)
+
+
+CATALOG_NAMES = [
+    "hex", *(f"{kind}:{n}" for n in range(1, 5) for kind in ("l1", "linf")),
+    "linfsum(hex,linf:1)", "l1sum(hex,l1:1)",
+]
+
+
+def assert_opposite_facets_share_verdicts(space, report):
+    for fv in report.facet_verdicts:
+        opposite = report.facet_verdicts[space.neg_functional_id(fv.facet_id)]
+        assert (opposite.ok, opposite.failing_vertex) == (fv.ok, fv.failing_vertex)
+
+
 def face_by_functional(space, coeffs):
     return Face(space, space.functional_id(functional(*coeffs)))
 
@@ -119,6 +147,36 @@ class TestCheckCl:
                     polygon_contains(gens, v.coords) for v in space.vrep
                 )
                 assert fv.ok == dense_ok == vertex_ok
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_opposite_facets_share_verdicts(self, name):
+        space = resolve(name)
+        assert_opposite_facets_share_verdicts(space, check_cl(space))
+
+    @pytest.mark.parametrize(
+        "name,lps",
+        [("hex", 3), ("linfsum(hex,linf:1)", 3), ("l1sum(hex,l1:1)", 6)]
+        + [(f"{kind}:{n}", 0) for n in range(1, 5) for kind in ("l1", "linf")],
+    )
+    def test_one_lp_per_antipodal_pair_of_failing_facets(self, name, lps, lp_calls):
+        """A deterministic count: raising it is a regression."""
+        report = check_cl(resolve(name))
+        assert len(lp_calls) == lps == sum(not fv.ok for fv in report.facet_verdicts) // 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_builds([2, 3, 4]))
+    def test_failing_vertex_is_the_first_off_the_facet_and_its_opposite(self, case):
+        """Every vertex is an extreme point of the ball, so it lies in
+        conv(F u -F) only when it lies on F or -F: facet f fails at the
+        first vertex whose table entry is not +-facet_scale."""
+        space = build_symmetric(case)
+        report = check_cl(space)
+        s = space.facet_scale
+        for fv in report.facet_verdicts:
+            column = (row[fv.facet_id] for row in space.facet_table)
+            first = next((v for v, value in zip(space.vrep, column) if abs(value) != s), None)
+            assert (fv.ok, fv.failing_vertex) == (first is None, first)
+        assert_opposite_facets_share_verdicts(space, report)
 
 
 class TestConditionThree:
@@ -211,6 +269,15 @@ def assert_distance_matches_lp(space, x, fid):
     assert value == lp_value
     assert space.hrep[fid](w) == 1 and space.norm(w) == 1
     assert space.norm(x - w) == value
+
+
+def assert_records_agree_with_condition_iii_value(space):
+    """Each record carries the value and both witnesses that
+    condition_iii_value gives for its vertex and facet."""
+    for rec in check_t_property(space).condition_iii:
+        face = Face(space, rec.candidate_index)
+        got = condition_iii_value(space, rec.vertex, face)
+        assert got == (rec.value, rec.witness_plus, rec.witness_minus)
 
 
 class TestWitnessFirstDistance:
@@ -345,6 +412,15 @@ class TestTProperty:
         space = PolyhedralSpace.from_vertices(points, symmetrize=True)
         if check_cl(space).is_cl:
             assert check_t_property(space).holds
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ["linfsum(hex,hex)"])
+    def test_records_agree_with_condition_iii_value(self, name):
+        assert_records_agree_with_condition_iii_value(resolve(name))
+
+    @settings(max_examples=30, deadline=None)
+    @given(symmetric_builds([2, 3]))
+    def test_records_agree_with_condition_iii_value_on_random_polytopes(self, case):
+        assert_records_agree_with_condition_iii_value(build_symmetric(case))
 
     def test_hexagon_census_t_only_at_the_affine_regular_hexagon(self):
         """Every symmetric hexagon is a linear image of one with vertices

@@ -94,7 +94,7 @@ def reference_enumerate_ball_vertices(functionals, dim):
         tight = [r for r in processed if linalg.dot(r, p) == 0 and linalg.dot(r, q) == 0]
         return linalg.rank(tight) == dim - 1
 
-    base = [rows[i] for i in linalg.independent_row_indices(rows, limit=dim)]
+    base = [rows[i] for i in linalg.independent_row_indices(rows)[:dim]]
     base_inv = linalg.invert(tuple(base))
     processed, consumed = [], set()
     for r in base:
