@@ -8,7 +8,8 @@ only need integers are answered on integers.
 There is one elimination step, on integers. :func:`pivot` is one
 fraction-free Gauss-Jordan step on integer rows that share one positive
 scale d; a row's rational value is the row over d. :func:`_echelon` runs
-it on rows scaled to integers by :func:`integer_rows`, and :func:`rank`,
+it on int rows as they are and on any other rows scaled to integers by
+:func:`integer_rows`, and :func:`rank`,
 :func:`affine_rank`, :func:`independent_row_indices`, :func:`solve`,
 :func:`invert` and :func:`null_space_vector` read their answers from the
 reduced rows; the simplex tableau of :mod:`polysphere.lp` runs on the same
@@ -120,9 +121,13 @@ def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Sequence[int]], l
 
     Returns the nonzero rows, their pivot columns and their common scale d:
     each row divided by d is the rational reduced row, so it holds d in its
-    own pivot column and 0 in the others.
+    own pivot column and 0 in the others. Rows whose entries are all ints
+    are eliminated as they are; any other rows are first scaled to integers
+    by :func:`integer_rows`.
     """
-    work, _ = integer_rows(rows)
+    work = list(rows)
+    if not all(type(c) is int for row in work for c in row):
+        work, _ = integer_rows(work)
     pivots: list[int] = []
     d = 1
     r = 0

@@ -22,9 +22,12 @@ combinatorial test of Fukuda & Prodon ("Double description method
 revisited", 1996), with no rank computation. The facet test is
 combinatorial too: a row supports a facet iff the set of vertices where
 it equals one is nonempty and inclusion-maximal among the rows' sets.
-Vertices leave the enumerator as Fractions. The raw constructor validates
-the structural invariants it can check cheaply (symmetry, unit norms,
-facet and vertex ranks); full re-enumeration is available as
+Vertices leave the enumerator as integer keys over one common scale, the
+least common multiple of the rays' last entries; they are deduplicated
+and sorted as ints, and each vertex's Fraction tuple is built once, from
+its key. The raw constructor validates the structural invariants it can
+check cheaply (symmetry, unit norms, and facet and vertex ranks, tested
+on one member of each antipodal pair); full re-enumeration is available as
 :meth:`verify_mutual_polarity`.
 
 Fractions are the public type of every coordinate, but the work is done
@@ -228,7 +231,11 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
     on it. Two rays on opposite sides of a new row are adjacent, and so
     combine into a new ray, iff their common mask has at least ``dim - 1``
     bits and no third ray's mask contains it: the combinatorial test of
-    Fukuda & Prodon, "Double description method revisited" (1996).
+    Fukuda & Prodon, "Double description method revisited" (1996). Every
+    surviving ray has last entry t > 0 and stands for the vertex ray / t;
+    the rays are scaled to the least common multiple L of their t's, and
+    those integer keys are deduplicated and sorted before the Fractions
+    key / L are built.
     """
     given = [
         tuple(f.coeffs) if isinstance(f, Functional) else tuple(as_fraction(c) for c in f)
@@ -302,13 +309,12 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
                 new_masks.append(common | flag)
         rays, masks = new_rays, new_masks
 
-    vertices = []
-    for ray in rays:
-        t = ray[-1]
-        if t <= 0:
-            raise GeometryError("internal: unbounded ray survived enumeration")
-        vertices.append(tuple(Fraction(c, t) for c in ray[:-1]))
-    return tuple(sorted(set(vertices)))
+    if any(ray[-1] <= 0 for ray in rays):
+        raise GeometryError("internal: unbounded ray survived enumeration")
+    # A positive common scale keeps equality and the lexicographic order.
+    lcm = math.lcm(*(ray[-1] for ray in rays))
+    keys = {tuple(c * (lcm // ray[-1]) for c in ray[:-1]) for ray in rays}
+    return tuple(tuple(Fraction(c, lcm) for c in key) for key in sorted(keys))
 
 
 def _polar_pair(rows: Sequence, dim: int, symmetrize: bool):
@@ -449,10 +455,20 @@ class PolyhedralSpace:
         # A facet's vertices, homogenised with their scale e, have rank dim
         # iff their affine hull is a hyperplane; a vertex's active rows have
         # rank dim iff it is the only point of the ball where they are one.
-        for f, ids in zip(self.hrep, self.facet_index):
+        # One member of each antipodal pair is tested, the one with the lower
+        # id. Negation is linear and both descriptions are symmetric: the
+        # vertices of -f are the negations of f's, whose homogenised rows
+        # have the same rank, and the rows active at -v are the negations of
+        # those active at v. So both members of a pair pass or both fail,
+        # and the first offender in canonical order is the lower id.
+        for i, (f, ids) in enumerate(zip(self.hrep, self.facet_index)):
+            if self._neg_f[i] < i:
+                continue
             if linalg.rank([self._points[j] + (e,) for j in ids]) != self.dim:
                 raise GeometryError(f"functional {f} does not support a facet")
-        for v, row in zip(self.vrep, values):
+        for j, (v, row) in enumerate(zip(self.vrep, values)):
+            if self._neg_v[j] < j:
+                continue
             active = [r for r, value in zip(self._rows, row) if value == d]
             if linalg.rank(active) != self.dim:
                 raise GeometryError(f"listed point {v} is not a vertex of the ball")

@@ -86,6 +86,24 @@ symmetric true
 1/4 0 0
 """
 
+# A dim-3 V-file with redundant points, closed under negation by the
+# header: 1/3 1/3 0 is interior, 2/4 0 0 is an interior point written
+# unreduced, and 0 1 0 is repeated. The hull has 8 vertices and 12 facets,
+# most with fractional functionals.
+REDUNDANT_POINTS_SPACE = """version 1
+name redundant-points
+dim 3
+kind V
+symmetric true
+3/2 0 0
+0 1 0
+0 0 1
+1/2 1/2 1/2
+1/3 1/3 0
+2/4 0 0
+0 1 0
+"""
+
 MALFORMED_SPACE = """version 1
 name broken
 dim 2
@@ -136,6 +154,11 @@ CASES = [
     (
         "facets_redundant_rows",
         lambda d: ["facets", _write(d, "redundant.space", REDUNDANT_ROWS_SPACE)],
+        0,
+    ),
+    (
+        "facets_redundant_points",
+        lambda d: ["facets", _write(d, "points.space", REDUNDANT_POINTS_SPACE)],
         0,
     ),
     ("sum_l1_hex_l1_1", lambda d: ["sum", "l1", "hex", "l1:1"], 0),

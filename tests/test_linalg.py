@@ -187,6 +187,56 @@ def test_integer_rows_scale_every_row_by_the_common_denominator(rows):
     assert [tuple(Fraction(c, s) for c in r) for r in ints] == [tuple(r) for r in rows]
 
 
+INT = st.one_of(st.integers(-3, 3), st.integers(-(10**9), 10**9))
+
+
+@st.composite
+def int_matrices(draw):
+    """Int matrices of 0 to 6 rows and 1 to 6 columns, with zero rows,
+    negative entries and entries up to 10**9."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.tuples(*[INT] * ncols), max_size=6))
+    rows += [(0,) * ncols] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows))
+
+
+def echelon_as_tuples(rows):
+    red, pivots, d = _echelon(rows)
+    return [tuple(row) for row in red], pivots, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+def test_int_rows_are_eliminated_as_the_same_rows_as_fractions(rows):
+    """Int rows skip the scaling to integers; the answers must be those of
+    the same rows given as Fractions, which are scaled."""
+    fracs = [tuple(F(c) for c in row) for row in rows]
+    red, pivots, d = echelon_as_tuples(rows)
+    assert (red, pivots, d) == echelon_as_tuples(fracs)
+    assert all(type(x) is int for row in red for x in row)
+    assert rank(rows) == rank(fracs) == reference_rank(fracs)
+    assert independent_row_indices(rows) == independent_row_indices(fracs)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(3, F(1, 2)), (1, 0)],
+        [(F(1, 2), 1, 2)],
+        [(F(3), F(1))],
+        [(F(-3), F(1), F(0)), (F(0), F(2), F(5))],
+    ],
+    ids=["mixed-2x2", "mixed-row", "denominator-one-row", "denominator-one-rows"],
+)
+def test_rows_that_are_not_all_ints_are_scaled_to_int_rows(rows):
+    """Any entry that is not an int, even Fraction(3), sends the rows
+    through the scaling: the reduced rows hold ints only."""
+    red, pivots, d = _echelon(rows)
+    assert all(type(x) is int for row in red for x in row)
+    assert pivots == reference_pivot_columns(rows)
+    assert [[F(x, d) for x in row] for row in red] == reference_echelon(rows)[0]
+
+
 def test_bareiss_handles_negative_pivots_and_row_swaps():
     rows = [(F(0), F(0), F(3)), (F(-2), F(4), F(1)), (F(1), F(-2), F(5, 7)), (F(-3), F(1), F(0))]
     assert _echelon(rows)[1] == reference_pivot_columns(rows) == [0, 1, 2]

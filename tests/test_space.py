@@ -171,6 +171,56 @@ def non_spanning_rows(draw):
     return draw(st.permutations(rows)), dim
 
 
+def reference_validate_ranks(self, values, d, e):
+    """``PolyhedralSpace._validate_ranks`` on every facet and every vertex,
+    negations included, in canonical order."""
+    for f, ids in zip(self.hrep, self.facet_index):
+        if rank([self._points[j] + (e,) for j in ids]) != self.dim:
+            raise GeometryError(f"functional {f} does not support a facet")
+    for v, row in zip(self.vrep, values):
+        active = [r for r, value in zip(self._rows, row) if value == d]
+        if rank(active) != self.dim:
+            raise GeometryError(f"listed point {v} is not a vertex of the ball")
+
+
+@st.composite
+def direct_constructions(draw):
+    """A random space's descriptions with extra antipodal pairs that pass the
+    symmetry and norm checks: points scaled to norm one, which need not be
+    vertices (edge midpoints among them), then functionals scaled to dual
+    norm one over every listed point, which need not support a facet (sums
+    of two facet functionals among them)."""
+    space = PolyhedralSpace.from_vertices(draw(symmetric_point_rows()))
+    hrep, vrep = list(space.hrep), list(space.vrep)
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    vertex_pairs = st.tuples(st.sampled_from(vrep), st.sampled_from(vrep))
+    points = [vector(*x) for x in draw(st.lists(st.tuples(*[coord] * space.dim), max_size=2))]
+    points += [a + b for a, b in draw(st.lists(vertex_pairs, max_size=2))]
+    for x in points:
+        if any(x.coords):
+            x = x.scale(1 / space.norm(x))
+            vrep += [x, -x]
+    facet_pairs = st.tuples(st.sampled_from(hrep), st.sampled_from(hrep))
+    rows = draw(st.lists(st.tuples(*[coord] * space.dim), max_size=2))
+    rows += [tuple(a + b for a, b in zip(f.coeffs, g.coeffs))
+             for f, g in draw(st.lists(facet_pairs, max_size=2))]
+    for row in rows:
+        if any(row):
+            top = max(linalg.dot(row, v.coords) for v in vrep)
+            f = functional(*(c / top for c in row))
+            hrep += [f, -f]
+    return draw(st.permutations(hrep)), draw(st.permutations(vrep))
+
+
+def construction_outcome(hrep, vrep):
+    """The space's descriptions, or the type, message and offender of the error."""
+    try:
+        space = PolyhedralSpace(hrep, vrep)
+    except GeometryError as err:
+        return type(err), str(err), getattr(err, "offender", None)
+    return space.hrep, space.vrep
+
+
 def outcome(enumerate_vertices, rows, dim):
     """The vertices, or the type and message of the error raised."""
     try:
@@ -555,6 +605,33 @@ class TestInvariants:
         assert type(err.value) is error
         assert str(err.value) == message
         assert getattr(err.value, "offender", None) == offender
+
+    @pytest.mark.parametrize("name", ["hex", "l1:3", "linf:3", "l1sum(hex,l1:1)"])
+    def test_rank_checks_test_one_member_of_each_antipodal_pair(self, name, monkeypatch):
+        space = catalog.resolve(name)
+        calls = []
+        original = linalg.rank
+
+        def counted(rows):
+            calls.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(linalg, "rank", counted)
+        PolyhedralSpace(space.hrep, space.vrep)
+        assert len(calls) == (len(space.hrep) + len(space.vrep)) // 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(direct_constructions())
+    def test_rank_checks_raise_what_the_all_rows_checks_raise(self, case):
+        """Testing one member of each antipodal pair raises the same error,
+        on the same offender, as testing every facet and vertex, or accepts
+        what that accepts."""
+        hrep, vrep = case
+        got = construction_outcome(hrep, vrep)
+        with mock.patch.object(PolyhedralSpace, "_validate_ranks", reference_validate_ranks):
+            assert got == construction_outcome(hrep, vrep)
+        if len(got) == 3:
+            assert got[1].endswith(("does not support a facet", "is not a vertex of the ball"))
 
     def test_facet_table_over_its_scale_is_the_functionals_at_vertices(self, small_catalog):
         for space in small_catalog:
