@@ -21,16 +21,24 @@ check and the facet that carries the point from one pass of the domain's
 integer facet rows, then solves one barycentric LP. A passing map makes
 no norm call.
 
+Points are combined on the spaces' integer vertex rows: row j of a space
+is ``_points[j]``, vertex j times the vertex scale e = ``_point_scale``.
+The facet samples are integer-weighted sums of the domain's rows, and
+apply's image is the LP weights, scaled to integers once, against the
+codomain's rows; each coordinate becomes one Fraction at the end.
+
 The linear extension is built from exact linear algebra on the vertex
 images and certified exactly by two checks: vertex agreement, which with
 the vertex bijection carries the domain ball onto the codomain ball, and
 functional transport, which makes the matrix injective. Together they
-make it a linear isometry; no norm is sampled.
+make it a linear isometry; no norm is sampled. Vertex agreement compares
+the matrix's integer rows at the domain's vertex rows with the codomain's
+vertex rows, cross-multiplied by the three scales.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 
 from . import linalg
 from .errors import (
@@ -92,13 +100,21 @@ class SphereMap:
         exact LP solver's canonical basic solution. For facet-consistent
         maps the result does not depend on either choice. At a vertex the
         only weights are one-hot, so the result is :meth:`vertex_image`.
+
+        The image is combined on integers: with the weights scaled to
+        integers w over s, and Q the codomain's vertex rows over its vertex
+        scale e, coordinate c is sum_j w_j * Q[vertex_map[j]][c] over s * e.
         """
-        (values,), d = self.domain._values_at((x,))
+        dom, cod = self.domain, self.codomain
+        (values,), d = dom._values_at((x,))
         if max(values) != d:
             raise NotOnSphereError(f"{x} is not on the domain sphere")
-        ids = self.domain.facet_index[values.index(d)]
-        weights = _barycentric_weights([self.domain.vrep[j] for j in ids], x)
-        return Vector(linalg.combination(weights, [self.vertex_image(j).coords for j in ids]))
+        ids = dom.facet_index[values.index(d)]
+        weights = _barycentric_weights([dom.vrep[j] for j in ids], x)
+        (w,), s = linalg.integer_rows((weights,))
+        den = s * cod._point_scale
+        cols = zip(*(cod._points[self.vertex_map[j]] for j in ids))
+        return Vector._of(tuple(Fraction(sum(map(mul, w, col)), den) for col in cols))
 
     @classmethod
     def from_linear(cls, domain: PolyhedralSpace, codomain: PolyhedralSpace, matrix: Matrix) -> "SphereMap":
@@ -311,18 +327,29 @@ def extend(m: SphereMap, seed=DEFAULT_SEED) -> ExtensionCertificate:
 
     Together they give ||Tz|| = ||z|| for every z. ``seed`` is unused and
     kept for callers that pass it.
+
+    Vertex agreement runs on integers. With T's rows scaled to integers M
+    over s, and P and Q the two spaces' vertex rows over their vertex
+    scales e_dom and e_cod, vertex j agrees iff (M P_j)[c] * e_cod ==
+    Q[vertex_map[j]][c] * s * e_dom for every coordinate c. The Fraction
+    image T v and its dependence witness are built only for the first
+    vertex that disagrees.
     """
-    dom = m.domain
+    dom, cod = m.domain, m.codomain
     rows = [v.coords for v in dom.vrep]
     base_ids = linalg.independent_row_indices(rows)
     vcols = linalg.transpose(tuple(dom.vrep[i].coords for i in base_ids))
     wcols = linalg.transpose(tuple(m.vertex_image(i).coords for i in base_ids))
     matrix = linalg.mat_mul(wcols, linalg.invert(vcols))
 
-    for i, v in enumerate(dom.vrep):
-        got = Vector(linalg.mat_vec(matrix, v.coords))
-        want = m.vertex_image(i)
-        if got != want:
+    ints, s = linalg.integer_rows(matrix)
+    lhs_scale, rhs_scale = cod._point_scale, s * dom._point_scale
+    for i, p in enumerate(dom._points):
+        q = cod._points[m.vertex_map[i]]
+        if any(
+            sum(map(mul, row, p)) * lhs_scale != qc * rhs_scale for row, qc in zip(ints, q)
+        ):
+            v = dom.vrep[i]
             alpha = linalg.solve(vcols, v.coords)
             raise ExtensionInconsistencyError(
                 "vertex images admit no linear map",
@@ -330,8 +357,8 @@ def extend(m: SphereMap, seed=DEFAULT_SEED) -> ExtensionCertificate:
                     "vertex": v,
                     "basis_ids": tuple(base_ids),
                     "coefficients": alpha,
-                    "expected": want,
-                    "forced": got,
+                    "expected": m.vertex_image(i),
+                    "forced": Vector(linalg.mat_vec(matrix, v.coords)),
                 },
             )
 

@@ -16,8 +16,10 @@ artificial column holds 1, which rescales that column by a positive
 factor; Bland's rule needs only signs and the order of ratios within a
 column, which neither rescaling changes, so the pivots are those of the
 same tableau on Fractions. Basic values are read as row[-1] / d only at
-the end. It targets the desk-scale systems that arise in unit-ball
-geometry (tens of variables), not production LP workloads.
+the end, and the optimal value as the objective's integer row times those
+numerators, over L * d with L the objective's own scale. It targets the
+desk-scale systems that arise in unit-ball geometry (tens of variables),
+not production LP workloads.
 """
 
 import math
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import eq, le, mul
 
-from .linalg import dot, integer_rows, pivot
+from .linalg import integer_rows, pivot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -177,7 +179,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     # Phase two with the real objective, z = -L*d*c + sum of L*cb * (basic
     # row), with L the lcm of the cost denominators.
-    (c,), _ = integer_rows([problem.objective])
+    (c,), cost_scale = integer_rows([problem.objective])
     z = [-d * x for x in c] + [0] * (total - n + 1)
     for row, b in zip(tab, basis):
         if b < n and c[b]:
@@ -201,4 +203,4 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         raise RuntimeError("simplex violated a sign constraint; this is a bug")
 
     point = tuple(Fraction(x, d) for x in nums)
-    return LpSolution(OPTIMAL, point, dot(problem.objective, point))
+    return LpSolution(OPTIMAL, point, Fraction(sum(map(mul, c, nums)), cost_scale * d))

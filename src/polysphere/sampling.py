@@ -2,12 +2,17 @@
 
 All randomness flows through seeded ``random.Random`` instances so that
 reports and failures are reproducible byte for byte.
+
+The facet samplers combine a space's integer vertex rows (``_points``,
+over the vertex scale e = ``_point_scale``) on integers, with integer
+weights, and build one Fraction per coordinate: a convex combination with
+weights w_j / W is ``Fraction(sum_j w_j * P_j[c], W * e)``.
 """
 
 import random
 from fractions import Fraction
+from operator import mul
 
-from . import linalg
 from .space import PolyhedralSpace, Vector
 
 DEFAULT_SEED = 0
@@ -43,17 +48,17 @@ def sphere_points(space: PolyhedralSpace, count: int, seed=DEFAULT_SEED) -> list
 def random_facet_point(space: PolyhedralSpace, fid: int, rng: random.Random) -> Vector:
     """A random rational convex combination of the facet's vertices."""
     ids = space.facet_index[fid]
-    weights = [Fraction(rng.randint(0, 6)) for _ in ids]
-    if sum(weights) == 0:
-        weights[rng.randrange(len(weights))] = Fraction(1)
-    total = sum(weights)
-    points = [space.vrep[j].coords for j in ids]
-    return Vector(linalg.combination([w / total for w in weights], points))
+    weights = [rng.randint(0, 6) for _ in ids]
+    if not any(weights):
+        weights[rng.randrange(len(weights))] = 1
+    den = sum(weights) * space._point_scale
+    cols = zip(*(space._points[j] for j in ids))
+    return Vector._of(tuple(Fraction(sum(map(mul, weights, col)), den) for col in cols))
 
 
 def facet_sample_points(space: PolyhedralSpace) -> list[Vector]:
     """Deterministic interior facet samples: barycenters plus vertex-pair midpoints."""
-    half = Fraction(1, 2)
+    den = 2 * space._point_scale
     seen = set()
     points = []
 
@@ -66,6 +71,8 @@ def facet_sample_points(space: PolyhedralSpace) -> list[Vector]:
         add(space.facet_barycenter(fid))
         ids = space.facet_index[fid]
         for a in range(len(ids)):
+            p = space._points[ids[a]]
             for b in range(a + 1, len(ids)):
-                add((space.vrep[ids[a]] + space.vrep[ids[b]]).scale(half))
+                q = space._points[ids[b]]
+                add(Vector._of(tuple(Fraction(x + y, den) for x, y in zip(p, q))))
     return points

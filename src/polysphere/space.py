@@ -39,7 +39,11 @@ Fractions are made only for the public ``hrep`` and ``vrep`` and for error
 payloads. A space keeps its facet functionals as integer rows and the
 values of those rows at the vertices as one integer table,
 ``facet_table`` over ``facet_scale``; the rank checks, the norm and the
-active facets of other points are read from the same integer rows.
+active facets of other points are read from the same integer rows. Its
+vertices stay integer rows too, over the vertex scale ``_point_scale``,
+which is ``facet_scale`` over the functionals' scale: facet barycenters,
+the facet samples of :mod:`polysphere.sampling`, and the images and linear
+extensions of :mod:`polysphere.isometry` are combined on them.
 """
 
 import itertools
@@ -120,8 +124,9 @@ class Vector:
 
     @classmethod
     def _of(cls, coords: tuple[Fraction, ...]) -> "Vector":
-        """A Vector on a nonempty tuple of Fractions, taken as it is; only the
-        arithmetic below, whose results are Fractions already, uses it."""
+        """A Vector on a nonempty tuple of Fractions, taken as it is; only
+        callers whose coordinates are Fractions already, such as the
+        arithmetic below, use it."""
         v = object.__new__(cls)
         v.coords = coords
         return v
@@ -408,6 +413,7 @@ class PolyhedralSpace:
     __slots__ = (
         "dim", "hrep", "vrep", "facet_index", "facet_table", "facet_scale", "name",
         "_neg_f", "_neg_v", "_v_pos", "_f_pos", "_rows", "_scale", "_points",
+        "_point_scale",
     )
 
     def __init__(self, hrep: Sequence, vrep: Sequence, name: str | None = None):
@@ -427,7 +433,7 @@ class PolyhedralSpace:
         self._rows, self._scale = sorted(by_row), s
         points, e = linalg.integer_rows(v.coords for v in vs)
         by_point = dict(zip(points, vs))
-        self._points = sorted(by_point)
+        self._points, self._point_scale = sorted(by_point), e
         self.hrep = tuple(by_row[r] for r in self._rows)
         self.vrep = tuple(by_point[p] for p in self._points)
         self._neg_f = _negation_ids(self._rows, self.hrep, "functional")
@@ -441,7 +447,7 @@ class PolyhedralSpace:
         self.facet_index = tuple(
             tuple(j for j, row in enumerate(table) if row[i] == d) for i in range(len(self.hrep))
         )
-        self._validate_ranks(table, d, e)
+        self._validate_ranks(table, d)
 
     def _validate_norms(self, values, d):
         for v, row in zip(self.vrep, values):
@@ -451,7 +457,7 @@ class PolyhedralSpace:
             if max(row[i] for row in values) != d:
                 raise GeometryError(f"functional {f} does not have dual norm one")
 
-    def _validate_ranks(self, values, d, e):
+    def _validate_ranks(self, values, d):
         # A facet's vertices, homogenised with their scale e, have rank dim
         # iff their affine hull is a hyperplane; a vertex's active rows have
         # rank dim iff it is the only point of the ball where they are one.
@@ -461,6 +467,7 @@ class PolyhedralSpace:
         # have the same rank, and the rows active at -v are the negations of
         # those active at v. So both members of a pair pass or both fail,
         # and the first offender in canonical order is the lower id.
+        e = self._point_scale
         for i, (f, ids) in enumerate(zip(self.hrep, self.facet_index)):
             if self._neg_f[i] < i:
                 continue
@@ -579,8 +586,9 @@ class PolyhedralSpace:
 
     def facet_barycenter(self, fid: int) -> Vector:
         ids = self.facet_index[fid]
-        n = len(ids) * (self.facet_scale // self._scale)  # the vertex rows' scale e
-        return Vector(Fraction(sum(col), n) for col in zip(*(self._points[j] for j in ids)))
+        n = len(ids) * self._point_scale
+        cols = zip(*(self._points[j] for j in ids))
+        return Vector._of(tuple(Fraction(sum(col), n) for col in cols))
 
     def dual(self, name: str | None = None) -> "PolyhedralSpace":
         """The polar space: vertices become functionals and vice versa."""

@@ -70,6 +70,34 @@ map
 (1, 0) -> (1, 0)
 """
 
+# The hexagon's image under the shear [[1, 1/3], [0, 1/2]], and the map
+# from the hexagon onto it. Its vertex rows have scale 6 and the hexagon's
+# scale 2, so images and vertex agreement are compared across two scales.
+# The map names the space by a path relative to the map file.
+SHEARED_HEX_SPACE = """version 1
+name sheared-hex
+dim 2
+kind V
+1 0
+-1 0
+5/6 1/2
+-5/6 -1/2
+-1/6 1/2
+1/6 -1/2
+"""
+
+SHEARED_HEX_MAP = """version 1
+domain hex
+codomain sheared-hex.space
+map
+(1, 0) -> (1, 0)
+(-1, 0) -> (-1, 0)
+(1/2, 1) -> (5/6, 1/2)
+(-1/2, -1) -> (-5/6, -1/2)
+(-1/2, 1) -> (-1/6, 1/2)
+(1/2, -1) -> (1/6, -1/2)
+"""
+
 # The cube with three redundant rows, closed under negation by the header:
 # 1/2 1/2 0 touches the ball along an edge, 1/3 1/3 1/3 at a vertex, and
 # 1/4 0 0 nowhere. Only the six cube facets are kept.
@@ -133,6 +161,11 @@ def _moved_map(directory: Path) -> str:
     return _write(directory, "moved.map", MOVED_HEX_MAP.format(codomain=codomain))
 
 
+def _sheared_map(directory: Path) -> str:
+    _write(directory, "sheared-hex.space", SHEARED_HEX_SPACE)
+    return _write(directory, "sheared.map", SHEARED_HEX_MAP)
+
+
 # (case name, argv built from a scratch directory, expected exit code)
 CASES = [
     ("facets_hex", lambda d: ["facets", "hex"], 0),
@@ -151,6 +184,8 @@ CASES = [
     ("extend_hex_rotation", lambda d: ["extend", _write(d, "rot.map", HEX_ROTATION_MAP)], 0),
     ("verify_iso_moved_vertex", lambda d: ["verify-iso", _moved_map(d)], 1),
     ("extend_moved_vertex", lambda d: ["extend", _moved_map(d)], 1),
+    ("verify_iso_sheared_hex", lambda d: ["verify-iso", _sheared_map(d)], 0),
+    ("extend_sheared_hex", lambda d: ["extend", _sheared_map(d)], 0),
     (
         "facets_redundant_rows",
         lambda d: ["facets", _write(d, "redundant.space", REDUNDANT_ROWS_SPACE)],

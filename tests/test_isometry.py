@@ -1,18 +1,23 @@
 """Sphere maps, isometry verification, and certified linear extension."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polysphere import (
     CertificationError,
+    ExtensionCertificate,
+    ExtensionInconsistencyError,
     GeometryError,
     IsometryReport,
+    NotOnSphereError,
     PolyhedralSpace,
     SphereMap,
+    Vector,
     extend,
     hexagon_space,
     l1_space,
@@ -24,7 +29,8 @@ from polysphere import (
 from polysphere import isometry as isometry_module
 from polysphere import linalg
 from polysphere.isometry import _first_unequal_pair
-from polysphere.linalg import ONE, integer_rows, mat_mul, mat_vec
+from polysphere.catalog import linf_sum
+from polysphere.linalg import ONE, combination, integer_rows, mat_mul, mat_vec
 from polysphere.sampling import DEFAULT_SEED, facet_sample_points, random_facet_point, rng_from
 
 F = Fraction
@@ -97,12 +103,15 @@ class TestLinearSymmetries:
         assert_certified(SphereMap.from_linear(linf, l1, backward), backward)
 
     def test_sheared_images_whose_tables_have_another_scale(self, hexagon):
-        """Functional transport compares facet values across two scales."""
+        """Functional transport compares facet values across two scales, and
+        images and vertex agreement compare vertex rows across two scales."""
         cases = [(hexagon, t) for t in SHEARS[1:]] + [(l1_space(3), t) for t in SHEARS_3D]
         for space, matrix in cases:
             m = sheared_image(space, matrix)
             assert m.domain.facet_scale != m.codomain.facet_scale
+            assert m.domain._point_scale != m.codomain._point_scale
             assert_certified(m, matrix)
+            assert_matches_references(m)
 
 
 class TestRejections:
@@ -166,8 +175,75 @@ class TestRejections:
             SphereMap.from_linear(domain, codomain, matrix)
 
 
-def reference_verify_isometry(m, seed=DEFAULT_SEED):
-    """The pair passes as plain double loops over exact norms of differences."""
+def reference_random_facet_point(space, fid, rng):
+    """``random_facet_point`` on Fractions: the same draws, then the
+    Fraction combination of the facet's vertices."""
+    ids = space.facet_index[fid]
+    weights = [F(rng.randint(0, 6)) for _ in ids]
+    if sum(weights) == 0:
+        weights[rng.randrange(len(weights))] = F(1)
+    total = sum(weights)
+    points = [space.vrep[j].coords for j in ids]
+    return Vector(combination([w / total for w in weights], points))
+
+
+def reference_facet_sample_points(space):
+    """``facet_sample_points`` on Fractions: each facet's barycenter as the
+    mean of its vertices, then its vertex-pair midpoints, first sighting kept."""
+    seen, points = set(), []
+    for ids in space.facet_index:
+        verts = [space.vrep[j] for j in ids]
+        mean = combination([F(1, len(verts))] * len(verts), [v.coords for v in verts])
+        candidates = [Vector(mean)]
+        candidates += [(a + b).scale(F(1, 2)) for a, b in itertools.combinations(verts, 2)]
+        for v in candidates:
+            if v not in seen:
+                seen.add(v)
+                points.append(v)
+    return points
+
+
+def reference_apply(m, x):
+    """``SphereMap.apply`` on Fractions: the first facet functional that is
+    one at x, the same barycentric LP, and the Fraction combination of the
+    vertex images."""
+    dom = m.domain
+    values = [f(x) for f in dom.hrep]
+    if max(values) != 1:
+        raise NotOnSphereError(f"{x} is not on the domain sphere")
+    ids = dom.facet_index[values.index(1)]
+    weights = isometry_module._barycentric_weights([dom.vrep[j] for j in ids], x)
+    return Vector(combination(weights, [m.vertex_image(j).coords for j in ids]))
+
+
+def reference_extend(m):
+    """``extend`` with vertex agreement checked on Fractions: T v against
+    the vertex image, vertex by vertex."""
+    dom = m.domain
+    base_ids = linalg.independent_row_indices([v.coords for v in dom.vrep])
+    vcols = linalg.transpose(tuple(dom.vrep[i].coords for i in base_ids))
+    wcols = linalg.transpose(tuple(m.vertex_image(i).coords for i in base_ids))
+    matrix = mat_mul(wcols, linalg.invert(vcols))
+    for i, v in enumerate(dom.vrep):
+        got = Vector(mat_vec(matrix, v.coords))
+        want = m.vertex_image(i)
+        if got != want:
+            raise ExtensionInconsistencyError(
+                "vertex images admit no linear map",
+                detail={
+                    "vertex": v,
+                    "basis_ids": tuple(base_ids),
+                    "coefficients": linalg.solve(vcols, v.coords),
+                    "expected": want,
+                    "forced": got,
+                },
+            )
+    return ExtensionCertificate(matrix=matrix, functional_pairs=transported_functionals(m))
+
+
+def reference_verify_isometry(m, seed=DEFAULT_SEED, apply=reference_apply):
+    """The pair passes as plain double loops over exact norms of differences,
+    on samples and images from the Fraction references above."""
     dom, cod = m.domain, m.codomain
 
     for fid, gid in enumerate(m.facet_map):
@@ -216,12 +292,12 @@ def reference_verify_isometry(m, seed=DEFAULT_SEED):
                 counterexample=(fid,),
             )
 
-    samples = facet_sample_points(dom)
+    samples = reference_facet_sample_points(dom)
     rng = rng_from(seed)
     for fid in range(len(dom.hrep)):
-        samples.append(random_facet_point(dom, fid, rng))
+        samples.append(reference_random_facet_point(dom, fid, rng))
     pool = list(dom.vrep) + samples
-    images = [m.apply(p) for p in pool]
+    images = [apply(m, p) for p in pool]
     nv = len(dom.vrep)
     for i in range(len(pool)):
         for j in range(max(i + 1, nv), len(pool)):
@@ -236,9 +312,9 @@ def reference_verify_isometry(m, seed=DEFAULT_SEED):
     return IsometryReport(True)
 
 
-def assert_same_report(m):
-    report = verify_isometry(m)
-    assert report == reference_verify_isometry(m)
+def assert_same_report(m, seed=DEFAULT_SEED, apply=reference_apply):
+    report = verify_isometry(m, seed)
+    assert report == reference_verify_isometry(m, seed, apply)
     return report
 
 
@@ -282,7 +358,7 @@ class TestAgainstReference:
             assert assert_same_report(sheared_image(space, matrix)).passed
 
     def test_moved_hexagon_grid(self, hexagon):
-        verdicts = set()
+        verdicts, extensions = set(), set()
         for x, y in itertools.product(range(0, 6), range(2, 8)):
             b = (F(x, 4), F(y, 4))
             moved = moved_hexagon(b)
@@ -293,10 +369,13 @@ class TestAgainstReference:
                 (hexagon, moved, [(v, shift.get(v, v)) for v in hexagon.vrep]),
                 (moved, hexagon, [(shift.get(v, v), v) for v in hexagon.vrep]),
             ]:
-                report = assert_same_report(map_by_coordinates(domain, codomain, pairs))
+                m = map_by_coordinates(domain, codomain, pairs)
+                report = assert_matches_references(m)
                 pair = report.counterexample[:2] if report.counterexample else None
                 verdicts.add((report.passed, report.reason, pair))
+                extensions.add(type(extend_outcome(extend, m)))
         assert (True, "", None) in verdicts
+        assert extensions == {ExtensionCertificate, tuple}
         # The grid reaches several first failing pairs, not one.
         assert len({v[2] for v in verdicts if not v[0]}) > 2
 
@@ -308,8 +387,13 @@ class TestAgainstReference:
         swap = {samples[k]: samples[k - 2], samples[k - 2]: samples[k]}
         apply = SphereMap.apply
         monkeypatch.setattr(SphereMap, "apply", lambda m, x: apply(m, swap.get(x, x)))
+
+        def swapped(m, x):
+            return reference_apply(m, swap.get(x, x))
+
         for matrix in hex_symmetries()[:4]:
-            report = assert_same_report(SphereMap.from_linear(hexagon, hexagon, matrix))
+            m = SphereMap.from_linear(hexagon, hexagon, matrix)
+            report = assert_same_report(m, apply=swapped)
             assert report.reason == "sampled distance not preserved"
 
 
@@ -378,6 +462,14 @@ def test_first_unequal_pair_matches_fraction_differences(rows):
 LINF3_SIGNED_PERMUTATION = ((F(0), F(-1), F(0)), (F(0), F(0), F(1)), (F(-1), F(0), F(0)))
 
 
+def counting(calls, name, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
 @pytest.mark.parametrize(
     "space,matrix",
     [(hexagon_space(), HEX_ROTATION), (linf_space(3), LINF3_SIGNED_PERMUTATION)],
@@ -386,10 +478,14 @@ LINF3_SIGNED_PERMUTATION = ((F(0), F(-1), F(0)), (F(0), F(0), F(1)), (F(-1), F(0
 def test_only_apply_evaluates_norms_on_a_passing_map(monkeypatch, space, matrix):
     """Pair distances come from facet values and vertex images from the
     vertex map: a passing map makes no norm call, and one apply and one LP
-    per sample that is not a vertex."""
+    per sample that is not a vertex. Samples, images and vertex agreement
+    are combined on integer vertex rows, so no Fraction ``combination`` or
+    ``mat_vec`` runs."""
     m = SphereMap.from_linear(space, space, matrix)
-    calls = {"norm": 0, "apply": 0, "solve_lp": 0}
+    calls = {"norm": 0, "apply": 0, "solve_lp": 0, "combination": 0, "mat_vec": 0}
     norm, apply, solve = PolyhedralSpace.norm, SphereMap.apply, isometry_module.solve_lp
+    for name in ("combination", "mat_vec"):
+        monkeypatch.setattr(linalg, name, counting(calls, name, getattr(linalg, name)))
 
     def counting_norm(self, x):
         calls["norm"] += 1
@@ -414,4 +510,114 @@ def test_only_apply_evaluates_norms_on_a_passing_map(monkeypatch, space, matrix)
     vertices = set(space.vrep)
     non_vertex = sum(1 for p in samples if p not in vertices)
     assert non_vertex > 0
-    assert calls == {"norm": 0, "apply": non_vertex, "solve_lp": non_vertex}
+    assert calls == {
+        "norm": 0, "apply": non_vertex, "solve_lp": non_vertex, "combination": 0, "mat_vec": 0
+    }
+
+
+def extend_outcome(extend_fn, m):
+    """The certificate, or the class, message and detail of the error."""
+    try:
+        return extend_fn(m)
+    except CertificationError as err:
+        return type(err), str(err), err.detail
+
+
+def sample_pool(space, seed):
+    rng = random.Random(seed)
+    samples = [random_facet_point(space, fid, rng) for fid in range(len(space.hrep))]
+    return list(space.vrep) + facet_sample_points(space) + samples
+
+
+def assert_matches_references(m, seed=DEFAULT_SEED):
+    """apply at every vertex and sample, extend and verify_isometry give
+    what their Fraction references give; returns the report."""
+    for p in sample_pool(m.domain, seed):
+        image = m.apply(p)
+        assert image == reference_apply(m, p)
+        assert all(type(c) is F for c in image.coords)
+    assert extend_outcome(extend, m) == extend_outcome(reference_extend, m)
+    return assert_same_report(m, seed)
+
+
+@st.composite
+def fractional_polytopes(draw):
+    """A symmetric polytope in dim 2 or 3, the hull of a few points with
+    fractional coordinates and their negations."""
+    dim = draw(st.sampled_from((2, 3)))
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    points = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim, max_size=dim + 1))
+    assume(linalg.rank(points) == dim)
+    return PolyhedralSpace.from_vertices(points, symmetrize=True)
+
+
+@st.composite
+def two_scale_maps(draw):
+    """A fractional polytope onto a sheared image whose vertex scale differs
+    from its own; half the time the vertex map is scrambled, which mostly
+    breaks facets and admits no linear map."""
+    space = draw(fractional_polytopes())
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    matrix = tuple(tuple(draw(coord) for _ in range(space.dim)) for _ in range(space.dim))
+    assume(linalg.rank(matrix) == space.dim)
+    m = sheared_image(space, matrix)
+    assume(m.domain._point_scale != m.codomain._point_scale)
+    if draw(st.booleans()):
+        perm = draw(st.permutations(m.vertex_map))
+        m = SphereMap(m.domain, m.codomain, tuple(perm))
+    return m
+
+
+class TestIntegerVertexRows:
+    """Samplers, apply and extend on integer vertex rows give exactly what
+    their Fraction references give."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(fractional_polytopes(), st.integers(0, 60))
+    def test_samplers(self, space, seed):
+        points = facet_sample_points(space)
+        assert points == reference_facet_sample_points(space)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for fid in range(len(space.hrep)):
+            p = random_facet_point(space, fid, rng)
+            assert p == reference_random_facet_point(space, fid, ref_rng)
+            points.append(p)
+        assert rng.getstate() == ref_rng.getstate()
+        assert all(type(c) is F for p in points for c in p.coords)
+
+    def test_all_zero_weights_draw(self, hexagon):
+        """At seed 2 both weights drawn for hexagon facet 1 are zero, so one
+        vertex is picked by ``randrange``."""
+        rng = random.Random(2)
+        random_facet_point(hexagon, 0, rng)
+        assert [rng.randint(0, 6) for _ in hexagon.facet_index[1]] == [0, 0]
+        rng, ref_rng = random.Random(2), random.Random(2)
+        for fid in range(len(hexagon.hrep)):
+            p = random_facet_point(hexagon, fid, rng)
+            assert p == reference_random_facet_point(hexagon, fid, ref_rng)
+            if fid == 1:
+                assert p in hexagon.vrep
+        for matrix in hex_symmetries()[:3]:
+            m = SphereMap.from_linear(hexagon, hexagon, matrix)
+            assert assert_same_report(m, seed=2).passed
+        for m in moved_hexagon_maps(hexagon)[:6]:
+            assert_matches_references(m, seed=2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(two_scale_maps(), st.integers(0, 60))
+    def test_sheared_and_scrambled_maps(self, m, seed):
+        assert_matches_references(m, seed)
+
+    def test_prism_maps_that_are_not_affine_on_a_facet(self, hexagon):
+        """The hexagonal prism onto prisms over moved hexagons, level by
+        level: the hexagon facets admit no affine map, so extend raises."""
+        prism = linf_sum(hexagon, linf_space(1))
+        for b in [(F(1, 4), 1), (F(3, 4), F(5, 4)), (F(1, 2), F(3, 2))]:
+            moved = linf_sum(moved_hexagon(b), linf_space(1))
+            shift = {(F(1, 2), 1): b, (F(-1, 2), -1): (-b[0], -b[1])}
+            pairs = [(v, vector(*shift.get(v.coords[:2], v.coords[:2]), v.coords[2]))
+                     for v in prism.vrep]
+            m = map_by_coordinates(prism, moved, pairs)
+            assert None not in m.facet_map
+            assert isinstance(extend_outcome(extend, m), tuple)
+            assert_matches_references(m)

@@ -171,9 +171,11 @@ def non_spanning_rows(draw):
     return draw(st.permutations(rows)), dim
 
 
-def reference_validate_ranks(self, values, d, e):
+def reference_validate_ranks(self, values, d):
     """``PolyhedralSpace._validate_ranks`` on every facet and every vertex,
-    negations included, in canonical order."""
+    negations included, in canonical order. The vertex rows' scale e is
+    read off the two scales, not from ``_point_scale``."""
+    e = self.facet_scale // self._scale
     for f, ids in zip(self.hrep, self.facet_index):
         if rank([self._points[j] + (e,) for j in ids]) != self.dim:
             raise GeometryError(f"functional {f} does not support a facet")
