@@ -15,17 +15,22 @@ linear, so f(p - q) = f(p) - f(q), and ||p - q|| = max_i (F[p][i] - F[q][i])
 where F[p] is the row of facet values at p. Each side's rows are integers
 over one scale, so a pair costs one integer subtraction per facet. Vertex
 rows are the spaces' ``facet_table``. A vertex's image is its vertex
-image, because its only barycentric weights are one-hot; only the other
-samples are evaluated by :meth:`SphereMap.apply`, which reads the sphere
-check and the facet that carries the point from one pass of the domain's
-integer facet rows, then solves one barycentric LP. A passing map makes
-no norm call.
+image, because its only barycentric weights are one-hot. A deterministic
+facet sample, a barycenter or a midpoint, is the mean of a group of
+vertices, and once every facet is known to carry an affine map its image
+is the mean of their images; both its rows are sums of ``facet_table``
+rows, with no point built. Only the seeded facet points are evaluated by
+:meth:`SphereMap.apply`, which reads the sphere check and the facet that
+carries the point from one pass of the domain's integer facet rows, then
+solves one barycentric LP. A passing map makes no norm call.
 
 Points are combined on the spaces' integer vertex rows: row j of a space
 is ``_points[j]``, vertex j times the vertex scale e = ``_point_scale``.
-The facet samples are integer-weighted sums of the domain's rows, and
+The seeded samples are integer-weighted sums of the domain's rows, and
 apply's image is the LP weights, scaled to integers once, against the
-codomain's rows; each coordinate becomes one Fraction at the end.
+codomain's rows; each coordinate becomes one Fraction at the end. The
+Fraction point and image of a deterministic sample are built only for a
+counterexample.
 
 The linear extension is built from exact linear algebra on the vertex
 images and certified exactly by two checks: vertex agreement, which with
@@ -36,6 +41,7 @@ the matrix's integer rows at the domain's vertex rows with the codomain's
 vertex rows, cross-multiplied by the three scales.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul, sub
@@ -51,7 +57,8 @@ from .linalg import ONE, ZERO, Matrix
 from .lp import LpConstraint, LpProblem, solve_lp
 from .sampling import (
     DEFAULT_SEED,
-    facet_sample_points,
+    facet_sample_groups,
+    mean_rows,
     random_facet_point,
     rng_from,
 )
@@ -100,6 +107,8 @@ class SphereMap:
         exact LP solver's canonical basic solution. For facet-consistent
         maps the result does not depend on either choice. At a vertex the
         only weights are one-hot, so the result is :meth:`vertex_image`.
+        :func:`verify_isometry` calls it only for its seeded facet points
+        that are not vertices; every other point's weights are known.
 
         The image is combined on integers: with the weights scaled to
         integers w over s, and Q the codomain's vertex rows over its vertex
@@ -186,6 +195,72 @@ def _first_unequal_pair(drows, s_dom, crows, s_cod, start=0) -> tuple[int, int] 
     return None
 
 
+def _image_groups(m: SphereMap, groups) -> list[tuple[int, ...]]:
+    """The codomain vertex ids of the images of each group's vertices."""
+    return [tuple(m.vertex_map[j] for j in g) for g in groups]
+
+
+def _one_scale(*parts) -> tuple[list, int]:
+    """Rows given as (rows, scale) parts, in order, all over the least
+    common multiple of the scales, and that multiple."""
+    scale = math.lcm(*(s for _, s in parts))
+    out = []
+    for rows, s in parts:
+        k = scale // s
+        out.extend(rows if k == 1 else ([k * x for x in row] for row in rows))
+    return out, scale
+
+
+class _SamplePool:
+    """The points of the sampled pass and their facet-value rows.
+
+    Point t of the pool is, in order: domain vertex t; then the mean of
+    each group of :func:`facet_sample_groups`, deduplicated on its domain
+    row; then one seeded point per facet from :func:`random_facet_point`.
+    ``drows[t]`` over ``dscale`` is the domain's row at point t, and
+    ``crows[t]`` over ``cscale`` the codomain's row at its image. A
+    group's image is the mean of the image group's vertices (see
+    :func:`verify_isometry`), so its rows are read from the two
+    ``facet_table``s, and its Fraction point and image are built only by
+    :meth:`point_and_image`.
+    """
+
+    def __init__(self, m: SphereMap, seed):
+        dom, cod = m.domain, m.codomain
+        self.map = m
+        self.groups, dsums, k = facet_sample_groups(dom, dom.facet_table)
+        self.images = _image_groups(m, self.groups)
+        csums = mean_rows(cod.facet_table, self.images, k)
+        rng = rng_from(seed)
+        self.seeded = [random_facet_point(dom, fid, rng) for fid in range(len(dom.hrep))]
+        # A vertex's only barycentric weights are one-hot, so its image is
+        # its vertex image; only the other seeded points go through apply.
+        self.seeded_images = [
+            m.vertex_image(dom._v_pos[p]) if p in dom._v_pos else m.apply(p) for p in self.seeded
+        ]
+        self.drows, self.dscale = _one_scale(
+            (dom.facet_table, dom.facet_scale),
+            (dsums, k * dom.facet_scale),
+            dom._values_at(self.seeded),
+        )
+        self.crows, self.cscale = _one_scale(
+            ([cod.facet_table[j] for j in m.vertex_map], cod.facet_scale),
+            (csums, k * cod.facet_scale),
+            cod._values_at(self.seeded_images),
+        )
+
+    def point_and_image(self, t: int) -> tuple[Vector, Vector]:
+        m = self.map
+        nv, ng = len(m.domain.vrep), len(self.groups)
+        if t < nv:
+            return m.domain.vrep[t], m.vertex_image(t)
+        if t < nv + ng:
+            t -= nv
+            return m.domain._vertex_mean(self.groups[t]), m.codomain._vertex_mean(self.images[t])
+        t -= nv + ng
+        return self.seeded[t], self.seeded_images[t]
+
+
 def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
     """Check that a sphere map is a well-formed surjective isometry.
 
@@ -200,13 +275,27 @@ def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
     facet functional values at p, ||p - q|| = max_i (F[p][i] - F[q][i]),
     because f(p - q) = f(p) - f(q). Rows are integers over one scale per
     side: vertex rows are the two spaces' ``facet_table``, the codomain's
-    permuted by ``vertex_map``, and the rows of the sample pool and of its
-    images each come from one ``_values_at`` call. A vertex's image is
-    :meth:`SphereMap.vertex_image`, since its only barycentric weights are
-    one-hot, so only the samples that are not vertices go through
-    :meth:`SphereMap.apply`, one barycentric LP each. The counterexample's
-    two distances are evaluated by :meth:`PolyhedralSpace.norm`; a passing
-    map makes no norm call.
+    permuted by ``vertex_map``. The pool of the sampled pass is described
+    by :class:`_SamplePool`: only its seeded points that are not vertices
+    go through :meth:`SphereMap.apply`, one barycentric LP each, and only
+    the seeded points and their images are evaluated by ``_values_at``.
+    The counterexample's two distances are evaluated by
+    :meth:`PolyhedralSpace.norm`; a passing map makes no norm call.
+
+    Why a deterministic sample's image needs no LP. The sampled pass runs
+    only after the affine-consistency check has passed on every facet, so
+    each facet F carries an affine map A_F with A_F(v) the vertex image of
+    every vertex v of F (the vertices of F affinely span its hyperplane,
+    so A_F is unique there). A sample x is the mean of some vertices of a
+    facet F, with weights w. :meth:`SphereMap.apply` returns A_G(x), where
+    G is the first facet that contains x. The point x lies in the face
+    F ∩ G, the convex hull of the vertices the two facets share, and A_F
+    and A_G agree on those vertices, hence on their affine hull. So
+    A_G(x) = A_F(x) = sum_j w_j * image(v_j), the mean of the images. This
+    is the vertex rule above for one-vertex groups. Its rows follow by
+    linearity: the domain row of x is the mean of the group's rows of
+    ``dom.facet_table``, and the row at its image the mean of the image
+    group's rows of ``cod.facet_table``.
     """
     dom, cod = m.domain, m.codomain
 
@@ -258,23 +347,15 @@ def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
                 counterexample=(fid,),
             )
 
-    samples = facet_sample_points(dom)
-    rng = rng_from(seed)
-    for fid in range(len(dom.hrep)):
-        samples.append(random_facet_point(dom, fid, rng))
-    pool = list(dom.vrep) + samples
-    # A vertex's only barycentric weights are one-hot, so its image is its
-    # vertex image; only the other samples go through apply.
-    images = [m.vertex_image(dom._v_pos[p]) if p in dom._v_pos else m.apply(p) for p in pool]
+    pool = _SamplePool(m, seed)
     # Vertex pairs already passed above; start at the first sample.
-    hit = _first_unequal_pair(*dom._values_at(pool), *cod._values_at(images), start=len(dom.vrep))
+    hit = _first_unequal_pair(pool.drows, pool.dscale, pool.crows, pool.cscale, start=len(dom.vrep))
     if hit is not None:
-        i, j = hit
-        p, q = pool[i], pool[j]
+        (p, fp), (q, fq) = map(pool.point_and_image, hit)
         return IsometryReport(
             False,
             reason="sampled distance not preserved",
-            counterexample=(p, q, dom.norm(p - q), cod.norm(images[i] - images[j])),
+            counterexample=(p, q, dom.norm(p - q), cod.norm(fp - fq)),
         )
     return IsometryReport(True)
 

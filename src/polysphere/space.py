@@ -585,7 +585,10 @@ class PolyhedralSpace:
         return self._neg_f[i]
 
     def facet_barycenter(self, fid: int) -> Vector:
-        ids = self.facet_index[fid]
+        return self._vertex_mean(self.facet_index[fid])
+
+    def _vertex_mean(self, ids: Sequence[int]) -> Vector:
+        """The mean of the vertices ``ids``, summed on their integer rows."""
         n = len(ids) * self._point_scale
         cols = zip(*(self._points[j] for j in ids))
         return Vector._of(tuple(Fraction(sum(col), n) for col in cols))

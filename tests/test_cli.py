@@ -98,6 +98,23 @@ map
 (1/2, -1) -> (1/6, -1/2)
 """
 
+# The signed permutation (x, y, z) -> (-y, z, -x) of the cube. The cube's
+# facets are squares, whose two diagonal midpoints are the barycenter, so
+# the sampled pass drops repeated samples.
+LINF3_SIGNED_PERMUTATION_MAP = """version 1
+domain linf:3
+codomain linf:3
+map
+(1, 1, 1) -> (-1, 1, -1)
+(1, 1, -1) -> (-1, -1, -1)
+(1, -1, 1) -> (1, 1, -1)
+(1, -1, -1) -> (1, -1, -1)
+(-1, 1, 1) -> (-1, 1, 1)
+(-1, 1, -1) -> (-1, -1, 1)
+(-1, -1, 1) -> (1, 1, 1)
+(-1, -1, -1) -> (1, -1, 1)
+"""
+
 # The cube with three redundant rows, closed under negation by the header:
 # 1/2 1/2 0 touches the ball along an edge, 1/3 1/3 1/3 at a vertex, and
 # 1/4 0 0 nowhere. Only the six cube facets are kept.
@@ -186,6 +203,16 @@ CASES = [
     ("extend_moved_vertex", lambda d: ["extend", _moved_map(d)], 1),
     ("verify_iso_sheared_hex", lambda d: ["verify-iso", _sheared_map(d)], 0),
     ("extend_sheared_hex", lambda d: ["extend", _sheared_map(d)], 0),
+    (
+        "verify_iso_linf3_signed_permutation",
+        lambda d: ["verify-iso", _write(d, "cube.map", LINF3_SIGNED_PERMUTATION_MAP)],
+        0,
+    ),
+    (
+        "extend_linf3_signed_permutation",
+        lambda d: ["extend", _write(d, "cube.map", LINF3_SIGNED_PERMUTATION_MAP)],
+        0,
+    ),
     (
         "facets_redundant_rows",
         lambda d: ["facets", _write(d, "redundant.space", REDUNDANT_ROWS_SPACE)],

@@ -29,9 +29,15 @@ from polysphere import (
 from polysphere import isometry as isometry_module
 from polysphere import linalg
 from polysphere.isometry import _first_unequal_pair
-from polysphere.catalog import linf_sum
+from polysphere.catalog import linf_sum, resolve
 from polysphere.linalg import ONE, combination, integer_rows, mat_mul, mat_vec
-from polysphere.sampling import DEFAULT_SEED, facet_sample_points, random_facet_point, rng_from
+from polysphere.sampling import (
+    DEFAULT_SEED,
+    facet_sample_groups,
+    facet_sample_points,
+    random_facet_point,
+    rng_from,
+)
 
 F = Fraction
 
@@ -241,6 +247,14 @@ def reference_extend(m):
     return ExtensionCertificate(matrix=matrix, functional_pairs=transported_functionals(m))
 
 
+def reference_pool(space, seed=DEFAULT_SEED):
+    """The pool of the sampled pass from the Fraction samplers: the
+    vertices, the deterministic samples, then one seeded point per facet."""
+    rng = rng_from(seed)
+    seeded = [reference_random_facet_point(space, fid, rng) for fid in range(len(space.hrep))]
+    return list(space.vrep) + reference_facet_sample_points(space) + seeded
+
+
 def reference_verify_isometry(m, seed=DEFAULT_SEED, apply=reference_apply):
     """The pair passes as plain double loops over exact norms of differences,
     on samples and images from the Fraction references above."""
@@ -292,11 +306,7 @@ def reference_verify_isometry(m, seed=DEFAULT_SEED, apply=reference_apply):
                 counterexample=(fid,),
             )
 
-    samples = reference_facet_sample_points(dom)
-    rng = rng_from(seed)
-    for fid in range(len(dom.hrep)):
-        samples.append(reference_random_facet_point(dom, fid, rng))
-    pool = list(dom.vrep) + samples
+    pool = reference_pool(dom, seed)
     images = [apply(m, p) for p in pool]
     nv = len(dom.vrep)
     for i in range(len(pool)):
@@ -382,12 +392,34 @@ class TestAgainstReference:
     @pytest.mark.parametrize("k", [0, 2, 3, 5])
     def test_sampled_failures(self, hexagon, monkeypatch, k):
         # None of the maps above fails on a sample after passing the vertex
-        # pairs, so swap the images of two samples to reach that branch.
+        # pairs, so swap the images of two deterministic samples, at the
+        # image groups their codomain rows and images are read from, to
+        # reach that branch.
         samples = facet_sample_points(hexagon)
         swap = {samples[k]: samples[k - 2], samples[k - 2]: samples[k]}
+        image_groups = isometry_module._image_groups
+
+        def swapped_groups(m, groups):
+            out = image_groups(m, groups)
+            out[k], out[k - 2] = out[k - 2], out[k]
+            return out
+
+        monkeypatch.setattr(isometry_module, "_image_groups", swapped_groups)
+        self.assert_sampled_failures(hexagon, swap)
+
+    def test_sampled_failure_on_seeded_points(self, hexagon, monkeypatch):
+        # The seeded points still go through apply: swap two of them there.
+        rng = rng_from(DEFAULT_SEED)
+        seeded = [random_facet_point(hexagon, fid, rng) for fid in range(len(hexagon.hrep))]
+        others = set(hexagon.vrep) | set(facet_sample_points(hexagon))
+        a, b = [p for p in seeded if p not in others][:2]
+        swap = {a: b, b: a}
         apply = SphereMap.apply
         monkeypatch.setattr(SphereMap, "apply", lambda m, x: apply(m, swap.get(x, x)))
+        self.assert_sampled_failures(hexagon, swap)
 
+    @staticmethod
+    def assert_sampled_failures(hexagon, swap):
         def swapped(m, x):
             return reference_apply(m, swap.get(x, x))
 
@@ -476,11 +508,12 @@ def counting(calls, name, fn):
     ids=["hex_rotation", "linf3_signed_permutation"],
 )
 def test_only_apply_evaluates_norms_on_a_passing_map(monkeypatch, space, matrix):
-    """Pair distances come from facet values and vertex images from the
-    vertex map: a passing map makes no norm call, and one apply and one LP
-    per sample that is not a vertex. Samples, images and vertex agreement
-    are combined on integer vertex rows, so no Fraction ``combination`` or
-    ``mat_vec`` runs."""
+    """Pair distances come from facet values, vertex images from the vertex
+    map and the deterministic samples' rows from the facet tables: a
+    passing map makes no norm call, and one apply and one LP per seeded
+    point that is not a vertex. Seeded points, their images and vertex
+    agreement are combined on integer vertex rows, so no Fraction
+    ``combination`` or ``mat_vec`` runs."""
     m = SphereMap.from_linear(space, space, matrix)
     calls = {"norm": 0, "apply": 0, "solve_lp": 0, "combination": 0, "mat_vec": 0}
     norm, apply, solve = PolyhedralSpace.norm, SphereMap.apply, isometry_module.solve_lp
@@ -504,11 +537,10 @@ def test_only_apply_evaluates_norms_on_a_passing_map(monkeypatch, space, matrix)
     monkeypatch.setattr(isometry_module, "solve_lp", counting_solve)
     assert verify_isometry(m).passed
     assert extend(m).matrix == matrix
-    samples = facet_sample_points(space)
     rng = rng_from(DEFAULT_SEED)
-    samples += [random_facet_point(space, fid, rng) for fid in range(len(space.hrep))]
+    seeded = [random_facet_point(space, fid, rng) for fid in range(len(space.hrep))]
     vertices = set(space.vrep)
-    non_vertex = sum(1 for p in samples if p not in vertices)
+    non_vertex = sum(1 for p in seeded if p not in vertices)
     assert non_vertex > 0
     assert calls == {
         "norm": 0, "apply": non_vertex, "solve_lp": non_vertex, "combination": 0, "mat_vec": 0
@@ -621,3 +653,90 @@ class TestIntegerVertexRows:
             assert None not in m.facet_map
             assert isinstance(extend_outcome(extend, m), tuple)
             assert_matches_references(m)
+
+
+def assert_pool_matches_references(m, seed=DEFAULT_SEED):
+    """At every index of the sampled pass's pool, the point and image it
+    would report, and its two rows of facet values, are those of the
+    Fraction samplers and ``reference_apply``; the pool has the
+    reference's length, so duplicates are dropped as the reference drops
+    them."""
+    dom, cod = m.domain, m.codomain
+    pool = isometry_module._SamplePool(m, seed)
+    points = reference_pool(dom, seed)
+    assert len(pool.drows) == len(pool.crows) == len(points)
+    for t, p in enumerate(points):
+        image = reference_apply(m, p)
+        assert pool.point_and_image(t) == (p, image)
+        assert [F(x, pool.dscale) for x in pool.drows[t]] == [f(p) for f in dom.hrep]
+        assert [F(x, pool.cscale) for x in pool.crows[t]] == [g(image) for g in cod.hrep]
+
+
+HEX_ROTATION_PRISM = tuple(row + (F(0),) for row in HEX_ROTATION) + ((F(0), F(0), F(-1)),)
+
+
+@pytest.mark.parametrize(
+    "expr,matrix",
+    [
+        ("hex", HEX_ROTATION),
+        ("l1:3", LINF3_SIGNED_PERMUTATION),
+        ("linf:3", LINF3_SIGNED_PERMUTATION),
+        ("linfsum(hex,linf:1)", HEX_ROTATION_PRISM),
+        # Sheared images, whose tables have another scale than the domain's.
+        ("hex", SHEARS[2]),
+        ("l1:3", SHEARS_3D[1]),
+    ],
+)
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 2])
+def test_pool_is_rebuilt_from_the_facet_tables(expr, matrix, seed):
+    assert_pool_matches_references(sheared_image(resolve(expr), matrix), seed)
+
+
+def test_square_facets_have_repeated_samples():
+    """A cube facet's two diagonal midpoints are its barycenter, and each
+    edge lies on two facets: 6 barycenters and 12 edge midpoints remain of
+    the 42 groups, whether told apart by facet values or by coordinates."""
+    cube = linf_space(3)
+    groups, rows, k = facet_sample_groups(cube, cube.facet_table)
+    assert k == 4
+    assert len(groups) == len(set(rows)) == 6 + 12
+    assert groups == facet_sample_groups(cube, cube._points)[0]
+
+
+@st.composite
+def non_simplicial_polytopes(draw):
+    """A centrally symmetric polytope in dim 2 or 3, the hull of a few points
+    with coordinates in {0, +-1/2, +-1} and their negations; in dim 3 some
+    facet has more than three vertices."""
+    dim = draw(st.sampled_from((2, 3)))
+    coord = st.sampled_from((F(-1), F(-1, 2), F(0), F(1, 2), F(1)))
+    points = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=dim + 3))
+    assume(linalg.rank(points) == dim)
+    space = PolyhedralSpace.from_vertices(points, symmetrize=True)
+    assume(dim == 2 or any(len(ids) > dim for ids in space.facet_index))
+    return space
+
+
+@settings(max_examples=25, deadline=None)
+@given(non_simplicial_polytopes(), st.data())
+def test_sampled_pass_on_non_simplicial_polytopes(space, data):
+    """Linear images, and maps that move one antipodal vertex pair, get the
+    reference's report; the linear images' pools are the reference's."""
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    matrix = tuple(tuple(data.draw(coord) for _ in range(space.dim)) for _ in range(space.dim))
+    assume(linalg.rank(matrix) == space.dim)
+    seed = data.draw(st.integers(0, 60))
+    m = sheared_image(space, matrix)
+    assert assert_same_report(m, seed).passed
+    assert_pool_matches_references(m, seed)
+
+    i = data.draw(st.integers(0, len(space.vrep) - 1))
+    v = space.vrep[i]
+    b = v + Vector(tuple(data.draw(coord) / 4 for _ in range(space.dim)))
+    moved = {v: b, -v: -b}
+    pairs = [(w, moved.get(w, w)) for w in space.vrep]
+    if linalg.rank([w.coords for _, w in pairs]) < space.dim:
+        return
+    target = PolyhedralSpace.from_vertices([w for _, w in pairs])
+    if all(w in target._v_pos for _, w in pairs):
+        assert_same_report(map_by_coordinates(space, target, pairs), seed)
