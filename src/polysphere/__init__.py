@@ -23,7 +23,6 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     EnumerationCapError,
-    ExtensionInconsistencyError,
     GeometryError,
     NotAlmostClError,
     NotOnSphereError,
@@ -88,7 +87,6 @@ __all__ = [
     "DimensionMismatchError",
     "EnumerationCapError",
     "ExtensionCertificate",
-    "ExtensionInconsistencyError",
     "Face",
     "Functional",
     "GeometryError",

@@ -47,7 +47,3 @@ class CertificationError(GeometryError):
     def __init__(self, message, detail=None):
         super().__init__(message)
         self.detail = detail
-
-
-class ExtensionInconsistencyError(CertificationError):
-    """Vertex images admit no linear map; detail holds a dependence witness."""

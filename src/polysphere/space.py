@@ -42,8 +42,8 @@ values of those rows at the vertices as one integer table,
 active facets of other points are read from the same integer rows. Its
 vertices stay integer rows too, over the vertex scale ``_point_scale``,
 which is ``facet_scale`` over the functionals' scale: facet barycenters,
-the facet samples of :mod:`polysphere.sampling`, and the images and linear
-extensions of :mod:`polysphere.isometry` are combined on them.
+the seeded facet points of :mod:`polysphere.sampling`, and the images and
+linear extensions of :mod:`polysphere.isometry` are combined on them.
 """
 
 import itertools
@@ -585,10 +585,8 @@ class PolyhedralSpace:
         return self._neg_f[i]
 
     def facet_barycenter(self, fid: int) -> Vector:
-        return self._vertex_mean(self.facet_index[fid])
-
-    def _vertex_mean(self, ids: Sequence[int]) -> Vector:
-        """The mean of the vertices ``ids``, summed on their integer rows."""
+        """The mean of the facet's vertices, summed on their integer rows."""
+        ids = self.facet_index[fid]
         n = len(ids) * self._point_scale
         cols = zip(*(self._points[j] for j in ids))
         return Vector._of(tuple(Fraction(sum(col), n) for col in cols))

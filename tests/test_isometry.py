@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from polysphere import (
     CertificationError,
     ExtensionCertificate,
-    ExtensionInconsistencyError,
     GeometryError,
     IsometryReport,
     NotOnSphereError,
@@ -28,16 +27,11 @@ from polysphere import (
 )
 from polysphere import isometry as isometry_module
 from polysphere import linalg
-from polysphere.isometry import _first_unequal_pair
+from polysphere.isometry import _first_unequal_pair, _first_untransported
 from polysphere.catalog import linf_sum, resolve
 from polysphere.linalg import ONE, combination, integer_rows, mat_mul, mat_vec
-from polysphere.sampling import (
-    DEFAULT_SEED,
-    facet_sample_groups,
-    facet_sample_points,
-    random_facet_point,
-    rng_from,
-)
+from polysphere.sampling import DEFAULT_SEED, random_facet_point, rng_from
+from conftest import reference_facet_sample_points
 
 F = Fraction
 
@@ -122,9 +116,8 @@ class TestLinearSymmetries:
 
 class TestRejections:
     def test_moved_vertex_gives_distance_counterexample(self, hexagon):
-        moved = moved_hexagon()
-        shift = {vector(F(1, 2), 1): vector(F(1, 4), 1), vector(F(-1, 2), -1): vector(F(-1, 4), -1)}
-        m = map_by_coordinates(hexagon, moved, [(v, shift.get(v, v)) for v in hexagon.vrep])
+        m = moved_vertex_map(hexagon)
+        moved = m.codomain
         assert None not in m.facet_map
         report = verify_isometry(m)
         assert not report.passed and not report.malformed
@@ -159,6 +152,11 @@ class TestRejections:
         report = verify_isometry(m)
         assert not report.passed and not report.malformed
         assert report.reason == "facet counts differ: 6 in the domain, 16 in the codomain"
+        # The cube's table is carried onto 6 of the 16 codomain facets, so
+        # only the count check keeps extend from certifying a 4 x 3 matrix.
+        assert _first_untransported(m) is None
+        with pytest.raises(CertificationError, match="^facet counts differ: 6 in the domain"):
+            extend(m)
 
     def test_vertex_map_must_be_a_bijection(self, hexagon):
         with pytest.raises(GeometryError):
@@ -193,22 +191,6 @@ def reference_random_facet_point(space, fid, rng):
     return Vector(combination([w / total for w in weights], points))
 
 
-def reference_facet_sample_points(space):
-    """``facet_sample_points`` on Fractions: each facet's barycenter as the
-    mean of its vertices, then its vertex-pair midpoints, first sighting kept."""
-    seen, points = set(), []
-    for ids in space.facet_index:
-        verts = [space.vrep[j] for j in ids]
-        mean = combination([F(1, len(verts))] * len(verts), [v.coords for v in verts])
-        candidates = [Vector(mean)]
-        candidates += [(a + b).scale(F(1, 2)) for a, b in itertools.combinations(verts, 2)]
-        for v in candidates:
-            if v not in seen:
-                seen.add(v)
-                points.append(v)
-    return points
-
-
 def reference_apply(m, x):
     """``SphereMap.apply`` on Fractions: the first facet functional that is
     one at x, the same barycentric LP, and the Fraction combination of the
@@ -222,42 +204,63 @@ def reference_apply(m, x):
     return Vector(combination(weights, [m.vertex_image(j).coords for j in ids]))
 
 
+def reference_first_untransported(m):
+    """``_first_untransported`` through ``Functional`` calls: the first
+    (fid, i), facet-major, with g(image of v_i) != f(v_i), where i is None
+    when facet fid has no image facet."""
+    for fid, gid in enumerate(m.facet_map):
+        if gid is None:
+            return fid, None
+        f, g = m.domain.hrep[fid], m.codomain.hrep[gid]
+        for i, v in enumerate(m.domain.vrep):
+            if g(m.vertex_image(i)) != f(v):
+                return fid, i
+    return None
+
+
 def reference_extend(m):
-    """``extend`` with vertex agreement checked on Fractions: T v against
-    the vertex image, vertex by vertex."""
-    dom = m.domain
+    """``extend`` on Fractions: the facet counts, the transport of facet
+    values through ``Functional`` calls, then the matrix from one vertex
+    basis. A certified matrix is checked to send every vertex to its image,
+    which the passing table proves."""
+    dom, cod = m.domain, m.codomain
+    if len(dom.hrep) != len(cod.hrep):
+        raise CertificationError(
+            f"facet counts differ: {len(dom.hrep)} in the domain, {len(cod.hrep)} in the codomain"
+        )
+    hit = reference_first_untransported(m)
+    if hit is not None:
+        fid, i = hit
+        if i is None:
+            raise CertificationError(
+                f"vertex images of facet {fid} do not form a codomain facet", detail=(fid,)
+            )
+        v = dom.vrep[i]
+        raise CertificationError(
+            f"functional transport fails at facet {fid}, vertex {v}", detail=(fid, v)
+        )
+    pairs = tuple((dom.hrep[fid], cod.hrep[gid]) for fid, gid in enumerate(m.facet_map))
     base_ids = linalg.independent_row_indices([v.coords for v in dom.vrep])
     vcols = linalg.transpose(tuple(dom.vrep[i].coords for i in base_ids))
     wcols = linalg.transpose(tuple(m.vertex_image(i).coords for i in base_ids))
     matrix = mat_mul(wcols, linalg.invert(vcols))
     for i, v in enumerate(dom.vrep):
-        got = Vector(mat_vec(matrix, v.coords))
-        want = m.vertex_image(i)
-        if got != want:
-            raise ExtensionInconsistencyError(
-                "vertex images admit no linear map",
-                detail={
-                    "vertex": v,
-                    "basis_ids": tuple(base_ids),
-                    "coefficients": linalg.solve(vcols, v.coords),
-                    "expected": want,
-                    "forced": got,
-                },
-            )
-    return ExtensionCertificate(matrix=matrix, functional_pairs=transported_functionals(m))
+        assert Vector(mat_vec(matrix, v.coords)) == m.vertex_image(i)
+    return ExtensionCertificate(matrix=matrix, functional_pairs=pairs)
 
 
 def reference_pool(space, seed=DEFAULT_SEED):
-    """The pool of the sampled pass from the Fraction samplers: the
-    vertices, the deterministic samples, then one seeded point per facet."""
+    """The pool of the seeded pass from the Fraction sampler: the vertices,
+    then one seeded point per facet."""
     rng = rng_from(seed)
     seeded = [reference_random_facet_point(space, fid, rng) for fid in range(len(space.hrep))]
-    return list(space.vrep) + reference_facet_sample_points(space) + seeded
+    return list(space.vrep) + seeded
 
 
 def reference_verify_isometry(m, seed=DEFAULT_SEED, apply=reference_apply):
     """The pair passes as plain double loops over exact norms of differences,
-    on samples and images from the Fraction references above."""
+    on points and images from the Fraction references above, then the
+    table check through ``Functional`` calls."""
     dom, cod = m.domain, m.codomain
 
     for fid, gid in enumerate(m.facet_map):
@@ -319,6 +322,16 @@ def reference_verify_isometry(m, seed=DEFAULT_SEED, apply=reference_apply):
                     reason="sampled distance not preserved",
                     counterexample=(pool[i], pool[j], lhs, rhs),
                 )
+
+    hit = reference_first_untransported(m)
+    if hit is not None:
+        fid, i = hit
+        v, f, g = dom.vrep[i], dom.hrep[fid], cod.hrep[m.facet_map[fid]]
+        return IsometryReport(
+            False,
+            reason="facet values are not transported",
+            counterexample=(v, fid, f(v), g(m.vertex_image(i))),
+        )
     return IsometryReport(True)
 
 
@@ -389,37 +402,16 @@ class TestAgainstReference:
         # The grid reaches several first failing pairs, not one.
         assert len({v[2] for v in verdicts if not v[0]}) > 2
 
-    @pytest.mark.parametrize("k", [0, 2, 3, 5])
-    def test_sampled_failures(self, hexagon, monkeypatch, k):
-        # None of the maps above fails on a sample after passing the vertex
-        # pairs, so swap the images of two deterministic samples, at the
-        # image groups their codomain rows and images are read from, to
-        # reach that branch.
-        samples = facet_sample_points(hexagon)
-        swap = {samples[k]: samples[k - 2], samples[k - 2]: samples[k]}
-        image_groups = isometry_module._image_groups
-
-        def swapped_groups(m, groups):
-            out = image_groups(m, groups)
-            out[k], out[k - 2] = out[k - 2], out[k]
-            return out
-
-        monkeypatch.setattr(isometry_module, "_image_groups", swapped_groups)
-        self.assert_sampled_failures(hexagon, swap)
-
     def test_sampled_failure_on_seeded_points(self, hexagon, monkeypatch):
-        # The seeded points still go through apply: swap two of them there.
+        # No map above fails on a seeded point after passing the vertex
+        # pairs, so swap two seeded points where apply evaluates them.
         rng = rng_from(DEFAULT_SEED)
         seeded = [random_facet_point(hexagon, fid, rng) for fid in range(len(hexagon.hrep))]
-        others = set(hexagon.vrep) | set(facet_sample_points(hexagon))
-        a, b = [p for p in seeded if p not in others][:2]
+        a, b = [p for p in seeded if p not in hexagon.vrep][:2]
         swap = {a: b, b: a}
         apply = SphereMap.apply
         monkeypatch.setattr(SphereMap, "apply", lambda m, x: apply(m, swap.get(x, x)))
-        self.assert_sampled_failures(hexagon, swap)
 
-    @staticmethod
-    def assert_sampled_failures(hexagon, swap):
         def swapped(m, x):
             return reference_apply(m, swap.get(x, x))
 
@@ -427,6 +419,36 @@ class TestAgainstReference:
             m = SphereMap.from_linear(hexagon, hexagon, matrix)
             report = assert_same_report(m, apply=swapped)
             assert report.reason == "sampled distance not preserved"
+
+    def test_transport_failure(self, hexagon, monkeypatch):
+        # The moved-vertex map fails at the vertex pairs, and no map found
+        # passes the distance passes and fails the table, so skip both pair
+        # scans to reach the table check.
+        m = moved_vertex_map(hexagon)
+        monkeypatch.setattr(isometry_module, "_first_unequal_pair", lambda *args, **kw: None)
+        report = verify_isometry(m)
+        assert not report.passed and not report.malformed
+        assert report.reason == "facet values are not transported"
+        fid, i = reference_first_untransported(m)
+        v, g = hexagon.vrep[i], m.codomain.hrep[m.facet_map[fid]]
+        assert report.counterexample == (v, fid, hexagon.hrep[fid](v), g(m.vertex_image(i)))
+        assert report.counterexample == (vector(F(-1, 2), 1), 0, F(0), F(-1, 4))
+
+
+def moved_vertex_map(hexagon):
+    """The hexagon onto the moved hexagon, +-(1/2, 1) to +-(1/4, 1)."""
+    shift = {vector(F(1, 2), 1): vector(F(1, 4), 1), vector(F(-1, 2), -1): vector(F(-1, 4), -1)}
+    return map_by_coordinates(hexagon, moved_hexagon(), [(v, shift.get(v, v)) for v in hexagon.vrep])
+
+
+def test_first_untransported_on_a_moved_vertex_map(hexagon):
+    """The shared table check returns the first (facet, vertex), facet-major,
+    whose two values differ: the functional of facet 0 moves, and its two
+    vertices keep the value one, so vertex 2 is the first to differ."""
+    m = moved_vertex_map(hexagon)
+    assert _first_untransported(m) == reference_first_untransported(m) == (0, 2)
+    with pytest.raises(CertificationError, match="^functional transport fails at facet 0, vertex"):
+        transported_functionals(m)
 
 
 def moved_hexagon_maps(hexagon):
@@ -509,11 +531,10 @@ def counting(calls, name, fn):
 )
 def test_only_apply_evaluates_norms_on_a_passing_map(monkeypatch, space, matrix):
     """Pair distances come from facet values, vertex images from the vertex
-    map and the deterministic samples' rows from the facet tables: a
-    passing map makes no norm call, and one apply and one LP per seeded
-    point that is not a vertex. Seeded points, their images and vertex
-    agreement are combined on integer vertex rows, so no Fraction
-    ``combination`` or ``mat_vec`` runs."""
+    map and the transport check from the facet tables: a passing map makes
+    no norm call, and one apply and one LP per seeded point that is not a
+    vertex. Seeded points and their images are combined on integer vertex
+    rows, so no Fraction ``combination`` or ``mat_vec`` runs."""
     m = SphereMap.from_linear(space, space, matrix)
     calls = {"norm": 0, "apply": 0, "solve_lp": 0, "combination": 0, "mat_vec": 0}
     norm, apply, solve = PolyhedralSpace.norm, SphereMap.apply, isometry_module.solve_lp
@@ -558,7 +579,7 @@ def extend_outcome(extend_fn, m):
 def sample_pool(space, seed):
     rng = random.Random(seed)
     samples = [random_facet_point(space, fid, rng) for fid in range(len(space.hrep))]
-    return list(space.vrep) + facet_sample_points(space) + samples
+    return list(space.vrep) + reference_facet_sample_points(space) + samples
 
 
 def assert_matches_references(m, seed=DEFAULT_SEED):
@@ -607,8 +628,7 @@ class TestIntegerVertexRows:
     @settings(max_examples=40, deadline=None)
     @given(fractional_polytopes(), st.integers(0, 60))
     def test_samplers(self, space, seed):
-        points = facet_sample_points(space)
-        assert points == reference_facet_sample_points(space)
+        points = []
         rng, ref_rng = random.Random(seed), random.Random(seed)
         for fid in range(len(space.hrep)):
             p = random_facet_point(space, fid, rng)
@@ -656,18 +676,16 @@ class TestIntegerVertexRows:
 
 
 def assert_pool_matches_references(m, seed=DEFAULT_SEED):
-    """At every index of the sampled pass's pool, the point and image it
-    would report, and its two rows of facet values, are those of the
-    Fraction samplers and ``reference_apply``; the pool has the
-    reference's length, so duplicates are dropped as the reference drops
-    them."""
+    """The seeded pass's pool holds the points of the Fraction sampler and
+    their images under ``reference_apply``, and at every index the two rows
+    of facet values at the point and at its image."""
     dom, cod = m.domain, m.codomain
     pool = isometry_module._SamplePool(m, seed)
     points = reference_pool(dom, seed)
+    assert pool.points == points
+    assert pool.images == [reference_apply(m, p) for p in points]
     assert len(pool.drows) == len(pool.crows) == len(points)
-    for t, p in enumerate(points):
-        image = reference_apply(m, p)
-        assert pool.point_and_image(t) == (p, image)
+    for t, (p, image) in enumerate(zip(points, pool.images)):
         assert [F(x, pool.dscale) for x in pool.drows[t]] == [f(p) for f in dom.hrep]
         assert [F(x, pool.cscale) for x in pool.crows[t]] == [g(image) for g in cod.hrep]
 
@@ -692,17 +710,6 @@ def test_pool_is_rebuilt_from_the_facet_tables(expr, matrix, seed):
     assert_pool_matches_references(sheared_image(resolve(expr), matrix), seed)
 
 
-def test_square_facets_have_repeated_samples():
-    """A cube facet's two diagonal midpoints are its barycenter, and each
-    edge lies on two facets: 6 barycenters and 12 edge midpoints remain of
-    the 42 groups, whether told apart by facet values or by coordinates."""
-    cube = linf_space(3)
-    groups, rows, k = facet_sample_groups(cube, cube.facet_table)
-    assert k == 4
-    assert len(groups) == len(set(rows)) == 6 + 12
-    assert groups == facet_sample_groups(cube, cube._points)[0]
-
-
 @st.composite
 def non_simplicial_polytopes(draw):
     """A centrally symmetric polytope in dim 2 or 3, the hull of a few points
@@ -721,13 +728,16 @@ def non_simplicial_polytopes(draw):
 @given(non_simplicial_polytopes(), st.data())
 def test_sampled_pass_on_non_simplicial_polytopes(space, data):
     """Linear images, and maps that move one antipodal vertex pair, get the
-    reference's report; the linear images' pools are the reference's."""
+    reference's report, and the table check gives the reference's first
+    failure and decides the report and the extension with the facet counts;
+    the linear images' pools are the reference's."""
     coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
     matrix = tuple(tuple(data.draw(coord) for _ in range(space.dim)) for _ in range(space.dim))
     assume(linalg.rank(matrix) == space.dim)
     seed = data.draw(st.integers(0, 60))
     m = sheared_image(space, matrix)
     assert assert_same_report(m, seed).passed
+    assert _first_untransported(m) is None
     assert_pool_matches_references(m, seed)
 
     i = data.draw(st.integers(0, len(space.vrep) - 1))
@@ -739,4 +749,12 @@ def test_sampled_pass_on_non_simplicial_polytopes(space, data):
         return
     target = PolyhedralSpace.from_vertices([w for _, w in pairs])
     if all(w in target._v_pos for _, w in pairs):
-        assert_same_report(map_by_coordinates(space, target, pairs), seed)
+        m = map_by_coordinates(space, target, pairs)
+        report = assert_same_report(m, seed)
+        hit = _first_untransported(m)
+        assert hit == reference_first_untransported(m)
+        decided = hit is None and len(space.hrep) == len(target.hrep)
+        assert report.passed == decided
+        outcome = extend_outcome(extend, m)
+        assert outcome == extend_outcome(reference_extend, m)
+        assert isinstance(outcome, ExtensionCertificate) == decided

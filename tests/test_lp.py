@@ -19,7 +19,8 @@ from polysphere.lp import (
     LpSolution,
     solve_lp,
 )
-from polysphere.sampling import facet_sample_points, sphere_points
+from polysphere.sampling import sphere_points
+from conftest import reference_facet_sample_points
 from test_linalg import matrices
 
 F = Fraction
@@ -444,7 +445,7 @@ def test_hull_weights_match_the_fraction_tableau(monkeypatch, name):
         for ids in space.facet_index:
             facet = [space.vrep[j] for j in ids]
             out.extend(properties._distance_lp(space, v, facet) for v in space.vrep)
-        out.extend(antipodal.apply(x) for x in facet_sample_points(space))
+        out.extend(antipodal.apply(x) for x in reference_facet_sample_points(space))
         out.extend(space.gauge_norm(x) for x in sphere_points(space, 10))
         return out
 

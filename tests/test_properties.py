@@ -31,7 +31,8 @@ from polysphere import (
 )
 from polysphere.catalog import resolve
 from polysphere.linalg import combination, rank
-from polysphere.sampling import facet_sample_points, sphere_points
+from polysphere.sampling import sphere_points
+from conftest import reference_facet_sample_points
 
 F = Fraction
 
@@ -286,7 +287,7 @@ class TestWitnessFirstDistance:
     )
     def test_equals_lp_on_vertices_and_facet_samples(self, name):
         space = resolve(name)
-        for x in list(space.vrep) + facet_sample_points(space):
+        for x in list(space.vrep) + reference_facet_sample_points(space):
             for fid in range(len(space.hrep)):
                 assert_distance_matches_lp(space, x, fid)
 

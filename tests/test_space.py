@@ -30,8 +30,9 @@ from polysphere import (
 from polysphere import space as space_module
 from polysphere.formats import parse_space_text, serialize_space
 from polysphere.linalg import ONE, rank, solve
-from polysphere.sampling import facet_sample_points, random_direction, sphere_points
+from polysphere.sampling import random_direction, sphere_points
 from polysphere.space import MAX_ENUM_DIM, MAX_FACETS, Functional, as_fraction
+from conftest import reference_facet_sample_points
 
 F = Fraction
 
@@ -351,7 +352,7 @@ class TestNorm:
             return weights(pts, x)
 
         with mock.patch.object(isometry, "_barycentric_weights", recording):
-            for x in facet_sample_points(space) + on_sphere:
+            for x in reference_facet_sample_points(space) + on_sphere:
                 chosen.clear()
                 assert m.apply(x) == x
                 first = next(fid for fid, f in enumerate(space.hrep) if f(x) == 1)
