@@ -9,6 +9,8 @@ Catalog names follow a small grammar, also accepted by the command line:
     linfsum(A,B)            norm max(|a|, |b|) on the product
 
 Sums are binary and nest, so longer sums are written by composition.
+Nesting ``MAX_ENUM_DIM`` deep is an EnumerationCapError, raised as soon as
+the parser reaches it: such a sum has dimension above the cap.
 """
 
 import itertools
@@ -188,16 +190,25 @@ class _Parser:
             raise GeometryError(f"trailing input at position {self.pos} in {self.text!r}")
         return space
 
-    def parse_expr(self) -> PolyhedralSpace:
+    def parse_expr(self, depth: int = 0) -> PolyhedralSpace:
+        """The expression at the current position, inside ``depth`` sums.
+
+        A sum nested ``MAX_ENUM_DIM`` deep is rejected before it is read:
+        a sum tree of depth k has at least k + 1 leaves, each of dimension
+        at least one, so its dimension would exceed ``MAX_ENUM_DIM``.
+        """
         self.skip_ws()
         rest = self.text[self.pos:]
         for head, builder in (("linfsum", linf_sum), ("l1sum", l1_sum)):
             if rest.startswith(head):
+                if depth == MAX_ENUM_DIM - 1:
+                    at = f"sums nested {MAX_ENUM_DIM} deep at position {self.pos}"
+                    raise EnumerationCapError(f"{at} exceed the enumeration cap of {MAX_ENUM_DIM}")
                 self.pos += len(head)
                 self.expect("(")
-                a = self.parse_expr()
+                a = self.parse_expr(depth + 1)
                 self.expect(",")
-                b = self.parse_expr()
+                b = self.parse_expr(depth + 1)
                 self.expect(")")
                 return builder(a, b)
         if rest.startswith("hex"):

@@ -190,6 +190,16 @@ def _one_scale(*parts) -> tuple[list, int]:
     return out, scale
 
 
+def _seeded_image(m: SphereMap, p: Vector) -> Vector:
+    """The image of a seeded point: its vertex image when it is a vertex,
+    else :meth:`SphereMap.apply`."""
+    try:
+        i = m.domain.vertex_id(p)
+    except GeometryError:
+        return m.apply(p)
+    return m.vertex_image(i)
+
+
 class _SamplePool:
     """The points of the seeded pass, their images and facet-value rows.
 
@@ -206,9 +216,7 @@ class _SamplePool:
         seeded = [random_facet_point(dom, fid, rng) for fid in range(len(dom.hrep))]
         # A vertex's only barycentric weights are one-hot, so its image is
         # its vertex image; only the other seeded points go through apply.
-        seeded_images = [
-            m.vertex_image(dom._v_pos[p]) if p in dom._v_pos else m.apply(p) for p in seeded
-        ]
+        seeded_images = [_seeded_image(m, p) for p in seeded]
         self.points = list(dom.vrep) + seeded
         self.images = [cod.vrep[j] for j in m.vertex_map] + seeded_images
         self.drows, self.dscale = _one_scale(
@@ -259,6 +267,20 @@ def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
     permuted by ``vertex_map``; the seeded pass reads :class:`_SamplePool`.
     A distance counterexample's two distances are evaluated by
     :meth:`PolyhedralSpace.norm`; a passing map makes no norm call.
+
+    Affine consistency on a facet F with vertices v_j asks that the rows
+    (v_j, 1, w_σ(j)) have the rank of the rows (v_j, 1), which is dim X:
+    the constructor proved that every facet's homogenised vertices have
+    rank dim X (``_validate_ranks``). The test reads the integer rows
+    (P_j, e, Q_σ(j)), with P and Q the vertex rows over their scales and
+    e the domain's vertex scale. Each is e times (v_j, 1, w_σ(j)) with the
+    image block scaled by the codomain's vertex scale over e, and scaling
+    rows or a block of columns by nonzero numbers keeps the rank. Facet
+    -F repeats F's verdict: once antipodality has passed, its rows are
+    (-v_j, 1, -w_σ(j)), F's rows with two column blocks negated. So the
+    lower id of each antipodal pair is tested, and the first failing
+    facet is still the first in canonical order. Facet -F has id
+    N - 1 - F among the N facets, so the lower ids are the first half.
 
     Why the transport check decides. Let S be the domain's facet table,
     S[i][f] = f(v_i), and S' the codomain's with rows and columns in the
@@ -314,12 +336,13 @@ def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
             counterexample=(p, q, dom.norm(p - q), cod.norm(m.vertex_image(i) - m.vertex_image(j))),
         )
 
-    for fid, ids in enumerate(dom.facet_index):
+    e = dom._point_scale
+    for fid, ids in enumerate(dom.facet_index[: len(dom.hrep) // 2]):
         # The facet rule must extend affinely, otherwise evaluation at
-        # ridge points would depend on the chosen facet.
-        hom = [dom.vrep[j].coords + (ONE,) for j in ids]
-        images = [m.vertex_image(j).coords for j in ids]
-        if linalg.rank(hom) != linalg.rank([h + w for h, w in zip(hom, images)]):
+        # ridge points would depend on the chosen facet. Facet -F repeats
+        # F's verdict, so only the lower id of each pair is tested.
+        rows = [dom._points[j] + (e,) + cod._points[m.vertex_map[j]] for j in ids]
+        if linalg.rank(rows) != dom.dim:
             return IsometryReport(
                 False,
                 malformed=True,
@@ -412,7 +435,7 @@ def extend(m: SphereMap, seed=DEFAULT_SEED) -> ExtensionCertificate:
             f"facet counts differ: {len(dom.hrep)} in the domain, {len(cod.hrep)} in the codomain"
         )
     pairs = transported_functionals(m)
-    base_ids = linalg.independent_row_indices([v.coords for v in dom.vrep])
+    base_ids = linalg.independent_row_indices(dom._points)
     vcols = linalg.transpose(tuple(dom.vrep[i].coords for i in base_ids))
     wcols = linalg.transpose(tuple(m.vertex_image(i).coords for i in base_ids))
     matrix = linalg.mat_mul(wcols, linalg.invert(vcols))

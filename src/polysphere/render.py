@@ -128,17 +128,17 @@ def _render_2d(space, report) -> str:
 
 
 def _ridge_pairs(space: PolyhedralSpace) -> list[tuple[int, int]]:
-    """Facet pairs whose shared vertices span a ridge (affine dimension dim-2)."""
+    """Facet pairs whose shared vertices span a ridge (affine dimension dim-2),
+    tested on their integer rows homogenised with the vertex scale e."""
     pairs = []
-    m = len(space.hrep)
+    m, e = len(space.hrep), space._point_scale
     for i in range(m):
         set_i = set(space.facet_index[i])
         for j in range(i + 1, m):
             shared = sorted(set_i & set(space.facet_index[j]))
             if not shared:
                 continue
-            pts = [space.vrep[k].coords for k in shared]
-            if linalg.affine_rank(pts) == space.dim - 1:
+            if linalg.rank([space._points[k] + (e,) for k in shared]) == space.dim - 1:
                 pairs.append((i, j))
     return pairs
 

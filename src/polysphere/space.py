@@ -34,23 +34,33 @@ Fractions are the public type of every coordinate, but the work is done
 on integers. Each description is scaled to integer rows once, by
 :func:`polysphere.linalg.integer_rows`, over one positive common scale,
 which keeps equality and the lexicographic order: rows are deduplicated,
-sorted, negated and matched with their negations as int tuples, and
-Fractions are made only for the public ``hrep`` and ``vrep`` and for error
-payloads. A space keeps its facet functionals as integer rows and the
-values of those rows at the vertices as one integer table,
-``facet_table`` over ``facet_scale``; the rank checks, the norm and the
-active facets of other points are read from the same integer rows. Its
-vertices stay integer rows too, over the vertex scale ``_point_scale``,
-which is ``facet_scale`` over the functionals' scale: facet barycenters,
-the seeded facet points of :mod:`polysphere.sampling`, and the images and
-linear extensions of :mod:`polysphere.isometry` are combined on them.
+sorted and checked for symmetry as int tuples, and Fractions are made only
+for the public ``hrep`` and ``vrep`` and for error payloads.
+A space keeps its facet functionals as integer rows and the values of
+those rows at the vertices as one integer table, ``facet_table`` over
+``facet_scale``; the rank checks, the norm and the active facets of other
+points are read from the same integer rows. Its vertices stay integer rows
+too, over the vertex scale ``_point_scale``, which is ``facet_scale`` over
+the functionals' scale: facet barycenters, the seeded facet points of
+:mod:`polysphere.sampling`, and the images and linear extensions of
+:mod:`polysphere.isometry` are combined on them.
+
+Antipodes are read from positions. In a sorted list of N distinct vectors
+closed under negation, the negation of item i is item N - 1 - i. Proof: if
+a < b lexicographically, they agree before their first differing
+coordinate k and a_k < b_k, so -a and -b agree before k and -a_k > -b_k,
+that is -a > -b. Negation is thus an order-reversing bijection of the list
+onto itself, and such a bijection sends the i-th smallest item to the i-th
+largest. The ids of vertices and functionals are found by bisecting the
+same sorted lists, so a space keeps no lookup table beside them.
 """
 
 import itertools
 import math
 import re
+from bisect import bisect_left
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -359,17 +369,13 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool):
     return [frac[k] for k, m in zip(keys, masks) if m in maximal], points
 
 
-def _negation_ids(keys: list, items: tuple, kind: str) -> tuple[int, ...]:
-    """Per item, the position of its negation, read from the items' sorted
-    integer rows; raises on the first item listed without its negation."""
-    pos = {k: i for i, k in enumerate(keys)}
-    ids = []
+def _check_symmetric(keys: list, items: tuple, kind: str):
+    """Raise on the first item, in sorted order, whose integer row's
+    negation is not among the rows."""
+    present = set(keys)
     for k, item in zip(keys, items):
-        j = pos.get(_neg(k))
-        if j is None:
+        if _neg(k) not in present:
             raise AsymmetricInputError(f"{kind} {item} lacks its negation", offender=item)
-        ids.append(j)
-    return tuple(ids)
 
 
 def _coerce_functionals(fs) -> list[Functional]:
@@ -391,12 +397,14 @@ class PolyhedralSpace:
 
     The constructor scales each description to integer rows once, over one
     positive scale per description, and does all its work on them: it
-    deduplicates and sorts the rows, pairs each with its negation, fills
-    ``facet_table`` and runs every check. Each check raises on the first
-    offender in canonical order: asymmetry, then the norm of each vertex
-    and the dual norm of each functional, then the rank of each facet's
-    vertices and of each vertex's active functionals. The builders' output
-    passes the same checks.
+    deduplicates and sorts the rows, checks that each has its negation,
+    fills ``facet_table`` and runs every check. Each check raises on the
+    first offender in canonical order: asymmetry, then the norm of each
+    vertex and the dual norm of each functional, then the rank of each
+    facet's vertices and of each vertex's active functionals. The
+    builders' output passes the same checks. Once the descriptions are
+    symmetric, the antipode of id i is N - 1 - i (see the module
+    docstring), so the constructor builds no table of antipodes or ids.
 
     Attributes:
         dim: ambient dimension.
@@ -412,8 +420,7 @@ class PolyhedralSpace:
 
     __slots__ = (
         "dim", "hrep", "vrep", "facet_index", "facet_table", "facet_scale", "name",
-        "_neg_f", "_neg_v", "_v_pos", "_f_pos", "_rows", "_scale", "_points",
-        "_point_scale",
+        "_rows", "_scale", "_points", "_point_scale",
     )
 
     def __init__(self, hrep: Sequence, vrep: Sequence, name: str | None = None):
@@ -436,10 +443,8 @@ class PolyhedralSpace:
         self._points, self._point_scale = sorted(by_point), e
         self.hrep = tuple(by_row[r] for r in self._rows)
         self.vrep = tuple(by_point[p] for p in self._points)
-        self._neg_f = _negation_ids(self._rows, self.hrep, "functional")
-        self._neg_v = _negation_ids(self._points, self.vrep, "vertex")
-        self._f_pos = {f: i for i, f in enumerate(self.hrep)}
-        self._v_pos = {v: i for i, v in enumerate(self.vrep)}
+        _check_symmetric(self._rows, self.hrep, "functional")
+        _check_symmetric(self._points, self.vrep, "vertex")
         d = s * e
         table = [[sum(map(mul, r, p)) for r in self._rows] for p in self._points]
         self.facet_table, self.facet_scale = tuple(map(tuple, table)), d
@@ -466,16 +471,14 @@ class PolyhedralSpace:
         # vertices of -f are the negations of f's, whose homogenised rows
         # have the same rank, and the rows active at -v are the negations of
         # those active at v. So both members of a pair pass or both fail,
-        # and the first offender in canonical order is the lower id.
+        # and the first offender in canonical order is the lower id. The
+        # norm checks have ruled out zero rows, so N is even and, as id i
+        # pairs with N - 1 - i, the lower ids are the first half.
         e = self._point_scale
-        for i, (f, ids) in enumerate(zip(self.hrep, self.facet_index)):
-            if self._neg_f[i] < i:
-                continue
+        for f, ids in zip(self.hrep[: len(self.hrep) // 2], self.facet_index):
             if linalg.rank([self._points[j] + (e,) for j in ids]) != self.dim:
                 raise GeometryError(f"functional {f} does not support a facet")
-        for j, (v, row) in enumerate(zip(self.vrep, values)):
-            if self._neg_v[j] < j:
-                continue
+        for v, row in zip(self.vrep[: len(self.vrep) // 2], values):
             active = [r for r, value in zip(self._rows, row) if value == d]
             if linalg.rank(active) != self.dim:
                 raise GeometryError(f"listed point {v} is not a vertex of the ball")
@@ -567,22 +570,28 @@ class PolyhedralSpace:
         return tuple(i for i, v in enumerate(values) if v == d)
 
     def vertex_id(self, v: Vector) -> int:
-        try:
-            return self._v_pos[v]
-        except KeyError:
-            raise GeometryError(f"{v} is not a vertex of the ball") from None
+        """The id of vertex v, found by bisecting the sorted ``vrep``."""
+        i = bisect_left(self.vrep, v.coords, key=attrgetter("coords"))
+        if i == len(self.vrep) or self.vrep[i] != v:
+            raise GeometryError(f"{v} is not a vertex of the ball")
+        return i
 
     def functional_id(self, f: Functional) -> int:
-        try:
-            return self._f_pos[f]
-        except KeyError:
-            raise GeometryError(f"{f} is not a facet functional") from None
+        """The id of facet functional f, found by bisecting the sorted ``hrep``."""
+        i = bisect_left(self.hrep, f.coeffs, key=attrgetter("coeffs"))
+        if i == len(self.hrep) or self.hrep[i] != f:
+            raise GeometryError(f"{f} is not a facet functional")
+        return i
 
     def neg_vertex_id(self, i: int) -> int:
-        return self._neg_v[i]
+        """The id of -vrep[i]: ``vrep`` is sorted and closed under negation,
+        and negation reverses the lexicographic order, so it is N - 1 - i."""
+        return len(self.vrep) - 1 - i
 
     def neg_functional_id(self, i: int) -> int:
-        return self._neg_f[i]
+        """The id of -hrep[i]: ``hrep`` is sorted and closed under negation,
+        and negation reverses the lexicographic order, so it is N - 1 - i."""
+        return len(self.hrep) - 1 - i
 
     def facet_barycenter(self, fid: int) -> Vector:
         """The mean of the facet's vertices, summed on their integer rows."""

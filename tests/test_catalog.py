@@ -21,6 +21,7 @@ from polysphere.catalog import (
     resolve,
 )
 from polysphere.sampling import random_direction
+from polysphere.space import MAX_ENUM_DIM
 
 
 def test_nested_sums():
@@ -60,6 +61,39 @@ def test_dimension_outside_the_range(text):
 def test_sum_above_the_enumeration_cap(text, dim):
     with pytest.raises(EnumerationCapError, match=f"dimension {dim} exceeds"):
         resolve(text)
+
+
+def nested_sum(depth, head="l1sum", leaf="l1:1"):
+    """A sum nested ``depth`` deep, each level adding one leaf on the left."""
+    return f"{head}({leaf}," * depth + leaf + ")" * depth
+
+
+@pytest.mark.parametrize("head", ["l1sum", "linfsum"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        lambda head: nested_sum(6, head),
+        lambda head: nested_sum(1000, head),
+        lambda head: f"{head}(" * 1000,
+        lambda head: f"{head}(" * 6 + "l1:1,l1:1" + ",l1:1)" * 6,
+    ],
+    ids=["depth-6", "depth-1000", "unclosed-1000", "left-nested-6"],
+)
+def test_sum_nesting_at_the_dimension_cap_is_rejected_while_parsing(text, head):
+    """A sum tree of depth k has at least k + 1 leaves, so depth 6 would
+    have dimension above the cap; the parser stops at the sixth nested
+    sum, which a depth of 1000 would otherwise overflow the stack on."""
+    text = text(head)
+    position = len(head.join(text.split(head)[:MAX_ENUM_DIM]))
+    with pytest.raises(EnumerationCapError) as err:
+        resolve(text)
+    assert str(err.value) == (
+        f"sums nested 6 deep at position {position} exceed the enumeration cap of 6"
+    )
+
+
+def test_sum_nesting_below_the_cap_is_built():
+    assert resolve(nested_sum(5)) == resolve("l1:6")
 
 
 @pytest.mark.parametrize(

@@ -214,6 +214,26 @@ def test_failing_sum_and_star_exit_64_with_one_line(argv, message):
     assert err == message + "\n"
 
 
+DEEP_SUM = "l1sum(l1:1," * 1000 + "l1:1" + ")" * 1000
+
+
+@pytest.mark.parametrize("command", ["facets", "verify-iso"])
+def test_deeply_nested_catalog_expression_exits_64_with_one_line(tmp_path, command):
+    """A sum nested 1000 deep, given as a space or as a map's domain, is
+    rejected at its sixth nested sum, not by a stack overflow."""
+    argv = [command, DEEP_SUM]
+    if command == "verify-iso":
+        path = tmp_path / "deep.map"
+        path.write_text(HEX_ROTATION_MAP.replace("domain hex", f"domain {DEEP_SUM}"), encoding="utf-8")
+        argv = [command, str(path)]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (64, b"")
+    assert err == (
+        f"usage error: {DEEP_SUM!r} is neither a file nor a catalog expression "
+        "(sums nested 6 deep at position 55 exceed the enumeration cap of 6)\n"
+    )
+
+
 @pytest.mark.parametrize("map_arg", ["absolute", "relative"])
 @pytest.mark.parametrize(
     "header",

@@ -568,6 +568,32 @@ def test_only_apply_evaluates_norms_on_a_passing_map(monkeypatch, space, matrix)
     }
 
 
+@pytest.mark.parametrize(
+    "space,matrix",
+    [(hexagon_space(), HEX_ROTATION), (linf_space(3), LINF3_SIGNED_PERMUTATION)],
+    ids=["hex_rotation", "linf3_signed_permutation"],
+)
+def test_affine_pass_ranks_one_integer_matrix_per_antipodal_facet_pair(
+    monkeypatch, space, matrix
+):
+    """The facet rank is known to be dim and facet -F repeats F, so each
+    antipodal pair costs one rank call, on the lower id's integer rows."""
+    m = SphereMap.from_linear(space, space, matrix)
+    calls = []
+    rank = linalg.rank
+
+    def recording_rank(rows):
+        calls.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(linalg, "rank", recording_rank)
+    assert verify_isometry(m).passed
+    assert len(calls) == len(space.hrep) // 2 == 3
+    assert [len(rows) for rows in calls] == [len(ids) for ids in space.facet_index[:3]]
+    assert all(type(x) is int for rows in calls for row in rows for x in row)
+    assert all(len(row) == 2 * space.dim + 1 for rows in calls for row in rows)
+
+
 def extend_outcome(extend_fn, m):
     """The certificate, or the class, message and detail of the error."""
     try:
@@ -675,6 +701,38 @@ class TestIntegerVertexRows:
             assert_matches_references(m)
 
 
+def reference_malformed_facets(m):
+    """Every facet on which no affine map matches the data, by the Fraction
+    rank test on all facets: the homogenised vertices against the same rows
+    extended by the vertex images."""
+    failing = []
+    for fid, ids in enumerate(m.domain.facet_index):
+        hom = [m.domain.vrep[j].coords + (ONE,) for j in ids]
+        images = [m.vertex_image(j).coords for j in ids]
+        if linalg.rank(hom) != linalg.rank([h + w for h, w in zip(hom, images)]):
+            failing.append(fid)
+    return failing
+
+
+@pytest.mark.parametrize("b", [(F(1, 4), 1), (F(3, 4), F(5, 4)), (F(1, 2), F(3, 2))])
+def test_affine_failure_reports_the_first_facet_of_the_reference(hexagon, monkeypatch, b):
+    """With the pair-distance pass skipped, the prism maps reach the affine
+    pass. Both facets of each failing antipodal pair fail the reference, and
+    testing the lower ids on integer rows reports its first failing facet."""
+    prism = linf_sum(hexagon, linf_space(1))
+    moved = linf_sum(moved_hexagon(b), linf_space(1))
+    shift = {(F(1, 2), 1): b, (F(-1, 2), -1): (-b[0], -b[1])}
+    pairs = [(v, vector(*shift.get(v.coords[:2], v.coords[:2]), v.coords[2]))
+             for v in prism.vrep]
+    m = map_by_coordinates(prism, moved, pairs)
+    failing = reference_malformed_facets(m)
+    assert failing and {prism.neg_functional_id(fid) for fid in failing} == set(failing)
+    monkeypatch.setattr(isometry_module, "_first_unequal_pair", lambda *args, **kw: None)
+    report = verify_isometry(m)
+    assert report.malformed and not report.passed
+    assert report.counterexample == (failing[0],)
+
+
 def assert_pool_matches_references(m, seed=DEFAULT_SEED):
     """The seeded pass's pool holds the points of the Fraction sampler and
     their images under ``reference_apply``, and at every index the two rows
@@ -708,6 +766,15 @@ HEX_ROTATION_PRISM = tuple(row + (F(0),) for row in HEX_ROTATION) + ((F(0), F(0)
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 2])
 def test_pool_is_rebuilt_from_the_facet_tables(expr, matrix, seed):
     assert_pool_matches_references(sheared_image(resolve(expr), matrix), seed)
+
+
+def is_vertex(space, v):
+    """Whether v is a vertex of the space's ball, by its public lookup."""
+    try:
+        space.vertex_id(v)
+    except GeometryError:
+        return False
+    return True
 
 
 @st.composite
@@ -748,7 +815,7 @@ def test_sampled_pass_on_non_simplicial_polytopes(space, data):
     if linalg.rank([w.coords for _, w in pairs]) < space.dim:
         return
     target = PolyhedralSpace.from_vertices([w for _, w in pairs])
-    if all(w in target._v_pos for _, w in pairs):
+    if all(is_vertex(target, w) for _, w in pairs):
         m = map_by_coordinates(space, target, pairs)
         report = assert_same_report(m, seed)
         hit = _first_untransported(m)

@@ -54,6 +54,21 @@ def symmetric_point_rows(draw, dims=(2, 3)):
     return draw(st.permutations(rows))
 
 
+@st.composite
+def built_spaces(draw):
+    """A random space from either builder, or built directly from the
+    descriptions of a built space listed in a random order."""
+    rows = draw(symmetric_point_rows())
+    how = draw(st.sampled_from(["vertices", "functionals", "direct"]))
+    if how == "functionals":
+        return PolyhedralSpace.from_functionals(rows)
+    space = PolyhedralSpace.from_vertices(rows)
+    if how == "direct":
+        hrep, vrep = draw(st.permutations(space.hrep)), draw(st.permutations(space.vrep))
+        return PolyhedralSpace(hrep, vrep)
+    return space
+
+
 def reference_enumerate_ball_vertices(functionals, dim):
     """The double description loop on Fraction rays with a rank adjacency test.
 
@@ -545,6 +560,57 @@ class TestDuality:
     @given(symmetric_point_rows(dims=(4,)))
     def test_vertex_build_is_the_polar_functional_build_in_dim_4(self, rows):
         assert PolyhedralSpace.from_vertices(rows) == PolyhedralSpace.from_functionals(rows).dual()
+
+
+class TestIds:
+    @settings(max_examples=60, deadline=None)
+    @given(built_spaces(), st.data())
+    def test_antipodes_by_position_and_lookups_by_bisection(self, space, data):
+        """The antipode of id i is id N - 1 - i, every vertex and functional
+        is found at its own id, and a drawn point or row is found iff it is
+        a member."""
+        for i, v in enumerate(space.vrep):
+            assert space.vrep[space.neg_vertex_id(i)] == -v
+            assert space.vertex_id(v) == i
+        for i, f in enumerate(space.hrep):
+            assert space.hrep[space.neg_functional_id(i)] == -f
+            assert space.functional_id(f) == i
+        coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+        x = vector(*data.draw(st.tuples(*[coord] * space.dim)))
+        if x in set(space.vrep):
+            assert space.vrep[space.vertex_id(x)] == x
+        else:
+            with pytest.raises(GeometryError, match="is not a vertex of the ball"):
+                space.vertex_id(x)
+        f = functional(*x.coords)
+        if f in set(space.hrep):
+            assert space.hrep[space.functional_id(f)] == f
+        else:
+            with pytest.raises(GeometryError, match="is not a facet functional"):
+                space.functional_id(f)
+
+    @pytest.mark.parametrize(
+        "v",
+        [vector(0, 0), vector(1, 1), vector(2, 0), vector(-2, 0), vector(9, 9), vector(1, 0, 0)],
+        ids=["origin", "non-member", "scaled", "below-all", "above-all", "wrong-dimension"],
+    )
+    def test_vertex_lookup_of_a_non_member_raises(self, hexagon, v):
+        with pytest.raises(GeometryError) as err:
+            hexagon.vertex_id(v)
+        assert type(err.value) is GeometryError
+        assert str(err.value) == f"{v} is not a vertex of the ball"
+
+    @pytest.mark.parametrize(
+        "f",
+        [functional(1, 1), functional(0, 2), functional(-5, 0), functional(5, 0),
+         functional(0, 1, 0)],
+        ids=["non-member", "scaled", "below-all", "above-all", "wrong-dimension"],
+    )
+    def test_functional_lookup_of_a_non_member_raises(self, hexagon, f):
+        with pytest.raises(GeometryError) as err:
+            hexagon.functional_id(f)
+        assert type(err.value) is GeometryError
+        assert str(err.value) == f"{f} is not a facet functional"
 
 
 class TestInvariants:
