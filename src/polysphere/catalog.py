@@ -11,44 +11,76 @@ Catalog names follow a small grammar, also accepted by the command line:
 Sums are binary and nest, so longer sums are written by composition.
 Nesting ``MAX_ENUM_DIM`` deep is an EnumerationCapError, raised as soon as
 the parser reaches it: such a sum has dimension above the cap.
+
+Every space is built from its closed form, both descriptions listed, with
+no vertex enumeration. The constructor still runs all its checks, so a
+wrong closed form raises instead of giving a wrong space. The ℓ1 and ℓ∞
+leaves are polar twins: the signed unit vectors ±e_i are the vertices of
+the cross-polytope and the facets of the cube, and the sign vectors are
+the facets of the one and the vertices of the other. So are the sums. Let
+X and Y have facet functionals F_X, F_Y and vertices V_X, V_Y, the
+summands' descriptions being polar, as every builder makes them.
+
+- ℓ∞-sum: the ball is B_X × B_Y. Its facets are F × B_Y and B_X × G for
+  the facets F, G of the factors, with functionals (f, 0) and (0, g); its
+  vertices are the pairs (v, w), since a face of a product is a product
+  of faces and a vertex of B_X × B_Y is a product of vertices.
+- ℓ1-sum: the ball is conv(B_X × 0 ∪ 0 × B_Y), the polar of
+  B_X° × B_Y°. The vertices of that product of polars are the pairs
+  (f, g) of facet functionals, so the facet functionals of the ℓ1-sum are
+  all |F_X|·|F_Y| pairs (f, g): they are distinct and none is redundant.
+  Its vertices, the facets of B_X° × B_Y° read back through polarity, are
+  (v, 0) and (0, w).
+
+So ``linf_sum`` pads the functionals and pairs the vertices, and
+``l1_sum`` pairs the functionals and pads the vertices. Both refuse a sum
+above the caps as double description would, by
+:func:`polysphere.space.check_caps` on the dimension and the number of
+rows, before any row is built.
 """
 
+import functools
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .errors import EnumerationCapError, GeometryError
-from .space import MAX_ENUM_DIM, Functional, PolyhedralSpace, Vector
+from .space import MAX_ENUM_DIM, PolyhedralSpace, check_caps
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_HALF = Fraction(1, 2)
+# Decimal digits, in any script: exactly the characters int() reads.
+_DIGITS = re.compile(r"\d*")
+
+
+def _with_negations(rows: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]]:
+    return rows + [tuple(-c for c in row) for row in rows]
+
+
+def _signed_units(n: int) -> list[tuple[Fraction, ...]]:
+    """The vectors ±e_i of length n."""
+    units = [tuple(_ONE if j == i else _ZERO for j in range(n)) for i in range(n)]
+    return _with_negations(units)
+
+
+def _signs(n: int) -> list[tuple[Fraction, ...]]:
+    """The 2^n vectors with entries ±1."""
+    return list(itertools.product((_ONE, -_ONE), repeat=n))
 
 
 def l1_space(n: int) -> PolyhedralSpace:
-    """Ball = cross-polytope: vertices are the signed basis vectors."""
+    """Ball = cross-polytope: the signed unit vectors are its vertices."""
     _check_range(n)
-    vrep = []
-    for i in range(n):
-        e = [_ZERO] * n
-        e[i] = _ONE
-        vrep.append(Vector(e))
-        vrep.append(Vector([-c for c in e]))
-    hrep = [Functional(signs) for signs in itertools.product((_ONE, -_ONE), repeat=n)]
-    return PolyhedralSpace(hrep, vrep, name=f"l1:{n}")
+    return PolyhedralSpace(_signs(n), _signed_units(n), name=f"l1:{n}")
 
 
 def linf_space(n: int) -> PolyhedralSpace:
-    """Ball = cube: facets are the signed coordinate functionals."""
+    """Ball = cube: the signed unit vectors are its facet functionals."""
     _check_range(n)
-    hrep = []
-    for i in range(n):
-        e = [_ZERO] * n
-        e[i] = _ONE
-        hrep.append(Functional(e))
-        hrep.append(Functional([-c for c in e]))
-    vrep = [Vector(signs) for signs in itertools.product((_ONE, -_ONE), repeat=n)]
-    return PolyhedralSpace(hrep, vrep, name=f"linf:{n}")
+    return PolyhedralSpace(_signed_units(n), _signs(n), name=f"linf:{n}")
 
 
 def hexagon_space() -> PolyhedralSpace:
@@ -59,49 +91,36 @@ def hexagon_space() -> PolyhedralSpace:
     hexagons only these images have the T-property (see
     :mod:`polysphere.properties`), and none is CL.
     """
-    half = Fraction(1, 2)
-    hrep = [
-        Functional((_ZERO, _ONE)),
-        Functional((_ZERO, -_ONE)),
-        Functional((_ONE, half)),
-        Functional((-_ONE, -half)),
-        Functional((_ONE, -half)),
-        Functional((-_ONE, half)),
-    ]
-    vrep = [
-        Vector((half, _ONE)),
-        Vector((-half, -_ONE)),
-        Vector((_ONE, _ZERO)),
-        Vector((-_ONE, _ZERO)),
-        Vector((half, -_ONE)),
-        Vector((-half, _ONE)),
-    ]
-    return PolyhedralSpace(hrep, vrep, name="hex")
+    hrep = [(_ZERO, _ONE), (_ONE, _HALF), (_ONE, -_HALF)]
+    vrep = [(_ONE, _ZERO), (_HALF, _ONE), (-_HALF, _ONE)]
+    return PolyhedralSpace(_with_negations(hrep), _with_negations(vrep), name="hex")
 
 
-def _padded(f: Functional, before: int, after: int) -> Functional:
-    return Functional((_ZERO,) * before + f.coeffs + (_ZERO,) * after)
+def _padded(xs: list[tuple], ys: list[tuple]) -> list[tuple]:
+    """(x, 0) for each x, then (0, y) for each y."""
+    zx, zy = (_ZERO,) * len(xs[0]), (_ZERO,) * len(ys[0])
+    return [x + zy for x in xs] + [zx + y for y in ys]
+
+
+def _pairs(xs: list[tuple], ys: list[tuple]) -> list[tuple]:
+    """(x, y) for each x and each y."""
+    return [x + y for x in xs for y in ys]
 
 
 def linf_sum(a: PolyhedralSpace, b: PolyhedralSpace, name: str | None = None) -> PolyhedralSpace:
-    """Product space with norm max(|x_a|, |x_b|)."""
-    fs = [_padded(f, 0, b.dim) for f in a.hrep] + [_padded(g, a.dim, 0) for g in b.hrep]
-    return PolyhedralSpace.from_functionals(
-        fs, name=name or f"linfsum({a.name or '?'},{b.name or '?'})"
-    )
+    """Product space with norm max(|x_a|, |x_b|): padded facets, paired vertices."""
+    check_caps(a.dim + b.dim, len(a.hrep) + len(b.hrep))
+    hrep = _padded([f.coeffs for f in a.hrep], [g.coeffs for g in b.hrep])
+    vrep = _pairs([v.coords for v in a.vrep], [w.coords for w in b.vrep])
+    return PolyhedralSpace(hrep, vrep, name=name or f"linfsum({a.name or '?'},{b.name or '?'})")
 
 
 def l1_sum(a: PolyhedralSpace, b: PolyhedralSpace, name: str | None = None) -> PolyhedralSpace:
-    """Product space with norm |x_a| + |x_b|; facets are all pairwise sums."""
-    fs = [
-        Functional(f.coeffs + g.coeffs)
-        for f in a.hrep
-        for g in b.hrep
-    ]
-    # from_functionals deduplicates and drops anything redundant.
-    return PolyhedralSpace.from_functionals(
-        fs, name=name or f"l1sum({a.name or '?'},{b.name or '?'})"
-    )
+    """Product space with norm |x_a| + |x_b|: paired facets, padded vertices."""
+    check_caps(a.dim + b.dim, len(a.hrep) * len(b.hrep))
+    hrep = _pairs([f.coeffs for f in a.hrep], [g.coeffs for g in b.hrep])
+    vrep = _padded([v.coords for v in a.vrep], [w.coords for w in b.vrep])
+    return PolyhedralSpace(hrep, vrep, name=name or f"l1sum({a.name or '?'},{b.name or '?'})")
 
 
 @dataclass(frozen=True)
@@ -113,54 +132,25 @@ class CatalogEntry:
     expected_t: bool
 
 
+# (expression, description, CL, T) for each space ``polysphere catalog`` lists.
+_ENTRIES = (
+    ("hex", "hexagonal norm max(|y|, |x| + |y|/2)", False, True),
+    *(
+        (f"{head}:{n}", f"{ball} ball in dimension {n}", True, True)
+        for n in range(1, 5)
+        for head, ball in (("l1", "cross-polytope"), ("linf", "cube"))
+    ),
+    ("linfsum(hex,linf:1)", "hexagon times a segment under the max norm", False, True),
+    ("l1sum(hex,l1:1)", "hexagon times a segment under the sum norm", False, True),
+)
+
+
 def catalog_entries() -> tuple[CatalogEntry, ...]:
-    entries = [
-        CatalogEntry(
-            "hex",
-            "hexagonal norm max(|y|, |x| + |y|/2)",
-            hexagon_space,
-            expected_cl=False,
-            expected_t=True,
-        )
-    ]
-    for n in range(1, 5):
-        entries.append(
-            CatalogEntry(
-                f"l1:{n}",
-                f"cross-polytope ball in dimension {n}",
-                (lambda k=n: l1_space(k)),
-                expected_cl=True,
-                expected_t=True,
-            )
-        )
-        entries.append(
-            CatalogEntry(
-                f"linf:{n}",
-                f"cube ball in dimension {n}",
-                (lambda k=n: linf_space(k)),
-                expected_cl=True,
-                expected_t=True,
-            )
-        )
-    entries.append(
-        CatalogEntry(
-            "linfsum(hex,linf:1)",
-            "hexagon times a segment under the max norm",
-            lambda: resolve("linfsum(hex,linf:1)"),
-            expected_cl=False,
-            expected_t=True,
-        )
+    """The listed spaces; each one is built by resolving its expression."""
+    return tuple(
+        CatalogEntry(text, description, functools.partial(resolve, text), cl, t)
+        for text, description, cl, t in _ENTRIES
     )
-    entries.append(
-        CatalogEntry(
-            "l1sum(hex,l1:1)",
-            "hexagon times a segment under the sum norm",
-            lambda: resolve("l1sum(hex,l1:1)"),
-            expected_cl=False,
-            expected_t=True,
-        )
-    )
-    return tuple(entries)
 
 
 def _check_range(n: int):
@@ -198,9 +188,8 @@ class _Parser:
         at least one, so its dimension would exceed ``MAX_ENUM_DIM``.
         """
         self.skip_ws()
-        rest = self.text[self.pos:]
         for head, builder in (("linfsum", linf_sum), ("l1sum", l1_sum)):
-            if rest.startswith(head):
+            if self.text.startswith(head, self.pos):
                 if depth == MAX_ENUM_DIM - 1:
                     at = f"sums nested {MAX_ENUM_DIM} deep at position {self.pos}"
                     raise EnumerationCapError(f"{at} exceed the enumeration cap of {MAX_ENUM_DIM}")
@@ -211,18 +200,25 @@ class _Parser:
                 b = self.parse_expr(depth + 1)
                 self.expect(")")
                 return builder(a, b)
-        if rest.startswith("hex"):
+        if self.text.startswith("hex", self.pos):
             self.pos += 3
             return hexagon_space()
         for head, builder in (("linf:", linf_space), ("l1:", l1_space)):
-            if rest.startswith(head):
-                self.pos += len(head)
-                start = self.pos
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                    self.pos += 1
-                if self.pos == start:
+            if self.text.startswith(head, self.pos):
+                digits = _DIGITS.match(self.text, self.pos + len(head)).group()
+                if not digits:
                     raise GeometryError(f"expected a dimension after {head!r}")
-                return builder(int(self.text[start:self.pos]))
+                self.pos += len(head) + len(digits)
+                try:
+                    n = int(digits)
+                except ValueError:
+                    # int() refuses more digits than the interpreter's limit, and
+                    # str() of such a number fails too, so it is named by its length.
+                    raise EnumerationCapError(
+                        f"dimension written with {len(digits)} digits outside the supported"
+                        f" range 1..{MAX_ENUM_DIM}"
+                    ) from None
+                return builder(n)
         raise GeometryError(f"unknown catalog name at position {self.pos} in {self.text!r}")
 
 

@@ -48,6 +48,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_ECHO_LIMIT = 60
+
+
+def _echo(ref: str) -> str:
+    """``ref`` quoted, or only its first ``_ECHO_LIMIT`` characters and its
+    length, so that an error naming a long reference stays one short line."""
+    if len(ref) <= _ECHO_LIMIT:
+        return repr(ref)
+    return f"{ref[:_ECHO_LIMIT]!r} (first {_ECHO_LIMIT} of {len(ref)} characters)"
+
+
 def _load_space(ref: str, directory: str = "") -> PolyhedralSpace:
     """The space file ``ref``, relative to ``directory``, or else the catalog expression."""
     path = os.path.join(directory, ref)
@@ -56,7 +67,7 @@ def _load_space(ref: str, directory: str = "") -> PolyhedralSpace:
     try:
         return cat.resolve(ref)
     except GeometryError as err:
-        raise _UsageError(f"{ref!r} is neither a file nor a catalog expression ({err})") from err
+        raise _UsageError(f"{_echo(ref)} is neither a file nor a catalog expression ({err})") from err
 
 
 def _load_map(path: str):

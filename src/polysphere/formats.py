@@ -211,7 +211,15 @@ def _parse_point_side(side: str, ln: int, col: int) -> tuple[str, object, int]:
     m = _INDEX_RE.match(body)
     if not m:
         raise ParseError("mapping", ln, col, f"bad vertex reference {body!r}")
-    return "index", int(m.group(1)), col
+    digits = m.group(1)
+    try:
+        return "index", int(digits), col
+    except ValueError:
+        # int() refuses more digits than the interpreter's limit, and str()
+        # of such an index would fail too, so it is reported by its length.
+        raise ParseError(
+            "vertex", ln, col, f"vertex index written with {len(digits)} digits out of range"
+        ) from None
 
 
 def parse_map_text(

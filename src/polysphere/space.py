@@ -13,9 +13,12 @@ methods run one polar routine: given rows, it enumerates the vertices of
 {x : r(x) <= 1 for every row r} and keeps the rows that support a facet
 of that ball. Read as functionals, the rows and the points are a space's
 H- and V-forms; read as points, they are its V- and H-forms, because the
-ball of the polar rows is the polar body. The enumerator alone applies
-the two caps, ``MAX_ENUM_DIM`` on the dimension and ``MAX_FACETS`` on the
-number of distinct nonzero rows. It is the double description method on
+ball of the polar rows is the polar body. The catalog lists both
+descriptions from closed forms instead (see :mod:`polysphere.catalog`).
+One function, :func:`check_caps`, applies the two caps, ``MAX_ENUM_DIM``
+on the dimension and ``MAX_FACETS`` on the number of distinct nonzero
+rows; the enumerator calls it on its rows, and the catalog's sums on the
+rows they would list. The enumerator is the double description method on
 exact integers: rows and rays are integer vectors, each ray carries a
 bitmask of the rows tight at it, and two rays are adjacent by the
 combinatorial test of Fukuda & Prodon ("Double description method
@@ -224,14 +227,23 @@ def _neg(row: tuple) -> tuple:
     return tuple(-c for c in row)
 
 
+def check_caps(dim: int, rows: int):
+    """Raise EnumerationCapError above ``MAX_ENUM_DIM`` dimensions or
+    ``MAX_FACETS`` distinct nonzero rows, the dimension tested first."""
+    if dim > MAX_ENUM_DIM:
+        raise EnumerationCapError(f"dimension {dim} exceeds the enumeration cap of {MAX_ENUM_DIM}")
+    if rows > MAX_FACETS:
+        raise EnumerationCapError(f"{rows} rows exceed the cap of {MAX_FACETS}")
+
+
 def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Fraction, ...], ...]:
     """All vertices of {x : f(x) <= 1 for every f}, by double description.
 
     The functional set must be symmetric (closed under negation) and span
     the dual space, so the ball is bounded with the origin interior.
     Raises DegenerateInputError otherwise, carrying a recession direction.
-    Zero functionals are vacuous and ignored. Raises EnumerationCapError
-    above ``MAX_ENUM_DIM`` dimensions or ``MAX_FACETS`` distinct rows.
+    Zero functionals are vacuous and ignored. :func:`check_caps` refuses
+    more than ``MAX_ENUM_DIM`` dimensions or ``MAX_FACETS`` distinct rows.
     Errors carry the Fraction rows as given; the vertices are returned as
     sorted Fraction tuples.
 
@@ -266,10 +278,7 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
         raise DegenerateInputError("no nonzero functionals", direction=None)
     if any(len(r) != dim for r in rows):
         raise DimensionMismatchError("functional length does not match the dimension")
-    if dim > MAX_ENUM_DIM:
-        raise EnumerationCapError(f"dimension {dim} exceeds the enumeration cap of {MAX_ENUM_DIM}")
-    if len(rows) > MAX_FACETS:
-        raise EnumerationCapError(f"{len(rows)} rows exceed the cap of {MAX_FACETS}")
+    check_caps(dim, len(rows))
     for r in rows:
         if _neg(r) not in frac:
             raise AsymmetricInputError(

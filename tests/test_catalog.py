@@ -1,12 +1,18 @@
-"""Catalog grammar and the norm laws of the two sums."""
+"""Catalog grammar, the closed forms of the leaves and sums, and the norm
+laws of the two sums."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysphere import (
     EnumerationCapError,
     GeometryError,
+    PolyhedralSpace,
     Vector,
     check_cl,
     check_t_property,
@@ -21,7 +27,10 @@ from polysphere.catalog import (
     resolve,
 )
 from polysphere.sampling import random_direction
-from polysphere.space import MAX_ENUM_DIM
+from polysphere.space import MAX_ENUM_DIM, Functional
+from test_space import built_spaces
+
+F = Fraction
 
 
 def test_nested_sums():
@@ -44,6 +53,9 @@ def test_whitespace_between_tokens():
         ("l1sum(hex l1:1)", "expected ',' at position 10"),
         ("l1:", "expected a dimension after 'l1:'"),
         ("linf:x", "expected a dimension after 'linf:'"),
+        # A superscript is a digit but not a decimal digit, which int() refuses.
+        ("l1:\u00b2", "expected a dimension after 'l1:'"),
+        ("l1:3\u00b2", "trailing input at position 4"),
     ],
 )
 def test_malformed_expressions(text, message):
@@ -57,10 +69,28 @@ def test_dimension_outside_the_range(text):
         resolve(text)
 
 
+@pytest.mark.parametrize("head", ["l1", "linf"])
+def test_dimension_too_long_to_convert_is_outside_the_range(head):
+    """int() refuses more than 4300 digits; such a dimension is reported by
+    its length, while a shorter one, leading zeros and all, still converts."""
+    with pytest.raises(EnumerationCapError) as err:
+        resolve(f"{head}:" + "9" * 5000)
+    assert str(err.value) == "dimension written with 5000 digits outside the supported range 1..6"
+    assert resolve(f"{head}:0006") == resolve(f"{head}:6")
+
+
 @pytest.mark.parametrize("text,dim", [("l1sum(l1:4,l1:3)", 7), ("linfsum(linf:6,hex)", 8)])
 def test_sum_above_the_enumeration_cap(text, dim):
     with pytest.raises(EnumerationCapError, match=f"dimension {dim} exceeds"):
         resolve(text)
+
+
+def test_sum_above_the_row_cap():
+    """6 * 36 facet functionals in dimension 6: the row cap, not the
+    dimension cap, refuses it."""
+    with pytest.raises(EnumerationCapError) as err:
+        resolve("l1sum(hex,l1sum(hex,hex))")
+    assert str(err.value) == "216 rows exceed the cap of 200"
 
 
 def nested_sum(depth, head="l1sum", leaf="l1:1"):
@@ -116,3 +146,75 @@ def test_declared_verdicts_are_the_decided_ones(entry):
     space = entry.build()
     assert check_cl(space).is_cl == entry.expected_cl
     assert check_t_property(space).holds == entry.expected_t
+
+
+# The construction the closed forms replaced, kept as their reference: the
+# leaves listed by hand, and each sum enumerated from its summands' padded
+# or paired facet functionals.
+
+
+def reference_l1_space(n):
+    vrep = []
+    for i in range(n):
+        e = [F(0)] * n
+        e[i] = F(1)
+        vrep += [Vector(e), Vector([-c for c in e])]
+    hrep = [Functional(signs) for signs in itertools.product((F(1), F(-1)), repeat=n)]
+    return PolyhedralSpace(hrep, vrep, name=f"l1:{n}")
+
+
+def reference_linf_space(n):
+    hrep = []
+    for i in range(n):
+        e = [F(0)] * n
+        e[i] = F(1)
+        hrep += [Functional(e), Functional([-c for c in e])]
+    vrep = [Vector(signs) for signs in itertools.product((F(1), F(-1)), repeat=n)]
+    return PolyhedralSpace(hrep, vrep, name=f"linf:{n}")
+
+
+def reference_hexagon_space():
+    half = F(1, 2)
+    hrep = [(0, 1), (0, -1), (1, half), (-1, -half), (1, -half), (-1, half)]
+    vrep = [(half, 1), (-half, -1), (1, 0), (-1, 0), (half, -1), (-half, 1)]
+    return PolyhedralSpace(hrep, vrep, name="hex")
+
+
+def reference_linf_sum(a, b):
+    zeros_a, zeros_b = (F(0),) * a.dim, (F(0),) * b.dim
+    fs = [f.coeffs + zeros_b for f in a.hrep] + [zeros_a + g.coeffs for g in b.hrep]
+    return PolyhedralSpace.from_functionals(fs, name=f"linfsum({a.name or '?'},{b.name or '?'})")
+
+
+def reference_l1_sum(a, b):
+    fs = [f.coeffs + g.coeffs for f in a.hrep for g in b.hrep]
+    return PolyhedralSpace.from_functionals(fs, name=f"l1sum({a.name or '?'},{b.name or '?'})")
+
+
+def outcome(build):
+    """Every field the constructor fills, or the error's type and message."""
+    try:
+        s = build()
+    except GeometryError as err:
+        return type(err), str(err)
+    return s.name, s.dim, s.hrep, s.vrep, s.facet_table, s.facet_scale, s.facet_index
+
+
+def test_leaves_match_the_hand_listed_reference():
+    assert outcome(hexagon_space) == outcome(reference_hexagon_space)
+    for n in range(1, MAX_ENUM_DIM + 1):
+        assert outcome(lambda: l1_space(n)) == outcome(lambda: reference_l1_space(n))
+        assert outcome(lambda: linf_space(n)) == outcome(lambda: reference_linf_space(n))
+
+
+LEAVES = ["hex"] + [f"{head}:{n}" for head in ("l1", "linf") for n in range(1, MAX_ENUM_DIM + 1)]
+summands = st.one_of(built_spaces(), st.sampled_from(LEAVES).map(resolve))
+
+
+@settings(max_examples=80, deadline=None)
+@given(summands, summands)
+def test_sums_match_the_enumerated_reference(a, b):
+    """Both closed forms give the space double description gives, field
+    for field, or the same refusal above the caps."""
+    assert outcome(lambda: l1_sum(a, b)) == outcome(lambda: reference_l1_sum(a, b))
+    assert outcome(lambda: linf_sum(a, b)) == outcome(lambda: reference_linf_sum(a, b))

@@ -205,8 +205,9 @@ def test_sum_name_that_cannot_be_written_back_is_rejected(tmp_path):
         (["sum", "linf", "linf:6", "hex"], "error: dimension 8 exceeds the enumeration cap of 6"),
         (["star", "hex", "2,0"], "error: (2, 0) has norm 2, expected 1"),
         (["star", "hex", "1,0,0"], "usage error: point needs 2 coordinates, got 3"),
+        (["sum", "l1", "hex", "l1sum(hex,hex)"], "error: 216 rows exceed the cap of 200"),
     ],
-    ids=["sum-dim-7", "sum-dim-8", "star-off-sphere", "star-wrong-length"],
+    ids=["sum-dim-7", "sum-dim-8", "star-off-sphere", "star-wrong-length", "sum-rows-216"],
 )
 def test_failing_sum_and_star_exit_64_with_one_line(argv, message):
     code, out, err = run_cli(argv)
@@ -229,9 +230,48 @@ def test_deeply_nested_catalog_expression_exits_64_with_one_line(tmp_path, comma
     code, out, err = run_cli(argv)
     assert (code, out) == (64, b"")
     assert err == (
-        f"usage error: {DEEP_SUM!r} is neither a file nor a catalog expression "
-        "(sums nested 6 deep at position 55 exceed the enumeration cap of 6)\n"
+        f"usage error: {DEEP_SUM[:60]!r} (first 60 of {len(DEEP_SUM)} characters) is neither"
+        " a file nor a catalog expression"
+        " (sums nested 6 deep at position 55 exceed the enumeration cap of 6)\n"
     )
+
+
+def test_reference_that_fits_is_echoed_whole():
+    ref = "l1sum(hex," * 5 + "squar" + ")" * 5
+    assert len(ref) == 60
+    code, out, err = run_cli(["facets", ref])
+    assert (code, out) == (64, b"")
+    assert err == (
+        f"usage error: {ref!r} is neither a file nor a catalog expression"
+        " (unknown catalog name at position 50 in " + repr(ref) + ")\n"
+    )
+
+
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("where", ["argument", "map-domain", "map-line"])
+def test_integer_too_long_to_convert_exits_64_with_one_line(tmp_path, where):
+    """int() refuses more than 4300 digits; a dimension or a vertex index
+    that long is bad input, reported without converting it."""
+    ref = f"l1:{NINES}"
+    message = (
+        f"usage error: {ref[:60]!r} (first 60 of 5003 characters) is neither a file nor a"
+        " catalog expression (dimension written with 5000 digits outside the supported"
+        " range 1..6)\n"
+    )
+    argv = ["facets", ref]
+    if where != "argument":
+        text = HEX_ROTATION_MAP.replace("domain hex", f"domain {ref}")
+        if where == "map-line":
+            text = HEX_ROTATION_MAP.replace("v0 -> w1", f"v{NINES} -> w1")
+            message = "parse error: line 5, col 1: vertex index written with 5000 digits out of range\n"
+        path = tmp_path / "big.map"
+        path.write_text(text, encoding="utf-8")
+        argv = ["verify-iso", str(path)]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (64, b"")
+    assert err == message
 
 
 @pytest.mark.parametrize("map_arg", ["absolute", "relative"])

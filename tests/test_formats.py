@@ -88,6 +88,11 @@ MAP_ERRORS = [
     # A bad header value is reported at its token.
     ("version 2\ndomain hex\ncodomain hex\nmap\n", "header", 1, 9, "missing or unsupported 'version'"),
     ("version\t\t2\ndomain hex\ncodomain hex\nmap\n", "header", 1, 10, "missing or unsupported"),
+    # An index int() refuses to convert, over 4300 digits, is reported by its length.
+    (map_text(["v" + "9" * 5000 + " -> w0"]), "vertex", 5, 1,
+     "vertex index written with 5000 digits out of range"),
+    (map_text(["v0 ->  w" + "9" * 5000]), "vertex", 5, 8,
+     "vertex index written with 5000 digits out of range"),
 ]
 
 

@@ -499,7 +499,9 @@ class TestEnumeration:
         assert outcome(lambda r, d: polar_pair(r, d, symmetrize), rows, dim) == expected
 
     def test_builders_enumerate_once_through_the_module_binding(self, monkeypatch):
-        """Tracing wraps the module binding, so every build must go through it."""
+        """Tracing wraps the module binding, so every build must go through
+        it: once for each builder, and never for a sum, which lists both
+        descriptions from its summands'."""
         hexagon = hexagon_space()
         hrep, vrep = l1_space(3).hrep, linf_space(3).vrep
         calls = []
@@ -510,19 +512,22 @@ class TestEnumeration:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(space_module, "enumerate_ball_vertices", counted)
-        for build in (
-            lambda: PolyhedralSpace.from_functionals(hrep),
-            lambda: PolyhedralSpace.from_vertices(vrep),
-            lambda: catalog.l1_sum(hexagon, hexagon),
+        for build, enumerations in (
+            (lambda: PolyhedralSpace.from_functionals(hrep), 1),
+            (lambda: PolyhedralSpace.from_vertices(vrep), 1),
+            (lambda: catalog.l1_sum(hexagon, hexagon), 0),
+            (lambda: catalog.linf_sum(hexagon, hexagon), 0),
         ):
             calls.clear()
             build()
-            assert len(calls) == 1
+            assert len(calls) == enumerations
 
 
 class TestDuality:
     def test_cross_polytope_dual_is_cube(self):
-        assert l1_space(2).dual() == linf_space(2)
+        for n in range(1, MAX_ENUM_DIM + 1):
+            assert l1_space(n).dual() == linf_space(n)
+            assert linf_space(n).dual() == l1_space(n)
 
     def test_hexagon_dual_vertices(self, hexagon):
         dual = hexagon.dual()
