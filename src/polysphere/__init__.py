@@ -27,13 +27,6 @@ from .errors import (
     NotAlmostClError,
     NotOnSphereError,
 )
-from .faces import (
-    Face,
-    Star,
-    facets,
-    is_smooth,
-    star,
-)
 from .isometry import (
     ExtensionCertificate,
     IsometryReport,
@@ -62,7 +55,6 @@ from .properties import (
     distance_to_hull,
     in_convex_hull,
 )
-from .sampling import sphere_points
 from .space import (
     MAX_ENUM_DIM,
     MAX_FACETS,
@@ -87,7 +79,6 @@ __all__ = [
     "DimensionMismatchError",
     "EnumerationCapError",
     "ExtensionCertificate",
-    "Face",
     "Functional",
     "GeometryError",
     "INFEASIBLE",
@@ -102,7 +93,6 @@ __all__ = [
     "OPTIMAL",
     "PolyhedralSpace",
     "SphereMap",
-    "Star",
     "TPropertyReport",
     "UNBOUNDED",
     "Vector",
@@ -115,19 +105,15 @@ __all__ = [
     "distance_to_hull",
     "enumerate_ball_vertices",
     "extend",
-    "facets",
     "functional",
     "hexagon_space",
     "in_convex_hull",
-    "is_smooth",
     "l1_space",
     "l1_sum",
     "linf_space",
     "linf_sum",
     "resolve",
     "solve_lp",
-    "sphere_points",
-    "star",
     "transported_functionals",
     "vector",
     "verify_isometry",

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import EnumerationCapError, GeometryError
+from .errors import EnumerationCapError, GeometryError, echo
 from .space import MAX_ENUM_DIM, PolyhedralSpace, check_caps
 
 _ZERO = Fraction(0)
@@ -170,14 +170,14 @@ class _Parser:
     def expect(self, ch: str):
         self.skip_ws()
         if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise GeometryError(f"expected {ch!r} at position {self.pos} in {self.text!r}")
+            raise GeometryError(f"expected {ch!r} at position {self.pos} in {echo(self.text)}")
         self.pos += 1
 
     def parse(self) -> PolyhedralSpace:
         space = self.parse_expr()
         self.skip_ws()
         if self.pos != len(self.text):
-            raise GeometryError(f"trailing input at position {self.pos} in {self.text!r}")
+            raise GeometryError(f"trailing input at position {self.pos} in {echo(self.text)}")
         return space
 
     def parse_expr(self, depth: int = 0) -> PolyhedralSpace:
@@ -219,7 +219,7 @@ class _Parser:
                         f" range 1..{MAX_ENUM_DIM}"
                     ) from None
                 return builder(n)
-        raise GeometryError(f"unknown catalog name at position {self.pos} in {self.text!r}")
+        raise GeometryError(f"unknown catalog name at position {self.pos} in {echo(self.text)}")
 
 
 def resolve(name: str) -> PolyhedralSpace:

@@ -24,8 +24,7 @@ import os
 import sys
 
 from . import catalog as cat
-from .errors import GeometryError
-from .faces import facets, star
+from .errors import GeometryError, NotOnSphereError, echo
 from .formats import ParseError, parse_map_file, parse_space_file, serialize_space
 from .isometry import extend as extend_map
 from .isometry import verify_isometry
@@ -48,17 +47,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_ECHO_LIMIT = 60
-
-
-def _echo(ref: str) -> str:
-    """``ref`` quoted, or only its first ``_ECHO_LIMIT`` characters and its
-    length, so that an error naming a long reference stays one short line."""
-    if len(ref) <= _ECHO_LIMIT:
-        return repr(ref)
-    return f"{ref[:_ECHO_LIMIT]!r} (first {_ECHO_LIMIT} of {len(ref)} characters)"
-
-
 def _load_space(ref: str, directory: str = "") -> PolyhedralSpace:
     """The space file ``ref``, relative to ``directory``, or else the catalog expression."""
     path = os.path.join(directory, ref)
@@ -67,7 +55,7 @@ def _load_space(ref: str, directory: str = "") -> PolyhedralSpace:
     try:
         return cat.resolve(ref)
     except GeometryError as err:
-        raise _UsageError(f"{_echo(ref)} is neither a file nor a catalog expression ({err})") from err
+        raise _UsageError(f"{echo(ref)} is neither a file nor a catalog expression ({err})") from err
 
 
 def _load_map(path: str):
@@ -88,21 +76,25 @@ def _parse_point(text: str, dim: int) -> Vector:
 def _cmd_facets(args, out) -> int:
     space = _load_space(args.space)
     print(space.summary(), file=out)
-    for face in facets(space):
-        verts = ", ".join(f"v{j} {space.vrep[j]}" for j in face.vertex_ids)
-        print(f"facet f{face.functional_id}: functional {face.functional}; vertices {verts}", file=out)
+    for fid, ids in enumerate(space.facet_index):
+        verts = ", ".join(f"v{j} {space.vrep[j]}" for j in ids)
+        print(f"facet f{fid}: functional {space.hrep[fid]}; vertices {verts}", file=out)
     return OK
 
 
 def _cmd_star(args, out) -> int:
     space = _load_space(args.space)
     x = _parse_point(args.point, space.dim)
-    st = star(space, x)
+    norm = space.norm(x)
+    if norm != 1:
+        raise NotOnSphereError(f"{x} has norm {norm}, expected 1")
+    # St(x) is the union of the facets active at x (see active_functional_ids).
+    ids = space.active_functional_ids(x)
     print(f"star of {x} in {space.summary()}", file=out)
-    for face in st.faces:
-        print(f"  f{face.functional_id} {face.functional}", file=out)
-    kind = "maximal convex (smooth point)" if len(st.faces) == 1 else "union of several facets"
-    print(f"faces: {len(st.faces)} ({kind})", file=out)
+    for fid in ids:
+        print(f"  f{fid} {space.hrep[fid]}", file=out)
+    kind = "maximal convex (smooth point)" if len(ids) == 1 else "union of several facets"
+    print(f"faces: {len(ids)} ({kind})", file=out)
     return OK
 
 
@@ -122,12 +114,9 @@ def _cmd_check_cl(args, out) -> int:
     if report.is_cl:
         print("VERDICT: CL holds (and almost-CL, which coincides for polytopes)", file=out)
         if args.decompose:
-            for face in facets(space):
-                lam, y1, y2 = cl_decomposition(space, x, face)
-                print(
-                    f"decomposition over f{face.functional_id}: {x} = {lam}*{y1} + {1 - lam}*{y2}",
-                    file=out,
-                )
+            for fid in range(len(space.hrep)):
+                lam, y1, y2 = cl_decomposition(space, x, fid)
+                print(f"decomposition over f{fid}: {x} = {lam}*{y1} + {1 - lam}*{y2}", file=out)
         return OK
     fid, v = report.counterexample
     print(f"VERDICT: not almost-CL; counterexample vertex {v} for facet f{fid}", file=out)

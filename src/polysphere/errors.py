@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages quote input."""
+
+_ECHO_LIMIT = 60
+
+
+def echo(text: str) -> str:
+    """``text`` quoted, or only its first ``_ECHO_LIMIT`` characters and its
+    length, so that an error quoting long input stays one short line."""
+    if len(text) <= _ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:_ECHO_LIMIT]!r} (first {_ECHO_LIMIT} of {len(text)} characters)"
 
 
 class GeometryError(Exception):

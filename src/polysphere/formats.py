@@ -38,7 +38,7 @@ import re
 from fractions import Fraction
 from typing import Callable
 
-from .errors import GeometryError
+from .errors import GeometryError, echo
 from .isometry import SphereMap
 from .space import PolyhedralSpace, Vector, as_fraction
 
@@ -65,7 +65,7 @@ def _parse_rational(token: str, line: int, col: int) -> Fraction:
     try:
         return as_fraction(token)
     except (ValueError, TypeError):
-        hint = "decimal tokens are not accepted" if "." in token else f"bad rational {token!r}"
+        hint = "decimal tokens are not accepted" if "." in token else f"bad rational {echo(token)}"
         raise ParseError("malformed-rational", line, col, hint) from None
 
 
@@ -111,7 +111,7 @@ def parse_space_text(text: str, name: str | None = None) -> PolyhedralSpace:
             header[first] = (line[tokens[0].end():].strip(), ln, tokens[1].start() + 1)
             continue
         if not header_done and first[0].isalpha():
-            raise ParseError("header", ln, tokens[0].start() + 1, f"unknown header key {first!r}")
+            raise ParseError("header", ln, tokens[0].start() + 1, f"unknown header key {echo(first)}")
         header_done = True
         row = tuple(
             _parse_rational(t.group(), ln, t.start() + 1) for t in tokens
@@ -210,7 +210,7 @@ def _parse_point_side(side: str, ln: int, col: int) -> tuple[str, object, int]:
         return "coords", tuple(coords), col
     m = _INDEX_RE.match(body)
     if not m:
-        raise ParseError("mapping", ln, col, f"bad vertex reference {body!r}")
+        raise ParseError("mapping", ln, col, f"bad vertex reference {echo(body)}")
     digits = m.group(1)
     try:
         return "index", int(digits), col
@@ -244,7 +244,7 @@ def parse_map_text(
             # The value is the rest of the line, so a path may contain spaces.
             key, *rest = body.split(None, 1)
             if key not in ("version", "domain", "codomain") or not rest:
-                raise ParseError("header", ln, 1, f"unexpected header line {body!r}")
+                raise ParseError("header", ln, 1, f"unexpected header line {echo(body)}")
             indent = len(line) - len(line.lstrip())
             if key in header:
                 raise ParseError("header", ln, indent + 1, f"repeated header key {key!r}")

@@ -436,7 +436,14 @@ def extend(m: SphereMap, seed=DEFAULT_SEED) -> ExtensionCertificate:
         )
     pairs = transported_functionals(m)
     base_ids = linalg.independent_row_indices(dom._points)
-    vcols = linalg.transpose(tuple(dom.vrep[i].coords for i in base_ids))
-    wcols = linalg.transpose(tuple(m.vertex_image(i).coords for i in base_ids))
-    matrix = linalg.mat_mul(wcols, linalg.invert(vcols))
+    # T V = W for the basis columns V = P / e and their images W = Q / f,
+    # with the integer vertex rows P, Q over the vertex scales e, f. With
+    # P^-1 = inv / s, T = W V^-1 = e Q inv / (f s), one Fraction per entry.
+    inv, s = linalg.invert(linalg.transpose([dom._points[i] for i in base_ids]))
+    images = [cod._points[m.vertex_map[i]] for i in base_ids]
+    e, f = dom._point_scale, cod._point_scale
+    matrix = tuple(
+        tuple(Fraction(e * sum(map(mul, q, col)), f * s) for col in zip(*inv))
+        for q in zip(*images)
+    )
     return ExtensionCertificate(matrix=matrix, functional_pairs=pairs)

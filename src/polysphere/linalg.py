@@ -14,9 +14,9 @@ it on int rows as they are and on any other rows scaled to integers by
 :func:`invert` and :func:`null_space_vector` read their answers from the
 reduced rows; the simplex tableau of :mod:`polysphere.lp` runs on the same
 step. Fractions are built only for the values returned.
-:func:`integer_values` evaluates integer rows at many points on integers;
-its values stay integers over one scale, so tables of them are compared
-without building a Fraction.
+:func:`integer_values` evaluates integer rows at many points on integers,
+and :func:`invert` returns integer rows; both stay integers over one
+scale, so their callers combine them without building a Fraction.
 """
 
 import math
@@ -40,10 +40,6 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def identity(n: int) -> Matrix:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
 def transpose(m: Matrix) -> Matrix:
     return tuple(tuple(col) for col in zip(*m))
 
@@ -55,11 +51,6 @@ def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Row:
 def combination(weights: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> Row:
     """The weighted sum of the points, sum over i of weights[i] * points[i]."""
     return tuple(dot(weights, col) for col in zip(*points))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
@@ -193,17 +184,26 @@ def solve(a_rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Row 
     return tuple(x)
 
 
-def invert(m: Matrix) -> Matrix | None:
-    """Inverse of a square matrix, or None when singular."""
+def invert(m: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int] | None:
+    """The inverse of a square matrix as integer rows over one positive
+    scale s, or None when the matrix is singular.
+
+    The inverse is the rows over s, in lowest terms: s is the least common
+    multiple of the inverse's denominators, as :func:`integer_rows` gives.
+    The reduced rows hold the inverse over the elimination's scale d, and
+    dividing d and every entry by their gcd g leaves d / g, which is that
+    least common multiple.
+    """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    eye = identity(n)
-    aug = [list(row) + list(erow) for row, erow in zip(m, eye)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     red, pivots, d = _echelon(aug)
     if pivots[:n] != list(range(n)):
         return None
-    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in red)
+    inv = [row[n:] for row in red]
+    g = math.gcd(d, *(x for row in inv for x in row))
+    return [tuple(x // g for x in row) for row in inv], d // g
 
 
 def independent_row_indices(rows: Sequence[Sequence[Fraction]]) -> list[int]:

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GeometryError, NotAlmostClError, NotOnSphereError
-from .faces import Face
 from .linalg import ONE, ZERO, combination
 from .lp import LpConstraint, LpProblem, solve_lp
 from .space import PolyhedralSpace, Vector
@@ -178,12 +177,12 @@ def check_cl(space: PolyhedralSpace) -> ClReport:
 
 
 def condition_iii_value(
-    space: PolyhedralSpace, x: Vector, face: Face
+    space: PolyhedralSpace, x: Vector, fid: int
 ) -> tuple[Fraction, Vector, Vector]:
-    """Exact minimum of norm(x - y+) + norm(x - y-) over y+ in the face, y- in its opposite.
+    """Exact minimum of norm(x - y+) + norm(x - y-) over y+ in facet ``fid``, y- in its opposite.
 
-    The minimum is always at least two: the face functional separates the
-    face from its opposite by exactly two. Each side is settled by
+    The minimum is always at least two: the facet functional separates the
+    facet from its opposite by exactly two. Each side is settled by
     :func:`distance_to_hull`, so a witness that meets the functional bound
     is returned without an LP; the witnesses may therefore differ from the
     LP's own choice of minimiser, while the value is the same.
@@ -191,15 +190,20 @@ def condition_iii_value(
     (at_x,), d = space._values_at([x])
     if max(at_x) != d:
         raise NotOnSphereError(f"{x} is not on the sphere")
-    if face.space != space:
-        raise GeometryError("face does not belong to the given space")
-    plus, minus = face.functional_id, face.opposite.functional_id
+    _check_facet_id(space, fid)
+    plus, minus = fid, space.neg_functional_id(fid)
     d_plus, w_plus = _distance_to_face(space, x, plus, at_x[plus], d)
     d_minus, w_minus = _distance_to_face(space, x, minus, at_x[minus], d)
     value = d_plus + d_minus
     if value < 2:
         raise GeometryError("two-sided distance fell below two; this is a bug")
     return value, w_plus, w_minus
+
+
+def _check_facet_id(space: PolyhedralSpace, fid: int):
+    """A facet id indexes ``hrep`` from the front only."""
+    if not 0 <= fid < len(space.hrep):
+        raise GeometryError(f"facet id {fid} outside 0..{len(space.hrep) - 1}")
 
 
 def _distance_to_face(
@@ -251,19 +255,20 @@ def check_t_property(space: PolyhedralSpace) -> TPropertyReport:
 
 
 def cl_decomposition(
-    space: PolyhedralSpace, x: Vector, face: Face
+    space: PolyhedralSpace, x: Vector, fid: int
 ) -> tuple[Fraction, Vector, Vector]:
-    """Write a sphere point as lam*y1 + (1-lam)*y2 with y1 in the face, y2 in its opposite.
+    """Write a sphere point as lam*y1 + (1-lam)*y2 with y1 in facet ``fid``, y2 in its opposite.
 
     For polytopes the representation is exact. The weight lam is forced
-    to (f(x)+1)/2 by the face functional; only the witnesses involve a
+    to (f(x)+1)/2 by the facet functional; only the witnesses involve a
     choice, resolved deterministically by the LP.
     Raises NotAlmostClError when no representation exists.
     """
     if space.norm(x) != 1:
         raise NotOnSphereError(f"{x} is not on the sphere")
-    plus = list(face.vertices)
-    minus = [-v for v in face.vertices]
+    _check_facet_id(space, fid)
+    plus = [space.vrep[j] for j in space.facet_index[fid]]
+    minus = [-v for v in plus]
     weights = in_convex_hull(x, plus + minus)
     if weights is None:
         raise NotAlmostClError(
@@ -271,7 +276,7 @@ def cl_decomposition(
         )
     lam = sum(weights[: len(plus)], start=ZERO)
     if lam == 0:
-        y1 = face.vertices[0]
+        y1 = plus[0]
     else:
         y1 = Vector(combination([w / lam for w in weights[: len(plus)]], [p.coords for p in plus]))
     if lam == 1:

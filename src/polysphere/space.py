@@ -73,6 +73,7 @@ from .errors import (
     DimensionMismatchError,
     EnumerationCapError,
     GeometryError,
+    echo,
 )
 from .linalg import ONE
 from .lp import LpConstraint, LpProblem, solve_lp
@@ -96,11 +97,11 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         token = value.strip()
         if not _RATIONAL_RE.match(token):
-            raise ValueError(f"not an exact rational token: {value!r}")
+            raise ValueError(f"not an exact rational token: {echo(value)}")
         num, _, den = token.partition("/")
         if den:
             if int(den) == 0:
-                raise ValueError(f"zero denominator in {value!r}")
+                raise ValueError(f"zero denominator in {echo(value)}")
             return Fraction(int(num), int(den))
         return Fraction(int(num))
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
@@ -292,19 +293,20 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
             direction=linalg.null_space_vector([frac[r] for r in rows], dim),
         )
     base = [rows[i] for i in base_idx]
-    base_inv, scale = linalg.integer_rows(linalg.invert(tuple(frac[r] for r in base)))
+    base_inv, scale = linalg.invert(base)
 
     hom = {r: r + (-s,) for r in rows}
     box = [hom[signed] for r in base for signed in (r, _neg(r))]
     consumed = set(base) | {_neg(r) for r in base}
 
     # Initial cone: |f(x)| <= t over the basis rows, a combinatorial box
-    # whose extreme rays are the solutions of (basis) x = signs at t = 1,
-    # here scaled by the common denominator of the inverse basis.
+    # whose extreme rays are the solutions of (basis) x = signs at t = 1.
+    # The integer basis is s times the functionals', so its inverse
+    # base_inv / scale is theirs over s, and each ray is scaled by ``scale``.
     rays: list[tuple[int, ...]] = []
     masks: list[int] = []
     for signs in itertools.product((1, -1), repeat=dim):
-        ray = tuple(sum(map(mul, row, signs)) for row in base_inv) + (scale,)
+        ray = tuple(s * sum(map(mul, row, signs)) for row in base_inv) + (scale,)
         rays.append(ray)
         masks.append(sum(1 << i for i, a in enumerate(box) if sum(map(mul, a, ray)) == 0))
 
@@ -574,7 +576,21 @@ class PolyhedralSpace:
         return -sol.value
 
     def active_functional_ids(self, x: Vector) -> tuple[int, ...]:
-        """Ids of facet functionals attaining one at x (x need not be normalised)."""
+        """Ids of facet functionals attaining one at x (x need not be normalised).
+
+        On the sphere these ids are the whole face structure, so a facet is
+        named by its id. The maximal convex subsets of the sphere are
+        exactly the facets of the ball: some facet functional is one at a
+        relative-interior point of a convex subset C of the sphere, and at
+        most one on C, so it is one on all of C and C lies on its facet.
+        St(x), the sphere points y with norm(x + y) = 2, is the union of
+        the facets active at x: norm(x + y) is the largest f(x) + f(y)
+        over the facet functionals f, and that is two exactly when some f
+        is one at both x and y. x is smooth iff exactly one facet is
+        active, and then St(x) is that facet, a maximal convex set. A union
+        of two or more facets is never convex, since a convex subset of the
+        sphere cannot properly contain a maximal one.
+        """
         (values,), d = self._values_at((x,))
         return tuple(i for i, v in enumerate(values) if v == d)
 

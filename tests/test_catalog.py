@@ -26,8 +26,8 @@ from polysphere.catalog import (
     linf_sum,
     resolve,
 )
-from polysphere.sampling import random_direction
 from polysphere.space import MAX_ENUM_DIM, Functional
+from samplers import random_direction
 from test_space import built_spaces
 
 F = Fraction

@@ -274,6 +274,60 @@ def test_integer_too_long_to_convert_exits_64_with_one_line(tmp_path, where):
     assert err == message
 
 
+def assert_one_short_line(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (64, b"")
+    assert err == message
+    assert err.count("\n") == 1 and len(err.encode("utf-8")) < 300
+
+
+def echo_of(text):
+    return f"{text[:60]!r} (first 60 of {len(text)} characters)"
+
+
+def test_long_malformed_catalog_expression_exits_64_with_one_short_line():
+    """The catalog parser's own message quotes the expression as the echo
+    of the reference does, so it stays short too."""
+    ref = "hex" + " x" * 3000
+    assert_one_short_line(
+        ["facets", ref],
+        f"usage error: {echo_of(ref)} is neither a file nor a catalog expression"
+        f" (trailing input at position 4 in {echo_of(ref)})\n",
+    )
+
+
+def test_long_coordinate_in_a_space_file_exits_64_with_one_short_line(tmp_path):
+    path = tmp_path / "big.space"
+    path.write_text(f"version 1\ndim 2\nkind H\nsymmetric true\n{NINES} 0\n0 1\n", encoding="utf-8")
+    assert_one_short_line(
+        ["facets", str(path)], f"parse error: line 5, col 1: bad rational {echo_of(NINES)}\n"
+    )
+
+
+@pytest.mark.parametrize("where", ["map-line", "map-header", "space-header", "star-point"])
+def test_long_bad_token_exits_64_with_one_short_line(tmp_path, where):
+    token = "x" * 5000
+    if where.startswith("map"):
+        path = tmp_path / "bad.map"
+        if where == "map-line":
+            text = HEX_ROTATION_MAP.replace("v0 -> w1", f"{token} -> w1")
+            message = f"parse error: line 5, col 1: bad vertex reference {echo_of(token)}\n"
+        else:
+            text = HEX_ROTATION_MAP.replace("codomain hex", token)
+            message = f"parse error: line 3, col 1: unexpected header line {echo_of(token)}\n"
+        path.write_text(text, encoding="utf-8")
+        argv = ["verify-iso", str(path)]
+    elif where == "space-header":
+        path = tmp_path / "bad.space"
+        path.write_text(f"version 1\n{token} 2\n", encoding="utf-8")
+        argv = ["facets", str(path)]
+        message = f"parse error: line 2, col 1: unknown header key {echo_of(token)}\n"
+    else:
+        argv = ["star", "hex", f"{token},0"]
+        message = f"usage error: not an exact rational token: {echo_of(token)}\n"
+    assert_one_short_line(argv, message)
+
+
 @pytest.mark.parametrize("map_arg", ["absolute", "relative"])
 @pytest.mark.parametrize(
     "header",

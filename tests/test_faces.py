@@ -1,34 +1,49 @@
-"""Facets, stars, and smooth points."""
+"""Facets, stars, and smooth points, all named by facet ids.
+
+A facet is its id in ``hrep``: its functional is ``hrep[i]``, its vertices
+``facet_index[i]``, its opposite ``neg_functional_id(i)``. The star of a
+sphere point is the union of its active facets,
+``active_functional_ids(x)``, and the point is smooth when that is one id.
+"""
 
 import random
 from fractions import Fraction
 
-import pytest
-
-from polysphere import (
-    Face,
-    NotOnSphereError,
-    facets,
-    functional,
-    is_smooth,
-    star,
-    vector,
-)
-from polysphere.sampling import random_facet_point, sphere_points
+from polysphere import functional, vector
+from polysphere.sampling import random_facet_point
+from samplers import sphere_points
 
 F = Fraction
 
 
-def face_by_functional(space, coeffs):
-    return Face(space, space.functional_id(functional(*coeffs)))
+def facet_of(space, coeffs):
+    """The id of the facet whose functional has these coefficients."""
+    return space.functional_id(functional(*coeffs))
+
+
+def facet_vertices(space, fid):
+    return [space.vrep[j] for j in space.facet_index[fid]]
+
+
+def on_facet(space, fid, y):
+    """Membership in the facet: on the sphere and tight for its functional."""
+    return space.hrep[fid](y) == 1 and space.norm(y) == 1
+
+
+def star_vertex_ids(space, x):
+    """The vertices v of the ball with norm(x + v) = 2, by the norm alone."""
+    return {j for j, v in enumerate(space.vrep) if space.norm(x + v) == 2}
+
+
+def is_smooth(space, x):
+    return len(space.active_functional_ids(x)) == 1
 
 
 class TestFacets:
     def test_cube_has_six_squares(self, cube3):
-        fs = facets(cube3)
-        assert len(fs) == 6
-        top = face_by_functional(cube3, (0, 0, 1))
-        assert {v.coords for v in top.vertices} == {
+        assert len(cube3.hrep) == 6
+        top = facet_of(cube3, (0, 0, 1))
+        assert {v.coords for v in facet_vertices(cube3, top)} == {
             (F(1), F(1), F(1)),
             (F(1), F(-1), F(1)),
             (F(-1), F(1), F(1)),
@@ -36,14 +51,12 @@ class TestFacets:
         }
 
     def test_hexagon_has_six_edges(self, hexagon):
-        fs = facets(hexagon)
-        assert len(fs) == 6
-        assert all(len(f.vertex_ids) == 2 for f in fs)
+        assert len(hexagon.hrep) == 6
+        assert all(len(ids) == 2 for ids in hexagon.facet_index)
 
     def test_cross_polytope_edges(self, cross2):
-        fs = facets(cross2)
-        assert len(fs) == 4
-        assert {f.functional.coeffs for f in fs} == {
+        assert len(cross2.hrep) == 4
+        assert {f.coeffs for f in cross2.hrep} == {
             (F(1), F(1)),
             (F(1), F(-1)),
             (F(-1), F(1)),
@@ -52,8 +65,8 @@ class TestFacets:
 
     def test_listing_is_symmetric(self, small_catalog):
         for space in small_catalog:
-            ids = {f.functional.coeffs for f in facets(space)}
-            assert {tuple(-c for c in f) for f in ids} == ids
+            coeffs = {f.coeffs for f in space.hrep}
+            assert {tuple(-c for c in f) for f in coeffs} == coeffs
 
     def test_facets_cover_sphere(self, small_catalog):
         for space in small_catalog:
@@ -73,16 +86,16 @@ class TestFacets:
 
 class TestStar:
     def test_hexagon_top_vertex(self, hexagon):
-        st = star(hexagon, vector(0, 1))
-        assert len(st.faces) == 1
-        assert {v.coords for v in st.faces[0].vertices} == {
+        ids = hexagon.active_functional_ids(vector(0, 1))
+        assert len(ids) == 1
+        assert {v.coords for v in facet_vertices(hexagon, ids[0])} == {
             (F(-1, 2), F(1)),
             (F(1, 2), F(1)),
         }
 
     def test_cube_corner_has_three_facets(self, cube3):
-        st = star(cube3, vector(1, 1, 1))
-        assert {f.functional.coeffs for f in st.faces} == {
+        ids = cube3.active_functional_ids(vector(1, 1, 1))
+        assert {cube3.hrep[i].coeffs for i in ids} == {
             (F(1), F(0), F(0)),
             (F(0), F(1), F(0)),
             (F(0), F(0), F(1)),
@@ -90,16 +103,17 @@ class TestStar:
 
     def test_barycenter_star_is_its_facet(self, small_catalog):
         for space in small_catalog:
-            for face in facets(space):
-                st = star(space, face.barycenter)
-                assert st.face_ids == (face.functional_id,)
-                assert {v.coords for v in st.faces[0].vertices} == {
-                    v.coords for v in face.vertices
-                }
+            for fid, ids in enumerate(space.facet_index):
+                b = space.facet_barycenter(fid)
+                assert space.active_functional_ids(b) == (fid,)
+                assert star_vertex_ids(space, b) == set(ids)
 
     def test_rejects_interior_point(self, hexagon):
-        with pytest.raises(NotOnSphereError):
-            star(hexagon, vector(0, "1/2"))
+        """An interior point is on no facet, so its star is empty."""
+        x = vector(0, "1/2")
+        assert hexagon.norm(x) < 1
+        assert hexagon.active_functional_ids(x) == ()
+        assert star_vertex_ids(hexagon, x) == set()
 
     def test_membership_law_random_pairs(self, small_catalog):
         """norm(x+y) = 2 exactly when x and y share an active facet functional."""
@@ -120,7 +134,8 @@ class TestStar:
                 x = random_facet_point(space, fid, rng)
                 y = random_facet_point(space, fid, rng)
                 assert space.norm(x + y) == 2
-                assert star(space, x).contains(y)
+                assert fid in space.active_functional_ids(x)
+                assert on_facet(space, fid, y)
 
 
 class TestSmoothness:
@@ -138,50 +153,54 @@ class TestSmoothness:
         assert not is_smooth(cross2, vector(1, 0))
 
     def test_star_maximal_iff_smooth_sampled(self, small_catalog):
+        """The star's vertices, found by the norm alone, are one facet's
+        vertex set exactly when one facet is active: facets are not nested,
+        so a union of two is no facet."""
         for space in small_catalog:
+            facet_sets = [set(ids) for ids in space.facet_index]
             for x in sphere_points(space, 25, seed=29):
-                assert is_smooth(space, x) == (len(star(space, x).faces) == 1)
+                assert is_smooth(space, x) == (star_vertex_ids(space, x) in facet_sets)
 
     def test_nonsmooth_star_union_not_convex(self, cube3):
         """Oracle: barycenters of two distinct star faces have a midpoint off the star."""
         x = vector(1, 1, 1)
-        st = star(cube3, x)
-        b1 = st.faces[0].barycenter
-        b2 = st.faces[1].barycenter
+        ids = cube3.active_functional_ids(x)
+        b1 = cube3.facet_barycenter(ids[0])
+        b2 = cube3.facet_barycenter(ids[1])
         midpoint = (b1 + b2).scale(F(1, 2))
         assert cube3.norm(midpoint) < 1
-        assert not st.contains(midpoint)
+        assert not any(on_facet(cube3, fid, midpoint) for fid in ids)
 
     def test_smooth_point_star_equals_containing_face(self, small_catalog, cube3, cross2):
         for space in small_catalog:
-            for face in facets(space):
-                b = face.barycenter
+            for fid in range(len(space.hrep)):
+                b = space.facet_barycenter(fid)
                 assert is_smooth(space, b)
-                st = star(space, b)
-                assert st.face_ids == (face.functional_id,)
+                assert space.active_functional_ids(b) == (fid,)
         # oracle: the vertex averages of the cube's top facet and of an l1:2 edge
-        assert face_by_functional(cube3, (0, 0, 1)).barycenter == vector(0, 0, 1)
-        assert face_by_functional(cross2, (1, 1)).barycenter == vector("1/2", "1/2")
+        assert cube3.facet_barycenter(facet_of(cube3, (0, 0, 1))) == vector(0, 0, 1)
+        assert cross2.facet_barycenter(facet_of(cross2, (1, 1))) == vector("1/2", "1/2")
 
 
 class TestSupportingFunctional:
     def test_cube_top(self, cube3):
-        face = face_by_functional(cube3, (0, 0, 1))
-        assert face.functional.coeffs == (F(0), F(0), F(1))
+        fid = facet_of(cube3, (0, 0, 1))
+        assert cube3.hrep[fid].coeffs == (F(0), F(0), F(1))
+        assert all(v.coords[2] == 1 for v in facet_vertices(cube3, fid))
 
     def test_hexagon_top_edge(self, hexagon):
-        st = star(hexagon, vector(0, 1))
-        assert st.faces[0].functional.coeffs == (F(0), F(1))
+        (fid,) = hexagon.active_functional_ids(vector(0, 1))
+        assert hexagon.hrep[fid].coeffs == (F(0), F(1))
 
     def test_negation_law(self, small_catalog):
         for space in small_catalog:
-            for face in facets(space):
-                assert face.opposite.functional == -face.functional
+            for fid, f in enumerate(space.hrep):
+                neg = space.neg_functional_id(fid)
+                assert space.hrep[neg] == -f
+                assert {-v for v in facet_vertices(space, fid)} == set(facet_vertices(space, neg))
 
     def test_bounds_on_ball(self, small_catalog):
         for space in small_catalog:
-            for face in facets(space):
-                f = face.functional
+            for fid, f in enumerate(space.hrep):
                 assert all(abs(f(v)) <= 1 for v in space.vrep)
-                assert all(f(v) == 1 for v in face.vertices)
-
+                assert all(f(v) == 1 for v in facet_vertices(space, fid))

@@ -14,7 +14,6 @@ from polysphere.linalg import (
     _echelon,
     affine_rank,
     dot,
-    identity,
     independent_row_indices,
     integer_rows,
     integer_values,
@@ -60,12 +59,22 @@ def reference_pivot_columns(rows):
     return reference_echelon(rows)[1]
 
 
+def identity(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
 def reference_invert(m):
+    """The Fraction inverse, or None; :func:`invert` gives it as integer_rows does."""
     n = len(m)
-    red, pivots = reference_echelon([list(row) + list(e) for row, e in zip(m, identity(n))])
+    red, pivots = reference_echelon([list(row) + e for row, e in zip(m, identity(n))])
     if pivots[:n] != list(range(n)):
         return None
     return tuple(tuple(row[n:]) for row in red)
+
+
+def reference_integer_inverse(m):
+    inv = reference_invert(m)
+    return None if inv is None else integer_rows(inv)
 
 
 def reference_solve(a_rows, rhs):
@@ -339,14 +348,16 @@ def test_invert_solve_and_kernel_match_the_fraction_echelon():
         n = rng.randint(1, 5)
         m = square_matrices(rng, n)
         inv = invert(m)
-        assert inv == reference_invert(m)
+        assert inv == reference_integer_inverse(m)
         rows, ncols = random_matrix(rng)
         rhs = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in rows]
         assert solve(rows, rhs) == reference_solve(rows, rhs)
         assert null_space_vector(rows, ncols) == reference_null_space_vector(rows, ncols)
         kernel = null_space_vector(rows, ncols)
         outcomes.add((inv is None, solve(rows, rhs) is None, kernel is None))
-        assert all(type(x) is Fraction for row in (inv or ()) for x in row)
+        if inv is not None:
+            rows, s = inv
+            assert s > 0 and all(type(x) is int for row in rows for x in row)
     # Singular and regular matrices, consistent and inconsistent systems,
     # trivial and nontrivial kernels all occur.
     assert all({o[k] for o in outcomes} == {True, False} for k in range(3))
@@ -364,4 +375,4 @@ def test_solve_and_kernel_match_the_fraction_echelon_on_large_entries(rows, data
         assert all(type(c) is Fraction for c in x)
         assert [dot(r, x) for r in rows] == rhs
     if len(rows) == ncols:
-        assert invert(tuple(rows)) == reference_invert(rows)
+        assert invert(tuple(rows)) == reference_integer_inverse(rows)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysphere import faces, linalg, linf_space, lp, properties, resolve
+from polysphere import linalg, linf_space, lp, properties, resolve
 from polysphere.errors import NotAlmostClError
 from polysphere.isometry import SphereMap
 from polysphere.lp import (
@@ -19,8 +19,8 @@ from polysphere.lp import (
     LpSolution,
     solve_lp,
 )
-from polysphere.sampling import sphere_points
 from conftest import reference_facet_sample_points
+from samplers import sphere_points
 from test_linalg import matrices
 
 F = Fraction
@@ -434,12 +434,13 @@ def test_hull_weights_match_the_fraction_tableau(monkeypatch, name):
 
     def run():
         out = []
-        for face in faces.facets(space):
-            gens = list(face.vertices) + [-v for v in face.vertices]
+        for fid, ids in enumerate(space.facet_index):
+            facet = [space.vrep[j] for j in ids]
+            gens = facet + [-v for v in facet]
             for x in points:
                 out.append(properties.in_convex_hull(x, gens))
                 try:
-                    out.append(properties.cl_decomposition(space, x, face))
+                    out.append(properties.cl_decomposition(space, x, fid))
                 except NotAlmostClError:
                     out.append(None)
         for ids in space.facet_index:

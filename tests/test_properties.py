@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polysphere import (
-    Face,
     Functional,
     GeometryError,
     NotAlmostClError,
@@ -21,18 +20,16 @@ from polysphere import (
     check_t_property,
     cl_decomposition,
     condition_iii_value,
-    facets,
-    functional,
     l1_space,
     linf_space,
     properties,
-    star,
     vector,
 )
 from polysphere.catalog import resolve
 from polysphere.linalg import combination, rank
-from polysphere.sampling import sphere_points
 from conftest import reference_facet_sample_points
+from test_faces import facet_of, facet_vertices, on_facet
+from samplers import sphere_points
 
 F = Fraction
 
@@ -72,10 +69,6 @@ def assert_opposite_facets_share_verdicts(space, report):
         assert (opposite.ok, opposite.failing_vertex) == (fv.ok, fv.failing_vertex)
 
 
-def face_by_functional(space, coeffs):
-    return Face(space, space.functional_id(functional(*coeffs)))
-
-
 def polygon_contains(vertices, p):
     """Exact point-in-convex-polygon oracle via cross products (2D only)."""
     hull = sorted(set(vertices))
@@ -103,8 +96,9 @@ class TestCheckCl:
         assert report.is_cl
         assert report.counterexample is None
         # oracle: every vertex sits in the two-sided hull of every edge
-        for face in facets(square):
-            gens = [v.coords for v in face.vertices] + [(-v).coords for v in face.vertices]
+        for fid in range(len(square.hrep)):
+            gens = [v.coords for v in facet_vertices(square, fid)]
+            gens += [(-v).coords for v in facet_vertices(square, fid)]
             for v in square.vrep:
                 assert polygon_contains(gens, v.coords)
 
@@ -112,8 +106,8 @@ class TestCheckCl:
         report = check_cl(hexagon)
         assert not report.is_cl
         fid, v = report.counterexample
-        face = Face(hexagon, fid)
-        gens = [w.coords for w in face.vertices] + [(-w).coords for w in face.vertices]
+        gens = [w.coords for w in facet_vertices(hexagon, fid)]
+        gens += [(-w).coords for w in facet_vertices(hexagon, fid)]
         assert not polygon_contains(gens, v.coords)
 
     def test_cross_polytope_3d_is_cl(self):
@@ -121,11 +115,11 @@ class TestCheckCl:
         report = check_cl(space)
         assert report.is_cl
         # oracle: each signed basis vector lies in the facet with matching sign
-        for face in facets(space):
-            s = face.functional.coeffs
+        for fid, f in enumerate(space.hrep):
+            s = f.coeffs
             for v in space.vrep:
                 j = next(i for i, c in enumerate(v.coords) if c != 0)
-                assert (v in face.vertices) == (s[j] == v.coords[j])
+                assert (v in facet_vertices(space, fid)) == (s[j] == v.coords[j])
 
     def test_agrees_with_dense_2d_oracle(self, hexagon, square, cross2):
         """Brute force: sample the ball densely, test polygon membership exactly."""
@@ -139,10 +133,8 @@ class TestCheckCl:
             ]
             report = check_cl(space)
             for fv in report.facet_verdicts:
-                face = Face(space, fv.facet_id)
-                gens = [v.coords for v in face.vertices] + [
-                    (-v).coords for v in face.vertices
-                ]
+                verts = facet_vertices(space, fv.facet_id)
+                gens = [v.coords for v in verts] + [(-v).coords for v in verts]
                 dense_ok = all(polygon_contains(gens, p) for p in ball)
                 vertex_ok = all(
                     polygon_contains(gens, v.coords) for v in space.vrep
@@ -183,43 +175,43 @@ class TestCheckCl:
 class TestConditionThree:
     def test_hexagon_case_one(self, hexagon):
         """From the top edge against the star of (3/4, 1/2): value exactly two."""
-        face = face_by_functional(hexagon, (1, "1/2"))
+        fid = facet_of(hexagon, (1, "1/2"))
         x = vector(0, 1)
-        value, w_plus, w_minus = condition_iii_value(hexagon, x, face)
+        value, w_plus, w_minus = condition_iii_value(hexagon, x, fid)
         assert value == 2
         assert hexagon.norm(x - w_plus) + hexagon.norm(x - w_minus) == 2
         # the published witness pair achieves the same value
         assert hexagon.norm(x - vector("1/2", 1)) + hexagon.norm(x - vector(-1, 0)) == 2
 
     def test_hexagon_case_two(self, hexagon):
-        face = face_by_functional(hexagon, (0, 1))
+        fid = facet_of(hexagon, (0, 1))
         x = vector("3/4", "1/2")
-        value, w_plus, w_minus = condition_iii_value(hexagon, x, face)
+        value, w_plus, w_minus = condition_iii_value(hexagon, x, fid)
         assert value == 2
         assert hexagon.norm(x - vector("1/2", 1)) + hexagon.norm(x - vector("1/2", -1)) == 2
 
     def test_point_on_face_itself(self, hexagon):
-        face = face_by_functional(hexagon, (0, 1))
+        fid = facet_of(hexagon, (0, 1))
         x = vector(0, 1)
-        value, w_plus, w_minus = condition_iii_value(hexagon, x, face)
+        value, w_plus, w_minus = condition_iii_value(hexagon, x, fid)
         assert value == 2
         assert w_plus == x
-        assert face.opposite.contains(w_minus)
+        assert on_facet(hexagon, hexagon.neg_functional_id(fid), w_minus)
 
     def test_lower_bound_everywhere(self, small_catalog):
         for space in small_catalog[:5]:
             for x in sphere_points(space, 5, seed=41):
-                for face in facets(space):
-                    value, _, _ = condition_iii_value(space, x, face)
+                for fid in range(len(space.hrep)):
+                    value, _, _ = condition_iii_value(space, x, fid)
                     assert value >= 2
 
     def test_value_not_beaten_by_grid_search(self, hexagon):
         """Brute-force oracle: a barycentric grid over both faces never does better."""
-        face = face_by_functional(hexagon, (1, "1/2"))
+        fid = facet_of(hexagon, (1, "1/2"))
         x = vector(-1, 0)
-        value, _, _ = condition_iii_value(hexagon, x, face)
+        value, _, _ = condition_iii_value(hexagon, x, fid)
         grid = [F(k, 8) for k in range(9)]
-        plus = face.vertices
+        plus = facet_vertices(hexagon, fid)
         minus = [-v for v in plus]
         best = None
         for a in grid:
@@ -231,19 +223,19 @@ class TestConditionThree:
         assert value <= best
 
     def test_rejects_off_sphere_point(self, hexagon):
-        face = face_by_functional(hexagon, (0, 1))
+        fid = facet_of(hexagon, (0, 1))
         with pytest.raises(NotOnSphereError):
-            condition_iii_value(hexagon, vector(0, "1/2"), face)
+            condition_iii_value(hexagon, vector(0, "1/2"), fid)
 
     def test_vertex_sufficiency_sampled(self, hexagon, cube3):
         """Sampled sphere values never exceed the vertex maximum."""
         for space in (hexagon, cube3):
-            for face in facets(space):
+            for fid in range(len(space.hrep)):
                 vertex_max = max(
-                    condition_iii_value(space, v, face)[0] for v in space.vrep
+                    condition_iii_value(space, v, fid)[0] for v in space.vrep
                 )
                 for x in sphere_points(space, 10, seed=43):
-                    value, _, _ = condition_iii_value(space, x, face)
+                    value, _, _ = condition_iii_value(space, x, fid)
                     assert value <= vertex_max
 
 
@@ -276,8 +268,7 @@ def assert_records_agree_with_condition_iii_value(space):
     """Each record carries the value and both witnesses that
     condition_iii_value gives for its vertex and facet."""
     for rec in check_t_property(space).condition_iii:
-        face = Face(space, rec.candidate_index)
-        got = condition_iii_value(space, rec.vertex, face)
+        got = condition_iii_value(space, rec.vertex, rec.candidate_index)
         assert got == (rec.value, rec.witness_plus, rec.witness_minus)
 
 
@@ -447,51 +438,61 @@ class TestTProperty:
         facet) table of two-sided values."""
         assume(rank(points) == len(points[0]))
         space = PolyhedralSpace.from_vertices(points, symmetrize=True)
-        faces = facets(space)
-        for face in faces:
-            weights = [F(rng.randint(1, 5)) for _ in face.vertex_ids]
+        fids = range(len(space.hrep))
+        for fid in fids:
+            verts = facet_vertices(space, fid)
+            weights = [F(rng.randint(1, 5)) for _ in verts]
             total = sum(weights)
-            inner = Vector(combination([w / total for w in weights], [v.coords for v in face.vertices]))
-            assert star(space, inner).face_ids == (face.functional_id,)
+            inner = Vector(combination([w / total for w in weights], [v.coords for v in verts]))
+            assert space.active_functional_ids(inner) == (fid,)
         brute = all(
-            condition_iii_value(space, v, face)[0] == 2 for v in space.vrep for face in faces
+            condition_iii_value(space, v, fid)[0] == 2 for v in space.vrep for fid in fids
         )
         assert check_t_property(space).holds == brute
 
 
 class TestClDecomposition:
     def test_square_midpoint(self, square):
-        top = face_by_functional(square, (0, 1))
+        top = facet_of(square, (0, 1))
         lam, y1, y2 = cl_decomposition(square, vector(1, 0), top)
         assert lam == F(1, 2)
         assert y1 == vector(1, 1)
         assert y2 == vector(1, -1)
 
     def test_point_on_face(self, square):
-        top = face_by_functional(square, (0, 1))
+        top = facet_of(square, (0, 1))
         x = vector("1/2", 1)
         lam, y1, y2 = cl_decomposition(square, x, top)
         assert lam == 1
         assert y1 == x
-        assert top.opposite.contains(y2)
+        assert on_facet(square, square.neg_functional_id(top), y2)
 
     def test_cross_polytope_vertex_on_face(self, cross2):
-        face = face_by_functional(cross2, (1, 1))
-        lam, y1, _ = cl_decomposition(cross2, vector(1, 0), face)
+        fid = facet_of(cross2, (1, 1))
+        lam, y1, _ = cl_decomposition(cross2, vector(1, 0), fid)
         assert lam == 1
         assert y1 == vector(1, 0)
 
     def test_weight_forced_by_functional(self, square):
         rng = random.Random(47)
-        for face in facets(square):
+        for fid, f in enumerate(square.hrep):
+            neg = square.neg_functional_id(fid)
             for x in sphere_points(square, 5, seed=rng.randint(0, 999)):
-                lam, y1, y2 = cl_decomposition(square, x, face)
-                assert lam == (face.functional(x) + 1) / 2
-                assert face.contains(y1) or lam == 0
-                assert face.opposite.contains(y2) or lam == 1
+                lam, y1, y2 = cl_decomposition(square, x, fid)
+                assert lam == (f(x) + 1) / 2
+                assert on_facet(square, fid, y1) or lam == 0
+                assert on_facet(square, neg, y2) or lam == 1
                 assert y1.scale(lam) + y2.scale(1 - lam) == x
 
+    @pytest.mark.parametrize("fid", [-1, -4, 4, 5])
+    def test_facet_id_outside_hrep_is_rejected(self, square, fid):
+        """An id names a facet from the front of ``hrep`` only: a negative id
+        would otherwise pick a facet from the end."""
+        for decide in (condition_iii_value, cl_decomposition):
+            with pytest.raises(GeometryError, match=f"facet id {fid} outside 0..3"):
+                decide(square, vector(1, 0), fid)
+
     def test_hexagon_has_no_decomposition(self, hexagon):
-        top = face_by_functional(hexagon, (0, 1))
+        top = facet_of(hexagon, (0, 1))
         with pytest.raises(NotAlmostClError):
             cl_decomposition(hexagon, vector(1, 0), top)

@@ -30,9 +30,9 @@ from polysphere import (
 from polysphere import space as space_module
 from polysphere.formats import parse_space_text, serialize_space
 from polysphere.linalg import ONE, rank, solve
-from polysphere.sampling import random_direction, sphere_points
 from polysphere.space import MAX_ENUM_DIM, MAX_FACETS, Functional, as_fraction
 from conftest import reference_facet_sample_points
+from samplers import random_direction, sphere_points
 
 F = Fraction
 
@@ -111,7 +111,8 @@ def reference_enumerate_ball_vertices(functionals, dim):
         return linalg.rank(tight) == dim - 1
 
     base = [rows[i] for i in linalg.independent_row_indices(rows)[:dim]]
-    base_inv = linalg.invert(tuple(base))
+    inv, scale = linalg.invert(tuple(base))
+    base_inv = tuple(tuple(Fraction(c, scale) for c in row) for row in inv)
     processed, consumed = [], set()
     for r in base:
         for signed in (r, tuple(-c for c in r)):
