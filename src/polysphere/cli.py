@@ -158,7 +158,7 @@ def _cmd_check_t(args, out) -> int:
 
 def _cmd_verify_iso(args, out) -> int:
     m = _load_map(args.map)
-    report = verify_isometry(m, seed=args.seed)
+    report = verify_isometry(m)
     print(f"domain:   {m.domain.summary()}", file=out)
     print(f"codomain: {m.codomain.summary()}", file=out)
     if report.passed:
@@ -174,7 +174,7 @@ def _cmd_verify_iso(args, out) -> int:
 
 def _cmd_extend(args, out) -> int:
     m = _load_map(args.map)
-    report = verify_isometry(m, seed=args.seed)
+    report = verify_isometry(m)
     if not report.passed:
         print(f"VERDICT: not an isometry: {report.reason}", file=out)
         if report.counterexample is not None:
@@ -261,11 +261,9 @@ def build_parser() -> _Parser:
 
     p = add("verify-iso", _cmd_verify_iso, help="verify a sphere map is a surjective isometry")
     p.add_argument("map")
-    p.add_argument("--seed", type=int, default=0, help="seed for the rational sampler")
 
     p = add("extend", _cmd_extend, help="build and certify the linear extension of a sphere map")
     p.add_argument("map")
-    p.add_argument("--seed", type=int, default=0, help="seed for the rational sampler")
 
     p = add("sum", _cmd_sum, help="direct sum of two spaces")
     p.add_argument("kind", choices=["l1", "linf"])

@@ -11,6 +11,10 @@ def echo(text: str) -> str:
     return f"{text[:_ECHO_LIMIT]!r} (first {_ECHO_LIMIT} of {len(text)} characters)"
 
 
+class IntegerTooLongError(ValueError):
+    """A well-formed integer token with more digits than ``int()`` converts."""
+
+
 class GeometryError(Exception):
     """Base class for geometric input and invariant failures."""
 

@@ -38,7 +38,7 @@ import re
 from fractions import Fraction
 from typing import Callable
 
-from .errors import GeometryError, echo
+from .errors import GeometryError, IntegerTooLongError, echo
 from .isometry import SphereMap
 from .space import PolyhedralSpace, Vector, as_fraction
 
@@ -64,6 +64,8 @@ def _strip_comment(raw: str) -> str:
 def _parse_rational(token: str, line: int, col: int) -> Fraction:
     try:
         return as_fraction(token)
+    except IntegerTooLongError as err:
+        raise ParseError("malformed-rational", line, col, str(err)) from None
     except (ValueError, TypeError):
         hint = "decimal tokens are not accepted" if "." in token else f"bad rational {echo(token)}"
         raise ParseError("malformed-rational", line, col, hint) from None

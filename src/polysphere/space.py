@@ -73,6 +73,7 @@ from .errors import (
     DimensionMismatchError,
     EnumerationCapError,
     GeometryError,
+    IntegerTooLongError,
     echo,
 )
 from .linalg import ONE
@@ -99,11 +100,20 @@ def as_fraction(value) -> Fraction:
         if not _RATIONAL_RE.match(token):
             raise ValueError(f"not an exact rational token: {echo(value)}")
         num, _, den = token.partition("/")
-        if den:
-            if int(den) == 0:
-                raise ValueError(f"zero denominator in {echo(value)}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        try:
+            n = int(num)
+            d = int(den) if den else None
+        except ValueError:
+            # The token matched the pattern, so int() refused it only for
+            # more digits than the interpreter converts; str() of such a
+            # number fails too, so it is named by its length.
+            digits = max(len(num.lstrip("+-")), len(den))
+            raise IntegerTooLongError(f"integer written with {digits} digits is too long") from None
+        if d is None:
+            return Fraction(n)
+        if d == 0:
+            raise ValueError(f"zero denominator in {echo(value)}")
+        return Fraction(n, d)
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
@@ -380,13 +390,17 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool):
     return [frac[k] for k, m in zip(keys, masks) if m in maximal], points
 
 
+def _lacks_negation(kind: str, item) -> AsymmetricInputError:
+    return AsymmetricInputError(f"{kind} {item} lacks its negation", offender=item)
+
+
 def _check_symmetric(keys: list, items: tuple, kind: str):
     """Raise on the first item, in sorted order, whose integer row's
     negation is not among the rows."""
     present = set(keys)
     for k, item in zip(keys, items):
         if _neg(k) not in present:
-            raise AsymmetricInputError(f"{kind} {item} lacks its negation", offender=item)
+            raise _lacks_negation(kind, item)
 
 
 def _coerce_functionals(fs) -> list[Functional]:
@@ -504,12 +518,17 @@ class PolyhedralSpace:
 
         Redundant functionals (those not supporting a facet) are removed.
         Asymmetric input is rejected unless ``symmetrize`` asks for closure
-        under negation explicitly.
+        under negation explicitly, with the constructor's error: the first
+        functional in sorted order that lacks its negation.
         """
         fs = _coerce_functionals(fs)
         if not fs:
             raise GeometryError("no functionals given")
-        kept, verts = _polar_pair([f.coeffs for f in fs], fs[0].dim, symmetrize)
+        try:
+            kept, verts = _polar_pair([f.coeffs for f in fs], fs[0].dim, symmetrize)
+        except AsymmetricInputError as err:
+            # The enumeration raises on the first sorted row, the constructor's order.
+            raise _lacks_negation("functional", Functional(err.offender)) from err
         return cls(kept, verts, name=name)
 
     @classmethod
@@ -521,14 +540,17 @@ class PolyhedralSpace:
         This is :meth:`from_functionals` read through polarity: the points,
         taken as functionals, cut out the polar body, whose vertices are the
         facet functionals of the hull. Non-extreme points are the redundant
-        rows and are removed. Asymmetric input is rejected unless
-        ``symmetrize`` asks for closure under negation explicitly.
+        rows and are removed. Asymmetric input is rejected as by
+        :meth:`from_functionals`, naming the first point that lacks its
+        negation as a vertex.
         """
         vs = _coerce_vectors(vs)
         if not vs:
             raise GeometryError("no vertices given")
         try:
             kept, facet_rows = _polar_pair([v.coords for v in vs], vs[0].dim, symmetrize)
+        except AsymmetricInputError as err:
+            raise _lacks_negation("vertex", Vector(err.offender)) from err
         except DegenerateInputError as err:
             raise DegenerateInputError(
                 "vertices do not span the space: hull is lower-dimensional",

@@ -1,5 +1,10 @@
 """The command-line contract: stdout bytes and exit codes of fixed commands.
 
+``CASES`` with ``tests/cli_expected/`` is the one statement of this
+contract. CI does not copy it: its console-script step only checks that
+the installed ``polysphere`` entry point runs, and the cases themselves
+run here, on every Python version of the CI matrix.
+
 Each case runs ``cli.main`` in process and compares its stdout, byte for
 byte, with ``tests/cli_expected/<case>.txt``. Input files are written to a
 temporary directory; every space a report names gets a ``name`` header, so

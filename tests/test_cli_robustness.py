@@ -62,11 +62,19 @@ def test_map_that_breaks_facets_fails_verification(tmp_path, text, codomain):
         ["facets", "hex", "--max-dim", "6"],
         ["check-t", "hex", "--candidates", "X"],
         ["render", "hex", "--candidates", "X"],
+        ["verify-iso", "MAP", "--seed", "0"],
+        ["extend", "MAP", "--seed", "0"],
     ],
-    ids=["check-cl-eps", "render-seed", "max-dim", "check-t-candidates", "render-candidates"],
+    ids=[
+        "check-cl-eps", "render-seed", "max-dim", "check-t-candidates", "render-candidates",
+        "verify-iso-seed", "extend-seed",
+    ],
 )
-def test_removed_options_are_usage_errors(argv):
-    code, out, err = run_cli(argv)
+def test_removed_options_are_usage_errors(tmp_path, argv):
+    """MAP stands for a map file that verifies, so only the option fails."""
+    path = tmp_path / "rot.map"
+    path.write_text(HEX_ROTATION_MAP, encoding="utf-8")
+    code, out, err = run_cli([str(path) if a == "MAP" else a for a in argv])
     assert (code, out) == (64, b"")
     assert err.startswith("usage error: unrecognized arguments")
 
@@ -206,8 +214,16 @@ def test_sum_name_that_cannot_be_written_back_is_rejected(tmp_path):
         (["star", "hex", "2,0"], "error: (2, 0) has norm 2, expected 1"),
         (["star", "hex", "1,0,0"], "usage error: point needs 2 coordinates, got 3"),
         (["sum", "l1", "hex", "l1sum(hex,hex)"], "error: 216 rows exceed the cap of 200"),
+        (
+            ["facets", "l1sum(hex,l1sum(hex,hex))"],
+            "usage error: 'l1sum(hex,l1sum(hex,hex))' is neither a file nor a catalog expression"
+            " (216 rows exceed the cap of 200)",
+        ),
     ],
-    ids=["sum-dim-7", "sum-dim-8", "star-off-sphere", "star-wrong-length", "sum-rows-216"],
+    ids=[
+        "sum-dim-7", "sum-dim-8", "star-off-sphere", "star-wrong-length", "sum-rows-216",
+        "facets-rows-216",
+    ],
 )
 def test_failing_sum_and_star_exit_64_with_one_line(argv, message):
     code, out, err = run_cli(argv)
@@ -297,10 +313,19 @@ def test_long_malformed_catalog_expression_exits_64_with_one_short_line():
 
 
 def test_long_coordinate_in_a_space_file_exits_64_with_one_short_line(tmp_path):
+    """int() refuses the valid integer, so it is named by its digit count."""
     path = tmp_path / "big.space"
     path.write_text(f"version 1\ndim 2\nkind H\nsymmetric true\n{NINES} 0\n0 1\n", encoding="utf-8")
     assert_one_short_line(
-        ["facets", str(path)], f"parse error: line 5, col 1: bad rational {echo_of(NINES)}\n"
+        ["facets", str(path)],
+        "parse error: line 5, col 1: integer written with 5000 digits is too long\n",
+    )
+
+
+@pytest.mark.parametrize("point", [f"{NINES},0", f"0,1/{NINES}"], ids=["numerator", "denominator"])
+def test_long_integer_in_a_point_exits_64_without_an_interpreter_hint(point):
+    assert_one_short_line(
+        ["star", "hex", point], "usage error: integer written with 5000 digits is too long\n"
     )
 
 

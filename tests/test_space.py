@@ -30,7 +30,7 @@ from polysphere import (
 from polysphere import space as space_module
 from polysphere.formats import parse_space_text, serialize_space
 from polysphere.linalg import ONE, rank, solve
-from polysphere.space import MAX_ENUM_DIM, MAX_FACETS, Functional, as_fraction
+from polysphere.space import MAX_ENUM_DIM, MAX_FACETS, Functional, Vector, as_fraction
 from conftest import reference_facet_sample_points
 from samplers import random_direction, sphere_points
 
@@ -442,6 +442,24 @@ class TestFromFunctionals:
             PolyhedralSpace.from_functionals(
                 [functional(0, 1), functional(0, -1), functional(1, 0)]
             )
+
+    @pytest.mark.parametrize("kind", ["functional", "vertex"])
+    def test_asymmetric_input_is_named_as_by_the_constructor(self, kind):
+        """A builder raises the constructor's error, on the first row in
+        sorted order that lacks its negation, not the first one given."""
+        rows = [(0, 1), (1, 0), ("-1/2", 1), (-1, 0)]
+        square = linf_space(2)
+        if kind == "functional":
+            build, cls, direct = PolyhedralSpace.from_functionals, Functional, (rows, square.vrep)
+        else:
+            build, cls, direct = PolyhedralSpace.from_vertices, Vector, (square.hrep, rows)
+        with pytest.raises(AsymmetricInputError) as built:
+            build(rows)
+        with pytest.raises(AsymmetricInputError) as constructed:
+            PolyhedralSpace(*direct)
+        assert str(built.value) == str(constructed.value) == f"{kind} (-1/2, 1) lacks its negation"
+        assert type(built.value.offender) is cls
+        assert built.value.offender == constructed.value.offender
 
     def test_symmetrize_flag(self):
         space = PolyhedralSpace.from_functionals(
