@@ -21,6 +21,7 @@ command reproduces its bytes.
 
 import argparse
 import os
+import re
 import sys
 
 from . import catalog as cat
@@ -43,6 +44,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token of '-' and a digit is a point, such as -1,0, and not an
+        # option. argparse's own pattern takes only plain negative numbers
+        # such as -1 or -1.5 as values; no option here starts with a digit.
+        self._negative_number_matcher = re.compile(r"^-\d")
+
     def error(self, message):
         raise _UsageError(message)
 

@@ -21,8 +21,22 @@ decided exactly: faces are compact polytopes, so the distance minima are
 attained and checked as equalities or rational inequalities, never with
 tolerances. Both tests read the space's own tables: ``facet_table`` over
 ``facet_scale`` for facet values, ``facet_index`` for each facet F and
-for -F, its ``neg_functional_id``. CL gives F and -F one verdict, and
-(iii) reads d(v, F) and d(v, -F) from one row of distances at v.
+for -F, its ``neg_functional_id``. CL gives F and -F one verdict.
+
+(iii) is decided once per antipodal pair of vertices, by the mirror
+rule: the record of (-v, F) is that of (v, F) with the witnesses negated
+and swapped, (value, -y-, -y+). Proof: y -> -y maps -F onto F and keeps
+distances, norm(-v - (-y)) = norm(v - y), so d(-v, F) = d(v, -F) with
+nearest point -y- and d(-v, -F) = d(v, F) with nearest point -y+. The
+vertex of each pair that is evaluated is the one whose first nonzero
+coordinate is negative, and those are exactly the ids below N/2: v < -v
+lexicographically iff the first nonzero coordinate of v is negative, and
+of the ids j and N - 1 - j of v and -v (see :mod:`polysphere.space`,
+antipodes by position) the lower is that of the smaller. Records are
+vertex major, so the record of v comes before every mirrored record of
+-v: the first record above two, the violation, is always an evaluated
+one. :func:`condition_iii_value` applies the same rule to any sphere
+point, so its values and witnesses are those of the records.
 
 Which hexagons have the property is open here. Every symmetric hexagon
 is a linear image of one with vertices +-(1, 0), +-(a, b), +-(0, 1).
@@ -38,6 +52,8 @@ from .errors import GeometryError, NotAlmostClError, NotOnSphereError
 from .linalg import ONE, ZERO, combination
 from .lp import LpConstraint, LpProblem, solve_lp
 from .space import PolyhedralSpace, Vector
+
+TWO = Fraction(2)
 
 
 @dataclass(frozen=True)
@@ -82,7 +98,12 @@ class TPropertyReport:
     major, with ``candidate_index`` the facet id. Any family that passes
     (i) and (ii) gives the same values (see the module docstring), so
     ``holds`` is a decision: when it is False, ``violation``, the first
-    record with a value above two, refutes the property.
+    record with a value above two, refutes the property. The records of
+    the vertices with ids below N/2, whose first nonzero coordinate is
+    negative, are evaluated; the record of the vertex N - 1 - j for a
+    facet is mirrored from that of vertex j for the same facet, with the
+    witnesses negated and swapped. ``violation`` is always an evaluated
+    record (see the module docstring).
     """
 
     holds: bool
@@ -182,22 +203,25 @@ def condition_iii_value(
     """Exact minimum of norm(x - y+) + norm(x - y-) over y+ in facet ``fid``, y- in its opposite.
 
     The minimum is always at least two: the facet functional separates the
-    facet from its opposite by exactly two. Each side is settled by
-    :func:`distance_to_hull`, so a witness that meets the functional bound
-    is returned without an LP; the witnesses may therefore differ from the
-    LP's own choice of minimiser, while the value is the same.
+    facet from its opposite by exactly two. The value and witnesses are
+    those of :func:`check_t_property`'s records, by the same rule: a point
+    whose first nonzero coordinate is negative is evaluated by
+    :func:`_two_sided`, and a point whose first nonzero coordinate is
+    positive is evaluated at -x and mirrored, the witnesses (-y-, -y+) of
+    -x for the same facet (see the module docstring). A witness that meets
+    the functional bound is returned without an LP, so the witnesses may
+    differ from the LP's own choice of minimiser, while the value is the
+    same.
     """
     (at_x,), d = space._values_at([x])
     if max(at_x) != d:
         raise NotOnSphereError(f"{x} is not on the sphere")
     _check_facet_id(space, fid)
-    plus, minus = fid, space.neg_functional_id(fid)
-    d_plus, w_plus = _distance_to_face(space, x, plus, at_x[plus], d)
-    d_minus, w_minus = _distance_to_face(space, x, minus, at_x[minus], d)
-    value = d_plus + d_minus
-    if value < 2:
-        raise GeometryError("two-sided distance fell below two; this is a bug")
-    return value, w_plus, w_minus
+    if next(c for c in x.coords if c) > 0:
+        value, plus, minus = _two_sided(space, -x, x, fid, -at_x[fid], d)
+        return value, minus[1], plus[1]
+    value, plus, minus = _two_sided(space, x, -x, fid, at_x[fid], d)
+    return value, plus[0], minus[0]
 
 
 def _check_facet_id(space: PolyhedralSpace, fid: int):
@@ -206,18 +230,44 @@ def _check_facet_id(space: PolyhedralSpace, fid: int):
         raise GeometryError(f"facet id {fid} outside 0..{len(space.hrep) - 1}")
 
 
-def _distance_to_face(
-    space: PolyhedralSpace, x: Vector, fid: int, value: int, d: int
-) -> tuple[Fraction, Vector]:
-    """d(x, F) for the facet F of ``fid``, given ``value`` / d, F's functional at x."""
+def _two_sided(
+    space: PolyhedralSpace, x: Vector, antipode: Vector, fid: int, value: int, d: int
+) -> tuple[Fraction, tuple[Vector, Vector], tuple[Vector, Vector]]:
+    """The two-sided value at x for the facet F of ``fid``, with its witnesses and their negations.
+
+    ``value`` / d is F's functional at x, and ``antipode`` is -x. Returns
+    (value, (y+, -y+), (y-, -y-)) with y+ a nearest point of F and y- one
+    of -F. The table entry settles a sphere point on F or on -F with no
+    arithmetic: x is its own nearest point on its facet, and -x lies on the
+    opposite facet at distance two, which the facet functional shows that
+    no point of that facet beats, so the value is two. Otherwise each side
+    is :func:`distance_to_hull` over the facet's vertices.
+    """
     if value == d:
-        return ZERO, x
+        return TWO, (x, antipode), (antipode, x)
     if value == -d:
-        # x is on the sphere, so -x lies on the facet at distance two, and
-        # the facet functional shows that nothing on the facet is closer.
-        return Fraction(2), -x
-    pts = [space.vrep[j] for j in space.facet_index[fid]]
-    return distance_to_hull(space, x, pts)
+        return TWO, (antipode, x), (x, antipode)
+    d_plus, plus = _hull_side(space, x, fid)
+    d_minus, minus = _hull_side(space, x, len(space.hrep) - 1 - fid)
+    total = d_plus + d_minus
+    if total < 2:
+        raise GeometryError("two-sided distance fell below two; this is a bug")
+    return total, plus, minus
+
+
+def _hull_side(space: PolyhedralSpace, x: Vector, fid: int) -> tuple[Fraction, tuple[Vector, Vector]]:
+    """d(x, F) for the facet F of ``fid``, with (y, -y) for a nearest point y.
+
+    When y is one of F's vertices, -y is read by position, the vertex
+    N - 1 - j; only a minimiser of the distance LP is negated coordinatewise.
+    """
+    ids = space.facet_index[fid]
+    pts = [space.vrep[j] for j in ids]
+    dist, y = distance_to_hull(space, x, pts)
+    n = len(space.vrep)
+    # distance_to_hull returns the vertex object itself when one meets the bound.
+    neg = next((space.vrep[n - 1 - j] for j, p in zip(ids, pts) if p is y), None)
+    return dist, (y, -y if neg is None else neg)
 
 
 def check_t_property(space: PolyhedralSpace) -> TPropertyReport:
@@ -228,28 +278,44 @@ def check_t_property(space: PolyhedralSpace) -> TPropertyReport:
     one every such family gives: the property holds iff every value is
     two. Condition (iii) is evaluated on vertices only: the quantity is
     convex in the sphere point, so its maximum over the ball is attained
-    at a vertex. A vertex on the facet or on its opposite, or a facet
-    vertex that meets the facet-functional bound, settles each side
-    exactly without an LP; the distance LP runs only when none does.
-    The record of (v, F) adds the entries for F and -F of v's row of
-    distances, so no row of -v is needed for d(-v, F) = d(v, -F).
+    at a vertex.
+
+    Records are evaluated once per antipodal pair of vertices and of
+    facets. For a vertex v with id j < N/2, exactly a vertex whose first
+    nonzero coordinate is negative, :func:`_two_sided` gives the records
+    of (v, F) and (v, -F) from one evaluation of the two sides. The record
+    of -v, the vertex N - 1 - j, is mirrored from v's for the same facet:
+    same value, witnesses (-y-, -y+), because d(-v, F) = d(v, -F). The
+    table settles a vertex on F or -F, a facet vertex that meets the
+    facet-functional bound settles a side of the rest, and the distance LP
+    runs only when none does. The violation is an evaluated record: a
+    mirrored record has the value of v's record for the same facet, which
+    comes first. The proofs are in the module docstring.
     """
     candidates = tuple(space.facet_barycenter(fid) for fid in range(len(space.hrep)))
-    records = []
-    d = space.facet_scale
-    for v, row in zip(space.vrep, space.facet_table):
-        dist = [_distance_to_face(space, v, fid, value, d) for fid, value in enumerate(row)]
-        for fid, (d_plus, w_plus) in enumerate(dist):
-            d_minus, w_minus = dist[space.neg_functional_id(fid)]
-            rec = ConditionThreeRecord(v, fid, d_plus + d_minus, w_plus, w_minus)
-            if rec.value < 2:
-                raise GeometryError("two-sided distance fell below two; this is a bug")
-            records.append(rec)
-    violation = next((rec for rec in records if rec.value > 2), None)
+    vrep, table, d = space.vrep, space.facet_table, space.facet_scale
+    n, m = len(vrep), len(space.hrep)
+    computed, mirrored = [], []
+    for j in range(n // 2):
+        v, neg_v, row = vrep[j], vrep[n - 1 - j], table[j]
+        # Facet m - 1 - fid is -F, whose record swaps F's two sides; reversed()
+        # puts those records at the ids m/2 .. m - 1.
+        sides = [_two_sided(space, v, neg_v, fid, row[fid], d) for fid in range(m // 2)]
+        sides += [(value, minus, plus) for value, plus, minus in reversed(sides)]
+        computed += (
+            ConditionThreeRecord(v, fid, value, plus[0], minus[0])
+            for fid, (value, plus, minus) in enumerate(sides)
+        )
+        mirrored.append([
+            ConditionThreeRecord(neg_v, fid, value, minus[1], plus[1])
+            for fid, (value, plus, minus) in enumerate(sides)
+        ])
+    # Every value is at least two (_two_sided checks it), so above two means not two.
+    violation = next((rec for rec in computed if rec.value != 2), None)
     return TPropertyReport(
         holds=violation is None,
         candidates=candidates,
-        condition_iii=tuple(records),
+        condition_iii=tuple(computed + [rec for row in reversed(mirrored) for rec in row]),
         violation=violation,
     )
 

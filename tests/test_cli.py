@@ -193,7 +193,13 @@ CASES = [
     ("facets_hex", lambda d: ["facets", "hex"], 0),
     ("star_hex", lambda d: ["star", "hex", "3/4,1/2"], 0),
     ("star_linf3_corner", lambda d: ["star", "linf:3", "1,1,1"], 0),
+    ("star_hex_negative_first_coordinate", lambda d: ["star", "hex", "-1,0"], 0),
     ("check_cl_linf3_decompose", lambda d: ["check-cl", "linf:3", "--decompose", "1,0,0"], 0),
+    (
+        "check_cl_linf3_decompose_negative_first_coordinate",
+        lambda d: ["check-cl", "linf:3", "--decompose", "-1,0,0"],
+        0,
+    ),
     ("check_cl_hex", lambda d: ["check-cl", "hex"], 1),
     ("check_cl_linfsum_hex_linf_1", lambda d: ["check-cl", "linfsum(hex,linf:1)"], 1),
     ("check_t_hex", lambda d: ["check-t", "hex"], 0),

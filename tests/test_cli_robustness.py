@@ -79,6 +79,32 @@ def test_removed_options_are_usage_errors(tmp_path, argv):
     assert err.startswith("usage error: unrecognized arguments")
 
 
+def test_point_with_a_negative_first_coordinate_reads_as_after_double_dash():
+    """A token of '-' and a digit is a point (the pinned case
+    ``star_hex_negative_first_coordinate``), read as it is after '--'."""
+    expected = (EXPECTED / "star_hex_negative_first_coordinate.txt").read_bytes()
+    assert run_cli(["star", "hex", "--", "-1,0"]) == (0, expected, "")
+    code, out, err = run_cli(["star", "hex", "-1/2,-1"])
+    assert (code, err) == (0, "")
+    assert out.decode().startswith("star of (-1/2, -1) in hex")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["star", "hex", "--bogus"], "the following arguments are required: point"),
+        (["star", "hex", "-1,0", "--bogus"], "unrecognized arguments: --bogus"),
+        (["star", "hex", "-x", "-1,0"], "unrecognized arguments: -x"),
+        (["check-cl", "linf:3", "--decompose", "--bogus"], "argument --decompose: expected one argument"),
+    ],
+    ids=["star-alone", "star-after-point", "star-letter", "decompose"],
+)
+def test_unknown_option_is_still_a_usage_error(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (64, b"")
+    assert err == f"usage error: {message}\n"
+
+
 @pytest.mark.parametrize("space", ["hex", "l1:6"])
 def test_closed_stdout_ends_without_traceback(space):
     # The read end is closed before the child starts, so its first write to

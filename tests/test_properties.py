@@ -254,14 +254,21 @@ def lp_calls(monkeypatch):
 
 
 def assert_distance_matches_lp(space, x, fid):
-    """The witness-first distance equals the LP's and its witness attains it."""
+    """The two-sided value, settled by the table or by witnesses first,
+    equals the sum of the two distance LPs; each witness attains its side,
+    and each negated witness is its negation."""
     (at_x,), d = space._values_at([x])
-    value, w = properties._distance_to_face(space, x, fid, at_x[fid], d)
-    pts = [space.vrep[j] for j in space.facet_index[fid]]
-    lp_value, _ = properties._distance_lp(space, x, pts)
-    assert value == lp_value
-    assert space.hrep[fid](w) == 1 and space.norm(w) == 1
-    assert space.norm(x - w) == value
+    value, plus, minus = properties._two_sided(space, x, -x, fid, at_x[fid], d)
+    sides = (fid, *plus), (space.neg_functional_id(fid), *minus)
+    lp_values = []
+    for f, w, neg_w in sides:
+        pts = [space.vrep[j] for j in space.facet_index[f]]
+        lp_value, _ = properties._distance_lp(space, x, pts)
+        assert space.hrep[f](w) == 1 and space.norm(w) == 1
+        assert space.norm(x - w) == lp_value
+        assert neg_w == -w
+        lp_values.append(lp_value)
+    assert value == sum(lp_values)
 
 
 def assert_records_agree_with_condition_iii_value(space):
@@ -270,6 +277,23 @@ def assert_records_agree_with_condition_iii_value(space):
     for rec in check_t_property(space).condition_iii:
         got = condition_iii_value(space, rec.vertex, rec.candidate_index)
         assert got == (rec.value, rec.witness_plus, rec.witness_minus)
+
+
+def assert_records_mirror_under_negation(space):
+    """The record of (-v, F) is (value, -w_minus, -w_plus) of the record of
+    (v, F), and its value is that of (v, -F) too: d(-v, F) = d(v, -F), and
+    negation carries a nearest point of -F to v onto one of F to -v."""
+    report = check_t_property(space)
+    keys = [(rec.vertex, rec.candidate_index) for rec in report.condition_iii]
+    assert keys == list(itertools.product(space.vrep, range(len(space.hrep))))
+    records = dict(zip(keys, report.condition_iii))
+    for (v, fid), rec in records.items():
+        mirror = records[-v, fid]
+        assert (mirror.value, mirror.witness_plus, mirror.witness_minus) == (
+            rec.value, -rec.witness_minus, -rec.witness_plus
+        )
+        assert records[v, space.neg_functional_id(fid)].value == rec.value
+    return report
 
 
 class TestWitnessFirstDistance:
@@ -285,11 +309,11 @@ class TestWitnessFirstDistance:
     def test_lp_runs_when_no_vertex_meets_the_bound(self, lp_calls):
         space = l1_space(3)
         x = vector(F(-1, 3), F(-1, 3), F(-1, 3))
-        (at_x,), d = space._values_at([x])
-        value, w = properties._distance_to_face(space, x, 1, at_x[1], d)
+        value, (w, neg_w) = properties._hull_side(space, x, 1)
         assert len(lp_calls) == 1
         assert value == F(2, 3)
         assert space.norm(x - w) == value
+        assert neg_w == -w
 
     def test_point_in_hull_is_its_own_witness(self, hexagon):
         top = [v for v in hexagon.vrep if v.coords[1] == 1]
@@ -307,14 +331,22 @@ class TestWitnessFirstDistance:
 
     @pytest.mark.parametrize(
         "name,hull_calls,norm_calls",
-        [("hex", 12, 18), ("l1:3", 0, 0), ("linf:3", 0, 0), ("l1sum(hex,l1:1)", 24, 48)],
+        [
+            ("hex", 6, 6),
+            ("l1:3", 0, 0),
+            ("linf:3", 0, 0),
+            ("l1sum(hex,l1:1)", 12, 16),
+            ("linfsum(hex,linf:1)", 12, 18),
+        ],
     )
     def test_t_property_evaluates_no_functional(self, monkeypatch, name, hull_calls, norm_calls):
-        """Deterministic counts: the value of a facet at a vertex is read from
-        the integer ``facet_table`` over ``facet_scale``, and every bound and
-        norm from the integer facet rows, so no Functional is called, while
-        the distance_to_hull and norm calls stay those of the Fraction
-        evaluation they replaced."""
+        """Deterministic counts: raising one is a regression. The value of a
+        facet at a vertex is read from the integer ``facet_table`` over
+        ``facet_scale``, and every bound and norm from the integer facet
+        rows, so no Functional is called. A table entry of +-facet_scale
+        settles its record with no distance_to_hull call, and only the
+        vertices with ids below N/2 reach distance_to_hull, once per facet
+        off the table; the records of their negations are mirrored."""
         space = resolve(name)
         calls = collections.Counter()
 
@@ -379,15 +411,42 @@ class TestTProperty:
     def test_cross_polytope_family_holds(self, n):
         assert check_t_property(l1_space(n)).holds
 
-    def test_report_symmetric_under_negation(self, hexagon):
-        report = check_t_property(hexagon)
-        table = {
-            (rec.vertex.coords, report.candidates[rec.candidate_index].coords): rec.value
-            for rec in report.condition_iii
-        }
-        for (v, c), value in table.items():
-            neg = (tuple(-x for x in v), tuple(-x for x in c))
-            assert table[neg] == value
+    def test_report_symmetric_under_negation(self):
+        for name in CATALOG_NAMES + ["linfsum(hex,hex)"]:
+            assert_records_mirror_under_negation(resolve(name))
+
+    @settings(max_examples=30, deadline=None)
+    @given(symmetric_builds([2, 3]))
+    def test_report_symmetric_under_negation_on_random_polytopes(self, case):
+        assert_records_mirror_under_negation(build_symmetric(case))
+
+    def test_mirrored_records_negate_lp_witnesses(self, lp_calls):
+        """A build whose records reach the distance LP, so that a witness
+        that is no vertex is mirrored by negating its coordinates."""
+        space = PolyhedralSpace.from_functionals(
+            [(0, -3, -1), (3, -3, 0), (-2, -3, -1), (0, 3, 0), (3, -3, -3)], symmetrize=True
+        )
+        report = assert_records_mirror_under_negation(space)
+        assert len(lp_calls) == 2
+        vertices = set(space.vrep)
+        off = [
+            rec for rec in report.condition_iii
+            if not {rec.witness_plus, rec.witness_minus} <= vertices
+        ]
+        assert len(off) == 8
+        n = len(space.vrep)
+        assert {space.vertex_id(rec.vertex) < n // 2 for rec in off} == {True, False}
+
+    @pytest.mark.parametrize("name", ["hex", "l1:3", "linf:3", "l1sum(hex,l1:1)", "linfsum(hex,linf:1)"])
+    def test_condition_iii_value_mirrors_under_negation(self, name):
+        space = resolve(name)
+        points = sphere_points(space, 4, seed=53) + [vector(*[F(-1, space.dim)] * space.dim)]
+        for x in points:
+            if space.norm(x) != 1:
+                continue
+            for fid in range(len(space.hrep)):
+                value, w_plus, w_minus = condition_iii_value(space, x, fid)
+                assert condition_iii_value(space, -x, fid) == (value, -w_minus, -w_plus)
 
     def test_cl_implies_t_on_the_catalog(self, small_catalog):
         """The paper's implication: almost-CL (CL, for a polytope ball) gives T."""
