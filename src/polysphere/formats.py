@@ -74,9 +74,9 @@ def _parse_rational(token: str, line: int, col: int) -> Fraction:
 def _iter_rows(text: str):
     """Yield (line_number, line) for content lines, the line with its comment removed."""
     for ln, raw in enumerate(text.splitlines(), start=1):
-        body = _strip_comment(raw).strip()
-        if body:
-            yield ln, _strip_comment(raw)
+        line = _strip_comment(raw)
+        if line.strip():
+            yield ln, line
 
 
 _HEADER_KEYS = {"version", "name", "dim", "kind", "symmetric"}

@@ -6,7 +6,9 @@ correspondence is derived. Between polytope spheres every surjective
 isometry carries facets to facets, so this class covers all of them.
 Verification checks that facets go to facets, antipodality, exact distance
 preservation on vertex pairs, the affine consistency on each facet that
-makes the evaluation rule well defined, exact distances at a few seeded
+makes the evaluation rule well defined (one rank of the integer rows
+(P_j, Q_σ(j)) of the facet's vertices and their images, width 2 dim,
+with no homogenising column), exact distances at a few seeded
 facet points, and last that every entry of the domain's ``facet_table`` is
 carried onto the codomain's. That last comparison decides the verdict on
 its own (see :func:`verify_isometry`); the passes ahead of it report a
@@ -268,19 +270,22 @@ def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
     A distance counterexample's two distances are evaluated by
     :meth:`PolyhedralSpace.norm`; a passing map makes no norm call.
 
-    Affine consistency on a facet F with vertices v_j asks that the rows
-    (v_j, 1, w_σ(j)) have the rank of the rows (v_j, 1), which is dim X:
-    the constructor proved that every facet's homogenised vertices have
-    rank dim X (``_validate_ranks``). The test reads the integer rows
-    (P_j, e, Q_σ(j)), with P and Q the vertex rows over their scales and
-    e the domain's vertex scale. Each is e times (v_j, 1, w_σ(j)) with the
-    image block scaled by the codomain's vertex scale over e, and scaling
-    rows or a block of columns by nonzero numbers keeps the rank. Facet
-    -F repeats F's verdict: once antipodality has passed, its rows are
-    (-v_j, 1, -w_σ(j)), F's rows with two column blocks negated. So the
-    lower id of each antipodal pair is tested, and the first failing
-    facet is still the first in canonical order. Facet -F has id
-    N - 1 - F among the N facets, so the lower ids are the first half.
+    Affine consistency on a facet F of functional f, with vertices v_j,
+    asks for an affine map A with A v_j = w_σ(j) for every j. On the
+    hyperplane {f = 1}, A x = L x + c agrees with the linear map
+    x -> L x + c f(x), so it asks for a linear map, and no homogenising
+    column is ranked (the lemma of :mod:`polysphere.space`). The test
+    reads the integer rows (P_j, Q_σ(j)), width 2 dim X, with P and Q the
+    vertex rows over their vertex scales. P = e V and Q = e' W have the
+    column spaces of V and W, and the constructor proved that the vertex
+    rows of every facet have rank dim X. So a linear map as asked exists
+    iff the columns of Q lie in the column space of P, that is iff the
+    rows (P_j, Q_σ(j)) have rank dim X. Facet -F repeats F's verdict: once
+    antipodality has passed, its rows are (-P_j, -Q_σ(j)), the negations
+    of F's rows. So the lower id of each antipodal pair is tested, and the
+    first failing facet is still the first in canonical order. Facet -F
+    has id N - 1 - F among the N facets, so the lower ids are the first
+    half.
 
     Why the transport check decides. Let S be the domain's facet table,
     S[i][f] = f(v_i), and S' the codomain's with rows and columns in the
@@ -336,12 +341,11 @@ def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
             counterexample=(p, q, dom.norm(p - q), cod.norm(m.vertex_image(i) - m.vertex_image(j))),
         )
 
-    e = dom._point_scale
     for fid, ids in enumerate(dom.facet_index[: len(dom.hrep) // 2]):
         # The facet rule must extend affinely, otherwise evaluation at
         # ridge points would depend on the chosen facet. Facet -F repeats
         # F's verdict, so only the lower id of each pair is tested.
-        rows = [dom._points[j] + (e,) + cod._points[m.vertex_map[j]] for j in ids]
+        rows = [dom._points[j] + cod._points[m.vertex_map[j]] for j in ids]
         if linalg.rank(rows) != dom.dim:
             return IsometryReport(
                 False,

@@ -17,6 +17,13 @@ step. Fractions are built only for the values returned.
 :func:`integer_values` evaluates integer rows at many points on integers,
 and :func:`invert` returns integer rows; both stay integers over one
 scale, so their callers combine them without building a Fraction.
+
+:func:`affine_rank` and :func:`solve` have no caller in ``src/``: facets
+are ranked on plain integer rows (see the lemma in
+:mod:`polysphere.space`), and no module solves a square system. They stay
+because the benchmark's tracer, ``TARGETS`` in ``perfbench/tracer.py``,
+looks them up by name; ROADMAP.md lists their removal with the next change
+to the benchmark.
 """
 
 import math

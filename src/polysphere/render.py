@@ -128,17 +128,22 @@ def _render_2d(space, report) -> str:
 
 
 def _ridge_pairs(space: PolyhedralSpace) -> list[tuple[int, int]]:
-    """Facet pairs whose shared vertices span a ridge (affine dimension dim-2),
-    tested on their integer rows homogenised with the vertex scale e."""
+    """Facet pairs whose shared vertices span a ridge (affine dimension dim-2).
+
+    The affine dimension of points is the rank of their homogenised rows
+    minus one. The shared vertices lie on facet i, where f_i is one, so by
+    the lemma of :mod:`polysphere.space` their integer rows have the rank
+    of the homogenised rows: they span a ridge iff that rank is dim-1.
+    """
     pairs = []
-    m, e = len(space.hrep), space._point_scale
+    m = len(space.hrep)
     for i in range(m):
         set_i = set(space.facet_index[i])
         for j in range(i + 1, m):
             shared = sorted(set_i & set(space.facet_index[j]))
             if not shared:
                 continue
-            if linalg.rank([space._points[k] + (e,) for k in shared]) == space.dim - 1:
+            if linalg.rank([space._points[k] for k in shared]) == space.dim - 1:
                 pairs.append((i, j))
     return pairs
 

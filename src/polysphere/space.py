@@ -6,15 +6,49 @@ kept mutually polar. The norm is the gauge of the ball, evaluated as the
 maximum of the facet functionals. Every coordinate is a Fraction; floats
 are rejected outright so that downstream verdicts stay exact.
 
-Construction goes through :meth:`PolyhedralSpace.from_functionals`,
-:meth:`PolyhedralSpace.from_vertices`, or the catalog builders, all of
-which guarantee the two descriptions are polar to each other. Both
-methods run one polar routine: given rows, it enumerates the vertices of
-{x : r(x) <= 1 for every row r} and keeps the rows that support a facet
-of that ball. Read as functionals, the rows and the points are a space's
-H- and V-forms; read as points, they are its V- and H-forms, because the
-ball of the polar rows is the polar body. The catalog lists both
-descriptions from closed forms instead (see :mod:`polysphere.catalog`).
+The two descriptions are one object read two ways, and the code states
+each polar pair once:
+
+- **Coordinates.** :class:`Vector` and :class:`Functional` are two thin
+  subclasses of one private base, a nonempty tuple of Fractions with its
+  dimension, equality, hashing, negation and printing. ``coords`` and
+  ``coeffs`` are two names of the base's one slot. Equality and hashing
+  are keyed on the exact type, so a point never equals a functional with
+  the same entries; only :class:`Vector` has arithmetic.
+- **The table and its transpose.** The values of the functionals at the
+  vertices form one integer table, ``facet_table`` over ``facet_scale``:
+  vertex j is its row j and functional i its column i. A vertex has norm
+  one, and a functional dual norm one, iff its line of the table has
+  maximum ``facet_scale``. A vertex is a vertex of the ball, and a
+  functional supports a facet, iff the other side's integer rows at the
+  entries of its line equal to ``facet_scale`` have rank ``dim``. The
+  constructor runs these two checks on the table for the vertices and on
+  its transpose for the functionals.
+- **Builders.** :meth:`PolyhedralSpace.from_functionals` and
+  :meth:`PolyhedralSpace.from_vertices` share one body, around one polar
+  routine: given rows, it enumerates the vertices of {x : r(x) <= 1 for
+  every row r} and keeps the rows that support a facet of that ball. Read
+  as functionals, the rows and the points are a space's H- and V-forms;
+  read as points, they are its V- and H-forms, because the ball of the
+  polar rows is the polar body. :meth:`PolyhedralSpace.vertex_id` and
+  :meth:`PolyhedralSpace.functional_id` share one bisection, and
+  :meth:`PolyhedralSpace.verify_mutual_polarity` re-enumerates each side
+  from the other in one loop.
+
+A facet needs no homogenising column. Lemma: if f(p_j) = 1 for points
+p_1, ..., p_n, the homogenised rows (p_j, 1) have the rank of the rows
+p_j. Proof: the points lie on a hyperplane that misses the origin, and
+the last column is sum_k f_k p_j[k], a combination of the other columns.
+On integer rows, with P[j] = e p_j and r_f = s f, the rows (P[j], e) have
+the column e = (1/s) sum_k r_f[k] P[j][k], because sum_k r_f[k] P[j][k] =
+s e f(p_j) = s e. So any vertices of one facet have their affine rank
+read from their plain integer rows: the facet rank check here, the ridges
+of :mod:`polysphere.render` and the affine pass of
+:func:`polysphere.isometry.verify_isometry` all rank P, never (P, e).
+
+Construction goes through the two builders or the catalog builders, all of
+which guarantee the two descriptions are polar to each other; the catalog
+lists both descriptions from closed forms (see :mod:`polysphere.catalog`).
 One function, :func:`check_caps`, applies the two caps, ``MAX_ENUM_DIM``
 on the dimension and ``MAX_FACETS`` on the number of distinct nonzero
 rows; the enumerator calls it on its rows, and the catalog's sums on the
@@ -31,22 +65,21 @@ and sorted as ints, and each vertex's Fraction tuple is built once, from
 its key. The raw constructor validates the structural invariants it can
 check cheaply (symmetry, unit norms, and facet and vertex ranks, tested
 on one member of each antipodal pair); full re-enumeration is available as
-:meth:`verify_mutual_polarity`.
+:meth:`PolyhedralSpace.verify_mutual_polarity`.
 
 Fractions are the public type of every coordinate, but the work is done
 on integers. Each description is scaled to integer rows once, by
 :func:`polysphere.linalg.integer_rows`, over one positive common scale,
 which keeps equality and the lexicographic order: rows are deduplicated,
 sorted and checked for symmetry as int tuples, and Fractions are made only
-for the public ``hrep`` and ``vrep`` and for error payloads.
-A space keeps its facet functionals as integer rows and the values of
-those rows at the vertices as one integer table, ``facet_table`` over
-``facet_scale``; the rank checks, the norm and the active facets of other
-points are read from the same integer rows. Its vertices stay integer rows
-too, over the vertex scale ``_point_scale``, which is ``facet_scale`` over
-the functionals' scale: facet barycenters, the seeded facet points of
+for the public ``hrep`` and ``vrep`` and for error payloads. A space keeps
+its facet functionals as integer rows ``_rows`` over ``_scale`` and its
+vertices as integer rows ``_points`` over the vertex scale
+``_point_scale``, and ``facet_scale`` is the product of the two. The rank
+checks, the norm and the active facets of other points are read from the
+integer functional rows; facet barycenters, the seeded facet points of
 :mod:`polysphere.sampling`, and the images and linear extensions of
-:mod:`polysphere.isometry` are combined on them.
+:mod:`polysphere.isometry` are combined on the integer vertex rows.
 
 Antipodes are read from positions. In a sorted list of N distinct vectors
 closed under negation, the negation of item i is item N - 1 - i. Proof: if
@@ -117,19 +150,54 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
-class Vector:
-    """A point of the ambient space, held as a tuple of Fractions."""
+class _Coordinates:
+    """A nonempty tuple of Fractions: the one coordinate base of
+    :class:`Vector` and :class:`Functional`, whose ``coords`` and ``coeffs``
+    name its slot. Equality and hashing are keyed on the exact type."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("_row",)
+    _empty: str  # each subclass's message for an empty list
 
-    def __init__(self, coords: Iterable):
-        self.coords = tuple(as_fraction(c) for c in coords)
-        if not self.coords:
-            raise ValueError("empty coordinate list")
+    def __init__(self, row: Iterable):
+        self._row = tuple(as_fraction(c) for c in row)
+        if not self._row:
+            raise ValueError(self._empty)
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self._row)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._row == other._row
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._row))
+
+    @classmethod
+    def _of(cls, row: tuple[Fraction, ...]):
+        """An instance on a nonempty tuple of Fractions, taken as it is; only
+        callers whose entries are Fractions already, such as the arithmetic
+        below, use it."""
+        x = object.__new__(cls)
+        x._row = row
+        return x
+
+    def __neg__(self):
+        return self._of(tuple(-c for c in self._row))
+
+    def __str__(self):
+        return "(" + ", ".join(str(c) for c in self._row) + ")"
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self}"
+
+
+class Vector(_Coordinates):
+    """A point of the ambient space, held as a tuple of Fractions."""
+
+    __slots__ = ()
+    _empty = "empty coordinate list"
+    coords = _Coordinates._row
 
     def __iter__(self):
         return iter(self.coords)
@@ -139,24 +207,6 @@ class Vector:
 
     def __len__(self):
         return len(self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, Vector) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(("Vector", self.coords))
-
-    @classmethod
-    def _of(cls, coords: tuple[Fraction, ...]) -> "Vector":
-        """A Vector on a nonempty tuple of Fractions, taken as it is; only
-        callers whose coordinates are Fractions already, such as the
-        arithmetic below, use it."""
-        v = object.__new__(cls)
-        v.coords = coords
-        return v
-
-    def __neg__(self):
-        return Vector._of(tuple(-c for c in self.coords))
 
     def __add__(self, other):
         self._check(other)
@@ -176,54 +226,18 @@ class Vector:
         if other.dim != self.dim:
             raise DimensionMismatchError(f"dim {other.dim} vs {self.dim}")
 
-    def __str__(self):
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
-    def __repr__(self):
-        return f"Vector{self}"
-
-
-class Functional:
+class Functional(_Coordinates):
     """A linear form; application is the dot pairing with a Vector."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable):
-        self.coeffs = tuple(as_fraction(c) for c in coeffs)
-        if not self.coeffs:
-            raise ValueError("empty coefficient list")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
+    __slots__ = ()
+    _empty = "empty coefficient list"
+    coeffs = _Coordinates._row
 
     def __call__(self, x: Vector) -> Fraction:
         if x.dim != self.dim:
             raise DimensionMismatchError(f"dim {x.dim} vs {self.dim}")
         return linalg.dot(self.coeffs, x.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, Functional) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("Functional", self.coeffs))
-
-    @classmethod
-    def _of(cls, coeffs: tuple[Fraction, ...]) -> "Functional":
-        """A Functional on a nonempty tuple of Fractions, taken as it is; only
-        negation uses it."""
-        f = object.__new__(cls)
-        f.coeffs = coeffs
-        return f
-
-    def __neg__(self):
-        return Functional._of(tuple(-c for c in self.coeffs))
-
-    def __str__(self):
-        return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
-
-    def __repr__(self):
-        return f"Functional{self}"
 
 
 def vector(*coords) -> Vector:
@@ -390,31 +404,76 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool):
     return [frac[k] for k, m in zip(keys, masks) if m in maximal], points
 
 
+
+def _coerce(items, cls) -> list:
+    return [x if isinstance(x, cls) else cls(x) for x in items]
+
+
 def _lacks_negation(kind: str, item) -> AsymmetricInputError:
     return AsymmetricInputError(f"{kind} {item} lacks its negation", offender=item)
 
 
-def _check_symmetric(keys: list, items: tuple, kind: str):
-    """Raise on the first item, in sorted order, whose integer row's
-    negation is not among the rows."""
-    present = set(keys)
-    for k, item in zip(keys, items):
-        if _neg(k) not in present:
-            raise _lacks_negation(kind, item)
+def _canonical(items: list, kind: str) -> tuple[list, int, tuple]:
+    """One description on integer rows: the sorted distinct rows, their one
+    positive scale, and the items in that order. Raises on the first item,
+    in sorted order, whose row's negation is not among the rows."""
+    # One positive scale keeps equality and the lexicographic order, so the
+    # rows are deduplicated and sorted as ints, in the order of the Fractions.
+    ints, scale = linalg.integer_rows(x._row for x in items)
+    by_row = dict(zip(ints, items))
+    rows = sorted(by_row)
+    for r in rows:
+        if _neg(r) not in by_row:
+            raise _lacks_negation(kind, by_row[r])
+    return rows, scale, tuple(by_row[r] for r in rows)
 
 
-def _coerce_functionals(fs) -> list[Functional]:
-    out = []
-    for f in fs:
-        out.append(f if isinstance(f, Functional) else Functional(f))
-    return out
+def _check_norms(items: tuple, lines, d: int, message: str):
+    """Raise on the first item whose line of the table has no maximum d."""
+    for item, line in zip(items, lines):
+        if max(line) != d:
+            raise GeometryError(message.format(item))
 
 
-def _coerce_vectors(vs) -> list[Vector]:
-    out = []
-    for v in vs:
-        out.append(v if isinstance(v, Vector) else Vector(v))
-    return out
+def _check_ranks(items: tuple, lines, d: int, other: list, dim: int, message: str):
+    """Raise on the first item, among the lower half of the ids, for which
+    the rows of ``other`` at the entries of its line equal to d do not have
+    rank ``dim``.
+
+    Negation is linear and both descriptions are symmetric, so the entries
+    equal to d on the line of -x are those on x's line, at the negated
+    other rows, which have the same rank: both members of an antipodal
+    pair pass or both fail, and the first offender in canonical order has
+    the lower id. The norm checks have ruled out zero rows, so N is even
+    and, as id i pairs with N - 1 - i, the lower ids are the first half.
+    """
+    for item, line in zip(items[: len(items) // 2], lines):
+        if linalg.rank([o for o, value in zip(other, line) if value == d]) != dim:
+            raise GeometryError(message.format(item))
+
+
+def _polar_build(items: Sequence, cls, kind: str, kinds: str, symmetrize: bool):
+    """The body of both builders: ``items`` as rows of :func:`_polar_pair`.
+
+    Returns the kept items, of type ``cls``, and the ball's vertices. The
+    enumerator raises asymmetry on the first sorted row, the constructor's
+    order, and its error becomes the constructor's.
+    """
+    items = _coerce(items, cls)
+    if not items:
+        raise GeometryError(f"no {kinds} given")
+    try:
+        return _polar_pair([x._row for x in items], items[0].dim, symmetrize)
+    except AsymmetricInputError as err:
+        raise _lacks_negation(kind, cls(err.offender)) from err
+
+
+def _find(items: tuple, x: _Coordinates, message: str) -> int:
+    """The id of x in the sorted ``items``, found by bisection."""
+    i = bisect_left(items, x._row, key=attrgetter("_row"))
+    if i == len(items) or items[i] != x:
+        raise GeometryError(message)
+    return i
 
 
 class PolyhedralSpace:
@@ -426,8 +485,10 @@ class PolyhedralSpace:
     fills ``facet_table`` and runs every check. Each check raises on the
     first offender in canonical order: asymmetry, then the norm of each
     vertex and the dual norm of each functional, then the rank of each
-    facet's vertices and of each vertex's active functionals. The
-    builders' output passes the same checks. Once the descriptions are
+    facet's vertices and of each vertex's active functionals. The norm and
+    rank checks are one pair of checks, run on the table for the vertices
+    and on its transpose for the functionals (see the module docstring).
+    The builders' output passes the same checks. Once the descriptions are
     symmetric, the antipode of id i is N - 1 - i (see the module
     docstring), so the constructor builds no table of antipodes or ids.
 
@@ -449,7 +510,7 @@ class PolyhedralSpace:
     )
 
     def __init__(self, hrep: Sequence, vrep: Sequence, name: str | None = None):
-        fs, vs = _coerce_functionals(hrep), _coerce_vectors(vrep)
+        fs, vs = _coerce(hrep, Functional), _coerce(vrep, Vector)
         if not fs or not vs:
             raise GeometryError("need at least one functional and one vertex")
         dim = fs[0].dim
@@ -457,56 +518,21 @@ class PolyhedralSpace:
             raise DimensionMismatchError("mixed dimensions in the descriptions")
         self.dim = dim
         self.name = name
-        # Each description is scaled to integer rows once, over one positive
-        # scale, which keeps equality and the lexicographic order: the rows
-        # are deduplicated and sorted as ints, in the order of the Fractions.
-        rows, s = linalg.integer_rows(f.coeffs for f in fs)
-        by_row = dict(zip(rows, fs))
-        self._rows, self._scale = sorted(by_row), s
-        points, e = linalg.integer_rows(v.coords for v in vs)
-        by_point = dict(zip(points, vs))
-        self._points, self._point_scale = sorted(by_point), e
-        self.hrep = tuple(by_row[r] for r in self._rows)
-        self.vrep = tuple(by_point[p] for p in self._points)
-        _check_symmetric(self._rows, self.hrep, "functional")
-        _check_symmetric(self._points, self.vrep, "vertex")
-        d = s * e
-        table = [[sum(map(mul, r, p)) for r in self._rows] for p in self._points]
-        self.facet_table, self.facet_scale = tuple(map(tuple, table)), d
-        self._validate_norms(table, d)
+        self._rows, self._scale, self.hrep = _canonical(fs, "functional")
+        self._points, self._point_scale, self.vrep = _canonical(vs, "vertex")
+        d = self._scale * self._point_scale
+        table = tuple(tuple(sum(map(mul, r, p)) for r in self._rows) for p in self._points)
+        columns = tuple(zip(*table))
+        self.facet_table, self.facet_scale = table, d
+        _check_norms(self.vrep, table, d, "listed vertex {} does not have norm one")
+        _check_norms(self.hrep, columns, d, "functional {} does not have dual norm one")
         self.facet_index = tuple(
-            tuple(j for j, row in enumerate(table) if row[i] == d) for i in range(len(self.hrep))
+            tuple(j for j, value in enumerate(column) if value == d) for column in columns
         )
-        self._validate_ranks(table, d)
-
-    def _validate_norms(self, values, d):
-        for v, row in zip(self.vrep, values):
-            if max(row) != d:
-                raise GeometryError(f"listed vertex {v} does not have norm one")
-        for i, f in enumerate(self.hrep):
-            if max(row[i] for row in values) != d:
-                raise GeometryError(f"functional {f} does not have dual norm one")
-
-    def _validate_ranks(self, values, d):
-        # A facet's vertices, homogenised with their scale e, have rank dim
-        # iff their affine hull is a hyperplane; a vertex's active rows have
-        # rank dim iff it is the only point of the ball where they are one.
-        # One member of each antipodal pair is tested, the one with the lower
-        # id. Negation is linear and both descriptions are symmetric: the
-        # vertices of -f are the negations of f's, whose homogenised rows
-        # have the same rank, and the rows active at -v are the negations of
-        # those active at v. So both members of a pair pass or both fail,
-        # and the first offender in canonical order is the lower id. The
-        # norm checks have ruled out zero rows, so N is even and, as id i
-        # pairs with N - 1 - i, the lower ids are the first half.
-        e = self._point_scale
-        for f, ids in zip(self.hrep[: len(self.hrep) // 2], self.facet_index):
-            if linalg.rank([self._points[j] + (e,) for j in ids]) != self.dim:
-                raise GeometryError(f"functional {f} does not support a facet")
-        for v, row in zip(self.vrep[: len(self.vrep) // 2], values):
-            active = [r for r, value in zip(self._rows, row) if value == d]
-            if linalg.rank(active) != self.dim:
-                raise GeometryError(f"listed point {v} is not a vertex of the ball")
+        _check_ranks(self.hrep, columns, d, self._points, dim,
+                     "functional {} does not support a facet")
+        _check_ranks(self.vrep, table, d, self._rows, dim,
+                     "listed point {} is not a vertex of the ball")
 
     # -- construction ---------------------------------------------------
 
@@ -521,14 +547,7 @@ class PolyhedralSpace:
         under negation explicitly, with the constructor's error: the first
         functional in sorted order that lacks its negation.
         """
-        fs = _coerce_functionals(fs)
-        if not fs:
-            raise GeometryError("no functionals given")
-        try:
-            kept, verts = _polar_pair([f.coeffs for f in fs], fs[0].dim, symmetrize)
-        except AsymmetricInputError as err:
-            # The enumeration raises on the first sorted row, the constructor's order.
-            raise _lacks_negation("functional", Functional(err.offender)) from err
+        kept, verts = _polar_build(fs, Functional, "functional", "functionals", symmetrize)
         return cls(kept, verts, name=name)
 
     @classmethod
@@ -544,13 +563,8 @@ class PolyhedralSpace:
         :meth:`from_functionals`, naming the first point that lacks its
         negation as a vertex.
         """
-        vs = _coerce_vectors(vs)
-        if not vs:
-            raise GeometryError("no vertices given")
         try:
-            kept, facet_rows = _polar_pair([v.coords for v in vs], vs[0].dim, symmetrize)
-        except AsymmetricInputError as err:
-            raise _lacks_negation("vertex", Vector(err.offender)) from err
+            kept, facet_rows = _polar_build(vs, Vector, "vertex", "vertices", symmetrize)
         except DegenerateInputError as err:
             raise DegenerateInputError(
                 "vertices do not span the space: hull is lower-dimensional",
@@ -618,17 +632,11 @@ class PolyhedralSpace:
 
     def vertex_id(self, v: Vector) -> int:
         """The id of vertex v, found by bisecting the sorted ``vrep``."""
-        i = bisect_left(self.vrep, v.coords, key=attrgetter("coords"))
-        if i == len(self.vrep) or self.vrep[i] != v:
-            raise GeometryError(f"{v} is not a vertex of the ball")
-        return i
+        return _find(self.vrep, v, f"{v} is not a vertex of the ball")
 
     def functional_id(self, f: Functional) -> int:
         """The id of facet functional f, found by bisecting the sorted ``hrep``."""
-        i = bisect_left(self.hrep, f.coeffs, key=attrgetter("coeffs"))
-        if i == len(self.hrep) or self.hrep[i] != f:
-            raise GeometryError(f"{f} is not a facet functional")
-        return i
+        return _find(self.hrep, f, f"{f} is not a facet functional")
 
     def neg_vertex_id(self, i: int) -> int:
         """The id of -vrep[i]: ``vrep`` is sorted and closed under negation,
@@ -649,18 +657,18 @@ class PolyhedralSpace:
 
     def dual(self, name: str | None = None) -> "PolyhedralSpace":
         """The polar space: vertices become functionals and vice versa."""
-        hrep = [Functional(v.coords) for v in self.vrep]
-        vrep = [Vector(f.coeffs) for f in self.hrep]
-        return PolyhedralSpace(hrep, vrep, name=name)
+        return PolyhedralSpace([v.coords for v in self.vrep], [f.coeffs for f in self.hrep], name)
 
     def verify_mutual_polarity(self):
-        """Re-enumerate both descriptions and compare; raises on mismatch."""
-        verts = enumerate_ball_vertices([f.coeffs for f in self.hrep], self.dim)
-        if set(verts) != {v.coords for v in self.vrep}:
-            raise GeometryError("vertex description is not polar to the facets")
-        facets = enumerate_ball_vertices([v.coords for v in self.vrep], self.dim)
-        if set(facets) != {f.coeffs for f in self.hrep}:
-            raise GeometryError("facet description is not polar to the vertices")
+        """Re-enumerate each description from the other and compare; raises
+        on mismatch, the vertices first."""
+        for given, listed, message in (
+            (self.hrep, self.vrep, "vertex description is not polar to the facets"),
+            (self.vrep, self.hrep, "facet description is not polar to the vertices"),
+        ):
+            found = enumerate_ball_vertices([x._row for x in given], self.dim)
+            if set(found) != {x._row for x in listed}:
+                raise GeometryError(message)
 
     def summary(self) -> str:
         label = self.name or "space"

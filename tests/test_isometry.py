@@ -582,7 +582,8 @@ def test_affine_pass_ranks_one_integer_matrix_per_antipodal_facet_pair(
     monkeypatch, space, matrix
 ):
     """The facet rank is known to be dim and facet -F repeats F, so each
-    antipodal pair costs one rank call, on the lower id's integer rows."""
+    antipodal pair costs one rank call, on the lower id's integer rows
+    (P_j, Q_σ(j)), of width 2 dim with no homogenising column."""
     m = SphereMap.from_linear(space, space, matrix)
     calls = []
     rank = linalg.rank
@@ -596,7 +597,7 @@ def test_affine_pass_ranks_one_integer_matrix_per_antipodal_facet_pair(
     assert len(calls) == len(space.hrep) // 2 == 3
     assert [len(rows) for rows in calls] == [len(ids) for ids in space.facet_index[:3]]
     assert all(type(x) is int for rows in calls for row in rows for x in row)
-    assert all(len(row) == 2 * space.dim + 1 for rows in calls for row in rows)
+    assert all(len(row) == 2 * space.dim for rows in calls for row in rows)
 
 
 def extend_outcome(extend_fn, m):

@@ -188,18 +188,37 @@ def non_spanning_rows(draw):
     return draw(st.permutations(rows)), dim
 
 
-def reference_validate_ranks(self, values, d):
-    """``PolyhedralSpace._validate_ranks`` on every facet and every vertex,
-    negations included, in canonical order. The vertex rows' scale e is
-    read off the two scales, not from ``_point_scale``."""
-    e = self.facet_scale // self._scale
-    for f, ids in zip(self.hrep, self.facet_index):
-        if rank([self._points[j] + (e,) for j in ids]) != self.dim:
+def reference_validate_ranks(hrep, vrep, dim):
+    """The rank checks on every facet and every vertex, negations included,
+    in canonical order, on Fractions. A facet's vertices are homogenised
+    with a column of ones, so the lemma that lets the constructor drop that
+    column is checked against it."""
+    for f in hrep:
+        if rank([v.coords + (ONE,) for v in vrep if f(v) == 1]) != dim:
             raise GeometryError(f"functional {f} does not support a facet")
-    for v, row in zip(self.vrep, values):
-        active = [r for r, value in zip(self._rows, row) if value == d]
-        if rank(active) != self.dim:
+    for v in vrep:
+        if rank([f.coeffs for f in hrep if f(v) == 1]) != dim:
             raise GeometryError(f"listed point {v} is not a vertex of the ball")
+
+
+def reference_construction_outcome(hrep, vrep):
+    """The raw constructor's outcome on symmetric descriptions of one
+    dimension, on Fractions: the descriptions sorted, the norm of each
+    vertex and the dual norm of each functional, then
+    :func:`reference_validate_ranks`."""
+    hrep = tuple(sorted(set(hrep), key=lambda f: f.coeffs))
+    vrep = tuple(sorted(set(vrep), key=lambda v: v.coords))
+    for v in vrep:
+        if max(f(v) for f in hrep) != 1:
+            return GeometryError, f"listed vertex {v} does not have norm one", None
+    for f in hrep:
+        if max(f(v) for v in vrep) != 1:
+            return GeometryError, f"functional {f} does not have dual norm one", None
+    try:
+        reference_validate_ranks(hrep, vrep, hrep[0].dim)
+    except GeometryError as err:
+        return type(err), str(err), None
+    return hrep, vrep
 
 
 @st.composite
@@ -286,6 +305,53 @@ class TestScalars:
     def test_rejects_zero_denominator(self):
         with pytest.raises(ValueError):
             as_fraction("1/0")
+
+
+class TestCoordinateTypes:
+    """Points and functionals share one coordinate base but stay two types:
+    equality, hashing, negation and printing keep each type's own."""
+
+    def test_a_point_never_equals_a_functional(self):
+        v, f = Vector((1, 0)), Functional((1, 0))
+        assert v != f and f != v
+        assert v == Vector((1, 0)) and f == Functional((1, 0))
+        assert not isinstance(f, Vector) and not isinstance(v, Functional)
+        assert len({v, f}) == 2
+
+    @pytest.mark.parametrize("row", [(1, 0), ("1/2", -3), (0, 0, "-7/4")])
+    def test_hash_is_keyed_on_the_type_name(self, row):
+        v, f = Vector(row), Functional(row)
+        assert hash(v) == hash(("Vector", v.coords))
+        assert hash(f) == hash(("Functional", f.coeffs))
+        assert v.coords == f.coeffs == tuple(as_fraction(c) for c in row)
+
+    def test_negation_keeps_the_type(self):
+        v, f = vector(1, "-1/2"), functional(1, "-1/2")
+        assert type(-v) is Vector and (-v).coords == (F(-1), F(1, 2))
+        assert type(-f) is Functional and (-f).coeffs == (F(-1), F(1, 2))
+        assert -(-v) == v and -(-f) == f
+
+    def test_repr_and_str(self):
+        v, f = vector(1, "-1/2"), functional(1, "-1/2")
+        assert repr(v) == "Vector(1, -1/2)" and str(v) == "(1, -1/2)"
+        assert repr(f) == "Functional(1, -1/2)" and str(f) == "(1, -1/2)"
+        assert v.dim == f.dim == 2
+
+    @pytest.mark.parametrize(
+        "cls,message", [(Vector, "empty coordinate list"), (Functional, "empty coefficient list")]
+    )
+    def test_empty_lists_are_rejected(self, cls, message):
+        with pytest.raises(ValueError) as err:
+            cls(())
+        assert str(err.value) == message
+
+    def test_a_functional_has_no_point_arithmetic(self):
+        f = functional(1, 0)
+        for name in ("coords", "__sub__", "__add__", "scale"):
+            assert not hasattr(f, name)
+        assert not hasattr(vector(1, 0), "coeffs")
+        with pytest.raises(TypeError):
+            vector(1, 0) - f
 
 
 class TestNorm:
@@ -716,13 +782,13 @@ class TestInvariants:
     @settings(max_examples=40, deadline=None)
     @given(direct_constructions())
     def test_rank_checks_raise_what_the_all_rows_checks_raise(self, case):
-        """Testing one member of each antipodal pair raises the same error,
-        on the same offender, as testing every facet and vertex, or accepts
-        what that accepts."""
+        """The constructor, which ranks one member of each antipodal pair
+        on integer rows with no homogenising column, raises the same error,
+        on the same offender, as a Fraction reference that ranks every facet
+        on homogenised rows and every vertex, or accepts what that accepts."""
         hrep, vrep = case
         got = construction_outcome(hrep, vrep)
-        with mock.patch.object(PolyhedralSpace, "_validate_ranks", reference_validate_ranks):
-            assert got == construction_outcome(hrep, vrep)
+        assert got == reference_construction_outcome(hrep, vrep)
         if len(got) == 3:
             assert got[1].endswith(("does not support a facet", "is not a vertex of the ball"))
 
