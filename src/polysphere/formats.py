@@ -285,12 +285,12 @@ def parse_map_text(
             return value
         if len(value) != space.dim:
             raise ParseError("dimension-mismatch", ln, col, "coordinate tuple has wrong length")
+        # The tokens are Fractions already.
+        point = Vector._of(value)
         try:
-            return space.vertex_id(Vector(value))
+            return space.vertex_id(point)
         except GeometryError:
-            raise ParseError(
-                "vertex", ln, col, f"{Vector(value)} is not a vertex of the space"
-            ) from None
+            raise ParseError("vertex", ln, col, f"{point} is not a vertex of the space") from None
 
     assignment: dict[int, int] = {}
     for ln, lhs, rhs in pairs:

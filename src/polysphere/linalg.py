@@ -6,14 +6,18 @@ row tuples. Nothing here is meant to scale beyond desk-size systems
 only need integers are answered on integers.
 
 There is one elimination step, on integers. :func:`pivot` is one
-fraction-free Gauss-Jordan step on integer rows that share one positive
-scale d; a row's rational value is the row over d. :func:`_echelon` runs
-it on int rows as they are and on any other rows scaled to integers by
-:func:`integer_rows`, and :func:`rank`,
-:func:`affine_rank`, :func:`independent_row_indices`, :func:`solve`,
-:func:`invert` and :func:`null_space_vector` read their answers from the
-reduced rows; the simplex tableau of :mod:`polysphere.lp` runs on the same
-step. Fractions are built only for the values returned.
+fraction-free step on integer rows that share one positive scale d; a
+row's rational value is the row over d. It clears the pivot column from
+every row from a given first row on: from the first row of all, it is a
+Gauss-Jordan step, and from the row after the pivot, a forward step.
+:func:`_echelon` runs it on int rows as they are and on any other rows
+scaled to integers by :func:`integer_rows`. :func:`solve`, :func:`invert`
+and :func:`null_space_vector` read their answers from the reduced rows,
+and the simplex tableau of :mod:`polysphere.lp` runs on the Gauss-Jordan
+step. :func:`rank`, :func:`affine_rank` and
+:func:`independent_row_indices` only count or list the pivot columns, so
+they eliminate forward, which leaves the rows above each pivot as they
+were. Fractions are built only for the values returned.
 :func:`integer_values` evaluates integer rows at many points on integers,
 and :func:`invert` returns integer rows; both stay integers over one
 scale, so their callers combine them without building a Fraction.
@@ -87,25 +91,33 @@ def integer_values(
     return [[sum(map(mul, r, p)) for r in ints] for p in pts], e
 
 
-def pivot(rows: list[Sequence[int]], r: int, c: int, d: int) -> int:
-    """One fraction-free Gauss-Jordan step on integer rows, in place.
+def pivot(rows: list[Sequence[int]], r: int, c: int, d: int, first: int = 0) -> int:
+    """One fraction-free elimination step on integer rows, in place.
 
     Every row stands for itself divided by the common positive scale d. The
     step negates row r if its entry in column c is negative and clears
-    column c from every other row: with a = rows[r][c],
+    column c from every row from ``first`` on but r: with a = rows[r][c],
     ``row <- (a * row - row[c] * rows[r]) // d``. It returns a, the new
     common scale, over which row r has the rational step's unit column.
-    Started from d = 1, every entry stays a minor of the input, so each
-    division is exact (Bareiss, "Sylvester's identity and multistep
-    integer-preserving Gaussian elimination", 1968, here applied above and
-    below the pivot).
+    Started from d = 1, every entry it computes is a minor of the input
+    (its rows negated where the step negated them), so each division is
+    exact (Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", 1968). From ``first = 0`` it is a Gauss-Jordan
+    step, applied above and below the pivot. From the row after the pivot
+    it is Bareiss's one-sided step: after k steps, entry j of a row i below
+    the pivots is the minor on the k pivot rows and row i and the k pivot
+    columns and column j, and d the minor on the pivot rows and columns, so
+    Sylvester's identity makes each division exact without the rows above.
+    Those are left stale, over an earlier scale, and only the pivot columns
+    may be read from them.
     """
     pr = rows[r]
     if pr[c] < 0:
         rows[r] = pr = [-x for x in pr]
     a = pr[c]
-    for i, row in enumerate(rows):
+    for i in range(first, len(rows)):
         if i != r:
+            row = rows[i]
             b = row[c]
             if b:
                 rows[i] = [(a * x - b * y) // d for x, y in zip(row, pr)]
@@ -114,14 +126,19 @@ def pivot(rows: list[Sequence[int]], r: int, c: int, d: int) -> int:
     return a
 
 
-def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Sequence[int]], list[int], int]:
-    """Reduced row echelon form on integers.
+def _echelon(
+    rows: Iterable[Sequence[Fraction]], reduced: bool = True
+) -> tuple[list[Sequence[int]], list[int], int]:
+    """Row echelon form on integers, reduced unless ``reduced`` is false.
 
-    Returns the nonzero rows, their pivot columns and their common scale d:
-    each row divided by d is the rational reduced row, so it holds d in its
-    own pivot column and 0 in the others. Rows whose entries are all ints
+    Returns the nonzero rows, their pivot columns and their common scale d.
+    Reduced, each row divided by d is the rational reduced row, so it holds
+    d in its own pivot column and 0 in the others. Otherwise the steps are
+    forward only (see :func:`pivot`), the rows above a pivot are stale, and
+    only the pivot columns are meaningful. Rows whose entries are all ints
     are eliminated as they are; any other rows are first scaled to integers
-    by :func:`integer_rows`.
+    by :func:`integer_rows`. The elimination stops when every row holds a
+    pivot.
     """
     work = list(rows)
     if not all(type(c) is int for row in work for c in row):
@@ -134,7 +151,7 @@ def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Sequence[int]], l
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
-        d = pivot(work, r, c, d)
+        d = pivot(work, r, c, d, 0 if reduced else r + 1)
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -144,11 +161,13 @@ def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Sequence[int]], l
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
     """Row rank equals column rank, so the rows are eliminated as given or
-    transposed, whichever has fewer rows: each step reduces every other row."""
+    transposed, whichever has fewer rows, and the elimination stops once
+    every row holds a pivot. Only the pivots are counted, so each step is a
+    forward step, which reduces only the rows below its pivot."""
     rows = list(rows)
     if rows and len(rows) > len(rows[0]):
         rows = transpose(rows)
-    return len(_echelon(rows)[1])
+    return len(_echelon(rows, reduced=False)[1])
 
 
 def null_space_vector(rows: Iterable[Sequence[Fraction]], ncols: int) -> Row | None:
@@ -219,7 +238,7 @@ def independent_row_indices(rows: Sequence[Sequence[Fraction]]) -> list[int]:
     A row is independent of the rows before it exactly when its column is a
     pivot column of the transposed matrix, so one elimination decides all.
     """
-    return _echelon(transpose(tuple(tuple(r) for r in rows)))[1]
+    return _echelon(transpose(tuple(tuple(r) for r in rows)), reduced=False)[1]
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:

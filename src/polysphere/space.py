@@ -87,8 +87,10 @@ a < b lexicographically, they agree before their first differing
 coordinate k and a_k < b_k, so -a and -b agree before k and -a_k > -b_k,
 that is -a > -b. Negation is thus an order-reversing bijection of the list
 onto itself, and such a bijection sends the i-th smallest item to the i-th
-largest. The ids of vertices and functionals are found by bisecting the
-same sorted lists, so a space keeps no lookup table beside them.
+largest. The id of a point or a functional is found on the same sorted
+integer rows: scaled by its description's scale, it must have integer
+entries, and then its integer row is found by bisection. A space keeps no
+lookup table beside those rows.
 """
 
 import itertools
@@ -96,7 +98,7 @@ import math
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from operator import attrgetter, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -395,14 +397,13 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool):
     if symmetrize:
         frac.update([(_neg(k), _neg(r)) for k, r in frac.items()])
     keys = sorted(frac)
-    points = enumerate_ball_vertices([frac[k] for k in keys], dim)
+    points = enumerate_ball_vertices([Functional._of(frac[k]) for k in keys], dim)
     pts, e = linalg.integer_rows(points)
     tight = s * e
     masks = [sum(1 << j for j, p in enumerate(pts) if sum(map(mul, k, p)) == tight) for k in keys]
     distinct = set(masks)
     maximal = {m for m in distinct if m and not any(m != o and m & o == m for o in distinct)}
     return [frac[k] for k, m in zip(keys, masks) if m in maximal], points
-
 
 
 def _coerce(items, cls) -> list:
@@ -452,27 +453,46 @@ def _check_ranks(items: tuple, lines, d: int, other: list, dim: int, message: st
             raise GeometryError(message.format(item))
 
 
-def _polar_build(items: Sequence, cls, kind: str, kinds: str, symmetrize: bool):
+def _polar_build(items: Sequence, cls, polar_cls, kind: str, kinds: str, symmetrize: bool):
     """The body of both builders: ``items`` as rows of :func:`_polar_pair`.
 
-    Returns the kept items, of type ``cls``, and the ball's vertices. The
-    enumerator raises asymmetry on the first sorted row, the constructor's
-    order, and its error becomes the constructor's.
+    Returns the kept items, of type ``cls``, and the ball's vertices, of
+    type ``polar_cls``, both made from their Fraction rows as they are, so
+    the constructor takes them without coercing an entry. The enumerator
+    raises asymmetry on the first sorted row, the constructor's order, and
+    a row of the wrong length; both errors are raised in the words of
+    ``kind``, asymmetry as the constructor's.
     """
     items = _coerce(items, cls)
     if not items:
         raise GeometryError(f"no {kinds} given")
     try:
-        return _polar_pair([x._row for x in items], items[0].dim, symmetrize)
+        kept, points = _polar_pair([x._row for x in items], items[0].dim, symmetrize)
     except AsymmetricInputError as err:
         raise _lacks_negation(kind, cls(err.offender)) from err
+    except DimensionMismatchError as err:
+        raise DimensionMismatchError(f"{kind} length does not match the dimension") from err
+    return [cls._of(row) for row in kept], [polar_cls._of(row) for row in points]
 
 
-def _find(items: tuple, x: _Coordinates, message: str) -> int:
-    """The id of x in the sorted ``items``, found by bisection."""
-    i = bisect_left(items, x._row, key=attrgetter("_row"))
-    if i == len(items) or items[i] != x:
-        raise GeometryError(message)
+def _find(rows: list, scale: int, cls, x: _Coordinates, message: str) -> int:
+    """The id of x, of type ``cls``, among the sorted integer ``rows`` over
+    ``scale``; raises ``message`` formatted with x when x is not listed.
+
+    x's entries times ``scale`` must be integers, one exact divisibility
+    test each, and then its integer row is found by bisection; a row of
+    another length equals no listed row.
+    """
+    key = []
+    for c in x._row:
+        q, rem = divmod(c.numerator * scale, c.denominator)
+        if rem:
+            raise GeometryError(message.format(x))
+        key.append(q)
+    key = tuple(key)
+    i = bisect_left(rows, key)
+    if type(x) is not cls or i == len(rows) or rows[i] != key:
+        raise GeometryError(message.format(x))
     return i
 
 
@@ -488,9 +508,11 @@ class PolyhedralSpace:
     facet's vertices and of each vertex's active functionals. The norm and
     rank checks are one pair of checks, run on the table for the vertices
     and on its transpose for the functionals (see the module docstring).
-    The builders' output passes the same checks. Once the descriptions are
-    symmetric, the antipode of id i is N - 1 - i (see the module
-    docstring), so the constructor builds no table of antipodes or ids.
+    The builders hand their output over as built, as instances made from
+    its Fraction rows with no entry coerced, and it passes the same checks
+    as any other input. Once the descriptions are symmetric, the antipode
+    of id i is N - 1 - i (see the module docstring), so the constructor
+    builds no table of antipodes or ids.
 
     Attributes:
         dim: ambient dimension.
@@ -547,7 +569,7 @@ class PolyhedralSpace:
         under negation explicitly, with the constructor's error: the first
         functional in sorted order that lacks its negation.
         """
-        kept, verts = _polar_build(fs, Functional, "functional", "functionals", symmetrize)
+        kept, verts = _polar_build(fs, Functional, Vector, "functional", "functionals", symmetrize)
         return cls(kept, verts, name=name)
 
     @classmethod
@@ -564,7 +586,9 @@ class PolyhedralSpace:
         negation as a vertex.
         """
         try:
-            kept, facet_rows = _polar_build(vs, Vector, "vertex", "vertices", symmetrize)
+            kept, facet_rows = _polar_build(
+                vs, Vector, Functional, "vertex", "vertices", symmetrize
+            )
         except DegenerateInputError as err:
             raise DegenerateInputError(
                 "vertices do not span the space: hull is lower-dimensional",
@@ -631,12 +655,14 @@ class PolyhedralSpace:
         return tuple(i for i, v in enumerate(values) if v == d)
 
     def vertex_id(self, v: Vector) -> int:
-        """The id of vertex v, found by bisecting the sorted ``vrep``."""
-        return _find(self.vrep, v, f"{v} is not a vertex of the ball")
+        """The id of vertex v: v times the vertex scale, found by bisecting
+        the sorted integer vertex rows."""
+        return _find(self._points, self._point_scale, Vector, v, "{} is not a vertex of the ball")
 
     def functional_id(self, f: Functional) -> int:
-        """The id of facet functional f, found by bisecting the sorted ``hrep``."""
-        return _find(self.hrep, f, f"{f} is not a facet functional")
+        """The id of facet functional f: f times the functional scale, found
+        by bisecting the sorted integer functional rows."""
+        return _find(self._rows, self._scale, Functional, f, "{} is not a facet functional")
 
     def neg_vertex_id(self, i: int) -> int:
         """The id of -vrep[i]: ``vrep`` is sorted and closed under negation,

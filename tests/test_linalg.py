@@ -161,6 +161,7 @@ def test_rank_and_pivot_columns_match_the_fraction_echelon(rows):
     ref, ref_pivots = reference_echelon(rows)
     assert pivots == ref_pivots
     assert d > 0 and [[F(x, d) for x in row] for row in red] == ref
+    assert _echelon(rows, reduced=False)[1] == ref_pivots
     assert rank(rows) == reference_rank(rows)
 
 

@@ -381,21 +381,24 @@ def test_integer_simplex_matches_the_fraction_tableau(problem):
 @given(matrices(), lp_problems())
 def test_every_division_of_the_pivot_is_exact(rows, problem):
     """The fraction-free step divides ``a * x - b * y`` by the common scale
-    d with no remainder: in echelon forms of matrices with negative pivots,
-    row swaps, zero rows and entries up to 10^9, and along the simplex."""
+    d with no remainder: in reduced and forward echelon forms of matrices
+    with negative pivots, row swaps, zero rows and entries up to 10^9, and
+    along the simplex."""
     step = linalg.pivot
 
-    def checked_pivot(work, r, c, d):
+    def checked_pivot(work, r, c, d, first=0):
         sign = 1 if work[r][c] > 0 else -1
         a, pr = sign * work[r][c], [sign * y for y in work[r]]
-        for i, row in enumerate(work):
+        for i in range(first, len(work)):
             if i != r:
+                row = work[i]
                 assert all((a * x - row[c] * y) % d == 0 for x, y in zip(row, pr))
-        return step(work, r, c, d)
+        return step(work, r, c, d, first)
 
     linalg.pivot = lp.pivot = checked_pivot
     try:
         linalg._echelon(rows)
+        linalg._echelon(rows, reduced=False)
         solve_lp(problem)
     finally:
         linalg.pivot = lp.pivot = step

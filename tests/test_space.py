@@ -527,6 +527,39 @@ class TestFromFunctionals:
         assert type(built.value.offender) is cls
         assert built.value.offender == constructed.value.offender
 
+    @pytest.mark.parametrize(
+        "build,kind",
+        [(PolyhedralSpace.from_functionals, "functional"),
+         (PolyhedralSpace.from_vertices, "vertex")],
+        ids=["functionals", "vertices"],
+    )
+    def test_a_row_of_the_wrong_length_is_named_in_the_builders_words(self, build, kind):
+        """The enumerator reads every row as a functional; a builder names
+        the rows by its own input."""
+        with pytest.raises(DimensionMismatchError) as err:
+            build([(1, 0), (-1, 0), (0, 1, 0)])
+        assert type(err.value) is DimensionMismatchError
+        assert str(err.value) == f"{kind} length does not match the dimension"
+
+    @settings(max_examples=25, deadline=None)
+    @given(symmetric_point_rows(), st.sampled_from(["functionals", "vertices"]))
+    def test_builder_output_is_what_the_constructor_makes_of_its_descriptions(self, rows, how):
+        """The builders hand the constructor instances made from their rows
+        as they are; the space equals, field by field, the one built from
+        its own descriptions through the coercing path, and every entry is
+        a Fraction."""
+        if how == "functionals":
+            space = PolyhedralSpace.from_functionals(rows)
+        else:
+            space = PolyhedralSpace.from_vertices(rows)
+        again = PolyhedralSpace([f.coeffs for f in space.hrep], [v.coords for v in space.vrep])
+        for field in ("hrep", "vrep", "facet_table", "facet_scale", "facet_index",
+                      "_rows", "_scale", "_points", "_point_scale"):
+            assert getattr(space, field) == getattr(again, field), field
+        assert all(type(f) is Functional for f in space.hrep)
+        assert all(type(v) is Vector for v in space.vrep)
+        assert all(type(c) is F for x in space.hrep + space.vrep for c in x._row)
+
     def test_symmetrize_flag(self):
         space = PolyhedralSpace.from_functionals(
             [functional(0, 1), functional(1, "1/2"), functional(1, "-1/2")],
@@ -681,8 +714,10 @@ class TestIds:
 
     @pytest.mark.parametrize(
         "v",
-        [vector(0, 0), vector(1, 1), vector(2, 0), vector(-2, 0), vector(9, 9), vector(1, 0, 0)],
-        ids=["origin", "non-member", "scaled", "below-all", "above-all", "wrong-dimension"],
+        [vector(0, 0), vector(1, 1), vector(2, 0), vector(-2, 0), vector(9, 9), vector(1, 0, 0),
+         vector("1/3", 0), vector("1/4", 1), functional(1, 0)],
+        ids=["origin", "non-member", "scaled", "below-all", "above-all", "wrong-dimension",
+             "thirds", "quarters", "functional"],
     )
     def test_vertex_lookup_of_a_non_member_raises(self, hexagon, v):
         with pytest.raises(GeometryError) as err:
@@ -693,8 +728,9 @@ class TestIds:
     @pytest.mark.parametrize(
         "f",
         [functional(1, 1), functional(0, 2), functional(-5, 0), functional(5, 0),
-         functional(0, 1, 0)],
-        ids=["non-member", "scaled", "below-all", "above-all", "wrong-dimension"],
+         functional(0, 1, 0), functional("1/3", 0), vector(0, 1)],
+        ids=["non-member", "scaled", "below-all", "above-all", "wrong-dimension", "thirds",
+             "vector"],
     )
     def test_functional_lookup_of_a_non_member_raises(self, hexagon, f):
         with pytest.raises(GeometryError) as err:
