@@ -56,7 +56,11 @@ rows they would list. The enumerator is the double description method on
 exact integers: rows and rays are integer vectors, each ray carries a
 bitmask of the rows tight at it, and two rays are adjacent by the
 combinatorial test of Fukuda & Prodon ("Double description method
-revisited", 1996), with no rank computation. The facet test is
+revisited", 1996), with no rank computation. The start box's masks are
+read from the signs of its rays, with no product: box row (r_i, -s) is
+tight at the ray for signs e exactly when e_i = +1, and (-r_i, -s)
+exactly when e_i = -1 (the sign rule, proved in
+:func:`enumerate_ball_vertices`). The facet test is
 combinatorial too: a row supports a facet iff the set of vertices where
 it equals one is nonempty and inclusion-maximal among the rows' sets.
 Vertices leave the enumerator as integer keys over one common scale, the
@@ -72,10 +76,16 @@ on integers. Each description is scaled to integer rows once, by
 :func:`polysphere.linalg.integer_rows`, over one positive common scale,
 which keeps equality and the lexicographic order: rows are deduplicated,
 sorted and checked for symmetry as int tuples, and Fractions are made only
-for the public ``hrep`` and ``vrep`` and for error payloads. A space keeps
-its facet functionals as integer rows ``_rows`` over ``_scale`` and its
-vertices as integer rows ``_points`` over the vertex scale
-``_point_scale``, and ``facet_scale`` is the product of the two. The rank
+for the public ``hrep`` and ``vrep`` and for error payloads. A builder
+scales its rows and the ball's vertices once, in the polar routine, and
+hands the constructor both sides on integer rows, sorted, over their least
+scales, with the kept rows' lines of the product table it filled for the
+facet test; the constructor then neither scales, sorts nor multiplies them
+out again. The enumerator still takes and returns Fractions, so it scales
+the builder's rows once more. A space keeps its facet functionals as
+integer rows ``_rows`` over ``_scale`` and its vertices as integer rows
+``_points`` over the vertex scale ``_point_scale``, and ``facet_scale``
+is the product of the two. The rank
 checks, the norm and the active facets of other points are read from the
 integer functional rows; facet barycenters, the seeded facet points of
 :mod:`polysphere.sampling`, and the images and linear extensions of
@@ -99,7 +109,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .errors import (
@@ -285,11 +295,15 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
     on it. Two rays on opposite sides of a new row are adjacent, and so
     combine into a new ray, iff their common mask has at least ``dim - 1``
     bits and no third ray's mask contains it: the combinatorial test of
-    Fukuda & Prodon, "Double description method revisited" (1996). Every
-    surviving ray has last entry t > 0 and stands for the vertex ray / t;
-    the rays are scaled to the least common multiple L of their t's, and
-    those integer keys are deduplicated and sorted before the Fractions
-    key / L are built.
+    Fukuda & Prodon, "Double description method revisited" (1996). The
+    start box needs no product for its masks. Sign rule: the box ray for
+    signs e has base * ray = s * scale * e and last entry ``scale``, so box
+    row (r_i, -s) is s * scale * (e_i - 1) on it, zero exactly when
+    e_i = +1, and (-r_i, -s) is zero exactly when e_i = -1; its mask is
+    the sum of 1 << (2i + (e_i < 0)). Every surviving ray has last entry
+    t > 0 and stands for the vertex ray / t; the rays are scaled to the
+    least common multiple L of their t's, and those integer keys are
+    deduplicated and sorted before the Fractions key / L are built.
     """
     given = [
         tuple(f.coeffs) if isinstance(f, Functional) else tuple(as_fraction(c) for c in f)
@@ -322,22 +336,22 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
     base_inv, scale = linalg.invert(base)
 
     hom = {r: r + (-s,) for r in rows}
-    box = [hom[signed] for r in base for signed in (r, _neg(r))]
     consumed = set(base) | {_neg(r) for r in base}
 
     # Initial cone: |f(x)| <= t over the basis rows, a combinatorial box
     # whose extreme rays are the solutions of (basis) x = signs at t = 1.
     # The integer basis is s times the functionals', so its inverse
     # base_inv / scale is theirs over s, and each ray is scaled by ``scale``.
+    # Box rows 2i and 2i + 1 are (r_i, -s) and (-r_i, -s); the sign rule
+    # (see the docstring) gives each ray's mask from its signs.
     rays: list[tuple[int, ...]] = []
     masks: list[int] = []
     for signs in itertools.product((1, -1), repeat=dim):
-        ray = tuple(s * sum(map(mul, row, signs)) for row in base_inv) + (scale,)
-        rays.append(ray)
-        masks.append(sum(1 << i for i, a in enumerate(box) if sum(map(mul, a, ray)) == 0))
+        rays.append(tuple(s * sum(map(mul, row, signs)) for row in base_inv) + (scale,))
+        masks.append(sum(1 << (2 * i + (c < 0)) for i, c in enumerate(signs)))
 
     need = dim - 1  # homogenised dimension minus two
-    for bit, f in enumerate((r for r in rows if r not in consumed), start=len(box)):
+    for bit, f in enumerate((r for r in rows if r not in consumed), start=2 * dim):
         a = hom[f]
         flag = 1 << bit
         vals = [sum(map(mul, a, ray)) for ray in rays]
@@ -369,8 +383,27 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
     return tuple(tuple(Fraction(c, lcm) for c in key) for key in sorted(keys))
 
 
-def _polar_pair(rows: Sequence, dim: int, symmetrize: bool):
-    """The rows that support a facet of {x : r(x) <= 1}, and that ball's vertices.
+class _Side(NamedTuple):
+    """One description as a builder hands it to the constructor: the items
+    in canonical order, their sorted integer rows over the one least
+    positive ``scale``, and on the kept rows' side each row's line of the
+    product table with the other side's integer rows (None on the other)."""
+
+    items: tuple
+    rows: list
+    scale: int
+    lines: tuple | None = None
+
+
+def _lines(rows: Sequence, others: Sequence) -> tuple[tuple[int, ...], ...]:
+    """The product table's lines: each integer row of ``rows`` dotted with
+    every integer row of ``others``."""
+    return tuple(tuple(sum(map(mul, r, o)) for o in others) for r in rows)
+
+
+def _polar_pair(rows: Sequence, dim: int, symmetrize: bool) -> tuple[_Side, _Side]:
+    """The rows that support a facet of {x : r(x) <= 1}, and that ball's
+    vertices, as two descriptions whose items are Fraction rows.
 
     Zero rows are dropped, and the rows are closed under negation when
     ``symmetrize`` is set; both are done on the rows scaled to integers.
@@ -391,6 +424,17 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool):
     so two kept rows never share a mask: the kept rows are the facet
     functionals, once each. This is the face-lattice reasoning of Fukuda &
     Prodon's double description, and it needs no rank computation.
+
+    The masks are read from the product table of the integer rows and
+    vertices, and the kept rows' lines of it are handed on. The rows are
+    scaled by s, the least common multiple of all their denominators; a
+    dropped row may have had a denominator the kept rows lack, so the kept
+    rows and their lines are divided by g = gcd(s, their entries). That
+    leaves them over s / g, their own least common denominator L. Proof:
+    s = m L, so g = m gcd(L, the entries L r), and that gcd is one: if a
+    prime p divided L, some entry r = n / q with q carrying p's full power
+    in L has L r = n (L / q), and p divides neither factor. The vertices
+    leave the enumerator sorted, so their integer rows are sorted too.
     """
     ints, s = linalg.integer_rows(rows)
     frac = {k: r for k, r in zip(ints, rows) if any(k)}
@@ -399,11 +443,19 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool):
     keys = sorted(frac)
     points = enumerate_ball_vertices([Functional._of(frac[k]) for k in keys], dim)
     pts, e = linalg.integer_rows(points)
+    lines = _lines(keys, pts)
     tight = s * e
-    masks = [sum(1 << j for j, p in enumerate(pts) if sum(map(mul, k, p)) == tight) for k in keys]
+    masks = [sum(1 << j for j, value in enumerate(line) if value == tight) for line in lines]
     distinct = set(masks)
     maximal = {m for m in distinct if m and not any(m != o and m & o == m for o in distinct)}
-    return [frac[k] for k, m in zip(keys, masks) if m in maximal], points
+    kept = [i for i, m in enumerate(masks) if m in maximal]
+    kept_ints, lines = [keys[i] for i in kept], tuple(lines[i] for i in kept)
+    g = math.gcd(s, *itertools.chain.from_iterable(kept_ints))
+    if g > 1:
+        kept_ints = [tuple(c // g for c in k) for k in kept_ints]
+        lines = tuple(tuple(value // g for value in line) for line in lines)
+    kept_side = _Side(tuple(frac[keys[i]] for i in kept), kept_ints, s // g, lines)
+    return kept_side, _Side(points, pts, e)
 
 
 def _coerce(items, cls) -> list:
@@ -414,19 +466,33 @@ def _lacks_negation(kind: str, item) -> AsymmetricInputError:
     return AsymmetricInputError(f"{kind} {item} lacks its negation", offender=item)
 
 
-def _canonical(items: list, kind: str) -> tuple[list, int, tuple]:
-    """One description on integer rows: the sorted distinct rows, their one
-    positive scale, and the items in that order. Raises on the first item,
-    in sorted order, whose row's negation is not among the rows."""
-    # One positive scale keeps equality and the lexicographic order, so the
-    # rows are deduplicated and sorted as ints, in the order of the Fractions.
-    ints, scale = linalg.integer_rows(x._row for x in items)
-    by_row = dict(zip(ints, items))
-    rows = sorted(by_row)
-    for r in rows:
-        if _neg(r) not in by_row:
-            raise _lacks_negation(kind, by_row[r])
-    return rows, scale, tuple(by_row[r] for r in rows)
+def _canonical(items, kind: str) -> _Side:
+    """One description on integer rows: the items in canonical order, their
+    sorted distinct integer rows and the rows' one positive scale. Raises on
+    the first item, in sorted order, whose row's negation is not among the
+    rows.
+
+    A builder's :class:`_Side` has its rows sorted and scaled already, and
+    is only checked to be strictly increasing, in one pass; a list of
+    instances is scaled to integer rows and sorted here.
+    """
+    if type(items) is _Side:
+        side = items
+        if any(a >= b for a, b in zip(side.rows, side.rows[1:])):
+            raise GeometryError(f"internal: the {kind} rows are not strictly increasing")
+    else:
+        # One positive scale keeps equality and the lexicographic order, so
+        # the rows are deduplicated and sorted as ints, in the order of the
+        # Fractions.
+        ints, scale = linalg.integer_rows(x._row for x in items)
+        by_row = dict(zip(ints, items))
+        rows = sorted(by_row)
+        side = _Side(tuple(by_row[r] for r in rows), rows, scale)
+    present = set(side.rows)
+    for r, x in zip(side.rows, side.items):
+        if _neg(r) not in present:
+            raise _lacks_negation(kind, x)
+    return side
 
 
 def _check_norms(items: tuple, lines, d: int, message: str):
@@ -457,11 +523,13 @@ def _polar_build(items: Sequence, cls, polar_cls, kind: str, kinds: str, symmetr
     """The body of both builders: ``items`` as rows of :func:`_polar_pair`.
 
     Returns the kept items, of type ``cls``, and the ball's vertices, of
-    type ``polar_cls``, both made from their Fraction rows as they are, so
-    the constructor takes them without coercing an entry. The enumerator
-    raises asymmetry on the first sorted row, the constructor's order, and
-    a row of the wrong length; both errors are raised in the words of
-    ``kind``, asymmetry as the constructor's.
+    type ``polar_cls``, as the two :class:`_Side` descriptions the
+    constructor takes: instances made from their Fraction rows as they
+    are, with their integer rows, scales and the kept rows' lines of the
+    product table. The enumerator raises asymmetry on the first sorted
+    row, the constructor's order, and a row of the wrong length; both
+    errors are raised in the words of ``kind``, asymmetry as the
+    constructor's.
     """
     items = _coerce(items, cls)
     if not items:
@@ -472,7 +540,8 @@ def _polar_build(items: Sequence, cls, polar_cls, kind: str, kinds: str, symmetr
         raise _lacks_negation(kind, cls(err.offender)) from err
     except DimensionMismatchError as err:
         raise DimensionMismatchError(f"{kind} length does not match the dimension") from err
-    return [cls._of(row) for row in kept], [polar_cls._of(row) for row in points]
+    return (kept._replace(items=tuple(map(cls._of, kept.items))),
+            points._replace(items=tuple(map(polar_cls._of, points.items))))
 
 
 def _find(rows: list, scale: int, cls, x: _Coordinates, message: str) -> int:
@@ -499,20 +568,25 @@ def _find(rows: list, scale: int, cls, x: _Coordinates, message: str) -> int:
 class PolyhedralSpace:
     """A finite-dimensional normed space whose unit ball is a symmetric polytope.
 
-    The constructor scales each description to integer rows once, over one
-    positive scale per description, and does all its work on them: it
-    deduplicates and sorts the rows, checks that each has its negation,
-    fills ``facet_table`` and runs every check. Each check raises on the
-    first offender in canonical order: asymmetry, then the norm of each
-    vertex and the dual norm of each functional, then the rank of each
-    facet's vertices and of each vertex's active functionals. The norm and
-    rank checks are one pair of checks, run on the table for the vertices
-    and on its transpose for the functionals (see the module docstring).
-    The builders hand their output over as built, as instances made from
-    its Fraction rows with no entry coerced, and it passes the same checks
-    as any other input. Once the descriptions are symmetric, the antipode
-    of id i is N - 1 - i (see the module docstring), so the constructor
-    builds no table of antipodes or ids.
+    The constructor works on each description as integer rows over one
+    positive scale per description. Given coordinates, as in direct
+    construction and the catalog, it scales each description to integer
+    rows once and deduplicates and sorts them, then fills ``facet_table``.
+    The builders hand their output over as built instead: one private
+    description per side, holding instances made from its Fraction rows
+    with no entry coerced, their sorted integer rows, their least scale
+    and, on the kept rows' side, their lines of the product table. The
+    constructor skips the scaling, the sort and the table for them, and
+    only checks, in one pass, that the rows are strictly increasing.
+
+    Every check runs on both paths and raises on the first offender in
+    canonical order: asymmetry, then the norm of each vertex and the dual
+    norm of each functional, then the rank of each facet's vertices and of
+    each vertex's active functionals. The norm and rank checks are one
+    pair of checks, run on the table for the vertices and on its transpose
+    for the functionals (see the module docstring). Once the descriptions
+    are symmetric, the antipode of id i is N - 1 - i (see the module
+    docstring), so the constructor builds no table of antipodes or ids.
 
     Attributes:
         dim: ambient dimension.
@@ -532,19 +606,26 @@ class PolyhedralSpace:
     )
 
     def __init__(self, hrep: Sequence, vrep: Sequence, name: str | None = None):
-        fs, vs = _coerce(hrep, Functional), _coerce(vrep, Vector)
-        if not fs or not vs:
-            raise GeometryError("need at least one functional and one vertex")
-        dim = fs[0].dim
-        if any(f.dim != dim for f in fs) or any(v.dim != dim for v in vs):
-            raise DimensionMismatchError("mixed dimensions in the descriptions")
-        self.dim = dim
+        if type(hrep) is not _Side:
+            hrep, vrep = _coerce(hrep, Functional), _coerce(vrep, Vector)
+            if not hrep or not vrep:
+                raise GeometryError("need at least one functional and one vertex")
+            dim = hrep[0].dim
+            if any(f.dim != dim for f in hrep) or any(v.dim != dim for v in vrep):
+                raise DimensionMismatchError("mixed dimensions in the descriptions")
+        h, v = _canonical(hrep, "functional"), _canonical(vrep, "vertex")
+        self.dim = dim = len(h.rows[0])
         self.name = name
-        self._rows, self._scale, self.hrep = _canonical(fs, "functional")
-        self._points, self._point_scale, self.vrep = _canonical(vs, "vertex")
-        d = self._scale * self._point_scale
-        table = tuple(tuple(sum(map(mul, r, p)) for r in self._rows) for p in self._points)
-        columns = tuple(zip(*table))
+        self._rows, self._scale, self.hrep = h.rows, h.scale, h.items
+        self._points, self._point_scale, self.vrep = v.rows, v.scale, v.items
+        d = h.scale * v.scale
+        if v.lines is not None:
+            table = v.lines
+        elif h.lines is not None:
+            table = tuple(zip(*h.lines))
+        else:
+            table = _lines(v.rows, h.rows)
+        columns = h.lines if h.lines is not None else tuple(zip(*table))
         self.facet_table, self.facet_scale = table, d
         _check_norms(self.vrep, table, d, "listed vertex {} does not have norm one")
         _check_norms(self.hrep, columns, d, "functional {} does not have dual norm one")

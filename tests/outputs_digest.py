@@ -1,0 +1,98 @@
+"""Print one sha256 over the spaces the package builds, to check that a
+change keeps every built space, and every construction error, byte-identical.
+
+    python tests/outputs_digest.py
+
+The outcomes, in a fixed order, are each a space's fields or an error's
+type and message:
+
+- every catalog leaf, and every binary ℓ1 and ℓ∞ sum of two leaves;
+- seeded ``random.Random(7)`` point sets in dims 2 to 4, through both
+  builders, as drawn and closed under negation, with and without
+  ``symmetrize``;
+- each space those builders return, passed to the raw constructor with
+  its descriptions shuffled, and again without its last vertex pair.
+
+Compare the printed digest before and after a change. The file is not a
+test module, so pytest does not collect it.
+"""
+
+import hashlib
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from polysphere import PolyhedralSpace, catalog  # noqa: E402
+
+FIELDS = ("dim", "name", "facet_index", "facet_table", "facet_scale",
+          "_rows", "_scale", "_points", "_point_scale")
+LEAVES = ["hex"] + [f"{kind}:{n}" for kind in ("l1", "linf") for n in range(1, 7)]
+
+
+def outcome(build) -> str:
+    try:
+        space = build()
+    except Exception as err:  # every error is an outcome to compare
+        return f"{type(err).__name__}: {err}"
+    rows = {field: getattr(space, field) for field in FIELDS}
+    rows["hrep"] = [(type(f).__name__, f._row) for f in space.hrep]
+    rows["vrep"] = [(type(v).__name__, v._row) for v in space.vrep]
+    return repr(sorted(rows.items()))
+
+
+def random_points(rng: random.Random, dim: int) -> list[tuple[Fraction, ...]]:
+    """A few rational points, with a repeat, a zero row, a scaled copy and
+    a midpoint among them, so that builders meet redundant rows."""
+    def coord():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5, 7)))
+
+    points = [tuple(coord() for _ in range(dim)) for _ in range(rng.randint(dim, dim + 3))]
+    a, b = rng.choice(points), rng.choice(points)
+    points += [a, (Fraction(0),) * dim, tuple(c / 3 for c in a)]
+    points.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+    rng.shuffle(points)
+    return points
+
+
+def outcomes():
+    for name in LEAVES:
+        yield outcome(lambda: catalog.resolve(name))
+    for a in LEAVES:
+        for b in LEAVES:
+            for kind in ("l1sum", "linfsum"):
+                yield outcome(lambda: catalog.resolve(f"{kind}({a},{b})"))
+    rng = random.Random(7)
+    builders = (PolyhedralSpace.from_functionals, PolyhedralSpace.from_vertices)
+    for dim in (2, 3, 4):
+        for _ in range(12):
+            points = random_points(rng, dim)
+            closed = points + [tuple(-c for c in p) for p in points]
+            for build in builders:
+                for rows in (points, closed):
+                    for symmetrize in (False, True):
+                        yield outcome(lambda: build(rows, name="r", symmetrize=symmetrize))
+                try:
+                    space = build(closed)
+                except Exception:
+                    continue
+                hrep, vrep = list(space.hrep), list(space.vrep)
+                rng.shuffle(hrep)
+                rng.shuffle(vrep)
+                yield outcome(lambda: PolyhedralSpace(hrep, vrep))
+                yield outcome(lambda: PolyhedralSpace(space.hrep, space.vrep[1:-1]))
+
+
+def main():
+    digest = hashlib.sha256()
+    count = 0
+    for line in outcomes():
+        digest.update(line.encode() + b"\n")
+        count += 1
+    print(f"{digest.hexdigest()}  {count} outcomes")
+
+
+if __name__ == "__main__":
+    main()

@@ -560,6 +560,47 @@ class TestFromFunctionals:
         assert all(type(v) is Vector for v in space.vrep)
         assert all(type(c) is F for x in space.hrep + space.vrep for c in x._row)
 
+    @pytest.mark.parametrize(
+        "build,rows",
+        [(PolyhedralSpace.from_functionals, [(1, 0), (0, 1), ("1/3", "1/5")]),
+         (PolyhedralSpace.from_vertices, [(1, 0), (0, 1), ("1/7", 0)])],
+        ids=["functionals", "vertices"],
+    )
+    def test_scales_stay_minimal_when_a_dropped_row_had_the_only_denominator(self, build,
+                                                                             rows):
+        """The redundant row is the only one with a denominator, so the rows
+        handed over must be reduced to the kept rows' own scale."""
+        space = build(rows + [tuple(-as_fraction(c) for c in r) for r in rows])
+        again = PolyhedralSpace(space.hrep, space.vrep)
+        for field in ("_scale", "_point_scale", "facet_scale", "facet_table"):
+            assert getattr(space, field) == getattr(again, field), field
+        assert space.facet_scale == 1
+
+    @pytest.mark.parametrize(
+        "build,rows",
+        [(PolyhedralSpace.from_functionals, lambda: l1_space(4).hrep),
+         (PolyhedralSpace.from_vertices, lambda: linf_space(4).vrep)],
+        ids=["functionals", "vertices"],
+    )
+    def test_a_build_scales_each_side_once_and_multiplies_out_one_table(self, build, rows,
+                                                                         monkeypatch):
+        """The rows are scaled by the builder and again by the enumerator,
+        which takes Fractions, and the vertices once; the product table is
+        filled once, and the constructor reads it from the hand-off."""
+        calls = {"integer_rows": 0, "table": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        rows = rows()
+        monkeypatch.setattr(linalg, "integer_rows", counted("integer_rows", linalg.integer_rows))
+        monkeypatch.setattr(space_module, "_lines", counted("table", space_module._lines))
+        build(rows)
+        assert calls == {"integer_rows": 3, "table": 1}
+
     def test_symmetrize_flag(self):
         space = PolyhedralSpace.from_functionals(
             [functional(0, 1), functional(1, "1/2"), functional(1, "-1/2")],
@@ -606,11 +647,19 @@ class TestEnumeration:
     def test_incidence_facet_test_matches_the_rank_reference(self, rows, symmetrize):
         """The kept rows are those whose tight vertices are inclusion-maximal.
         Midpoints and interior points among the rows touch lower-dimensional
-        faces or nothing, and must be dropped as the rank test drops them."""
+        faces or nothing, and must be dropped as the rank test drops them.
+        Each side's integer rows and scale are those ``integer_rows`` makes
+        of its Fraction rows alone, and the kept rows' lines are their
+        products with the vertices' integer rows."""
 
         def polar_pair(rows, dim, symmetrize):
             kept, points = space_module._polar_pair(rows, dim, symmetrize)
-            return sorted(kept), points
+            for side in (kept, points):
+                assert (side.rows, side.scale) == linalg.integer_rows(side.items)
+            assert kept.lines == tuple(
+                tuple(linalg.dot(k, p) for p in points.rows) for k in kept.rows
+            )
+            return sorted(kept.items), points.items
 
         dim = len(rows[0])
         expected = outcome(lambda r, d: reference_polar_pair(r, d, symmetrize), rows, dim)
@@ -800,6 +849,19 @@ class TestInvariants:
         assert type(err.value) is error
         assert str(err.value) == message
         assert getattr(err.value, "offender", None) == offender
+
+    def test_a_handed_over_description_is_checked(self):
+        """Builder output skips the scaling and the sort, not the checks: rows
+        out of order, and a description without a negation, are refused."""
+        kept, points = space_module._polar_build(
+            linf_space(2).hrep, Functional, Vector, "functional", "functionals", False
+        )
+        assert PolyhedralSpace(kept, points) == linf_space(2)
+        with pytest.raises(GeometryError, match="internal: the functional rows are not strictly"):
+            PolyhedralSpace(kept._replace(rows=kept.rows[::-1]), points)
+        odd = points._replace(items=points.items[:-1], rows=points.rows[:-1])
+        with pytest.raises(AsymmetricInputError, match=r"vertex \(-1, -1\) lacks its negation"):
+            PolyhedralSpace(kept, odd)
 
     @pytest.mark.parametrize("name", ["hex", "l1:3", "linf:3", "l1sum(hex,l1:1)"])
     def test_rank_checks_test_one_member_of_each_antipodal_pair(self, name, monkeypatch):
