@@ -23,6 +23,13 @@ tolerances. Both tests read the space's own tables: ``facet_table`` over
 ``facet_scale`` for facet values, ``facet_index`` for each facet F and
 for -F, its ``neg_functional_id``. CL gives F and -F one verdict.
 
+A distance d(x, F) is read from integers (:func:`distance_to_hull`): the
+facet values at x, and the ``facet_table`` rows of F's vertices. They give
+a lower bound from the facet functionals and each vertex's exact distance;
+the first vertex that meets the bound is a nearest point, and only when
+none does is the distance LP solved. Whichever path found it, a nearest
+point y is returned only after one exact check, norm(x - y) == d(x, F).
+
 (iii) is decided once per antipodal pair of vertices, by the mirror
 rule: the record of (-v, F) is that of (v, F) with the witnesses negated
 and swapped, (value, -y-, -y+). Proof: y -> -y maps -F onto F and keeps
@@ -129,26 +136,36 @@ def in_convex_hull(x: Vector, points: list[Vector]) -> tuple[Fraction, ...] | No
     return sol.point
 
 
-def distance_to_hull(space: PolyhedralSpace, x: Vector, points: list[Vector]) -> tuple[Fraction, Vector]:
-    """Exact minimum of norm(x - y) over the hull of ``points``, with a minimiser.
+def distance_to_hull(space: PolyhedralSpace, x: Vector, fid: int) -> tuple[Fraction, Vector]:
+    """Exact minimum of norm(x - y) over the facet ``fid``, with a minimiser y.
 
-    Witness first, LP as fallback. Every facet functional f has dual norm
-    one, so on the hull norm(x - y) >= f(y) - f(x) >= min_p f(p) - f(x);
-    the best of these bounds (and zero) is a lower bound on the distance.
-    The bound is computed in one pass on integers: the space's integer
-    facet rows at x and at the points, all over one denominator. The
-    first of ``points`` whose distance to x meets that bound is a
-    minimiser, certified by exact norm evaluation. Only when no point does
-    is the distance LP solved.
+    Read from the integer tables first, LP as fallback. Let X be the facet
+    values at x over d (one ``_values_at``), and R[p] the ``facet_table``
+    row of the facet's vertex p over s = ``facet_scale``. Every facet
+    functional g has dual norm one, so on the facet norm(x - y) >= g(y) -
+    g(x) >= min_p g(p) - g(x), and the distance is at least
+    L = max(0, max_g (min_p R[p][g] d - X[g] s)) / (s d). A vertex p is at
+    distance max_g (X[g] s - R[p][g] d) / (s d) from x, so the first facet
+    vertex, in ``facet_index`` order, whose distance equals L is a
+    minimiser. Only when no vertex meets the bound is the distance LP
+    solved. Either minimiser is certified by one exact norm evaluation,
+    norm(x - y) == value, which needs neither the bound nor the solver.
     """
-    if not points:
-        raise GeometryError("distance to the hull of no points")
-    (at_x, *at_points), d = space._values_at([x, *points])
-    lower = Fraction(max(0, *(min(col) - v for col, v in zip(zip(*at_points), at_x))), d)
-    for p in points:
-        if space.norm(x - p) == lower:
-            return lower, p
-    return _distance_lp(space, x, points)
+    _check_facet_id(space, fid)
+    (at_x,), d = space._values_at([x])
+    s, ids = space.facet_scale, space.facet_index[fid]
+    rows = [space.facet_table[j] for j in ids]
+    at_x = [v * s for v in at_x]
+    bound = max(0, *(min(col) * d - v for col, v in zip(zip(*rows), at_x)))
+    met = (j for j, row in zip(ids, rows) if max(v - r * d for v, r in zip(at_x, row)) == bound)
+    j = next(met, None)
+    if j is None:
+        value, y = _distance_lp(space, x, [space.vrep[i] for i in ids])
+    else:
+        value, y = Fraction(bound, s * d), space.vrep[j]
+    if space.norm(x - y) != value:
+        raise GeometryError("distance minimiser fails its norm certificate; this is a bug")
+    return value, y
 
 
 def _distance_lp(space: PolyhedralSpace, x: Vector, points: list[Vector]) -> tuple[Fraction, Vector]:
@@ -241,33 +258,20 @@ def _two_sided(
     arithmetic: x is its own nearest point on its facet, and -x lies on the
     opposite facet at distance two, which the facet functional shows that
     no point of that facet beats, so the value is two. Otherwise each side
-    is :func:`distance_to_hull` over the facet's vertices.
+    is :func:`distance_to_hull` of F or of -F, which reads the bound and
+    the facet vertices' distances from the integer tables and certifies its
+    nearest point by one norm; the negated witnesses are -y+ and -y-.
     """
     if value == d:
         return TWO, (x, antipode), (antipode, x)
     if value == -d:
         return TWO, (antipode, x), (x, antipode)
-    d_plus, plus = _hull_side(space, x, fid)
-    d_minus, minus = _hull_side(space, x, len(space.hrep) - 1 - fid)
+    d_plus, plus = distance_to_hull(space, x, fid)
+    d_minus, minus = distance_to_hull(space, x, len(space.hrep) - 1 - fid)
     total = d_plus + d_minus
     if total < 2:
         raise GeometryError("two-sided distance fell below two; this is a bug")
-    return total, plus, minus
-
-
-def _hull_side(space: PolyhedralSpace, x: Vector, fid: int) -> tuple[Fraction, tuple[Vector, Vector]]:
-    """d(x, F) for the facet F of ``fid``, with (y, -y) for a nearest point y.
-
-    When y is one of F's vertices, -y is read by position, the vertex
-    N - 1 - j; only a minimiser of the distance LP is negated coordinatewise.
-    """
-    ids = space.facet_index[fid]
-    pts = [space.vrep[j] for j in ids]
-    dist, y = distance_to_hull(space, x, pts)
-    n = len(space.vrep)
-    # distance_to_hull returns the vertex object itself when one meets the bound.
-    neg = next((space.vrep[n - 1 - j] for j, p in zip(ids, pts) if p is y), None)
-    return dist, (y, -y if neg is None else neg)
+    return total, (plus, -plus), (minus, -minus)
 
 
 def check_t_property(space: PolyhedralSpace) -> TPropertyReport:
@@ -286,9 +290,11 @@ def check_t_property(space: PolyhedralSpace) -> TPropertyReport:
     of (v, F) and (v, -F) from one evaluation of the two sides. The record
     of -v, the vertex N - 1 - j, is mirrored from v's for the same facet:
     same value, witnesses (-y-, -y+), because d(-v, F) = d(v, -F). The
-    table settles a vertex on F or -F, a facet vertex that meets the
-    facet-functional bound settles a side of the rest, and the distance LP
-    runs only when none does. The violation is an evaluated record: a
+    table settles a vertex on F or -F. For the rest, each side is read from
+    the integer tables: a facet vertex whose distance, a ``facet_table``
+    row against v's, meets the facet-functional bound settles it, and the
+    distance LP runs only when none does. Each nearest point is certified
+    by one exact norm. The violation is an evaluated record: a
     mirrored record has the value of v's record for the same facet, which
     comes first. The proofs are in the module docstring.
     """

@@ -1,10 +1,13 @@
-"""Print one sha256 over the spaces the package builds, to check that a
-change keeps every built space, and every construction error, byte-identical.
+"""Print one sha256 over the spaces the package builds and their CL and T
+reports, to check that a change keeps every built space, every verdict with
+its witnesses, and every construction error, byte-identical.
 
     python tests/outputs_digest.py
 
-The outcomes, in a fixed order, are each a space's fields or an error's
-type and message:
+The outcomes, in a fixed order, are each a space's fields with the reprs
+of its ``check_cl`` and ``check_t_property`` reports, or an error's type
+and message. The random polytopes reach the T-property's distance LP
+fallback, so its witnesses are covered too. The outcomes are:
 
 - every catalog leaf, and every binary ℓ1 and ℓ∞ sum of two leaves;
 - seeded ``random.Random(7)`` point sets in dims 2 to 4, through both
@@ -25,7 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from polysphere import PolyhedralSpace, catalog  # noqa: E402
+from polysphere import PolyhedralSpace, catalog, check_cl, check_t_property  # noqa: E402
 
 FIELDS = ("dim", "name", "facet_index", "facet_table", "facet_scale",
           "_rows", "_scale", "_points", "_point_scale")
@@ -40,7 +43,8 @@ def outcome(build) -> str:
     rows = {field: getattr(space, field) for field in FIELDS}
     rows["hrep"] = [(type(f).__name__, f._row) for f in space.hrep]
     rows["vrep"] = [(type(v).__name__, v._row) for v in space.vrep]
-    return repr(sorted(rows.items()))
+    reports = (check_cl(space), check_t_property(space))
+    return "\n".join(map(repr, (sorted(rows.items()), *reports)))
 
 
 def random_points(rng: random.Random, dim: int) -> list[tuple[Fraction, ...]]:

@@ -309,19 +309,45 @@ class TestWitnessFirstDistance:
     def test_lp_runs_when_no_vertex_meets_the_bound(self, lp_calls):
         space = l1_space(3)
         x = vector(F(-1, 3), F(-1, 3), F(-1, 3))
-        value, (w, neg_w) = properties._hull_side(space, x, 1)
+        value, w = properties.distance_to_hull(space, x, 1)
         assert len(lp_calls) == 1
         assert value == F(2, 3)
         assert space.norm(x - w) == value
-        assert neg_w == -w
 
     def test_point_in_hull_is_its_own_witness(self, hexagon):
-        top = [v for v in hexagon.vrep if v.coords[1] == 1]
-        assert properties.distance_to_hull(hexagon, top[0], top) == (0, top[0])
+        top = facet_of(hexagon, (0, 1))
+        first = facet_vertices(hexagon, top)[0]
+        assert properties.distance_to_hull(hexagon, first, top) == (0, first)
 
-    def test_empty_hull_rejected(self, hexagon):
-        with pytest.raises(GeometryError):
-            properties.distance_to_hull(hexagon, vector(0, 1), [])
+    def test_facet_id_out_of_range_rejected(self, hexagon):
+        for fid in (-1, len(hexagon.hrep)):
+            with pytest.raises(GeometryError):
+                properties.distance_to_hull(hexagon, vector(0, 1), fid)
+
+    def test_minimiser_failing_its_norm_certificate_raises(self, monkeypatch):
+        """The LP's minimiser is checked by an exact norm, not trusted: a
+        point of the facet that is not nearest to x is refused."""
+        space = l1_space(3)
+        x = vector(F(-1, 3), F(-1, 3), F(-1, 3))
+        far = facet_vertices(space, 1)[0]
+        monkeypatch.setattr(properties, "_distance_lp", lambda *args: (F(2, 3), far))
+        assert space.norm(x - far) != F(2, 3)
+        with pytest.raises(GeometryError, match="certificate"):
+            properties.distance_to_hull(space, x, 1)
+
+    @pytest.mark.parametrize(
+        "name", ["hex", "l1:3", "linf:3", "l1sum(hex,l1:1)", "linfsum(hex,linf:1)"]
+    )
+    def test_witness_is_the_first_facet_vertex_at_the_distance(self, name):
+        """Ties go to ``facet_index`` order: when a facet vertex is a nearest
+        point, the witness is the first one, by exact norm."""
+        space = resolve(name)
+        for x in space.vrep:
+            for fid in range(len(space.hrep)):
+                value, y = properties.distance_to_hull(space, x, fid)
+                nearest = [p for p in facet_vertices(space, fid) if space.norm(x - p) == value]
+                if nearest:
+                    assert y == nearest[0]
 
     @pytest.mark.parametrize("name", ["l1:2", "l1:3", "l1:4", "linf:2", "linf:3", "linf:4", "hex"])
     def test_t_property_solves_no_lp(self, name, lp_calls):
@@ -335,8 +361,8 @@ class TestWitnessFirstDistance:
             ("hex", 6, 6),
             ("l1:3", 0, 0),
             ("linf:3", 0, 0),
-            ("l1sum(hex,l1:1)", 12, 16),
-            ("linfsum(hex,linf:1)", 12, 18),
+            ("l1sum(hex,l1:1)", 12, 12),
+            ("linfsum(hex,linf:1)", 12, 12),
         ],
     )
     def test_t_property_evaluates_no_functional(self, monkeypatch, name, hull_calls, norm_calls):
@@ -346,7 +372,8 @@ class TestWitnessFirstDistance:
         rows, so no Functional is called. A table entry of +-facet_scale
         settles its record with no distance_to_hull call, and only the
         vertices with ids below N/2 reach distance_to_hull, once per facet
-        off the table; the records of their negations are mirrored."""
+        off the table; the records of their negations are mirrored. Each
+        distance_to_hull call makes one norm call, its certificate."""
         space = resolve(name)
         calls = collections.Counter()
 
@@ -378,6 +405,17 @@ class TestWitnessFirstDistance:
         space = PolyhedralSpace.from_vertices(points, symmetrize=True)
         for v in space.vrep:
             for fid in range(len(space.hrep)):
+                assert_distance_matches_lp(space, v, fid)
+
+    @settings(max_examples=10, deadline=None)
+    @given(symmetric_builds([3]))
+    def test_equals_lp_on_random_symmetric_polytopes_in_dim_3(self, case):
+        """Random polygons never reach the LP fallback; dim-3 polytopes do.
+        Each facet id below M/2 checks its facet and the opposite one, so
+        every (vertex, facet) pair is checked."""
+        space = build_symmetric(case)
+        for v in space.vrep:
+            for fid in range(len(space.hrep) // 2):
                 assert_distance_matches_lp(space, v, fid)
 
 
@@ -437,7 +475,9 @@ class TestTProperty:
         n = len(space.vrep)
         assert {space.vertex_id(rec.vertex) < n // 2 for rec in off} == {True, False}
 
-    @pytest.mark.parametrize("name", ["hex", "l1:3", "linf:3", "l1sum(hex,l1:1)", "linfsum(hex,linf:1)"])
+    @pytest.mark.parametrize(
+        "name", ["hex", "l1:3", "linf:3", "l1sum(hex,l1:1)", "linfsum(hex,linf:1)"]
+    )
     def test_condition_iii_value_mirrors_under_negation(self, name):
         space = resolve(name)
         points = sphere_points(space, 4, seed=53) + [vector(*[F(-1, space.dim)] * space.dim)]
