@@ -62,7 +62,6 @@ from .space import (
     PolyhedralSpace,
     Vector,
     as_fraction,
-    enumerate_ball_vertices,
     functional,
     vector,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "cl_decomposition",
     "condition_iii_value",
     "distance_to_hull",
-    "enumerate_ball_vertices",
     "extend",
     "functional",
     "hexagon_space",

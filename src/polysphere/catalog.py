@@ -87,9 +87,12 @@ def hexagon_space() -> PolyhedralSpace:
     """The plane with norm max(|y|, |x| + |y|/2); the sphere is a hexagon.
 
     Its vertices (1, 0), (1/2, 1), (-1/2, 1) make it a linear image of the
-    regular hexagon. Conjecture, checked on a grid: among symmetric
-    hexagons only these images have the T-property (see
-    :mod:`polysphere.properties`), and none is CL.
+    regular hexagon, and it is not CL. With facet stars and "= 2" in
+    condition (iii), the reading that :mod:`polysphere.properties` decides,
+    it is a linear image of the one hexagon with the T-property among the
+    66 on that module's census grid. With vertex stars and "<= 2", every
+    grid hexagon has it, as measured; the two readings are stated in
+    :mod:`polysphere.properties`.
     """
     hrep = [(_ZERO, _ONE), (_ONE, _HALF), (_ONE, -_HALF)]
     vrep = [(_ONE, _ZERO), (_HALF, _ONE), (-_HALF, _ONE)]

@@ -45,11 +45,24 @@ vertex major, so the record of v comes before every mirrored record of
 one. :func:`condition_iii_value` applies the same rule to any sphere
 point, so its values and witnesses are those of the records.
 
-Which hexagons have the property is open here. Every symmetric hexagon
-is a linear image of one with vertices +-(1, 0), +-(a, b), +-(0, 1).
-Conjecture, checked on a grid: the T-property holds only for linear
-images of the regular hexagon, (a, b) = (1, 1), and no hexagon is CL.
-The grid is a and b in 1/4, 1/2, ..., 3, which gives 66 hexagons.
+Which hexagons have the property depends on how condition (iii) is read,
+and both readings are stated here. Every symmetric hexagon is a linear
+image of one with vertices +-(1, 0), +-(a, b), +-(0, 1); the census grid
+is a and b in 1/4, 1/2, ..., 3, which gives 66 hexagons, none of them CL.
+
+- Facet stars with "= 2", the reading this module decides: a family
+  point's star is one facet F, and d(x, F) + d(x, -F) = 2 at every sphere
+  point x. It gives T on 1 of the 66 grid hexagons, the linear image of
+  the regular hexagon, (a, b) = (1, 1).
+- Vertex stars St(v), the union of the facets through a vertex v, that is
+  the sphere points y with norm(v + y) = 2. Measured at 61 rational points
+  per edge, the two-sided value for St(v) has maximum exactly 2 on all 66
+  grid hexagons, and its minimum falls to 3/4, at (a, b) = (1/2, 3/4).
+  Only this reading, with "<= 2" in place of "= 2", gives the claim of
+  the paper's abstract that a plane space whose sphere is a hexagon has T.
+
+For a single facet the two conditions agree, since the value is always at
+least two. No option chooses the reading.
 """
 
 from dataclasses import dataclass

@@ -51,25 +51,24 @@ which guarantee the two descriptions are polar to each other; the catalog
 lists both descriptions from closed forms (see :mod:`polysphere.catalog`).
 One function, :func:`check_caps`, applies the two caps, ``MAX_ENUM_DIM``
 on the dimension and ``MAX_FACETS`` on the number of distinct nonzero
-rows; the enumerator calls it on its rows, and the catalog's sums on the
-rows they would list. The enumerator is the double description method on
-exact integers: rows and rays are integer vectors, each ray carries a
-bitmask of the rows tight at it, and two rays are adjacent by the
-combinatorial test of Fukuda & Prodon ("Double description method
-revisited", 1996), with no rank computation. The start box's masks are
-read from the signs of its rays, with no product: box row (r_i, -s) is
-tight at the ray for signs e exactly when e_i = +1, and (-r_i, -s)
-exactly when e_i = -1 (the sign rule, proved in
-:func:`enumerate_ball_vertices`). The facet test is
-combinatorial too: a row supports a facet iff the set of vertices where
-it equals one is nonempty and inclusion-maximal among the rows' sets.
-Vertices leave the enumerator as integer keys over one common scale, the
-least common multiple of the rays' last entries; they are deduplicated
-and sorted as ints, and each vertex's Fraction tuple is built once, from
-its key. The raw constructor validates the structural invariants it can
-check cheaply (symmetry, unit norms, and facet and vertex ranks, tested
-on one member of each antipodal pair); full re-enumeration is available as
-:meth:`PolyhedralSpace.verify_mutual_polarity`.
+rows; :func:`_polar_pair` calls it on a builder's rows, and the catalog's
+sums on the rows they would list. The enumerator is the double
+description method on exact integers: rows and rays are integer vectors,
+each ray carries a bitmask of the rows tight at it, and two rays are
+adjacent by the combinatorial test of Fukuda & Prodon ("Double
+description method revisited", 1996), with no rank computation. The
+start box's masks are read from the signs of its rays, with no product:
+box row (r_i, -s) is tight at the ray for signs e exactly when e_i = +1,
+and (-r_i, -s) exactly when e_i = -1 (the sign rule, proved in
+:func:`enumerate_ball_vertices`). The facet test is combinatorial too: a
+row supports a facet iff the set of vertices where it equals one is
+nonempty and inclusion-maximal among the rows' sets. Vertices leave the
+enumerator as sorted, distinct integer rows over their least common
+scale, and :func:`_polar_pair` builds each vertex's Fraction tuple once,
+from its row. The raw constructor validates the structural invariants it
+can check cheaply (symmetry, unit norms, and facet and vertex ranks,
+tested on one member of each antipodal pair); full re-enumeration is
+available as :meth:`PolyhedralSpace.verify_mutual_polarity`.
 
 Fractions are the public type of every coordinate, but the work is done
 on integers. Each description is scaled to integer rows once, by
@@ -81,11 +80,13 @@ scales its rows and the ball's vertices once, in the polar routine, and
 hands the constructor both sides on integer rows, sorted, over their least
 scales, with the kept rows' lines of the product table it filled for the
 facet test; the constructor then neither scales, sorts nor multiplies them
-out again. The enumerator still takes and returns Fractions, so it scales
-the builder's rows once more. A space keeps its facet functionals as
-integer rows ``_rows`` over ``_scale`` and its vertices as integer rows
-``_points`` over the vertex scale ``_point_scale``, and ``facet_scale``
-is the product of the two. The rank
+out again. The enumerator takes and returns integer rows only: the polar
+routine scales a builder's rows, drops the zero rows, sorts the rest and
+checks their length, the caps and their symmetry, once, and the
+enumerator adds only the span check, which needs the elimination. A space
+keeps its facet functionals as integer rows ``_rows`` over ``_scale`` and
+its vertices as integer rows ``_points`` over the vertex scale
+``_point_scale``, and ``facet_scale`` is the product of the two. The rank
 checks, the norm and the active facets of other points are read from the
 integer functional rows; facet barycenters, the seeded facet points of
 :mod:`polysphere.sampling`, and the images and linear extensions of
@@ -266,30 +267,31 @@ def _neg(row: tuple) -> tuple:
 
 def check_caps(dim: int, rows: int):
     """Raise EnumerationCapError above ``MAX_ENUM_DIM`` dimensions or
-    ``MAX_FACETS`` distinct nonzero rows, the dimension tested first."""
+    ``MAX_FACETS`` distinct nonzero rows, the dimension tested first.
+    :func:`_polar_pair` calls it on a builder's rows, and
+    :meth:`PolyhedralSpace.verify_mutual_polarity` on a space's."""
     if dim > MAX_ENUM_DIM:
         raise EnumerationCapError(f"dimension {dim} exceeds the enumeration cap of {MAX_ENUM_DIM}")
     if rows > MAX_FACETS:
         raise EnumerationCapError(f"{rows} rows exceed the cap of {MAX_FACETS}")
 
 
-def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Fraction, ...], ...]:
-    """All vertices of {x : f(x) <= 1 for every f}, by double description.
+def enumerate_ball_vertices(rows: list, s: int, dim: int) -> list[tuple[int, ...]]:
+    """All vertices of the ball {x : r.x <= s for every row r}, by double
+    description on integers.
 
-    The functional set must be symmetric (closed under negation) and span
-    the dual space, so the ball is bounded with the origin interior.
-    Raises DegenerateInputError otherwise, carrying a recession direction.
-    Zero functionals are vacuous and ignored. :func:`check_caps` refuses
-    more than ``MAX_ENUM_DIM`` dimensions or ``MAX_FACETS`` distinct rows.
-    Errors carry the Fraction rows as given; the vertices are returned as
-    sorted Fraction tuples.
+    ``rows`` are the integer rows as :func:`_polar_pair` holds them: sorted,
+    distinct, nonzero, of length ``dim`` and closed under negation, all
+    over the one scale s. The vertices are returned as sorted integer rows
+    over their one least scale e, each with e appended: row (k, e) is the
+    vertex k / e, so the result has one row per vertex. The caller checks
+    the rows; the span check needs the elimination, so it is made here,
+    and raises DegenerateInputError with a kernel vector of the rows.
 
-    The rows are scaled to integers once, over one common scale s, and
-    deduplicated, sorted and checked for symmetry as int tuples. The ball
-    is the slice t = 1 of the cone {(x, t) : f(x) <= t}, whose integer rows
-    are the scaled rows k extended by -s; the cone is built one row at a
-    time from a box over ``dim`` independent rows. Rays are integer vectors,
-    a positive rescaling that leaves the cone and its extreme rays
+    The ball is the slice t = 1 of the cone {(x, t) : r.x <= s t}, whose
+    rows are the rows r extended by -s; the cone is built one row at a
+    time from a box over ``dim`` independent rows. Rays are integer
+    vectors, a positive rescaling that leaves the cone and its extreme rays
     unchanged; a ray made from two others is divided by the gcd of its
     entries. Each ray carries a bitmask of the processed rows that vanish
     on it. Two rays on opposite sides of a new row are adjacent, and so
@@ -301,41 +303,21 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
     row (r_i, -s) is s * scale * (e_i - 1) on it, zero exactly when
     e_i = +1, and (-r_i, -s) is zero exactly when e_i = -1; its mask is
     the sum of 1 << (2i + (e_i < 0)). Every surviving ray has last entry
-    t > 0 and stands for the vertex ray / t; the rays are scaled to the
-    least common multiple L of their t's, and those integer keys are
-    deduplicated and sorted before the Fractions key / L are built.
+    t > 0 and stands for the vertex ray / t. The rays are scaled to the
+    least common multiple L of their t's, and these keys are divided by
+    g = gcd(L, every key entry). That leaves them over L / g, their least
+    common denominator: entry k / L has denominator L / gcd(L, k), and the
+    least common multiple of those is L / g, prime by prime.
     """
-    given = [
-        tuple(f.coeffs) if isinstance(f, Functional) else tuple(as_fraction(c) for c in f)
-        for f in functionals
-    ]
-    # One positive scale keeps equality and the lexicographic order, so the
-    # rows are deduplicated and sorted as integer keys; ``frac`` maps each key
-    # back to its Fraction row for the error payloads.
-    ints, s = linalg.integer_rows(given)
-    frac = dict(zip(ints, given))
-    rows = sorted(k for k in frac if any(k))
-    if not rows:
-        raise DegenerateInputError("no nonzero functionals", direction=None)
-    if any(len(r) != dim for r in rows):
-        raise DimensionMismatchError("functional length does not match the dimension")
-    check_caps(dim, len(rows))
-    for r in rows:
-        if _neg(r) not in frac:
-            raise AsymmetricInputError(
-                f"functional {frac[r]} appears without its negation", offender=frac[r]
-            )
-
     base_idx = linalg.independent_row_indices(rows)
     if len(base_idx) < dim:
         raise DegenerateInputError(
             "ball is unbounded: functionals do not span the dual space",
-            direction=linalg.null_space_vector([frac[r] for r in rows], dim),
+            direction=linalg.null_space_vector(rows, dim),
         )
     base = [rows[i] for i in base_idx]
     base_inv, scale = linalg.invert(base)
 
-    hom = {r: r + (-s,) for r in rows}
     consumed = set(base) | {_neg(r) for r in base}
 
     # Initial cone: |f(x)| <= t over the basis rows, a combinatorial box
@@ -352,7 +334,7 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
 
     need = dim - 1  # homogenised dimension minus two
     for bit, f in enumerate((r for r in rows if r not in consumed), start=2 * dim):
-        a = hom[f]
+        a = f + (-s,)
         flag = 1 << bit
         vals = [sum(map(mul, a, ray)) for ray in rays]
         positive = [i for i, v in enumerate(vals) if v > 0]
@@ -380,7 +362,9 @@ def enumerate_ball_vertices(functionals: Sequence, dim: int) -> tuple[tuple[Frac
     # A positive common scale keeps equality and the lexicographic order.
     lcm = math.lcm(*(ray[-1] for ray in rays))
     keys = {tuple(c * (lcm // ray[-1]) for c in ray[:-1]) for ray in rays}
-    return tuple(tuple(Fraction(c, lcm) for c in key) for key in sorted(keys))
+    g = math.gcd(lcm, *itertools.chain.from_iterable(keys))
+    e = lcm // g
+    return [tuple(c // g for c in key) + (e,) for key in sorted(keys)]
 
 
 class _Side(NamedTuple):
@@ -405,8 +389,14 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool) -> tuple[_Side, _Sid
     """The rows that support a facet of {x : r(x) <= 1}, and that ball's
     vertices, as two descriptions whose items are Fraction rows.
 
-    Zero rows are dropped, and the rows are closed under negation when
-    ``symmetrize`` is set; both are done on the rows scaled to integers.
+    The rows are scaled to integers once, here. Zero rows are dropped, and
+    the rows are closed under negation when ``symmetrize`` is set; then
+    the sorted rows are checked before they are enumerated, raising on the
+    first failure: no nonzero row, a row whose length is not ``dim``,
+    :func:`check_caps`, and the first row without its negation, which is
+    named by its Fraction row. The vertices' Fraction rows are built once,
+    from the enumerator's integer rows.
+
     A row is kept iff the set of vertices where it equals one, its mask, is
     nonempty and no other row's mask strictly contains it. Let P be the
     ball. It is bounded with the origin interior, so no row equals one on
@@ -433,16 +423,28 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool) -> tuple[_Side, _Sid
     leaves them over s / g, their own least common denominator L. Proof:
     s = m L, so g = m gcd(L, the entries L r), and that gcd is one: if a
     prime p divided L, some entry r = n / q with q carrying p's full power
-    in L has L r = n (L / q), and p divides neither factor. The vertices
-    leave the enumerator sorted, so their integer rows are sorted too.
+    in L has L r = n (L / q), and p divides neither factor. The vertices'
+    integer rows leave the enumerator sorted, over their least scale e.
     """
     ints, s = linalg.integer_rows(rows)
     frac = {k: r for k, r in zip(ints, rows) if any(k)}
     if symmetrize:
         frac.update([(_neg(k), _neg(r)) for k, r in frac.items()])
     keys = sorted(frac)
-    points = enumerate_ball_vertices([Functional._of(frac[k]) for k in keys], dim)
-    pts, e = linalg.integer_rows(points)
+    if not keys:
+        raise DegenerateInputError("no nonzero functionals", direction=None)
+    if any(len(k) != dim for k in keys):
+        raise DimensionMismatchError("functional length does not match the dimension")
+    check_caps(dim, len(keys))
+    for k in keys:
+        if _neg(k) not in frac:
+            raise AsymmetricInputError(
+                f"functional {frac[k]} appears without its negation", offender=frac[k]
+            )
+    rays = enumerate_ball_vertices(keys, s, dim)
+    e = rays[0][-1]
+    pts = [ray[:-1] for ray in rays]
+    points = tuple(tuple(Fraction(c, e) for c in p) for p in pts)
     lines = _lines(keys, pts)
     tight = s * e
     masks = [sum(1 << j for j, value in enumerate(line) if value == tight) for line in lines]
@@ -526,9 +528,9 @@ def _polar_build(items: Sequence, cls, polar_cls, kind: str, kinds: str, symmetr
     type ``polar_cls``, as the two :class:`_Side` descriptions the
     constructor takes: instances made from their Fraction rows as they
     are, with their integer rows, scales and the kept rows' lines of the
-    product table. The enumerator raises asymmetry on the first sorted
-    row, the constructor's order, and a row of the wrong length; both
-    errors are raised in the words of ``kind``, asymmetry as the
+    product table. :func:`_polar_pair` raises asymmetry on the first
+    sorted row, the constructor's order, and a row of the wrong length;
+    both errors are raised in the words of ``kind``, asymmetry as the
     constructor's.
     """
     items = _coerce(items, cls)
@@ -768,13 +770,20 @@ class PolyhedralSpace:
 
     def verify_mutual_polarity(self):
         """Re-enumerate each description from the other and compare; raises
-        on mismatch, the vertices first."""
-        for given, listed, message in (
-            (self.hrep, self.vrep, "vertex description is not polar to the facets"),
-            (self.vrep, self.hrep, "facet description is not polar to the vertices"),
+        on mismatch, the vertices first.
+
+        Each side is enumerated from its sorted integer rows and scale, after
+        :func:`check_caps`. Both sides are held sorted over their least
+        scales, so the other side matches iff its integer rows, each with its
+        scale appended, equal the enumerator's rows.
+        """
+        h, v = (self._rows, self._scale), (self._points, self._point_scale)
+        for (rows, s), (listed, e), message in (
+            (h, v, "vertex description is not polar to the facets"),
+            (v, h, "facet description is not polar to the vertices"),
         ):
-            found = enumerate_ball_vertices([x._row for x in given], self.dim)
-            if set(found) != {x._row for x in listed}:
+            check_caps(self.dim, len(rows))
+            if enumerate_ball_vertices(rows, s, self.dim) != [r + (e,) for r in listed]:
                 raise GeometryError(message)
 
     def summary(self) -> str:

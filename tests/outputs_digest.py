@@ -16,8 +16,12 @@ fallback, so its witnesses are covered too. The outcomes are:
 - each space those builders return, passed to the raw constructor with
   its descriptions shuffled, and again without its last vertex pair.
 
-Compare the printed digest before and after a change. The file is not a
-test module, so pytest does not collect it.
+The expected line is pinned in ``tests/outputs_digest.txt``; a change that
+moves any outcome must say why and update that file:
+
+    python tests/outputs_digest.py | diff - tests/outputs_digest.txt
+
+The file is not a test module, so pytest does not collect it.
 """
 
 import hashlib

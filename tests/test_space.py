@@ -145,7 +145,7 @@ def reference_polar_pair(rows, dim, symmetrize):
     items = {tuple(r) for r in rows if any(c != 0 for c in r)}
     if symmetrize:
         items |= {tuple(-c for c in r) for r in items}
-    points = space_module.enumerate_ball_vertices(sorted(items), dim)
+    points = reference_enumerate_ball_vertices(sorted(items), dim)
     kept = [r for r in items if rank([p for p in points if linalg.dot(r, p) == 1]) == dim]
     return sorted(kept), points
 
@@ -584,9 +584,9 @@ class TestFromFunctionals:
     )
     def test_a_build_scales_each_side_once_and_multiplies_out_one_table(self, build, rows,
                                                                          monkeypatch):
-        """The rows are scaled by the builder and again by the enumerator,
-        which takes Fractions, and the vertices once; the product table is
-        filled once, and the constructor reads it from the hand-off."""
+        """The rows are scaled once, by the builder, and the enumerator hands
+        the vertices back on integer rows; the product table is filled once,
+        and the constructor reads it from the hand-off."""
         calls = {"integer_rows": 0, "table": 0}
 
         def counted(name, original):
@@ -599,7 +599,7 @@ class TestFromFunctionals:
         monkeypatch.setattr(linalg, "integer_rows", counted("integer_rows", linalg.integer_rows))
         monkeypatch.setattr(space_module, "_lines", counted("table", space_module._lines))
         build(rows)
-        assert calls == {"integer_rows": 3, "table": 1}
+        assert calls == {"integer_rows": 1, "table": 1}
 
     def test_symmetrize_flag(self):
         space = PolyhedralSpace.from_functionals(
@@ -638,9 +638,13 @@ class TestEnumeration:
     @settings(max_examples=40, deadline=None)
     @given(dd_rows())
     def test_matches_the_rank_test_reference(self, case):
+        """The polar routine checks the rows and the enumerator adds the
+        span check: together they raise the reference's errors, and the
+        vertices they return are the reference's."""
         rows, dim = case
         expected = outcome(reference_enumerate_ball_vertices, rows, dim)
-        assert outcome(space_module.enumerate_ball_vertices, rows, dim) == expected
+        assert outcome(lambda r, d: space_module._polar_pair(r, d, False)[1].items,
+                       rows, dim) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(symmetric_point_rows(dims=(2, 3, 4)), st.booleans())
@@ -801,6 +805,22 @@ class TestInvariants:
     @pytest.mark.parametrize("build", [l1_space, linf_space], ids=["l1", "linf"])
     def test_mutual_polarity_verified_in_dim_6(self, build):
         build(6).verify_mutual_polarity()
+
+    @settings(max_examples=30, deadline=None)
+    @given(built_spaces())
+    def test_mutual_polarity_verified_on_built_spaces(self, space):
+        """On spaces from both builders and from direct construction, each
+        side's integer rows and scale are re-enumerated from the other's."""
+        space.verify_mutual_polarity()
+
+    def test_polarity_check_applies_the_caps(self):
+        """A space built directly above ``MAX_ENUM_DIM`` is not re-enumerated."""
+        n = MAX_ENUM_DIM + 1
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        vrep = units + [tuple(-c for c in u) for u in units]
+        hrep = list(itertools.product((1, -1), repeat=n))
+        with pytest.raises(EnumerationCapError, match="exceeds the enumeration cap"):
+            PolyhedralSpace(hrep, vrep).verify_mutual_polarity()
 
     def test_incomplete_vertex_set_caught_by_polarity_check(self):
         """A cube missing one corner pair passes the cheap checks but not re-enumeration."""
