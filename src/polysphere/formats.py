@@ -40,7 +40,7 @@ from typing import Callable
 
 from .errors import GeometryError, IntegerTooLongError, echo
 from .isometry import SphereMap
-from .space import PolyhedralSpace, Vector, as_fraction
+from .space import Functional, PolyhedralSpace, Vector, as_fraction
 
 _TOKEN_RE = re.compile(r"\S+")
 _INDEX_RE = re.compile(r"^[vw]?(\d+)$")
@@ -157,8 +157,12 @@ def parse_space_text(text: str, name: str | None = None) -> PolyhedralSpace:
                 )
 
     label = header["name"][0] if "name" in header else name
-    build = PolyhedralSpace.from_functionals if kind == "H" else PolyhedralSpace.from_vertices
-    return build([row for _, row in rows], name=label, symmetrize=symmetric)
+    if kind == "H":
+        build, cls = PolyhedralSpace.from_functionals, Functional
+    else:
+        build, cls = PolyhedralSpace.from_vertices, Vector
+    # The rows are nonempty tuples of Fractions already, of length dim.
+    return build([cls._of(row) for _, row in rows], name=label, symmetrize=symmetric)
 
 
 def parse_space_file(path) -> PolyhedralSpace:

@@ -24,11 +24,17 @@ tolerances. Both tests read the space's own tables: ``facet_table`` over
 for -F, its ``neg_functional_id``. CL gives F and -F one verdict.
 
 A distance d(x, F) is read from integers (:func:`distance_to_hull`): the
-facet values at x, and the ``facet_table`` rows of F's vertices. They give
-a lower bound from the facet functionals and each vertex's exact distance;
-the first vertex that meets the bound is a nearest point, and only when
-none does is the distance LP solved. Whichever path found it, a nearest
-point y is returned only after one exact check, norm(x - y) == d(x, F).
+facet values at x, and the ``facet_table`` rows of F's vertices. When x
+is a vertex, its facet values are its own row, ``facet_table[j]`` over
+``facet_scale`` for j = ``vertex_id(x)``; only a point that is no vertex
+is scaled by ``_values_at``. They give a lower bound from the facet
+functionals and each vertex's exact distance; the first vertex that meets
+the bound is a nearest point, and only when none does is the distance LP
+solved. Whichever path found it, a nearest point y is returned only after
+one exact check, norm(x - y) == d(x, F). A nearest point that is the
+vertex of id i is negated by position, as the vertex N - 1 - i (see
+:mod:`polysphere.space`, antipodes by position); only an LP's nearest
+point is negated by arithmetic.
 
 (iii) is decided once per antipodal pair of vertices, by the mirror
 rule: the record of (-v, F) is that of (v, F) with the witnesses negated
@@ -67,6 +73,7 @@ least two. No option chooses the reading.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import GeometryError, NotAlmostClError, NotOnSphereError
 from .linalg import ONE, ZERO, combination
@@ -76,8 +83,10 @@ from .space import PolyhedralSpace, Vector
 TWO = Fraction(2)
 
 
-@dataclass(frozen=True)
-class FacetClVerdict:
+class FacetClVerdict(NamedTuple):
+    """The CL verdict of one facet; a tuple, so it unpacks and compares
+    equal to a plain tuple of its fields."""
+
     facet_id: int
     ok: bool
     failing_vertex: Vector | None
@@ -99,8 +108,11 @@ class ClReport:
         return self.is_cl
 
 
-@dataclass(frozen=True)
-class ConditionThreeRecord:
+class ConditionThreeRecord(NamedTuple):
+    """Condition (iii) at one (vertex, facet) pair: the two-sided value and
+    a nearest point of the facet and of its opposite. A tuple, so it
+    unpacks and compares equal to a plain tuple of its fields."""
+
     vertex: Vector
     candidate_index: int
     value: Fraction
@@ -153,29 +165,36 @@ def distance_to_hull(space: PolyhedralSpace, x: Vector, fid: int) -> tuple[Fract
     """Exact minimum of norm(x - y) over the facet ``fid``, with a minimiser y.
 
     Read from the integer tables first, LP as fallback. Let X be the facet
-    values at x over d (one ``_values_at``), and R[p] the ``facet_table``
-    row of the facet's vertex p over s = ``facet_scale``. Every facet
-    functional g has dual norm one, so on the facet norm(x - y) >= g(y) -
-    g(x) >= min_p g(p) - g(x), and the distance is at least
-    L = max(0, max_g (min_p R[p][g] d - X[g] s)) / (s d). A vertex p is at
-    distance max_g (X[g] s - R[p][g] d) / (s d) from x, so the first facet
-    vertex, in ``facet_index`` order, whose distance equals L is a
-    minimiser. Only when no vertex meets the bound is the distance LP
-    solved. Either minimiser is certified by one exact norm evaluation,
-    norm(x - y) == value, which needs neither the bound nor the solver.
+    values at x over d, and R[p] the ``facet_table`` row of the facet's
+    vertex p over s = ``facet_scale``. A vertex x's values are its own
+    ``facet_table`` row, over d = s, found by ``vertex_id``; any other
+    point is scaled by one ``_values_at``. Every facet functional g has
+    dual norm one, so on the facet norm(x - y) >= g(y) - g(x) >= min_p
+    g(p) - g(x), and the distance is at least L = max(0, max_g (min_p
+    R[p][g] d - X[g] s)) / (s d). A vertex p is at distance max_g (X[g] s
+    - R[p][g] d) / (s d) from x, so the first facet vertex, in
+    ``facet_index`` order, whose distance equals L is a minimiser. Only
+    when no vertex meets the bound is the distance LP solved. Either
+    minimiser is certified by one exact norm evaluation, norm(x - y) ==
+    value, which needs neither the bound nor the solver.
     """
     _check_facet_id(space, fid)
-    (at_x,), d = space._values_at([x])
-    s, ids = space.facet_scale, space.facet_index[fid]
-    rows = [space.facet_table[j] for j in ids]
-    at_x = [v * s for v in at_x]
+    s, ids, table = space.facet_scale, space.facet_index[fid], space.facet_table
+    rows = [table[j] for j in ids]
+    try:
+        # x's row is over s like the facet vertices' rows, so with d = s the
+        # factor s cancels: the rows compare as they are, over s.
+        at_x, d, den = table[space.vertex_id(x)], 1, s
+    except GeometryError:
+        (at_x,), d = space._values_at([x])
+        at_x, den = [v * s for v in at_x], s * d
     bound = max(0, *(min(col) * d - v for col, v in zip(zip(*rows), at_x)))
     met = (j for j, row in zip(ids, rows) if max(v - r * d for v, r in zip(at_x, row)) == bound)
     j = next(met, None)
     if j is None:
         value, y = _distance_lp(space, x, [space.vrep[i] for i in ids])
     else:
-        value, y = Fraction(bound, s * d), space.vrep[j]
+        value, y = Fraction(bound, den), space.vrep[j]
     if space.norm(x - y) != value:
         raise GeometryError("distance minimiser fails its norm certificate; this is a bug")
     return value, y
@@ -272,8 +291,10 @@ def _two_sided(
     opposite facet at distance two, which the facet functional shows that
     no point of that facet beats, so the value is two. Otherwise each side
     is :func:`distance_to_hull` of F or of -F, which reads the bound and
-    the facet vertices' distances from the integer tables and certifies its
-    nearest point by one norm; the negated witnesses are -y+ and -y-.
+    the facet vertices' distances from the integer tables, x's own row too
+    when x is a vertex, and certifies its nearest point by one norm. A
+    witness that is a vertex, of id i, is negated by position, as the
+    vertex N - 1 - i; only an LP witness is negated by arithmetic.
     """
     if value == d:
         return TWO, (x, antipode), (antipode, x)
@@ -284,7 +305,15 @@ def _two_sided(
     total = d_plus + d_minus
     if total < 2:
         raise GeometryError("two-sided distance fell below two; this is a bug")
-    return total, (plus, -plus), (minus, -minus)
+    return total, (plus, _negated(space, plus)), (minus, _negated(space, minus))
+
+
+def _negated(space: PolyhedralSpace, y: Vector) -> Vector:
+    """-y: the vertex N - 1 - i when y is the vertex of id i, else -y by arithmetic."""
+    try:
+        return space.vrep[space.neg_vertex_id(space.vertex_id(y))]
+    except GeometryError:
+        return -y
 
 
 def check_t_property(space: PolyhedralSpace) -> TPropertyReport:
@@ -314,6 +343,7 @@ def check_t_property(space: PolyhedralSpace) -> TPropertyReport:
     candidates = tuple(space.facet_barycenter(fid) for fid in range(len(space.hrep)))
     vrep, table, d = space.vrep, space.facet_table, space.facet_scale
     n, m = len(vrep), len(space.hrep)
+    record = ConditionThreeRecord._make
     computed, mirrored = [], []
     for j in range(n // 2):
         v, neg_v, row = vrep[j], vrep[n - 1 - j], table[j]
@@ -321,14 +351,12 @@ def check_t_property(space: PolyhedralSpace) -> TPropertyReport:
         # puts those records at the ids m/2 .. m - 1.
         sides = [_two_sided(space, v, neg_v, fid, row[fid], d) for fid in range(m // 2)]
         sides += [(value, minus, plus) for value, plus, minus in reversed(sides)]
-        computed += (
-            ConditionThreeRecord(v, fid, value, plus[0], minus[0])
-            for fid, (value, plus, minus) in enumerate(sides)
-        )
-        mirrored.append([
-            ConditionThreeRecord(neg_v, fid, value, minus[1], plus[1])
-            for fid, (value, plus, minus) in enumerate(sides)
+        computed += map(record, [
+            (v, fid, value, plus[0], minus[0]) for fid, (value, plus, minus) in enumerate(sides)
         ])
+        mirrored.append(list(map(record, [
+            (neg_v, fid, value, minus[1], plus[1]) for fid, (value, plus, minus) in enumerate(sides)
+        ])))
     # Every value is at least two (_two_sided checks it), so above two means not two.
     violation = next((rec for rec in computed if rec.value != 2), None)
     return TPropertyReport(

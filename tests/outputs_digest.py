@@ -14,7 +14,11 @@ fallback, so its witnesses are covered too. The outcomes are:
   builders, as drawn and closed under negation, with and without
   ``symmetrize``;
 - each space those builders return, passed to the raw constructor with
-  its descriptions shuffled, and again without its last vertex pair.
+  its descriptions shuffled, and again without its last vertex pair;
+- for each of ``DISTANCE_SPACES``, at every vertex and then every facet
+  barycenter, ``condition_iii_value`` and ``distance_to_hull`` for every
+  facet id: a vertex and a point that is no vertex reach the distances
+  by different paths, and both are covered.
 
 The expected line is pinned in ``tests/outputs_digest.txt``; a change that
 moves any outcome must say why and update that file:
@@ -32,11 +36,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from polysphere import PolyhedralSpace, catalog, check_cl, check_t_property  # noqa: E402
+from polysphere import (  # noqa: E402
+    PolyhedralSpace,
+    catalog,
+    check_cl,
+    check_t_property,
+    condition_iii_value,
+    distance_to_hull,
+)
 
 FIELDS = ("dim", "name", "facet_index", "facet_table", "facet_scale",
           "_rows", "_scale", "_points", "_point_scale")
 LEAVES = ["hex"] + [f"{kind}:{n}" for kind in ("l1", "linf") for n in range(1, 7)]
+DISTANCE_SPACES = ["hex"] + [f"{kind}:{n}" for kind in ("l1", "linf") for n in range(1, 4)]
 
 
 def outcome(build) -> str:
@@ -49,6 +61,12 @@ def outcome(build) -> str:
     rows["vrep"] = [(type(v).__name__, v._row) for v in space.vrep]
     reports = (check_cl(space), check_t_property(space))
     return "\n".join(map(repr, (sorted(rows.items()), *reports)))
+
+
+def distance_outcome(space, x) -> str:
+    """The two-sided value and the one-sided distance at x, per facet id."""
+    fids = range(len(space.hrep))
+    return repr([(condition_iii_value(space, x, fid), distance_to_hull(space, x, fid)) for fid in fids])
 
 
 def random_points(rng: random.Random, dim: int) -> list[tuple[Fraction, ...]]:
@@ -91,6 +109,11 @@ def outcomes():
                 rng.shuffle(vrep)
                 yield outcome(lambda: PolyhedralSpace(hrep, vrep))
                 yield outcome(lambda: PolyhedralSpace(space.hrep, space.vrep[1:-1]))
+    for name in DISTANCE_SPACES:
+        space = catalog.resolve(name)
+        barycenters = [space.facet_barycenter(fid) for fid in range(len(space.hrep))]
+        for x in list(space.vrep) + barycenters:
+            yield distance_outcome(space, x)
 
 
 def main():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from polysphere import hexagon_space, l1_space
+from polysphere import formats, hexagon_space, l1_space
+from polysphere import space as space_module
 from polysphere.catalog import resolve
 from polysphere.formats import (
     ParseError,
@@ -209,3 +210,25 @@ def test_file_name_is_the_default_label(tmp_path):
     assert parse_space_file(path).name == str(path)
     path.write_text(HEX_H, encoding="utf-8")
     assert parse_space_file(path).name == "hexagon"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [HEX_H, serialize_space(hexagon_space(), "V"), serialize_space(l1_space(3), "H")],
+    ids=["hex-H-symmetrized", "hex-V", "l1:3-H"],
+)
+def test_each_data_token_is_converted_once(monkeypatch, text):
+    """The parser hands the builders its rows as Functionals or Vectors on
+    the Fractions it parsed, so building does not convert them again."""
+    calls = []
+    convert = space_module.as_fraction
+
+    def counting(value):
+        calls.append(value)
+        return convert(value)
+
+    monkeypatch.setattr(space_module, "as_fraction", counting)
+    monkeypatch.setattr(formats, "as_fraction", counting)
+    parse_space_text(text)
+    data = [line for line in text.splitlines() if line[:1].isdigit() or line[:1] == "-"]
+    assert calls == [token for line in data for token in line.split()]

@@ -27,8 +27,10 @@ from polysphere import (
 )
 from polysphere.catalog import resolve
 from polysphere.linalg import combination, rank
+from polysphere.space import _Coordinates
 from conftest import reference_facet_sample_points
 from test_faces import facet_of, facet_vertices, on_facet
+from test_space import built_spaces
 from samplers import sphere_points
 
 F = Fraction
@@ -351,6 +353,21 @@ class TestWitnessFirstDistance:
                 if nearest:
                     assert y == nearest[0]
 
+    @pytest.mark.parametrize("name", ["hex", "l1:3", "linf:3", "l1sum(hex,l1:1)"])
+    def test_a_vertex_row_from_the_table_equals_the_scaled_point(self, monkeypatch, name):
+        """A vertex's facet values are read from ``facet_table``; scaling the
+        vertex with ``_values_at`` instead gives the same distance and
+        witness at every facet."""
+        space = resolve(name)
+        pairs = list(itertools.product(space.vrep, range(len(space.hrep))))
+        from_table = [properties.distance_to_hull(space, v, fid) for v, fid in pairs]
+
+        def no_vertex(self, v):
+            raise GeometryError(f"{v} is treated as no vertex")
+
+        monkeypatch.setattr(PolyhedralSpace, "vertex_id", no_vertex)
+        assert [properties.distance_to_hull(space, v, fid) for v, fid in pairs] == from_table
+
     @pytest.mark.parametrize("name", ["l1:2", "l1:3", "l1:4", "linf:2", "linf:3", "linf:4", "hex"])
     def test_t_property_solves_no_lp(self, name, lp_calls):
         """A deterministic count: raising it is a regression."""
@@ -363,6 +380,7 @@ class TestWitnessFirstDistance:
             ("hex", 6, 6),
             ("l1:3", 0, 0),
             ("linf:3", 0, 0),
+            ("linf:4", 0, 0),
             ("l1sum(hex,l1:1)", 12, 12),
             ("linfsum(hex,linf:1)", 12, 12),
         ],
@@ -375,7 +393,10 @@ class TestWitnessFirstDistance:
         settles its record with no distance_to_hull call, and only the
         vertices with ids below N/2 reach distance_to_hull, once per facet
         off the table; the records of their negations are mirrored. Each
-        distance_to_hull call makes one norm call, its certificate."""
+        distance_to_hull call makes one norm call, its certificate, and that
+        norm's ``_values_at`` is the only one: the vertex's own facet values
+        are its ``facet_table`` row. A witness that is a vertex is negated
+        by position, so no Vector is negated."""
         space = resolve(name)
         calls = collections.Counter()
 
@@ -391,8 +412,13 @@ class TestWitnessFirstDistance:
             properties, "distance_to_hull", counting("hull", properties.distance_to_hull)
         )
         monkeypatch.setattr(PolyhedralSpace, "norm", counting("norm", PolyhedralSpace.norm))
+        monkeypatch.setattr(
+            PolyhedralSpace, "_values_at", counting("values_at", PolyhedralSpace._values_at)
+        )
+        monkeypatch.setattr(_Coordinates, "__neg__", counting("neg", _Coordinates.__neg__))
         check_t_property(space)
-        assert (calls["functional"], calls["hull"], calls["norm"]) == (0, hull_calls, norm_calls)
+        counts = tuple(calls[key] for key in ("functional", "hull", "norm", "values_at", "neg"))
+        assert counts == (0, hull_calls, norm_calls, norm_calls, 0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -550,6 +576,51 @@ class TestTProperty:
             condition_iii_value(space, v, fid)[0] == 2 for v in space.vrep for fid in fids
         )
         assert check_t_property(space).holds == brute
+
+
+class TestReports:
+    def test_reprs_are_pinned_and_records_are_tuples(self, hexagon):
+        """A record and a verdict print as they did when they were frozen
+        dataclasses; they unpack and compare equal to plain tuples."""
+        rec = check_t_property(hexagon).condition_iii[2]
+        assert repr(rec) == (
+            "ConditionThreeRecord(vertex=Vector(-1, 0), candidate_index=2, value=Fraction(2, 1), "
+            "witness_plus=Vector(-1/2, -1), witness_minus=Vector(-1/2, 1))"
+        )
+        vertex, fid, value, plus, minus = rec
+        assert rec == (vector(-1, 0), 2, 2, vector("-1/2", -1), vector("-1/2", 1))
+        assert (vertex, fid, value, plus, minus) == tuple(rec)
+        verdict = check_cl(hexagon).facet_verdicts[0]
+        assert repr(verdict) == (
+            "FacetClVerdict(facet_id=0, ok=False, failing_vertex=Vector(-1/2, 1))"
+        )
+        assert verdict == (0, False, vector("-1/2", 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        built_spaces(),
+        st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+    )
+    def test_verdicts_are_invariant_under_linear_maps(self, space, entries):
+        """A linear map A carries f to f A^-1 and v to A v, so every entry
+        f(v) of the facet table survives: CL, T and the multiset of record
+        values are those of the image. The violation's value is not: it is
+        the first record above two in vertex-major order, and A reorders
+        the vertices: cycling the coordinates of the symmetric hull of
+        (1, 1, 1), (2, 1, -1), (0, -2, -2), (-1, 1, -1) moves it from 33/10
+        to 35/12. Only its existence, ``not holds``, is invariant."""
+        n = space.dim
+        matrix = [entries[i * n:(i + 1) * n] for i in range(n)]
+        assume(rank(matrix) == n)
+        image = PolyhedralSpace.from_vertices(
+            [[sum(a * c for a, c in zip(row, v)) for row in matrix] for v in space.vrep]
+        )
+
+        def verdicts(s):
+            t = check_t_property(s)
+            return check_cl(s).is_cl, t.holds, sorted(rec.value for rec in t.condition_iii)
+
+        assert verdicts(image) == verdicts(space)
 
 
 class TestClDecomposition:
