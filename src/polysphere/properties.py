@@ -24,17 +24,15 @@ tolerances. Both tests read the space's own tables: ``facet_table`` over
 for -F, its ``neg_functional_id``. CL gives F and -F one verdict.
 
 A distance d(x, F) is read from integers (:func:`distance_to_hull`): the
-facet values at x, and the ``facet_table`` rows of F's vertices. When x
-is a vertex, its facet values are its own row, ``facet_table[j]`` over
-``facet_scale`` for j = ``vertex_id(x)``; only a point that is no vertex
-is scaled by ``_values_at``. They give a lower bound from the facet
-functionals and each vertex's exact distance; the first vertex that meets
-the bound is a nearest point, and only when none does is the distance LP
-solved. Whichever path found it, a nearest point y is returned only after
-one exact check, norm(x - y) == d(x, F). A nearest point that is the
-vertex of id i is negated by position, as the vertex N - 1 - i (see
-:mod:`polysphere.space`, antipodes by position); only an LP's nearest
-point is negated by arithmetic.
+facet values at x, and the ``facet_table`` rows of F's vertices. The
+T-property hands it a vertex's facet values as the vertex's own row,
+``facet_table[j]`` over ``facet_scale``, and :func:`condition_iii_value`
+the values it scaled once to test that x is on the sphere; only a caller
+that holds none has x scaled by ``_values_at``. They give a lower bound
+from the facet functionals and each vertex's exact distance; the first
+vertex that meets the bound is a nearest point, and only when none does
+is the distance LP solved. Whichever path found it, a nearest point y is
+returned only after one exact check, norm(x - y) == d(x, F).
 
 (iii) is decided once per antipodal pair of vertices, by the mirror
 rule: the record of (-v, F) is that of (v, F) with the witnesses negated
@@ -71,9 +69,8 @@ For a single facet the two conditions agree, since the value is always at
 least two. No option chooses the reading.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import GeometryError, NotAlmostClError, NotOnSphereError
 from .linalg import ONE, ZERO, combination
@@ -83,10 +80,8 @@ from .space import PolyhedralSpace, Vector
 TWO = Fraction(2)
 
 
-class FacetClVerdict(NamedTuple):
-    """The CL verdict of one facet; a tuple, so it unpacks and compares
-    equal to a plain tuple of its fields."""
-
+@dataclass(frozen=True)
+class FacetClVerdict:
     facet_id: int
     ok: bool
     failing_vertex: Vector | None
@@ -108,16 +103,38 @@ class ClReport:
         return self.is_cl
 
 
-class ConditionThreeRecord(NamedTuple):
-    """Condition (iii) at one (vertex, facet) pair: the two-sided value and
-    a nearest point of the facet and of its opposite. A tuple, so it
-    unpacks and compares equal to a plain tuple of its fields."""
-
+@dataclass(frozen=True, slots=True)
+class ConditionThreeRecord:
     vertex: Vector
     candidate_index: int
     value: Fraction
     witness_plus: Vector
     witness_minus: Vector
+
+
+_SET_VERTEX, _SET_FID, _SET_VALUE, _SET_PLUS, _SET_MINUS = (
+    getattr(ConditionThreeRecord, f.name).__set__ for f in fields(ConditionThreeRecord)
+)
+
+
+def _record(
+    vertex: Vector, fid: int, value: Fraction, plus: Vector, minus: Vector
+) -> ConditionThreeRecord:
+    """``ConditionThreeRecord(vertex, fid, value, plus, minus)``, each slot set by its descriptor.
+
+    The frozen dataclass's ``__init__`` routes each field through
+    ``object.__setattr__``, which made up about half of
+    :func:`check_t_property` on spaces the table settles; the slot
+    descriptors set the same fields in about 60% of the time. The record
+    is the same frozen dataclass: equal, hashed and printed alike.
+    """
+    rec = object.__new__(ConditionThreeRecord)
+    _SET_VERTEX(rec, vertex)
+    _SET_FID(rec, fid)
+    _SET_VALUE(rec, value)
+    _SET_PLUS(rec, plus)
+    _SET_MINUS(rec, minus)
+    return rec
 
 
 @dataclass(frozen=True)
@@ -161,40 +178,44 @@ def in_convex_hull(x: Vector, points: list[Vector]) -> tuple[Fraction, ...] | No
     return sol.point
 
 
-def distance_to_hull(space: PolyhedralSpace, x: Vector, fid: int) -> tuple[Fraction, Vector]:
+def distance_to_hull(
+    space: PolyhedralSpace, x: Vector, fid: int, *, values: tuple[list[int], int] | None = None
+) -> tuple[Fraction, Vector]:
     """Exact minimum of norm(x - y) over the facet ``fid``, with a minimiser y.
 
     Read from the integer tables first, LP as fallback. Let X be the facet
     values at x over d, and R[p] the ``facet_table`` row of the facet's
-    vertex p over s = ``facet_scale``. A vertex x's values are its own
-    ``facet_table`` row, over d = s, found by ``vertex_id``; any other
-    point is scaled by one ``_values_at``. Every facet functional g has
-    dual norm one, so on the facet norm(x - y) >= g(y) - g(x) >= min_p
-    g(p) - g(x), and the distance is at least L = max(0, max_g (min_p
-    R[p][g] d - X[g] s)) / (s d). A vertex p is at distance max_g (X[g] s
-    - R[p][g] d) / (s d) from x, so the first facet vertex, in
+    vertex p over s = ``facet_scale``. ``values`` = (X, d) when the caller
+    holds them, as :func:`check_t_property` holds a vertex's own
+    ``facet_table`` row over d = s, where X and R compare as they are;
+    otherwise x is scaled by one ``_values_at``. Every facet functional h
+    has dual norm one, so on the facet norm(x - y) >= h(y) - h(x) >=
+    min_p h(p) - h(x), and the distance is at least L = max(0, max_h
+    (min_p R[p][h] d - X[h] s)) / (s d). A vertex p is at distance max_h
+    (X[h] s - R[p][h] d) / (s d) from x, so the first facet vertex, in
     ``facet_index`` order, whose distance equals L is a minimiser. Only
     when no vertex meets the bound is the distance LP solved. Either
     minimiser is certified by one exact norm evaluation, norm(x - y) ==
-    value, which needs neither the bound nor the solver.
+    value, which needs neither the bound, nor ``values``, nor the solver.
     """
     _check_facet_id(space, fid)
     s, ids, table = space.facet_scale, space.facet_index[fid], space.facet_table
     rows = [table[j] for j in ids]
-    try:
-        # x's row is over s like the facet vertices' rows, so with d = s the
-        # factor s cancels: the rows compare as they are, over s.
-        at_x, d, den = table[space.vertex_id(x)], 1, s
-    except GeometryError:
+    if values is None:
         (at_x,), d = space._values_at([x])
-        at_x, den = [v * s for v in at_x], s * d
+    else:
+        at_x, d = values
+    if d == s:
+        d = 1  # X is over s like the rows R[p]: they compare as they are
+    else:
+        at_x = [v * s for v in at_x]
     bound = max(0, *(min(col) * d - v for col, v in zip(zip(*rows), at_x)))
     met = (j for j, row in zip(ids, rows) if max(v - r * d for v, r in zip(at_x, row)) == bound)
     j = next(met, None)
     if j is None:
         value, y = _distance_lp(space, x, [space.vrep[i] for i in ids])
     else:
-        value, y = Fraction(bound, den), space.vrep[j]
+        value, y = Fraction(bound, s * d), space.vrep[j]
     if space.norm(x - y) != value:
         raise GeometryError("distance minimiser fails its norm certificate; this is a bug")
     return value, y
@@ -267,9 +288,9 @@ def condition_iii_value(
         raise NotOnSphereError(f"{x} is not on the sphere")
     _check_facet_id(space, fid)
     if next(c for c in x.coords if c) > 0:
-        value, plus, minus = _two_sided(space, -x, x, fid, -at_x[fid], d)
+        value, plus, minus = _two_sided(space, -x, x, fid, [-v for v in at_x], d)
         return value, minus[1], plus[1]
-    value, plus, minus = _two_sided(space, x, -x, fid, at_x[fid], d)
+    value, plus, minus = _two_sided(space, x, -x, fid, at_x, d)
     return value, plus[0], minus[0]
 
 
@@ -280,40 +301,32 @@ def _check_facet_id(space: PolyhedralSpace, fid: int):
 
 
 def _two_sided(
-    space: PolyhedralSpace, x: Vector, antipode: Vector, fid: int, value: int, d: int
+    space: PolyhedralSpace, x: Vector, antipode: Vector, fid: int, at_x: list[int], d: int
 ) -> tuple[Fraction, tuple[Vector, Vector], tuple[Vector, Vector]]:
     """The two-sided value at x for the facet F of ``fid``, with its witnesses and their negations.
 
-    ``value`` / d is F's functional at x, and ``antipode`` is -x. Returns
+    ``at_x`` / d are the facet values at x, and ``antipode`` is -x. Returns
     (value, (y+, -y+), (y-, -y-)) with y+ a nearest point of F and y- one
-    of -F. The table entry settles a sphere point on F or on -F with no
+    of -F. The entry of F settles a sphere point on F or on -F with no
     arithmetic: x is its own nearest point on its facet, and -x lies on the
     opposite facet at distance two, which the facet functional shows that
     no point of that facet beats, so the value is two. Otherwise each side
-    is :func:`distance_to_hull` of F or of -F, which reads the bound and
-    the facet vertices' distances from the integer tables, x's own row too
-    when x is a vertex, and certifies its nearest point by one norm. A
-    witness that is a vertex, of id i, is negated by position, as the
-    vertex N - 1 - i; only an LP witness is negated by arithmetic.
+    is :func:`distance_to_hull` of F or of -F, handed x's facet values, so
+    that it reads the bound and the facet vertices' distances from integers
+    with no scaling of x, and certifies its nearest point by one norm; the
+    negated witnesses are -y+ and -y-.
     """
+    value = at_x[fid]
     if value == d:
         return TWO, (x, antipode), (antipode, x)
     if value == -d:
         return TWO, (antipode, x), (x, antipode)
-    d_plus, plus = distance_to_hull(space, x, fid)
-    d_minus, minus = distance_to_hull(space, x, len(space.hrep) - 1 - fid)
+    d_plus, plus = distance_to_hull(space, x, fid, values=(at_x, d))
+    d_minus, minus = distance_to_hull(space, x, len(space.hrep) - 1 - fid, values=(at_x, d))
     total = d_plus + d_minus
     if total < 2:
         raise GeometryError("two-sided distance fell below two; this is a bug")
-    return total, (plus, _negated(space, plus)), (minus, _negated(space, minus))
-
-
-def _negated(space: PolyhedralSpace, y: Vector) -> Vector:
-    """-y: the vertex N - 1 - i when y is the vertex of id i, else -y by arithmetic."""
-    try:
-        return space.vrep[space.neg_vertex_id(space.vertex_id(y))]
-    except GeometryError:
-        return -y
+    return total, (plus, -plus), (minus, -minus)
 
 
 def check_t_property(space: PolyhedralSpace) -> TPropertyReport:
@@ -343,20 +356,21 @@ def check_t_property(space: PolyhedralSpace) -> TPropertyReport:
     candidates = tuple(space.facet_barycenter(fid) for fid in range(len(space.hrep)))
     vrep, table, d = space.vrep, space.facet_table, space.facet_scale
     n, m = len(vrep), len(space.hrep)
-    record = ConditionThreeRecord._make
     computed, mirrored = [], []
     for j in range(n // 2):
         v, neg_v, row = vrep[j], vrep[n - 1 - j], table[j]
         # Facet m - 1 - fid is -F, whose record swaps F's two sides; reversed()
         # puts those records at the ids m/2 .. m - 1.
-        sides = [_two_sided(space, v, neg_v, fid, row[fid], d) for fid in range(m // 2)]
+        sides = [_two_sided(space, v, neg_v, fid, row, d) for fid in range(m // 2)]
         sides += [(value, minus, plus) for value, plus, minus in reversed(sides)]
-        computed += map(record, [
-            (v, fid, value, plus[0], minus[0]) for fid, (value, plus, minus) in enumerate(sides)
+        computed += (
+            _record(v, fid, value, plus[0], minus[0])
+            for fid, (value, plus, minus) in enumerate(sides)
+        )
+        mirrored.append([
+            _record(neg_v, fid, value, minus[1], plus[1])
+            for fid, (value, plus, minus) in enumerate(sides)
         ])
-        mirrored.append(list(map(record, [
-            (neg_v, fid, value, minus[1], plus[1]) for fid, (value, plus, minus) in enumerate(sides)
-        ])))
     # Every value is at least two (_two_sided checks it), so above two means not two.
     violation = next((rec for rec in computed if rec.value != 2), None)
     return TPropertyReport(

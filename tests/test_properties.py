@@ -1,6 +1,7 @@
 """CL checks, two-sided distance values, T-property reports, decompositions."""
 
 import collections
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polysphere import (
+    ConditionThreeRecord,
     Functional,
     GeometryError,
     NotAlmostClError,
@@ -27,7 +29,6 @@ from polysphere import (
 )
 from polysphere.catalog import resolve
 from polysphere.linalg import combination, rank
-from polysphere.space import _Coordinates
 from conftest import reference_facet_sample_points
 from test_faces import facet_of, facet_vertices, on_facet
 from test_space import built_spaces
@@ -260,7 +261,7 @@ def assert_distance_matches_lp(space, x, fid):
     equals the sum of the two distance LPs; each witness attains its side,
     and each negated witness is its negation."""
     (at_x,), d = space._values_at([x])
-    value, plus, minus = properties._two_sided(space, x, -x, fid, at_x[fid], d)
+    value, plus, minus = properties._two_sided(space, x, -x, fid, at_x, d)
     sides = (fid, *plus), (space.neg_functional_id(fid), *minus)
     lp_values = []
     for f, w, neg_w in sides:
@@ -354,19 +355,16 @@ class TestWitnessFirstDistance:
                     assert y == nearest[0]
 
     @pytest.mark.parametrize("name", ["hex", "l1:3", "linf:3", "l1sum(hex,l1:1)"])
-    def test_a_vertex_row_from_the_table_equals_the_scaled_point(self, monkeypatch, name):
-        """A vertex's facet values are read from ``facet_table``; scaling the
-        vertex with ``_values_at`` instead gives the same distance and
-        witness at every facet."""
+    def test_a_vertex_row_from_the_table_equals_the_scaled_point(self, name):
+        """Handed a vertex's ``facet_table`` row over ``facet_scale``,
+        distance_to_hull gives the distance and witness that it gives when
+        it scales the vertex with ``_values_at``, at every facet."""
         space = resolve(name)
-        pairs = list(itertools.product(space.vrep, range(len(space.hrep))))
-        from_table = [properties.distance_to_hull(space, v, fid) for v, fid in pairs]
-
-        def no_vertex(self, v):
-            raise GeometryError(f"{v} is treated as no vertex")
-
-        monkeypatch.setattr(PolyhedralSpace, "vertex_id", no_vertex)
-        assert [properties.distance_to_hull(space, v, fid) for v, fid in pairs] == from_table
+        table, s = space.facet_table, space.facet_scale
+        for (j, v), fid in itertools.product(enumerate(space.vrep), range(len(space.hrep))):
+            assert properties.distance_to_hull(
+                space, v, fid, values=(table[j], s)
+            ) == properties.distance_to_hull(space, v, fid)
 
     @pytest.mark.parametrize("name", ["l1:2", "l1:3", "l1:4", "linf:2", "linf:3", "linf:4", "hex"])
     def test_t_property_solves_no_lp(self, name, lp_calls):
@@ -394,16 +392,15 @@ class TestWitnessFirstDistance:
         vertices with ids below N/2 reach distance_to_hull, once per facet
         off the table; the records of their negations are mirrored. Each
         distance_to_hull call makes one norm call, its certificate, and that
-        norm's ``_values_at`` is the only one: the vertex's own facet values
-        are its ``facet_table`` row. A witness that is a vertex is negated
-        by position, so no Vector is negated."""
+        norm's ``_values_at`` is the only one: distance_to_hull is handed the
+        vertex's own ``facet_table`` row."""
         space = resolve(name)
         calls = collections.Counter()
 
         def counting(key, func):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[key] += 1
-                return func(*args)
+                return func(*args, **kwargs)
 
             return wrapper
 
@@ -415,10 +412,9 @@ class TestWitnessFirstDistance:
         monkeypatch.setattr(
             PolyhedralSpace, "_values_at", counting("values_at", PolyhedralSpace._values_at)
         )
-        monkeypatch.setattr(_Coordinates, "__neg__", counting("neg", _Coordinates.__neg__))
         check_t_property(space)
-        counts = tuple(calls[key] for key in ("functional", "hull", "norm", "values_at", "neg"))
-        assert counts == (0, hull_calls, norm_calls, norm_calls, 0)
+        counts = tuple(calls[key] for key in ("functional", "hull", "norm", "values_at"))
+        assert counts == (0, hull_calls, norm_calls, norm_calls)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -579,22 +575,27 @@ class TestTProperty:
 
 
 class TestReports:
-    def test_reprs_are_pinned_and_records_are_tuples(self, hexagon):
-        """A record and a verdict print as they did when they were frozen
-        dataclasses; they unpack and compare equal to plain tuples."""
+    def test_records_are_the_frozen_dataclasses(self, hexagon):
+        """A record and a verdict print as pinned, and a record built in one
+        step is the frozen dataclass its constructor builds: equal, with the
+        same hash, immutable, and open to ``dataclasses.replace``."""
         rec = check_t_property(hexagon).condition_iii[2]
         assert repr(rec) == (
             "ConditionThreeRecord(vertex=Vector(-1, 0), candidate_index=2, value=Fraction(2, 1), "
             "witness_plus=Vector(-1/2, -1), witness_minus=Vector(-1/2, 1))"
         )
-        vertex, fid, value, plus, minus = rec
-        assert rec == (vector(-1, 0), 2, 2, vector("-1/2", -1), vector("-1/2", 1))
-        assert (vertex, fid, value, plus, minus) == tuple(rec)
+        fields = (vector(-1, 0), 2, F(2), vector("-1/2", -1), vector("-1/2", 1))
+        built = ConditionThreeRecord(*fields)
+        assert rec == built and hash(rec) == hash(built)
+        assert dataclasses.astuple(rec) == fields
+        changed = ConditionThreeRecord(*fields[:2], F(3), *fields[3:])
+        assert dataclasses.replace(rec, value=F(3)) == changed
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.value = F(3)
         verdict = check_cl(hexagon).facet_verdicts[0]
         assert repr(verdict) == (
             "FacetClVerdict(facet_id=0, ok=False, failing_vertex=Vector(-1/2, 1))"
         )
-        assert verdict == (0, False, vector("-1/2", 1))
 
     @settings(max_examples=40, deadline=None)
     @given(
