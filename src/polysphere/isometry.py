@@ -38,6 +38,7 @@ agreement and functional transport; no norm is sampled.
 """
 
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul, sub
@@ -46,7 +47,6 @@ from . import linalg
 from .errors import CertificationError, GeometryError, NotOnSphereError
 from .linalg import ONE, ZERO, Matrix
 from .lp import LpConstraint, LpProblem, solve_lp
-from .sampling import DEFAULT_SEED, random_facet_point, rng_from
 from .space import Functional, PolyhedralSpace, Vector
 
 
@@ -192,42 +192,64 @@ def _one_scale(*parts) -> tuple[list, int]:
     return out, scale
 
 
-def _seeded_image(m: SphereMap, p: Vector) -> Vector:
-    """The image of a seeded point: its vertex image when it is a vertex,
-    else :meth:`SphereMap.apply`."""
-    try:
-        i = m.domain.vertex_id(p)
-    except GeometryError:
-        return m.apply(p)
-    return m.vertex_image(i)
-
-
 class _SamplePool:
     """The points of the seeded pass, their images and facet-value rows.
 
-    Point t of the pool is domain vertex t, then one seeded point per facet
-    from :func:`random_facet_point`, and ``images[t]`` is its image.
-    ``drows[t]`` over ``dscale`` is the domain's row at point t, and
-    ``crows[t]`` over ``cscale`` the codomain's row at its image. The
-    vertex rows are read from the two ``facet_table``s.
+    Point t of the pool is domain vertex t, then one seeded point per facet,
+    and ``images[t]`` is its image. ``drows[t]`` over ``dscale`` is the
+    domain's row at point t, and ``crows[t]`` over ``cscale`` the
+    codomain's row at its image. The vertex rows are read from the two
+    ``facet_table``s.
+
+    The seeded point of a facet draws integer weights 0..6 over the facet's
+    vertex ids from ``random.Random(seed)``, or picks one vertex by
+    ``randrange`` when every weight is zero. A draw with one nonzero weight
+    is that vertex, read by position with its vertex image. Any other draw
+    is no vertex: a vertex is an extreme point, so no positive combination
+    of two or more distinct facet vertices equals it. Such a point is
+    combined on the integer vertex rows P over the vertex scale e, weights
+    w_j / W giving coordinate ``Fraction(sum_j w_j * P_j[c], W * e)``, and
+    mapped by :meth:`SphereMap.apply`.
     """
 
-    def __init__(self, m: SphereMap, seed):
+    def __init__(self, m: SphereMap, seed: int):
         dom, cod = m.domain, m.codomain
-        rng = rng_from(seed)
-        seeded = [random_facet_point(dom, fid, rng) for fid in range(len(dom.hrep))]
-        # A vertex's only barycentric weights are one-hot, so its image is
-        # its vertex image; only the other seeded points go through apply.
-        seeded_images = [_seeded_image(m, p) for p in seeded]
-        self.points = list(dom.vrep) + seeded
-        self.images = [cod.vrep[j] for j in m.vertex_map] + seeded_images
+        rng = random.Random(seed)
+        seeded = []
+        for ids in dom.facet_index:
+            weights = [rng.randint(0, 6) for _ in ids]
+            if not any(weights):
+                weights[rng.randrange(len(weights))] = 1
+            drawn = [j for j, w in zip(ids, weights) if w]
+            if len(drawn) == 1:
+                seeded.append((dom.vrep[drawn[0]], m.vertex_image(drawn[0])))
+            else:
+                den = sum(weights) * dom._point_scale
+                cols = zip(*(dom._points[j] for j in ids))
+                p = Vector._of(tuple(Fraction(sum(map(mul, weights, col)), den) for col in cols))
+                seeded.append((p, m.apply(p)))
+        points, images = map(list, zip(*seeded))
+        self.points = list(dom.vrep) + points
+        self.images = [cod.vrep[j] for j in m.vertex_map] + images
         self.drows, self.dscale = _one_scale(
-            (dom.facet_table, dom.facet_scale), dom._values_at(seeded)
+            (dom.facet_table, dom.facet_scale), dom._values_at(points)
         )
         self.crows, self.cscale = _one_scale(
             ([cod.facet_table[j] for j in m.vertex_map], cod.facet_scale),
-            cod._values_at(seeded_images),
+            cod._values_at(images),
         )
+
+
+def _distance_failure(m: SphereMap, what: str, points, images, hit) -> IsometryReport:
+    """The report of the first pair (i, j) = ``hit`` of ``points`` whose
+    distance differs from that of their ``images``, with both distances."""
+    i, j = hit
+    p, q = points[i], points[j]
+    return IsometryReport(
+        False,
+        reason=f"{what} distance not preserved",
+        counterexample=(p, q, m.domain.norm(p - q), m.codomain.norm(images[i] - images[j])),
+    )
 
 
 def _first_untransported(m: SphereMap) -> tuple[int, int | None] | None:
@@ -250,7 +272,7 @@ def _first_untransported(m: SphereMap) -> tuple[int, int | None] | None:
     return None
 
 
-def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
+def verify_isometry(m: SphereMap, seed=0) -> IsometryReport:
     """Check that a sphere map is a well-formed surjective isometry.
 
     Order of checks: every facet's vertex images form a codomain facet and
@@ -333,13 +355,7 @@ def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
     cod_rows = [cod.facet_table[k] for k in m.vertex_map]
     hit = _first_unequal_pair(dom.facet_table, dom.facet_scale, cod_rows, cod.facet_scale)
     if hit is not None:
-        i, j = hit
-        p, q = dom.vrep[i], dom.vrep[j]
-        return IsometryReport(
-            False,
-            reason="vertex pair distance not preserved",
-            counterexample=(p, q, dom.norm(p - q), cod.norm(m.vertex_image(i) - m.vertex_image(j))),
-        )
+        return _distance_failure(m, "vertex pair", dom.vrep, [cod.vrep[k] for k in m.vertex_map], hit)
 
     for fid, ids in enumerate(dom.facet_index[: len(dom.hrep) // 2]):
         # The facet rule must extend affinely, otherwise evaluation at
@@ -358,13 +374,7 @@ def verify_isometry(m: SphereMap, seed=DEFAULT_SEED) -> IsometryReport:
     # Vertex pairs already passed above; start at the first seeded point.
     hit = _first_unequal_pair(pool.drows, pool.dscale, pool.crows, pool.cscale, start=len(dom.vrep))
     if hit is not None:
-        i, j = hit
-        p, q = pool.points[i], pool.points[j]
-        return IsometryReport(
-            False,
-            reason="sampled distance not preserved",
-            counterexample=(p, q, dom.norm(p - q), cod.norm(pool.images[i] - pool.images[j])),
-        )
+        return _distance_failure(m, "sampled", pool.points, pool.images, hit)
 
     hit = _first_untransported(m)
     if hit is not None:
@@ -404,7 +414,7 @@ def transported_functionals(m: SphereMap) -> tuple[tuple[Functional, Functional]
     return tuple((dom.hrep[fid], cod.hrep[gid]) for fid, gid in enumerate(m.facet_map))
 
 
-def extend(m: SphereMap, seed=DEFAULT_SEED) -> ExtensionCertificate:
+def extend(m: SphereMap, seed=0) -> ExtensionCertificate:
     """Construct and certify the linear extension T of a sphere map.
 
     T is determined by the images of one maximal independent set of domain

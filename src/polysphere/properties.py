@@ -153,6 +153,14 @@ class TPropertyReport:
     facet is mirrored from that of vertex j for the same facet, with the
     witnesses negated and swapped. ``violation`` is always an evaluated
     record (see the module docstring).
+
+    ``violation`` is the first record above two in vertex-major order, so
+    it depends on the order of the vertices: two linearly isometric spaces
+    can name different violations. The symmetric hull of (1, 1, 1),
+    (2, 1, -1), (0, -2, -2) and (-1, 1, -1) names one of value 33/10, and
+    its image under the cycle of the coordinates one of value 35/12. The
+    invariants of a linear isometry are ``holds`` and the sorted record
+    values.
     """
 
     holds: bool
@@ -352,6 +360,10 @@ def check_t_property(space: PolyhedralSpace) -> TPropertyReport:
     by one exact norm. The violation is an evaluated record: a
     mirrored record has the value of v's record for the same facet, which
     comes first. The proofs are in the module docstring.
+
+    The violation is the first record above two in vertex-major order, and
+    depends on that order: under a linear isometry only ``holds`` and the
+    sorted record values are invariant (see :class:`TPropertyReport`).
     """
     candidates = tuple(space.facet_barycenter(fid) for fid in range(len(space.hrep)))
     vrep, table, d = space.vrep, space.facet_table, space.facet_scale

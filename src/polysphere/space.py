@@ -88,9 +88,9 @@ keeps its facet functionals as integer rows ``_rows`` over ``_scale`` and
 its vertices as integer rows ``_points`` over the vertex scale
 ``_point_scale``, and ``facet_scale`` is the product of the two. The rank
 checks, the norm and the active facets of other points are read from the
-integer functional rows; facet barycenters, the seeded facet points of
-:mod:`polysphere.sampling`, and the images and linear extensions of
-:mod:`polysphere.isometry` are combined on the integer vertex rows.
+integer functional rows; facet barycenters, and the seeded facet points,
+images and linear extensions of :mod:`polysphere.isometry`, are combined
+on the integer vertex rows.
 
 Antipodes are read from positions. In a sorted list of N distinct vectors
 closed under negation, the negation of item i is item N - 1 - i. Proof: if

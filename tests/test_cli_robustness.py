@@ -8,6 +8,8 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polysphere
 from polysphere import hexagon_space
@@ -426,3 +428,68 @@ def test_space_file_beside_the_working_directory_is_not_read_for_a_map(tmp_path,
     code, out, err = run_cli(["verify-iso", str(path)])
     assert (code, out) == (64, b"")
     assert err.startswith("usage error: 'hexagon.space' is neither a file nor a catalog expression")
+
+
+# The tokens of edited lines: rationals, a zero denominator, decimal and
+# exponent forms, a non-ASCII digit, header keys and values, the map arrow,
+# whole and broken coordinate tuples, an out-of-range vertex and a comment.
+EDIT_TOKENS = [
+    "0", "1", "-1", "1/2", "-3/4", "5/3", "1/0", "1.5", "1e3", "\u0663",
+    "version", "name", "dim", "kind", "symmetric", "true", "V", "H", "domain", "codomain",
+    "map", "hex", "->", "(1, 0)", "(-1/2, 1)", "(1/2,", "v9", "w1", "#",
+]
+EDITED_COMMANDS = [
+    ["facets", "SPACE"], ["check-cl", "SPACE"], ["check-t", "SPACE"], ["star", "SPACE", "1,0"],
+    ["render", "SPACE"], ["sum", "l1", "SPACE", "hex"], ["verify-iso", "MAP"], ["extend", "MAP"],
+]
+
+
+def edit_lines(text, edits):
+    """``text`` with each (op, index, tokens) edit applied to its lines in turn."""
+    lines = text.splitlines()
+    for op, index, tokens in edits:
+        new = " ".join(tokens)
+        if op == "insert":
+            lines.insert(index % (len(lines) + 1), new)
+        elif not lines:
+            continue
+        elif op == "replace":
+            lines[index % len(lines)] = new
+        elif op == "delete":
+            del lines[index % len(lines)]
+        else:
+            lines[index % len(lines)] += " " + new
+    return "".join(line + "\n" for line in lines)
+
+
+line_edits = st.tuples(
+    st.sampled_from(["SPACE", "MAP"]),
+    st.sampled_from(["replace", "insert", "delete", "extend"]),
+    st.integers(0, 15),
+    st.lists(st.sampled_from(EDIT_TOKENS), min_size=1, max_size=4),
+)
+
+
+@pytest.fixture(scope="module")
+def edit_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("edited")
+
+
+# Each case builds the argument parser anew, most of its cost; 240 cases
+# keep the test near one second.
+@settings(max_examples=240, deadline=None)
+@given(edits=st.lists(line_edits, max_size=4), argv=st.sampled_from(EDITED_COMMANDS))
+def test_edited_hexagon_files_exit_0_1_or_64(edit_dir, edits, argv):
+    """The hexagon space file and a rotation map read from it, with up to
+    four lines replaced, inserted, deleted or extended: every command ends
+    in exit 0, 1 or 64, and no exception escapes ``cli.main``."""
+    paths = {"SPACE": edit_dir / "hexagon.space", "MAP": edit_dir / "rot.map"}
+    texts = {
+        "SPACE": serialize_space(hexagon_space(), kind="V"),
+        "MAP": HEX_ROTATION_MAP.replace("domain hex", "domain hexagon.space"),
+    }
+    for name, path in paths.items():
+        text = edit_lines(texts[name], [e[1:] for e in edits if e[0] == name])
+        path.write_text(text, encoding="utf-8")
+    code, _, _ = run_cli([str(paths[a]) if a in paths else a for a in argv])
+    assert code in (0, 1, 64)

@@ -30,8 +30,8 @@ from polysphere import linalg
 from polysphere.isometry import _first_unequal_pair, _first_untransported
 from polysphere.catalog import linf_sum, resolve
 from polysphere.linalg import ONE, combination, dot, integer_rows, mat_vec, transpose
-from polysphere.sampling import DEFAULT_SEED, random_facet_point, rng_from
 from conftest import reference_facet_sample_points
+from samplers import DEFAULT_SEED, reference_random_facet_point
 from test_linalg import reference_invert
 
 F = Fraction
@@ -184,18 +184,6 @@ class TestRejections:
             SphereMap.from_linear(domain, codomain, matrix)
 
 
-def reference_random_facet_point(space, fid, rng):
-    """``random_facet_point`` on Fractions: the same draws, then the
-    Fraction combination of the facet's vertices."""
-    ids = space.facet_index[fid]
-    weights = [F(rng.randint(0, 6)) for _ in ids]
-    if sum(weights) == 0:
-        weights[rng.randrange(len(weights))] = F(1)
-    total = sum(weights)
-    points = [space.vrep[j].coords for j in ids]
-    return Vector(combination([w / total for w in weights], points))
-
-
 def reference_apply(m, x):
     """``SphereMap.apply`` on Fractions: the first facet functional that is
     one at x, the same barycentric LP, and the Fraction combination of the
@@ -257,7 +245,7 @@ def reference_extend(m):
 def reference_pool(space, seed=DEFAULT_SEED):
     """The pool of the seeded pass from the Fraction sampler: the vertices,
     then one seeded point per facet."""
-    rng = rng_from(seed)
+    rng = random.Random(seed)
     seeded = [reference_random_facet_point(space, fid, rng) for fid in range(len(space.hrep))]
     return list(space.vrep) + seeded
 
@@ -410,9 +398,7 @@ class TestAgainstReference:
     def test_sampled_failure_on_seeded_points(self, hexagon, monkeypatch):
         # No map above fails on a seeded point after passing the vertex
         # pairs, so swap two seeded points where apply evaluates them.
-        rng = rng_from(DEFAULT_SEED)
-        seeded = [random_facet_point(hexagon, fid, rng) for fid in range(len(hexagon.hrep))]
-        a, b = [p for p in seeded if p not in hexagon.vrep][:2]
+        a, b = [p for p in reference_pool(hexagon) if p not in hexagon.vrep][:2]
         swap = {a: b, b: a}
         apply = SphereMap.apply
         monkeypatch.setattr(SphereMap, "apply", lambda m, x: apply(m, swap.get(x, x)))
@@ -563,10 +549,8 @@ def test_only_apply_evaluates_norms_on_a_passing_map(monkeypatch, space, matrix)
     monkeypatch.setattr(isometry_module, "solve_lp", counting_solve)
     assert verify_isometry(m).passed
     assert extend(m).matrix == matrix
-    rng = rng_from(DEFAULT_SEED)
-    seeded = [random_facet_point(space, fid, rng) for fid in range(len(space.hrep))]
     vertices = set(space.vrep)
-    non_vertex = sum(1 for p in seeded if p not in vertices)
+    non_vertex = sum(1 for p in reference_pool(space) if p not in vertices)
     assert non_vertex > 0
     assert calls == {
         "norm": 0, "apply": non_vertex, "solve_lp": non_vertex, "combination": 0, "mat_vec": 0
@@ -610,7 +594,7 @@ def extend_outcome(extend_fn, m):
 
 def sample_pool(space, seed):
     rng = random.Random(seed)
-    samples = [random_facet_point(space, fid, rng) for fid in range(len(space.hrep))]
+    samples = [reference_random_facet_point(space, fid, rng) for fid in range(len(space.hrep))]
     return list(space.vrep) + reference_facet_sample_points(space) + samples
 
 
@@ -660,29 +644,38 @@ class TestIntegerVertexRows:
     @settings(max_examples=40, deadline=None)
     @given(fractional_polytopes(), st.integers(0, 60))
     def test_samplers(self, space, seed):
-        points = []
-        rng, ref_rng = random.Random(seed), random.Random(seed)
-        for fid in range(len(space.hrep)):
-            p = random_facet_point(space, fid, rng)
-            assert p == reference_random_facet_point(space, fid, ref_rng)
-            points.append(p)
-        assert rng.getstate() == ref_rng.getstate()
-        assert all(type(c) is F for p in points for c in p.coords)
+        """The seeded pass draws the points of the Fraction sampler, on
+        integer vertex rows, as exact Fractions."""
+        identity = SphereMap(space, space, tuple(range(len(space.vrep))))
+        pool = assert_pool_matches_references(identity, seed)
+        assert all(type(c) is F for p in pool.points for c in p.coords)
 
-    def test_all_zero_weights_draw(self, hexagon):
+    def test_all_zero_weights_draw(self, hexagon, monkeypatch):
         """At seed 2 both weights drawn for hexagon facet 1 are zero, so one
-        vertex is picked by ``randrange``."""
+        vertex is picked by ``randrange``. The seeded pass reads that vertex
+        and its vertex image by position: ``apply`` runs on the other
+        seeded points only."""
         rng = random.Random(2)
-        random_facet_point(hexagon, 0, rng)
+        reference_random_facet_point(hexagon, 0, rng)
         assert [rng.randint(0, 6) for _ in hexagon.facet_index[1]] == [0, 0]
-        rng, ref_rng = random.Random(2), random.Random(2)
-        for fid in range(len(hexagon.hrep)):
-            p = random_facet_point(hexagon, fid, rng)
-            assert p == reference_random_facet_point(hexagon, fid, ref_rng)
-            if fid == 1:
-                assert p in hexagon.vrep
+        applied = []
+        apply = SphereMap.apply
+
+        def recording_apply(m, x):
+            applied.append(x)
+            return apply(m, x)
+
+        nv = len(hexagon.vrep)
         for matrix in hex_symmetries()[:3]:
             m = SphereMap.from_linear(hexagon, hexagon, matrix)
+            applied.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(SphereMap, "apply", recording_apply)
+                pool = assert_pool_matches_references(m, seed=2)
+            i = hexagon.vertex_id(pool.points[nv + 1])
+            assert pool.images[nv + 1] == m.vertex_image(i)
+            assert applied == [p for p in pool.points[nv:] if p not in hexagon.vrep]
+            assert len(applied) == len(hexagon.hrep) - 1
             assert assert_same_report(m, seed=2).passed
         for m in moved_hexagon_maps(hexagon)[:6]:
             assert_matches_references(m, seed=2)
@@ -752,6 +745,7 @@ def assert_pool_matches_references(m, seed=DEFAULT_SEED):
     for t, (p, image) in enumerate(zip(points, pool.images)):
         assert [F(x, pool.dscale) for x in pool.drows[t]] == [f(p) for f in dom.hrep]
         assert [F(x, pool.cscale) for x in pool.crows[t]] == [g(image) for g in cod.hrep]
+    return pool
 
 
 HEX_ROTATION_PRISM = tuple(row + (F(0),) for row in HEX_ROTATION) + ((F(0), F(0), F(-1)),)
