@@ -37,17 +37,30 @@ So ``linf_sum`` pads the functionals and pairs the vertices, and
 above the caps as double description would, by
 :func:`polysphere.space.check_caps` on the dimension and the number of
 rows, before any row is built.
+
+A sum is handed to the constructor on integer rows, as the builders hand
+over theirs, made from the summands' integer rows, scales and tables with
+no scaling, sort or dot product. Each side's scale is the least common
+multiple of the summands' scales on that side; on it the summands' rows
+are multiplied out, and a summand's table entry over s e becomes the
+entry over the sum's L E by the factor (L / s)(E / e). The pairs (u, w)
+are listed u-major, which is sorted. The padded rows are listed as
+(u, 0) for the lower half of the first summand's rows, then (0, w) for
+every row of the second, then (u, 0) for the upper half: the lower half
+of a sorted list closed under negation is the half below zero, so that
+order is sorted too. The constructor runs all its checks on them.
 """
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .errors import EnumerationCapError, GeometryError, echo
-from .space import MAX_ENUM_DIM, PolyhedralSpace, check_caps
+from .space import MAX_ENUM_DIM, Functional, PolyhedralSpace, Vector, _Side, check_caps
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -99,31 +112,78 @@ def hexagon_space() -> PolyhedralSpace:
     return PolyhedralSpace(_with_negations(hrep), _with_negations(vrep), name="hex")
 
 
-def _padded(xs: list[tuple], ys: list[tuple]) -> list[tuple]:
-    """(x, 0) for each x, then (0, y) for each y."""
-    zx, zy = (_ZERO,) * len(xs[0]), (_ZERO,) * len(ys[0])
-    return [x + zy for x in xs] + [zx + y for y in ys]
+def _padded_side(x: _Side, y: _Side, cls) -> _Side:
+    """(u, 0) for u in x's lower half, (0, w) for each w of y, then (u, 0)
+    for x's upper half, on integer rows over the least common multiple of
+    the two scales. The order is sorted: x's lower half is the half below
+    zero, since negation reverses the order, so its rows (u, 0) come before
+    every (0, w), and its upper half after."""
+    scale = math.lcm(x.scale, y.scale)
+    kx, ky = scale // x.scale, scale // y.scale
+    zx, zy = (0,) * len(x.rows[0]), (0,) * len(y.rows[0])
+    fx, fy = (_ZERO,) * len(zx), (_ZERO,) * len(zy)
+    half = len(x.rows) // 2
+    xs = [tuple(c * kx for c in r) + zy for r in x.rows]
+    rows = xs[:half] + [zx + tuple(c * ky for c in r) for r in y.rows] + xs[half:]
+    us = [cls._of(u._row + fy) for u in x.items]
+    items = us[:half] + [cls._of(fx + w._row) for w in y.items] + us[half:]
+    return _Side(tuple(items), rows, scale)
 
 
-def _pairs(xs: list[tuple], ys: list[tuple]) -> list[tuple]:
-    """(x, y) for each x and each y."""
-    return [x + y for x in xs for y in ys]
+def _paired_side(x: _Side, y: _Side, cls) -> _Side:
+    """(u, w) for each u of x and each w of y, x-major, which is sorted, on
+    integer rows over the least common multiple of the two scales."""
+    scale = math.lcm(x.scale, y.scale)
+    kx, ky = scale // x.scale, scale // y.scale
+    ys = [tuple(c * ky for c in r) for r in y.rows]
+    rows = [tuple(c * kx for c in r) + w for r in x.rows for w in ys]
+    items = tuple(cls._of(u._row + w._row) for u in x.items for w in y.items)
+    return _Side(items, rows, scale)
+
+
+def _sides(space: PolyhedralSpace) -> tuple[_Side, _Side]:
+    """A space's functionals and vertices as the constructor takes them."""
+    return (_Side(space.hrep, space._rows, space._scale),
+            _Side(space.vrep, space._points, space._point_scale))
+
+
+def _scaled_table(space: PolyhedralSpace, scale: int, point_scale: int) -> list[list[int]]:
+    """The space's ``facet_table`` over ``scale * point_scale``: an entry
+    over s e is the same value over L E times (L / s)(E / e)."""
+    k = (scale // space._scale) * (point_scale // space._point_scale)
+    return [[value * k for value in line] for line in space.facet_table]
 
 
 def linf_sum(a: PolyhedralSpace, b: PolyhedralSpace, name: str | None = None) -> PolyhedralSpace:
-    """Product space with norm max(|x_a|, |x_b|): padded facets, paired vertices."""
+    """Product space with norm max(|x_a|, |x_b|): padded facets, paired vertices.
+
+    Vertex (v, w)'s line of the table is v's entries at a's lower half of
+    functionals, then w's at b's, then v's at a's upper half."""
     check_caps(a.dim + b.dim, len(a.hrep) + len(b.hrep))
-    hrep = _padded([f.coeffs for f in a.hrep], [g.coeffs for g in b.hrep])
-    vrep = _pairs([v.coords for v in a.vrep], [w.coords for w in b.vrep])
-    return PolyhedralSpace(hrep, vrep, name=name or f"linfsum({a.name or '?'},{b.name or '?'})")
+    (fa, va), (fb, vb) = _sides(a), _sides(b)
+    hrep, vrep = _padded_side(fa, fb, Functional), _paired_side(va, vb, Vector)
+    ta, tb = (_scaled_table(x, hrep.scale, vrep.scale) for x in (a, b))
+    half = len(a.hrep) // 2
+    lines = tuple(tuple(la[:half] + lb + la[half:]) for la in ta for lb in tb)
+    return PolyhedralSpace(hrep, vrep._replace(lines=lines),
+                           name=name or f"linfsum({a.name or '?'},{b.name or '?'})")
 
 
 def l1_sum(a: PolyhedralSpace, b: PolyhedralSpace, name: str | None = None) -> PolyhedralSpace:
-    """Product space with norm |x_a| + |x_b|: paired facets, padded vertices."""
+    """Product space with norm |x_a| + |x_b|: paired facets, padded vertices.
+
+    Vertex (v, 0)'s line of the table is each of v's entries once per
+    functional of b, and (0, w)'s is w's line once per functional of a."""
     check_caps(a.dim + b.dim, len(a.hrep) * len(b.hrep))
-    hrep = _pairs([f.coeffs for f in a.hrep], [g.coeffs for g in b.hrep])
-    vrep = _padded([v.coords for v in a.vrep], [w.coords for w in b.vrep])
-    return PolyhedralSpace(hrep, vrep, name=name or f"l1sum({a.name or '?'},{b.name or '?'})")
+    (fa, va), (fb, vb) = _sides(a), _sides(b)
+    hrep, vrep = _paired_side(fa, fb, Functional), _padded_side(va, vb, Vector)
+    ta, tb = (_scaled_table(x, hrep.scale, vrep.scale) for x in (a, b))
+    na, nb = len(a.hrep), len(b.hrep)
+    la = [tuple(value for value in line for _ in range(nb)) for line in ta]
+    half = len(a.vrep) // 2
+    lines = tuple(la[:half] + [tuple(line * na) for line in tb] + la[half:])
+    return PolyhedralSpace(hrep, vrep._replace(lines=lines),
+                           name=name or f"l1sum({a.name or '?'},{b.name or '?'})")
 
 
 @dataclass(frozen=True)

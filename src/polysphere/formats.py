@@ -29,6 +29,12 @@ Map files::
 A space or map file names each header key at most once; a repeated key
 is a parse error at its second occurrence.
 
+Symmetry is checked once, by the builder, on its integer rows. Without
+``symmetric true``, a file whose rows the builder refuses as asymmetric
+or beyond a cap is then scanned in file order, so its first row that lacks
+its negation is reported as an ``asymmetric-input`` error at its line,
+before any cap.
+
 The facet correspondence of a map is derived from the vertex pairs. A
 well-formed file whose vertex assignment does not send facets onto facets
 parses; :func:`polysphere.isometry.verify_isometry` rejects the map.
@@ -38,7 +44,13 @@ import re
 from fractions import Fraction
 from typing import Callable
 
-from .errors import GeometryError, IntegerTooLongError, echo
+from .errors import (
+    AsymmetricInputError,
+    EnumerationCapError,
+    GeometryError,
+    IntegerTooLongError,
+    echo,
+)
 from .isometry import SphereMap
 from .space import Functional, PolyhedralSpace, Vector, as_fraction
 
@@ -145,16 +157,6 @@ def parse_space_text(text: str, name: str | None = None) -> PolyhedralSpace:
             raise ParseError(
                 "dimension-mismatch", ln, 1, f"row has {len(row)} entries, expected {dim}"
             )
-    if not symmetric:
-        row_set = {row for _, row in rows}
-        for ln, row in rows:
-            if tuple(-c for c in row) not in row_set:
-                raise ParseError(
-                    "asymmetric-input",
-                    ln,
-                    1,
-                    "row lacks its negation and 'symmetric true' is not set",
-                )
 
     label = header["name"][0] if "name" in header else name
     if kind == "H":
@@ -162,7 +164,23 @@ def parse_space_text(text: str, name: str | None = None) -> PolyhedralSpace:
     else:
         build, cls = PolyhedralSpace.from_vertices, Vector
     # The rows are nonempty tuples of Fractions already, of length dim.
-    return build([cls._of(row) for _, row in rows], name=label, symmetrize=symmetric)
+    try:
+        return build([cls._of(row) for _, row in rows], name=label, symmetrize=symmetric)
+    except (AsymmetricInputError, EnumerationCapError):
+        # The builder checks the caps before symmetry and names the first
+        # offender in sorted order; a file's asymmetry is reported first,
+        # at its first offending line.
+        if not symmetric:
+            row_set = {row for _, row in rows}
+            for ln, row in rows:
+                if tuple(-c for c in row) not in row_set:
+                    raise ParseError(
+                        "asymmetric-input",
+                        ln,
+                        1,
+                        "row lacks its negation and 'symmetric true' is not set",
+                    ) from None
+        raise
 
 
 def parse_space_file(path) -> PolyhedralSpace:

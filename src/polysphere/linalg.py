@@ -32,6 +32,7 @@ to the benchmark.
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -141,14 +142,16 @@ def _echelon(
     pivot.
     """
     work = list(rows)
-    if not all(type(c) is int for row in work for c in row):
+    if not set(map(type, chain.from_iterable(work))) <= {int}:
         work, _ = integer_rows(work)
     pivots: list[int] = []
     d = 1
     r = 0
     for c in range(len(work[0]) if work else 0):
-        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pr is None:
+        for pr in range(r, len(work)):
+            if work[pr][c]:
+                break
+        else:
             continue
         work[r], work[pr] = work[pr], work[r]
         d = pivot(work, r, c, d, 0 if reduced else r + 1)
@@ -166,7 +169,7 @@ def rank(rows: Iterable[Sequence[Fraction]]) -> int:
     forward step, which reduces only the rows below its pivot."""
     rows = list(rows)
     if rows and len(rows) > len(rows[0]):
-        rows = transpose(rows)
+        rows = list(zip(*rows))
     return len(_echelon(rows, reduced=False)[1])
 
 

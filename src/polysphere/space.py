@@ -64,11 +64,12 @@ and (-r_i, -s) exactly when e_i = -1 (the sign rule, proved in
 row supports a facet iff the set of vertices where it equals one is
 nonempty and inclusion-maximal among the rows' sets. Vertices leave the
 enumerator as sorted, distinct integer rows over their least common
-scale, and :func:`_polar_pair` builds each vertex's Fraction tuple once,
-from its row. The raw constructor validates the structural invariants it
-can check cheaply (symmetry, unit norms, and facet and vertex ranks,
-tested on one member of each antipodal pair); full re-enumeration is
-available as :meth:`PolyhedralSpace.verify_mutual_polarity`.
+scale, and :func:`_polar_pair` builds the Fraction tuples of the lower
+half once, from their rows, and negates them for the upper half. The raw
+constructor validates the structural invariants it can check cheaply
+(symmetry, unit norms, and facet and vertex ranks, tested on one member
+of each antipodal pair); full re-enumeration is available as
+:meth:`PolyhedralSpace.verify_mutual_polarity`.
 
 Fractions are the public type of every coordinate, but the work is done
 on integers. Each description is scaled to integer rows once, by
@@ -80,10 +81,12 @@ scales its rows and the ball's vertices once, in the polar routine, and
 hands the constructor both sides on integer rows, sorted, over their least
 scales, with the kept rows' lines of the product table it filled for the
 facet test; the constructor then neither scales, sorts nor multiplies them
-out again. The enumerator takes and returns integer rows only: the polar
-routine scales a builder's rows, drops the zero rows, sorts the rest and
-checks their length, the caps and their symmetry, once, and the
-enumerator adds only the span check, which needs the elimination. A space
+out again. The catalog's sums hand over their two sides the same way,
+made from their summands' integer rows and tables. The enumerator takes
+and returns integer rows only: the polar routine scales a builder's rows,
+drops the zero rows, sorts the rest and checks their length, the caps and
+their symmetry, once, and the enumerator adds only the span check, which
+needs the elimination. A space
 keeps its facet functionals as integer rows ``_rows`` over ``_scale`` and
 its vertices as integer rows ``_points`` over the vertex scale
 ``_point_scale``, and ``facet_scale`` is the product of the two. The rank
@@ -102,6 +105,31 @@ largest. The id of a point or a functional is found on the same sorted
 integer rows: scaled by its description's scale, it must have integer
 entries, and then its integer row is found by bisection. A space keeps no
 lookup table beside those rows.
+
+So construction does each per-item step once per antipodal pair, and
+mirrors the other half by position:
+
+- symmetry is tested by position, row N - 1 - i against the negation of
+  row i (:func:`_canonical`, and :func:`_polar_pair` on a builder's
+  rows); only when that fails, or N is odd, is the set scanned, so the
+  first offender in sorted order is named as before;
+- the product table multiplies out only its quarter of lower-half rows
+  against lower-half rows (:func:`_lines`);
+- the builders make Fraction tuples for the lower half of the vertices
+  only (:func:`_polar_pair`);
+- the enumerator takes its basis from the lower half of the rows and
+  builds its start box by doubling over the basis inverse's columns
+  (:func:`enumerate_ball_vertices`);
+- the constructor lists the vertices on the lower half of the facets only
+  (``facet_index``), and ranks one member of each pair (:func:`_check_ranks`).
+
+Each requires an even N, and each gets it where it runs. A builder drops
+zero rows and a bounded ball has no zero vertex, so the enumerator's rows
+and the builders' descriptions are even. A direct construction may list
+the zero row, which is its own negation and makes N odd; the table is
+then multiplied out in full, and the symmetry test falls back to the scan.
+The norm checks refuse a zero row, so the facet lists and the rank checks,
+which follow them, always see even N.
 """
 
 import itertools
@@ -109,7 +137,7 @@ import math
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, neg, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
@@ -262,7 +290,16 @@ def functional(*coeffs) -> Functional:
 
 
 def _neg(row: tuple) -> tuple:
-    return tuple(-c for c in row)
+    return tuple(map(neg, row))
+
+
+def _closed_by_position(rows: list) -> bool:
+    """Whether sorted distinct ``rows`` are closed under negation, read by
+    position: their number N is even and row N - 1 - i is the negation of
+    row i (see the module docstring). A list with the zero row, which is
+    odd, reads as not closed, and is left to the caller's scan."""
+    n = len(rows)
+    return n % 2 == 0 and rows[: n // 2] == [_neg(r) for r in reversed(rows[n // 2:])]
 
 
 def check_caps(dim: int, rows: int):
@@ -288,6 +325,13 @@ def enumerate_ball_vertices(rows: list, s: int, dim: int) -> list[tuple[int, ...
     the rows; the span check needs the elimination, so it is made here,
     and raises DegenerateInputError with a kernel vector of the rows.
 
+    The rows are nonzero and closed under negation, so their number N is
+    even and row N - 1 - i is the negation of row i. The basis is taken
+    from the lower half: the upper half are its negations, so the halves
+    span the same space, and the greedy scan of
+    :func:`polysphere.linalg.independent_row_indices` picks the same ids
+    from the lower half as from all the rows.
+
     The ball is the slice t = 1 of the cone {(x, t) : r.x <= s t}, whose
     rows are the rows r extended by -s; the cone is built one row at a
     time from a box over ``dim`` independent rows. Rays are integer
@@ -298,18 +342,21 @@ def enumerate_ball_vertices(rows: list, s: int, dim: int) -> list[tuple[int, ...
     combine into a new ray, iff their common mask has at least ``dim - 1``
     bits and no third ray's mask contains it: the combinatorial test of
     Fukuda & Prodon, "Double description method revisited" (1996). The
-    start box needs no product for its masks. Sign rule: the box ray for
-    signs e has base * ray = s * scale * e and last entry ``scale``, so box
-    row (r_i, -s) is s * scale * (e_i - 1) on it, zero exactly when
-    e_i = +1, and (-r_i, -s) is zero exactly when e_i = -1; its mask is
-    the sum of 1 << (2i + (e_i < 0)). Every surviving ray has last entry
+    start box needs no dot product: its ray for signs e is the sum of e_k
+    times s times column k of the basis inverse, so its 2^dim rays are
+    built by doubling over the columns, in the order of
+    ``itertools.product((1, -1), repeat=dim)``, and its masks by the sign
+    rule. Sign rule: the box ray for signs e has base * ray = s * scale * e
+    and last entry ``scale``, so box row (r_i, -s) is s * scale * (e_i - 1)
+    on it, zero exactly when e_i = +1, and (-r_i, -s) is zero exactly when
+    e_i = -1; its mask is the sum of 1 << (2i + (e_i < 0)). Every surviving ray has last entry
     t > 0 and stands for the vertex ray / t. The rays are scaled to the
     least common multiple L of their t's, and these keys are divided by
     g = gcd(L, every key entry). That leaves them over L / g, their least
     common denominator: entry k / L has denominator L / gcd(L, k), and the
     least common multiple of those is L / g, prime by prime.
     """
-    base_idx = linalg.independent_row_indices(rows)
+    base_idx = linalg.independent_row_indices(rows[: len(rows) // 2])
     if len(base_idx) < dim:
         raise DegenerateInputError(
             "ball is unbounded: functionals do not span the dual space",
@@ -324,13 +371,18 @@ def enumerate_ball_vertices(rows: list, s: int, dim: int) -> list[tuple[int, ...
     # whose extreme rays are the solutions of (basis) x = signs at t = 1.
     # The integer basis is s times the functionals', so its inverse
     # base_inv / scale is theirs over s, and each ray is scaled by ``scale``.
+    # Ray e is the sum of e_k times s times column k of base_inv, built by
+    # doubling over the columns in the order of itertools.product((1, -1)).
     # Box rows 2i and 2i + 1 are (r_i, -s) and (-r_i, -s); the sign rule
     # (see the docstring) gives each ray's mask from its signs.
-    rays: list[tuple[int, ...]] = []
-    masks: list[int] = []
-    for signs in itertools.product((1, -1), repeat=dim):
-        rays.append(tuple(s * sum(map(mul, row, signs)) for row in base_inv) + (scale,))
-        masks.append(sum(1 << (2 * i + (c < 0)) for i, c in enumerate(signs)))
+    rays: list[tuple[int, ...]] = [(0,) * dim + (scale,)]
+    masks: list[int] = [0]
+    for k in range(dim):
+        col = tuple(s * row[k] for row in base_inv) + (0,)
+        rays = [w for ray in rays
+                for w in (tuple(map(add, ray, col)), tuple(map(sub, ray, col)))]
+        plus, minus = 1 << 2 * k, 1 << 2 * k + 1
+        masks = [w for z in masks for w in (z | plus, z | minus)]
 
     need = dim - 1  # homogenised dimension minus two
     for bit, f in enumerate((r for r in rows if r not in consumed), start=2 * dim):
@@ -381,8 +433,25 @@ class _Side(NamedTuple):
 
 def _lines(rows: Sequence, others: Sequence) -> tuple[tuple[int, ...], ...]:
     """The product table's lines: each integer row of ``rows`` dotted with
-    every integer row of ``others``."""
-    return tuple(tuple(sum(map(mul, r, o)) for o in others) for r in rows)
+    every integer row of ``others``.
+
+    Both lists are sorted, distinct and closed under negation, so item i's
+    antipode is item N - 1 - i (see the module docstring). When both have
+    even length, only the quarter ``rows[:M/2] x others[:N/2]`` is
+    multiplied out: the rest of line i is its first half negated in reverse
+    order, and line M - 1 - i is line i negated. A list of odd length holds
+    the zero row in its middle, as a direct construction may, and is
+    multiplied out in full.
+    """
+    m, n = len(rows), len(others)
+    if m % 2 or n % 2:
+        return tuple(tuple(sum(map(mul, r, o)) for o in others) for r in rows)
+    half = others[: n // 2]
+    lower = []
+    for r in rows[: m // 2]:
+        q = [sum(map(mul, r, o)) for o in half]
+        lower.append(tuple(q + list(map(neg, reversed(q)))))
+    return tuple(lower + [_neg(line) for line in reversed(lower)])
 
 
 def _polar_pair(rows: Sequence, dim: int, symmetrize: bool) -> tuple[_Side, _Side]:
@@ -394,8 +463,10 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool) -> tuple[_Side, _Sid
     the sorted rows are checked before they are enumerated, raising on the
     first failure: no nonzero row, a row whose length is not ``dim``,
     :func:`check_caps`, and the first row without its negation, which is
-    named by its Fraction row. The vertices' Fraction rows are built once,
-    from the enumerator's integer rows.
+    named by its Fraction row; the symmetry is read by position, and the
+    rows are scanned only when that fails. The Fraction rows of the lower
+    half of the vertices are built once, from the enumerator's integer
+    rows, and the upper half are their negations in reverse order.
 
     A row is kept iff the set of vertices where it equals one, its mask, is
     nonempty and no other row's mask strictly contains it. Let P be the
@@ -436,15 +507,17 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool) -> tuple[_Side, _Sid
     if any(len(k) != dim for k in keys):
         raise DimensionMismatchError("functional length does not match the dimension")
     check_caps(dim, len(keys))
-    for k in keys:
-        if _neg(k) not in frac:
-            raise AsymmetricInputError(
-                f"functional {frac[k]} appears without its negation", offender=frac[k]
-            )
+    if not _closed_by_position(keys):
+        for k in keys:
+            if _neg(k) not in frac:
+                raise AsymmetricInputError(
+                    f"functional {frac[k]} appears without its negation", offender=frac[k]
+                )
     rays = enumerate_ball_vertices(keys, s, dim)
     e = rays[0][-1]
     pts = [ray[:-1] for ray in rays]
-    points = tuple(tuple(Fraction(c, e) for c in p) for p in pts)
+    lower = [tuple(Fraction(c, e) for c in p) for p in pts[: len(pts) // 2]]
+    points = tuple(lower + [_neg(p) for p in reversed(lower)])
     lines = _lines(keys, pts)
     tight = s * e
     masks = [sum(1 << j for j, value in enumerate(line) if value == tight) for line in lines]
@@ -477,6 +550,12 @@ def _canonical(items, kind: str) -> _Side:
     A builder's :class:`_Side` has its rows sorted and scaled already, and
     is only checked to be strictly increasing, in one pass; a list of
     instances is scaled to integer rows and sorted here.
+
+    Symmetry is tested by position: sorted distinct rows of even length N
+    are closed under negation iff row N - 1 - i is the negation of row i
+    for every i < N / 2 (see the module docstring). Only when that fails,
+    or N is odd, as with a zero row, are the rows scanned against their
+    set, which names the first offender in sorted order.
     """
     if type(items) is _Side:
         side = items
@@ -490,10 +569,11 @@ def _canonical(items, kind: str) -> _Side:
         by_row = dict(zip(ints, items))
         rows = sorted(by_row)
         side = _Side(tuple(by_row[r] for r in rows), rows, scale)
-    present = set(side.rows)
-    for r, x in zip(side.rows, side.items):
-        if _neg(r) not in present:
-            raise _lacks_negation(kind, x)
+    if not _closed_by_position(side.rows):
+        present = set(side.rows)
+        for r, x in zip(side.rows, side.items):
+            if _neg(r) not in present:
+                raise _lacks_negation(kind, x)
     return side
 
 
@@ -631,8 +711,13 @@ class PolyhedralSpace:
         self.facet_table, self.facet_scale = table, d
         _check_norms(self.vrep, table, d, "listed vertex {} does not have norm one")
         _check_norms(self.hrep, columns, d, "functional {} does not have dual norm one")
+        # The norm checks rule out zero rows, so both counts are even, and the
+        # facet of -f holds the antipodes of f's vertices, in reverse order.
+        last = len(self.vrep) - 1
+        lower = [tuple(j for j, value in enumerate(column) if value == d)
+                 for column in columns[: len(columns) // 2]]
         self.facet_index = tuple(
-            tuple(j for j, value in enumerate(column) if value == d) for column in columns
+            lower + [tuple(last - j for j in reversed(ids)) for ids in reversed(lower)]
         )
         _check_ranks(self.hrep, columns, d, self._points, dim,
                      "functional {} does not support a facet")

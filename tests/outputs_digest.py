@@ -18,7 +18,14 @@ fallback, so its witnesses are covered too. The outcomes are:
 - for each of ``DISTANCE_SPACES``, at every vertex and then every facet
   barycenter, ``condition_iii_value`` and ``distance_to_hull`` for every
   facet id: a vertex and a point that is no vertex reach the distances
-  by different paths, and both are covered.
+  by different paths, and both are covered;
+- each of ``ZERO_ROW_SPACES`` passed to the raw constructor with a zero
+  functional added, and again with a zero vertex added: a zero row makes
+  a description's length odd;
+- the space files of ``space_files``, of both kinds, with and without
+  ``symmetric true``: files whose first asymmetric row in file order is
+  not the first in sorted order, and files beyond ``MAX_ENUM_DIM`` or
+  ``MAX_FACETS``, asymmetric or not.
 
 The expected line is pinned in ``tests/outputs_digest.txt``; a change that
 moves any outcome must say why and update that file:
@@ -44,11 +51,13 @@ from polysphere import (  # noqa: E402
     condition_iii_value,
     distance_to_hull,
 )
+from polysphere.formats import parse_space_text  # noqa: E402
 
 FIELDS = ("dim", "name", "facet_index", "facet_table", "facet_scale",
           "_rows", "_scale", "_points", "_point_scale")
 LEAVES = ["hex"] + [f"{kind}:{n}" for kind in ("l1", "linf") for n in range(1, 7)]
 DISTANCE_SPACES = ["hex"] + [f"{kind}:{n}" for kind in ("l1", "linf") for n in range(1, 4)]
+ZERO_ROW_SPACES = LEAVES + ["l1sum(hex,l1:1)", "linfsum(hex,linf:1)"]
 
 
 def outcome(build) -> str:
@@ -83,6 +92,20 @@ def random_points(rng: random.Random, dim: int) -> list[tuple[Fraction, ...]]:
     return points
 
 
+def space_files():
+    """Data rows of space files that the builders refuse or only build
+    with ``symmetric true``."""
+    offenders = ["1 1", "0 1", "2 0", "-2 0"]
+    yield 2, offenders
+    yield 2, offenders[::-1]
+    yield 2, ["3 1", "-1 -2", "1 2", "0 -1"]
+    units = [" ".join("1" if j == i else "0" for j in range(7)) for i in range(7)]
+    yield 7, units
+    yield 7, units + [row.replace("1", "-1") for row in units]
+    yield 2, [f"{k} 1" for k in range(-100, 101)]
+    yield 2, [f"{k} 1" for k in range(101)] + [f"{-k} -1" for k in range(101)]
+
+
 def outcomes():
     for name in LEAVES:
         yield outcome(lambda: catalog.resolve(name))
@@ -114,6 +137,17 @@ def outcomes():
         barycenters = [space.facet_barycenter(fid) for fid in range(len(space.hrep))]
         for x in list(space.vrep) + barycenters:
             yield distance_outcome(space, x)
+    zero = Fraction(0)
+    for name in ZERO_ROW_SPACES:
+        space = catalog.resolve(name)
+        origin = (zero,) * space.dim
+        yield outcome(lambda: PolyhedralSpace(list(space.hrep) + [origin], space.vrep))
+        yield outcome(lambda: PolyhedralSpace(space.hrep, list(space.vrep) + [origin]))
+    for dim, rows in space_files():
+        for kind in ("H", "V"):
+            for symmetric in ("false", "true"):
+                head = f"version 1\ndim {dim}\nkind {kind}\nsymmetric {symmetric}\n"
+                yield outcome(lambda: parse_space_text(head + "\n".join(rows) + "\n"))
 
 
 def main():

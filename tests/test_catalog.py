@@ -16,6 +16,7 @@ from polysphere import (
     Vector,
     check_cl,
     check_t_property,
+    linalg,
 )
 from polysphere.catalog import (
     catalog_entries,
@@ -218,3 +219,54 @@ def test_sums_match_the_enumerated_reference(a, b):
     for field, or the same refusal above the caps."""
     assert outcome(lambda: l1_sum(a, b)) == outcome(lambda: reference_l1_sum(a, b))
     assert outcome(lambda: linf_sum(a, b)) == outcome(lambda: reference_linf_sum(a, b))
+
+
+SUMMANDS = ["hex", "l1:1", "l1:2", "l1:3", "linf:1", "linf:2", "linf:3",
+            "l1sum(hex,l1:1)", "linfsum(hex,linf:1)"]
+SUM_FIELDS = ("hrep", "vrep", "facet_table", "facet_scale", "facet_index",
+              "_rows", "_scale", "_points", "_point_scale", "name")
+
+
+def closed_form_linf_sum(a, b):
+    """``linf_sum``'s closed form as plain coordinate tuples, which the
+    constructor scales, sorts and multiplies out itself."""
+    zeros_a, zeros_b = (F(0),) * a.dim, (F(0),) * b.dim
+    hrep = [f.coeffs + zeros_b for f in a.hrep] + [zeros_a + g.coeffs for g in b.hrep]
+    vrep = [v.coords + w.coords for v in a.vrep for w in b.vrep]
+    return PolyhedralSpace(hrep, vrep, name=f"linfsum({a.name},{b.name})")
+
+
+def closed_form_l1_sum(a, b):
+    """``l1_sum``'s closed form as plain coordinate tuples."""
+    zeros_a, zeros_b = (F(0),) * a.dim, (F(0),) * b.dim
+    hrep = [f.coeffs + g.coeffs for f in a.hrep for g in b.hrep]
+    vrep = [v.coords + zeros_b for v in a.vrep] + [zeros_a + w.coords for w in b.vrep]
+    return PolyhedralSpace(hrep, vrep, name=f"l1sum({a.name},{b.name})")
+
+
+@pytest.mark.parametrize("a,b", list(itertools.product(SUMMANDS, repeat=2)))
+def test_sums_on_integer_rows_equal_the_constructors_closed_form(a, b):
+    """The sums hand the constructor integer rows, scales and table lines
+    made from their summands'; each field equals what the constructor makes
+    of the same closed form given as coordinate tuples."""
+    a, b = resolve(a), resolve(b)
+    for built, reference in ((l1_sum(a, b), closed_form_l1_sum(a, b)),
+                             (linf_sum(a, b), closed_form_linf_sum(a, b))):
+        for field in SUM_FIELDS:
+            assert getattr(built, field) == getattr(reference, field), field
+
+
+@pytest.mark.parametrize("build", [l1_sum, linf_sum])
+def test_a_sum_scales_no_rows(build, monkeypatch):
+    """A sum reads its summands' integer rows: no ``integer_rows`` call."""
+    a, b = resolve("linfsum(hex,linf:1)"), resolve("l1:2")
+    calls = []
+    original = linalg.integer_rows
+
+    def counted(rows):
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "integer_rows", counted)
+    build(a, b)
+    assert calls == []

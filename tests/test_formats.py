@@ -44,6 +44,13 @@ SPACE_ERRORS = [
     ("version 1\ndim 2\nkind H\n  dim 3\n0 1\n0 -1\n", "header", 4, 3, "repeated header key 'dim'"),
     ("version 1\nversion 1\ndim 1\nkind H\n1\n-1\n", "header", 2, 1, "repeated header key"),
     ("version 1\nname a\nname b c\ndim 1\nkind H\n1\n", "header", 3, 1, "repeated header key"),
+    # Asymmetry is reported at the first offending line of the file, which
+    # here is not the first offending row in sorted order.
+    ("version 1\ndim 2\nkind H\n1 1\n0 1\n2 0\n-2 0\n", "asymmetric-input", 4, 1,
+     "row lacks its negation"),
+    # Asymmetry is reported before a cap.
+    ("version 1\ndim 7\nkind V\n1 0 0 0 0 0 0\n", "asymmetric-input", 4, 1,
+     "row lacks its negation"),
 ]
 
 

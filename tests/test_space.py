@@ -849,10 +849,13 @@ class TestInvariants:
              "functional (-1/2, -1/2) does not support a facet", None),
             ((), [(1, 0), (-1, 0)], GeometryError,
              "listed point (-1, 0) is not a vertex of the ball", None),
+            # A zero row is its own negation and sits in the middle of an odd list.
+            ([(0, 0)], (), GeometryError, "functional (0, 0) does not have dual norm one", None),
+            ((), [(0, 0)], GeometryError, "listed vertex (0, 0) does not have norm one", None),
         ],
         ids=["empty", "mixed-dims", "asymmetric-functional", "asymmetric-vertex",
              "functional-over-a-vertex", "vertex-outside", "short-functional",
-             "corner-functional", "edge-midpoints"],
+             "corner-functional", "edge-midpoints", "zero-functional", "zero-vertex"],
     )
     def test_direct_construction_rejects_one_defect(self, extra_h, extra_v, error, message,
                                                     offender):
@@ -929,3 +932,26 @@ class TestInvariants:
         again = hexagon_space()
         assert tuple(f.coeffs for f in again.hrep) == tuple(f.coeffs for f in hexagon.hrep)
         assert tuple(v.coords for v in again.vrep) == tuple(v.coords for v in hexagon.vrep)
+
+
+@st.composite
+def sorted_symmetric_int_rows(draw, dim):
+    """Sorted distinct integer rows of length ``dim``, closed under negation,
+    with or without the zero row, which makes their number odd."""
+    rows = set(draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=5)))
+    rows |= {tuple(-c for c in r) for r in rows}
+    rows.discard((0,) * dim)
+    if draw(st.booleans()):
+        rows.add((0,) * dim)
+    return sorted(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(sorted_symmetric_int_rows(dim),
+                                                         sorted_symmetric_int_rows(dim))))
+def test_table_lines_equal_the_full_product(case):
+    """The quarter product mirrored by position, on even lists, and the full
+    product on a list with the zero row, equal every dot product."""
+    rows, others = case
+    full = tuple(tuple(sum(a * b for a, b in zip(r, o)) for o in others) for r in rows)
+    assert space_module._lines(rows, others) == full
