@@ -10,11 +10,17 @@ and message. The random polytopes reach the T-property's distance LP
 fallback, so its witnesses are covered too. The outcomes are:
 
 - every catalog leaf, and every binary ℓ1 and ℓ∞ sum of two leaves;
+- the catalog sums of ``NESTED_SUMS``, nested two to five deep, a sum
+  above the row cap, and a sum nested ``MAX_ENUM_DIM`` deep, which the
+  parser refuses;
 - seeded ``random.Random(7)`` point sets in dims 2 to 4, through both
   builders, as drawn and closed under negation, with and without
   ``symmetrize``;
 - each space those builders return, passed to the raw constructor with
   its descriptions shuffled, and again without its last vertex pair;
+- ``l1_sum`` and ``linf_sum`` of pairs of the spaces built from the
+  closed point sets, whose scales are rarely 1 or 2: planes with planes,
+  planes with solids, and a solid with a 4-space, which the caps refuse;
 - for each of ``DISTANCE_SPACES``, at every vertex and then every facet
   barycenter, ``condition_iii_value`` and ``distance_to_hull`` for every
   facet id: a vertex and a point that is no vertex reach the distances
@@ -58,6 +64,15 @@ FIELDS = ("dim", "name", "facet_index", "facet_table", "facet_scale",
 LEAVES = ["hex"] + [f"{kind}:{n}" for kind in ("l1", "linf") for n in range(1, 7)]
 DISTANCE_SPACES = ["hex"] + [f"{kind}:{n}" for kind in ("l1", "linf") for n in range(1, 4)]
 ZERO_ROW_SPACES = LEAVES + ["l1sum(hex,l1:1)", "linfsum(hex,linf:1)"]
+NESTED_SUMS = [
+    "l1sum(linfsum(hex,l1:1),linf:2)",
+    "linfsum(l1sum(l1:1,l1:1),linfsum(hex,l1:1))",
+    "l1sum(l1:1,linfsum(l1:1,l1sum(hex,linf:1)))",
+    "linfsum(l1sum(linfsum(l1sum(l1:1,l1:1),l1:1),hex),l1:1)",
+    "linfsum(l1:1,l1sum(l1:1,linfsum(l1:1,l1sum(l1:1,linfsum(l1:1,l1:1)))))",
+    "l1sum(hex,l1sum(hex,hex))",
+    "l1sum(" * 6 + "l1:1,l1:1" + ",l1:1)" * 6,
+]
 
 
 def outcome(build) -> str:
@@ -113,7 +128,10 @@ def outcomes():
         for b in LEAVES:
             for kind in ("l1sum", "linfsum"):
                 yield outcome(lambda: catalog.resolve(f"{kind}({a},{b})"))
+    for name in NESTED_SUMS:
+        yield outcome(lambda: catalog.resolve(name))
     rng = random.Random(7)
+    seeded = {dim: [] for dim in (2, 3, 4)}
     builders = (PolyhedralSpace.from_functionals, PolyhedralSpace.from_vertices)
     for dim in (2, 3, 4):
         for _ in range(12):
@@ -127,11 +145,18 @@ def outcomes():
                     space = build(closed)
                 except Exception:
                     continue
+                seeded[dim].append(space)
                 hrep, vrep = list(space.hrep), list(space.vrep)
                 rng.shuffle(hrep)
                 rng.shuffle(vrep)
                 yield outcome(lambda: PolyhedralSpace(hrep, vrep))
                 yield outcome(lambda: PolyhedralSpace(space.hrep, space.vrep[1:-1]))
+    planes, solids = seeded[2], seeded[3]
+    pairs = [*zip(planes[0:12:2], planes[1:12:2]), *zip(planes[::3], solids[::3]),
+             (solids[0], seeded[4][0])]
+    for a, b in pairs:
+        for build in (catalog.l1_sum, catalog.linf_sum):
+            yield outcome(lambda: build(a, b))
     for name in DISTANCE_SPACES:
         space = catalog.resolve(name)
         barycenters = [space.facet_barycenter(fid) for fid in range(len(space.hrep))]
