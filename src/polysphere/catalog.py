@@ -12,14 +12,15 @@ Sums are binary and nest, so longer sums are written by composition.
 Nesting ``MAX_ENUM_DIM`` deep is an EnumerationCapError, raised as soon as
 the parser reaches it: such a sum has dimension above the cap.
 
-Every space is built from its closed form, both descriptions listed, with
-no vertex enumeration. The constructor still runs all its checks, so a
-wrong closed form raises instead of giving a wrong space. The ℓ1 and ℓ∞
-leaves are polar twins: the signed unit vectors ±e_i are the vertices of
-the cross-polytope and the facets of the cube, and the sign vectors are
-the facets of the one and the vertices of the other. So are the sums. Let
-X and Y have facet functionals F_X, F_Y and vertices V_X, V_Y, the
-summands' descriptions being polar, as every builder makes them.
+Every space is built from two leaves and two sums, with no vertex
+enumeration: the segment [-1, 1] and ``hex`` are built once, at import,
+by the public constructor, and every other space is a sum of them. The
+ℓ1 and ℓ∞ norms of a sum of segments are Σ|x_i| and max|x_i|, so
+``l1:N`` and ``linf:N`` are the N-fold ℓ1- and ℓ∞-sums of the segment.
+The constructor runs all its checks on every space, so a wrong sum raises
+instead of giving a wrong space. Let X and Y have facet functionals F_X,
+F_Y and vertices V_X, V_Y, the summands' descriptions being polar, as
+every space's are.
 
 - ℓ∞-sum: the ball is B_X × B_Y. Its facets are F × B_Y and B_X × G for
   the facets F, G of the factors, with functionals (f, 0) and (0, g); its
@@ -32,27 +33,25 @@ summands' descriptions being polar, as every builder makes them.
   Its vertices, the facets of B_X° × B_Y° read back through polarity, are
   (v, 0) and (0, w).
 
-So ``linf_sum`` pads the functionals and pairs the vertices, and
-``l1_sum`` pairs the functionals and pads the vertices. Both refuse a sum
+So the ℓ∞-sum pads the functionals and pairs the vertices, and the
+ℓ1-sum pairs the functionals and pads the vertices. Both refuse a sum
 above the caps as double description would, by
 :func:`polysphere.space.check_caps` on the dimension and the number of
 rows, before any row is built.
 
 A sum is handed to the constructor on integer rows, as the builders hand
-over theirs, made from the summands' integer rows, scales and tables with
-no scaling, sort or dot product. Each side's scale is the least common
-multiple of the summands' scales on that side; on it the summands' rows
-are multiplied out, and a summand's table entry over s e becomes the
-entry over the sum's L E by the factor (L / s)(E / e). The pairs (u, w)
-are listed u-major, which is sorted. The padded rows are listed as
-(u, 0) for the lower half of the first summand's rows, then (0, w) for
-every row of the second, then (u, 0) for the upper half: the lower half
-of a sorted list closed under negation is the half below zero, so that
-order is sorted too. The constructor runs all its checks on them.
+over theirs, made from the summands' integer rows and scales with no
+scaling or sort. Each side's scale is the least common multiple of the
+summands' scales on that side, and on it the summands' rows are
+multiplied out. The pairs (u, w) are listed u-major, which is sorted. The
+padded rows are listed as (u, 0) for the lower half of the first
+summand's rows, then (0, w) for every row of the second, then (u, 0) for
+the upper half: the lower half of a sorted list closed under negation is
+the half below zero, so that order is sorted too. The constructor makes
+each sum's table from its rows, and runs all its checks on them.
 """
 
 import functools
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -62,54 +61,12 @@ from typing import Callable
 from .errors import EnumerationCapError, GeometryError, echo
 from .space import MAX_ENUM_DIM, Functional, PolyhedralSpace, Vector, _Side, check_caps
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 # Decimal digits, in any script: exactly the characters int() reads.
 _DIGITS = re.compile(r"\d*")
 
 
-def _with_negations(rows: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]]:
+def _with_negations(rows: list[tuple]) -> list[tuple]:
     return rows + [tuple(-c for c in row) for row in rows]
-
-
-def _signed_units(n: int) -> list[tuple[Fraction, ...]]:
-    """The vectors ±e_i of length n."""
-    units = [tuple(_ONE if j == i else _ZERO for j in range(n)) for i in range(n)]
-    return _with_negations(units)
-
-
-def _signs(n: int) -> list[tuple[Fraction, ...]]:
-    """The 2^n vectors with entries ±1."""
-    return list(itertools.product((_ONE, -_ONE), repeat=n))
-
-
-def l1_space(n: int) -> PolyhedralSpace:
-    """Ball = cross-polytope: the signed unit vectors are its vertices."""
-    _check_range(n)
-    return PolyhedralSpace(_signs(n), _signed_units(n), name=f"l1:{n}")
-
-
-def linf_space(n: int) -> PolyhedralSpace:
-    """Ball = cube: the signed unit vectors are its facet functionals."""
-    _check_range(n)
-    return PolyhedralSpace(_signed_units(n), _signs(n), name=f"linf:{n}")
-
-
-def hexagon_space() -> PolyhedralSpace:
-    """The plane with norm max(|y|, |x| + |y|/2); the sphere is a hexagon.
-
-    Its vertices (1, 0), (1/2, 1), (-1/2, 1) make it a linear image of the
-    regular hexagon, and it is not CL. With facet stars and "= 2" in
-    condition (iii), the reading that :mod:`polysphere.properties` decides,
-    it is a linear image of the one hexagon with the T-property among the
-    66 on that module's census grid. With vertex stars and "<= 2", every
-    grid hexagon has it, as measured; the two readings are stated in
-    :mod:`polysphere.properties`.
-    """
-    hrep = [(_ZERO, _ONE), (_ONE, _HALF), (_ONE, -_HALF)]
-    vrep = [(_ONE, _ZERO), (_HALF, _ONE), (-_HALF, _ONE)]
-    return PolyhedralSpace(_with_negations(hrep), _with_negations(vrep), name="hex")
 
 
 def _padded_side(x: _Side, y: _Side, cls) -> _Side:
@@ -121,7 +78,7 @@ def _padded_side(x: _Side, y: _Side, cls) -> _Side:
     scale = math.lcm(x.scale, y.scale)
     kx, ky = scale // x.scale, scale // y.scale
     zx, zy = (0,) * len(x.rows[0]), (0,) * len(y.rows[0])
-    fx, fy = (_ZERO,) * len(zx), (_ZERO,) * len(zy)
+    fx, fy = (Fraction(0),) * len(zx), (Fraction(0),) * len(zy)
     half = len(x.rows) // 2
     xs = [tuple(c * kx for c in r) + zy for r in x.rows]
     rows = xs[:half] + [zx + tuple(c * ky for c in r) for r in y.rows] + xs[half:]
@@ -147,42 +104,64 @@ def _sides(space: PolyhedralSpace) -> tuple[_Side, _Side]:
             _Side(space.vrep, space._points, space._point_scale))
 
 
-def _scaled_table(space: PolyhedralSpace, scale: int, point_scale: int) -> list[list[int]]:
-    """The space's ``facet_table`` over ``scale * point_scale``: an entry
-    over s e is the same value over L E times (L / s)(E / e)."""
-    k = (scale // space._scale) * (point_scale // space._point_scale)
-    return [[value * k for value in line] for line in space.facet_table]
+def _linf(a: tuple[_Side, _Side], b: tuple[_Side, _Side]) -> tuple[_Side, _Side]:
+    """The ℓ∞-sum of two (functionals, vertices) pairs: padded functionals,
+    paired vertices."""
+    (fa, va), (fb, vb) = a, b
+    check_caps(len(fa.rows[0]) + len(fb.rows[0]), len(fa.rows) + len(fb.rows))
+    return _padded_side(fa, fb, Functional), _paired_side(va, vb, Vector)
+
+
+def _l1(a: tuple[_Side, _Side], b: tuple[_Side, _Side]) -> tuple[_Side, _Side]:
+    """The ℓ1-sum of two (functionals, vertices) pairs: paired functionals,
+    padded vertices."""
+    (fa, va), (fb, vb) = a, b
+    check_caps(len(fa.rows[0]) + len(fb.rows[0]), len(fa.rows) * len(fb.rows))
+    return _paired_side(fa, fb, Functional), _padded_side(va, vb, Vector)
+
+
+_SEGMENT = _sides(PolyhedralSpace([(1,), (-1,)], [(1,), (-1,)]))
+_HEXAGON = _sides(PolyhedralSpace(
+    _with_negations([(0, 1), (1, Fraction(1, 2)), (1, Fraction(-1, 2))]),
+    _with_negations([(1, 0), (Fraction(1, 2), 1), (Fraction(-1, 2), 1)]),
+))
+
+
+def l1_space(n: int) -> PolyhedralSpace:
+    """Ball = cross-polytope: the ℓ1-sum of n segments."""
+    _check_range(n)
+    return PolyhedralSpace(*functools.reduce(_l1, [_SEGMENT] * n), name=f"l1:{n}")
+
+
+def linf_space(n: int) -> PolyhedralSpace:
+    """Ball = cube: the ℓ∞-sum of n segments."""
+    _check_range(n)
+    return PolyhedralSpace(*functools.reduce(_linf, [_SEGMENT] * n), name=f"linf:{n}")
+
+
+def hexagon_space() -> PolyhedralSpace:
+    """The plane with norm max(|y|, |x| + |y|/2); the sphere is a hexagon.
+
+    Its vertices (1, 0), (1/2, 1), (-1/2, 1) make it a linear image of the
+    regular hexagon, and it is not CL. With facet stars and "= 2" in
+    condition (iii), the reading that :mod:`polysphere.properties` decides,
+    it is a linear image of the one hexagon with the T-property among the
+    66 on that module's census grid. With vertex stars and "<= 2", every
+    grid hexagon has it, as measured; the two readings are stated in
+    :mod:`polysphere.properties`.
+    """
+    return PolyhedralSpace(*_HEXAGON, name="hex")
 
 
 def linf_sum(a: PolyhedralSpace, b: PolyhedralSpace, name: str | None = None) -> PolyhedralSpace:
-    """Product space with norm max(|x_a|, |x_b|): padded facets, paired vertices.
-
-    Vertex (v, w)'s line of the table is v's entries at a's lower half of
-    functionals, then w's at b's, then v's at a's upper half."""
-    check_caps(a.dim + b.dim, len(a.hrep) + len(b.hrep))
-    (fa, va), (fb, vb) = _sides(a), _sides(b)
-    hrep, vrep = _padded_side(fa, fb, Functional), _paired_side(va, vb, Vector)
-    ta, tb = (_scaled_table(x, hrep.scale, vrep.scale) for x in (a, b))
-    half = len(a.hrep) // 2
-    lines = tuple(tuple(la[:half] + lb + la[half:]) for la in ta for lb in tb)
-    return PolyhedralSpace(hrep, vrep._replace(lines=lines),
+    """Product space with norm max(|x_a|, |x_b|): padded facets, paired vertices."""
+    return PolyhedralSpace(*_linf(_sides(a), _sides(b)),
                            name=name or f"linfsum({a.name or '?'},{b.name or '?'})")
 
 
 def l1_sum(a: PolyhedralSpace, b: PolyhedralSpace, name: str | None = None) -> PolyhedralSpace:
-    """Product space with norm |x_a| + |x_b|: paired facets, padded vertices.
-
-    Vertex (v, 0)'s line of the table is each of v's entries once per
-    functional of b, and (0, w)'s is w's line once per functional of a."""
-    check_caps(a.dim + b.dim, len(a.hrep) * len(b.hrep))
-    (fa, va), (fb, vb) = _sides(a), _sides(b)
-    hrep, vrep = _paired_side(fa, fb, Functional), _padded_side(va, vb, Vector)
-    ta, tb = (_scaled_table(x, hrep.scale, vrep.scale) for x in (a, b))
-    na, nb = len(a.hrep), len(b.hrep)
-    la = [tuple(value for value in line for _ in range(nb)) for line in ta]
-    half = len(a.vrep) // 2
-    lines = tuple(la[:half] + [tuple(line * na) for line in tb] + la[half:])
-    return PolyhedralSpace(hrep, vrep._replace(lines=lines),
+    """Product space with norm |x_a| + |x_b|: paired facets, padded vertices."""
+    return PolyhedralSpace(*_l1(_sides(a), _sides(b)),
                            name=name or f"l1sum({a.name or '?'},{b.name or '?'})")
 
 

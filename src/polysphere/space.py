@@ -48,7 +48,8 @@ of :mod:`polysphere.render` and the affine pass of
 
 Construction goes through the two builders or the catalog builders, all of
 which guarantee the two descriptions are polar to each other; the catalog
-lists both descriptions from closed forms (see :mod:`polysphere.catalog`).
+builds two leaves with the constructor and lists both descriptions of
+every sum from its summands' (see :mod:`polysphere.catalog`).
 One function, :func:`check_caps`, applies the two caps, ``MAX_ENUM_DIM``
 on the dimension and ``MAX_FACETS`` on the number of distinct nonzero
 rows; :func:`_polar_pair` calls it on a builder's rows, and the catalog's
@@ -81,12 +82,13 @@ scales its rows and the ball's vertices once, in the polar routine, and
 hands the constructor both sides on integer rows, sorted, over their least
 scales, with the kept rows' lines of the product table it filled for the
 facet test; the constructor then neither scales, sorts nor multiplies them
-out again. The catalog's sums hand over their two sides the same way,
-made from their summands' integer rows and tables. The enumerator takes
-and returns integer rows only: the polar routine scales a builder's rows,
-drops the zero rows, sorts the rest and checks their length, the caps and
-their symmetry, once, and the enumerator adds only the span check, which
-needs the elimination. A space
+out again. The catalog's sums hand over their two sides on integer rows
+and scales the same way, made from their summands', but no table lines:
+only the builders hand over lines, and the constructor makes a sum's
+table from its rows. The enumerator takes and returns integer rows only:
+the polar routine scales a builder's rows, drops the zero rows, sorts the
+rest and checks their length, the caps and their symmetry, once, and the
+enumerator adds only the span check, which needs the elimination. A space
 keeps its facet functionals as integer rows ``_rows`` over ``_scale`` and
 its vertices as integer rows ``_points`` over the vertex scale
 ``_point_scale``, and ``facet_scale`` is the product of the two. The rank
@@ -110,7 +112,7 @@ So construction does each per-item step once per antipodal pair, and
 mirrors the other half by position:
 
 - symmetry is tested by position, row N - 1 - i against the negation of
-  row i (:func:`_canonical`, and :func:`_polar_pair` on a builder's
+  row i (:func:`_first_unpaired`, for the constructor and for a builder's
   rows); only when that fails, or N is odd, is the set scanned, so the
   first offender in sorted order is named as before;
 - the product table multiplies out only its quarter of lower-half rows
@@ -293,13 +295,22 @@ def _neg(row: tuple) -> tuple:
     return tuple(map(neg, row))
 
 
-def _closed_by_position(rows: list) -> bool:
-    """Whether sorted distinct ``rows`` are closed under negation, read by
-    position: their number N is even and row N - 1 - i is the negation of
-    row i (see the module docstring). A list with the zero row, which is
-    odd, reads as not closed, and is left to the caller's scan."""
+def _first_unpaired(rows: Sequence) -> int | None:
+    """The index of the first of the sorted distinct ``rows`` whose negation
+    is not among them, or None when they are closed under negation.
+
+    Symmetry is read by position first: rows of even length N are closed
+    under negation iff row N - 1 - i is the negation of row i for every
+    i < N / 2 (see the module docstring). The halves are compared as
+    lists, so tuple rows read the same. Only when that fails, or N is odd,
+    as with a zero row, are the rows scanned against their set, which
+    names the first offender in sorted order.
+    """
     n = len(rows)
-    return n % 2 == 0 and rows[: n // 2] == [_neg(r) for r in reversed(rows[n // 2:])]
+    if n % 2 == 0 and list(rows[: n // 2]) == [_neg(r) for r in reversed(rows[n // 2:])]:
+        return None
+    present = set(rows)
+    return next((i for i, r in enumerate(rows) if _neg(r) not in present), None)
 
 
 def check_caps(dim: int, rows: int):
@@ -420,10 +431,17 @@ def enumerate_ball_vertices(rows: list, s: int, dim: int) -> list[tuple[int, ...
 
 
 class _Side(NamedTuple):
-    """One description as a builder hands it to the constructor: the items
-    in canonical order, their sorted integer rows over the one least
-    positive ``scale``, and on the kept rows' side each row's line of the
-    product table with the other side's integer rows (None on the other)."""
+    """One description as a builder or a catalog sum hands it to the
+    constructor: the items in canonical order, their sorted integer rows
+    over the one least positive ``scale``, and, from a builder only, on the
+    kept rows' side each row's line of the product table with the other
+    side's integer rows (None on the other side, and on both sides of a
+    sum, whose table the constructor makes).
+
+    The row list is taken as it is, not copied: the catalog's spaces share
+    their leaves' lists. Nothing writes a space's row lists; the
+    eliminations of :mod:`polysphere.linalg` work on copies. They stay
+    lists, which :func:`_first_unpaired` and the bisections read."""
 
     items: tuple
     rows: list
@@ -463,10 +481,10 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool) -> tuple[_Side, _Sid
     the sorted rows are checked before they are enumerated, raising on the
     first failure: no nonzero row, a row whose length is not ``dim``,
     :func:`check_caps`, and the first row without its negation, which is
-    named by its Fraction row; the symmetry is read by position, and the
-    rows are scanned only when that fails. The Fraction rows of the lower
-    half of the vertices are built once, from the enumerator's integer
-    rows, and the upper half are their negations in reverse order.
+    named by its Fraction row and found by :func:`_first_unpaired`. The
+    Fraction rows of the lower half of the vertices are built once, from
+    the enumerator's integer rows, and the upper half are their negations
+    in reverse order.
 
     A row is kept iff the set of vertices where it equals one, its mask, is
     nonempty and no other row's mask strictly contains it. Let P be the
@@ -507,12 +525,11 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool) -> tuple[_Side, _Sid
     if any(len(k) != dim for k in keys):
         raise DimensionMismatchError("functional length does not match the dimension")
     check_caps(dim, len(keys))
-    if not _closed_by_position(keys):
-        for k in keys:
-            if _neg(k) not in frac:
-                raise AsymmetricInputError(
-                    f"functional {frac[k]} appears without its negation", offender=frac[k]
-                )
+    i = _first_unpaired(keys)
+    if i is not None:
+        offender = frac[keys[i]]
+        raise AsymmetricInputError(f"functional {offender} appears without its negation",
+                                   offender=offender)
     rays = enumerate_ball_vertices(keys, s, dim)
     e = rays[0][-1]
     pts = [ray[:-1] for ray in rays]
@@ -547,15 +564,10 @@ def _canonical(items, kind: str) -> _Side:
     the first item, in sorted order, whose row's negation is not among the
     rows.
 
-    A builder's :class:`_Side` has its rows sorted and scaled already, and
-    is only checked to be strictly increasing, in one pass; a list of
-    instances is scaled to integer rows and sorted here.
-
-    Symmetry is tested by position: sorted distinct rows of even length N
-    are closed under negation iff row N - 1 - i is the negation of row i
-    for every i < N / 2 (see the module docstring). Only when that fails,
-    or N is odd, as with a zero row, are the rows scanned against their
-    set, which names the first offender in sorted order.
+    A :class:`_Side` from a builder or a catalog sum has its rows sorted
+    and scaled already, and is only checked to be strictly increasing, in
+    one pass; a list of instances is scaled to integer rows and sorted
+    here. Symmetry is tested by :func:`_first_unpaired`.
     """
     if type(items) is _Side:
         side = items
@@ -569,11 +581,9 @@ def _canonical(items, kind: str) -> _Side:
         by_row = dict(zip(ints, items))
         rows = sorted(by_row)
         side = _Side(tuple(by_row[r] for r in rows), rows, scale)
-    if not _closed_by_position(side.rows):
-        present = set(side.rows)
-        for r, x in zip(side.rows, side.items):
-            if _neg(r) not in present:
-                raise _lacks_negation(kind, x)
+    i = _first_unpaired(side.rows)
+    if i is not None:
+        raise _lacks_negation(kind, side.items[i])
     return side
 
 
@@ -652,14 +662,17 @@ class PolyhedralSpace:
 
     The constructor works on each description as integer rows over one
     positive scale per description. Given coordinates, as in direct
-    construction and the catalog, it scales each description to integer
-    rows once and deduplicates and sorts them, then fills ``facet_table``.
-    The builders hand their output over as built instead: one private
-    description per side, holding instances made from its Fraction rows
-    with no entry coerced, their sorted integer rows, their least scale
-    and, on the kept rows' side, their lines of the product table. The
-    constructor skips the scaling, the sort and the table for them, and
-    only checks, in one pass, that the rows are strictly increasing.
+    construction and the catalog's two leaves, it scales each description
+    to integer rows once and deduplicates and sorts them, then fills
+    ``facet_table``.
+    The builders and the catalog's sums hand their output over as built
+    instead: one private description per side, holding instances made
+    from its Fraction rows with no entry coerced, their sorted integer
+    rows and their least scale. The constructor skips the scaling and the
+    sort for them, and only checks, in one pass, that the rows are
+    strictly increasing. Only the builders also hand over, on the kept
+    rows' side, their lines of the product table, which the constructor
+    then takes as the table; for a sum it makes the table itself.
 
     Every check runs on both paths and raises on the first offender in
     canonical order: asymmetry, then the norm of each vertex and the dual

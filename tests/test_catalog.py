@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polysphere.space
 from polysphere import (
     EnumerationCapError,
     GeometryError,
@@ -246,9 +247,10 @@ def closed_form_l1_sum(a, b):
 
 @pytest.mark.parametrize("a,b", list(itertools.product(SUMMANDS, repeat=2)))
 def test_sums_on_integer_rows_equal_the_constructors_closed_form(a, b):
-    """The sums hand the constructor integer rows, scales and table lines
-    made from their summands'; each field equals what the constructor makes
-    of the same closed form given as coordinate tuples."""
+    """The sums hand the constructor integer rows and scales made from
+    their summands', and the constructor makes their table; each field
+    equals what the constructor makes of the same closed form given as
+    coordinate tuples."""
     a, b = resolve(a), resolve(b)
     for built, reference in ((l1_sum(a, b), closed_form_l1_sum(a, b)),
                              (linf_sum(a, b), closed_form_linf_sum(a, b))):
@@ -256,17 +258,22 @@ def test_sums_on_integer_rows_equal_the_constructors_closed_form(a, b):
             assert getattr(built, field) == getattr(reference, field), field
 
 
-@pytest.mark.parametrize("build", [l1_sum, linf_sum])
-def test_a_sum_scales_no_rows(build, monkeypatch):
-    """A sum reads its summands' integer rows: no ``integer_rows`` call."""
-    a, b = resolve("linfsum(hex,linf:1)"), resolve("l1:2")
+@pytest.mark.parametrize(
+    "text", LEAVES + ["l1sum(linfsum(hex,linf:1),l1:2)", "linfsum(linfsum(hex,linf:1),l1:2)",
+                      "linfsum(l1sum(l1:1,l1:1),linfsum(hex,l1:1))"]
+)
+def test_a_sum_scales_no_rows(text, monkeypatch):
+    """Every catalog space is a sum on the integer rows of the two leaves
+    built at import, so resolving one scales no rows and enumerates no
+    ball: no ``integer_rows`` and no ``enumerate_ball_vertices`` call."""
     calls = []
-    original = linalg.integer_rows
+    for module, name in ((linalg, "integer_rows"), (polysphere.space, "enumerate_ball_vertices")):
+        original = getattr(module, name)
 
-    def counted(rows):
-        calls.append(rows)
-        return original(rows)
+        def counted(*args, original=original, name=name):
+            calls.append(name)
+            return original(*args)
 
-    monkeypatch.setattr(linalg, "integer_rows", counted)
-    build(a, b)
+        monkeypatch.setattr(module, name, counted)
+    resolve(text)
     assert calls == []
