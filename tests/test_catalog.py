@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import polysphere.space
 from polysphere import (
     EnumerationCapError,
     GeometryError,
@@ -19,6 +18,7 @@ from polysphere import (
     check_t_property,
     linalg,
 )
+from polysphere import space as space_module
 from polysphere.catalog import (
     catalog_entries,
     hexagon_space,
@@ -267,7 +267,7 @@ def test_a_sum_scales_no_rows(text, monkeypatch):
     built at import, so resolving one scales no rows and enumerates no
     ball: no ``integer_rows`` and no ``enumerate_ball_vertices`` call."""
     calls = []
-    for module, name in ((linalg, "integer_rows"), (polysphere.space, "enumerate_ball_vertices")):
+    for module, name in ((linalg, "integer_rows"), (space_module, "enumerate_ball_vertices")):
         original = getattr(module, name)
 
         def counted(*args, original=original, name=name):

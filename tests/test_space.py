@@ -955,3 +955,17 @@ def test_table_lines_equal_the_full_product(case):
     rows, others = case
     full = tuple(tuple(sum(a * b for a, b in zip(r, o)) for o in others) for r in rows)
     assert space_module._lines(rows, others) == full
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(sorted_symmetric_int_rows), st.data())
+def test_first_unpaired_names_the_first_row_without_its_negation(rows, data):
+    """On lists and on tuples of rows, closed or with one row dropped, with
+    or without the zero row, the helper names the first sorted row whose
+    negation is missing, or None."""
+    if len(rows) > 1 and data.draw(st.booleans()):
+        del rows[data.draw(st.integers(0, len(rows) - 1))]
+    present = set(rows)
+    first = next((i for i, r in enumerate(rows) if tuple(-c for c in r) not in present), None)
+    assert space_module._first_unpaired(rows) == first
+    assert space_module._first_unpaired(tuple(rows)) == first
