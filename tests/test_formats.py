@@ -1,8 +1,20 @@
 """Text formats: every parse-error kind with its position, names, and encoding."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polysphere import formats, hexagon_space, l1_space
+from outputs_digest import FIELDS as DIGEST_FIELDS
+from polysphere import (
+    AsymmetricInputError,
+    GeometryError,
+    PolyhedralSpace,
+    check_cl,
+    check_t_property,
+    formats,
+    hexagon_space,
+    l1_space,
+)
 from polysphere import space as space_module
 from polysphere.catalog import resolve
 from polysphere.formats import (
@@ -239,3 +251,55 @@ def test_each_data_token_is_converted_once(monkeypatch, text):
     parse_space_text(text)
     data = [line for line in text.splitlines() if line[:1].isdigit() or line[:1] == "-"]
     assert calls == [token for line in data for token in line.split()]
+
+
+@st.composite
+def written_rows(draw):
+    """Rational rows in dim 2 or 3, closed under negation or not, with each
+    entry written as a file may write it: unreduced, signed or not, and a
+    zero as ``0/7``. Returns the dimension, the rows and their lines."""
+    dim = draw(st.sampled_from((2, 3)))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    rows = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        rows += [tuple(-c for c in r) for r in rows]
+    rows = draw(st.permutations(rows))
+
+    def token(x):
+        k = draw(st.sampled_from((1, 2, 3, 7)))
+        n, d = x.numerator * k, x.denominator * k
+        sign = "+" if n >= 0 and draw(st.booleans()) else ""
+        return f"{sign}{n}" if d == 1 and draw(st.booleans()) else f"{sign}{n}/{d}"
+
+    return dim, rows, [" ".join(token(c) for c in r) for r in rows]
+
+
+def built_outcome(build):
+    """Every field the outputs digest reads with the CL and T report reprs,
+    or the error's type, message and direction."""
+    try:
+        space = build()
+    except GeometryError as err:
+        return type(err), str(err), getattr(err, "direction", None)
+    fields = {field: getattr(space, field) for field in DIGEST_FIELDS}
+    fields["hrep"] = [(type(f), f._row) for f in space.hrep]
+    fields["vrep"] = [(type(v), v._row) for v in space.vrep]
+    return fields, repr(check_cl(space)), repr(check_t_property(space))
+
+
+@settings(max_examples=60, deadline=None)
+@given(written_rows(), st.sampled_from("HV"), st.booleans())
+def test_file_rows_build_the_space_their_fractions_build(case, kind, symmetric):
+    """A file gives what its builder gives on the same Fractions, however
+    the tokens are written; without ``symmetric true``, the builder's
+    asymmetry is reported at the file's first row that lacks its negation."""
+    dim, rows, lines = case
+    head = f"version 1\ndim {dim}\nkind {kind}\nsymmetric {str(symmetric).lower()}\n"
+    build = PolyhedralSpace.from_functionals if kind == "H" else PolyhedralSpace.from_vertices
+    expected = built_outcome(lambda: build(rows, symmetrize=symmetric))
+    if expected[0] is AsymmetricInputError and not symmetric:
+        present = set(rows)
+        first = next(i for i, r in enumerate(rows) if tuple(-c for c in r) not in present)
+        message = "row lacks its negation and 'symmetric true' is not set"
+        expected = ParseError, f"line {first + 5}, col 1: {message}", None
+    assert built_outcome(lambda: parse_space_text(head + "\n".join(lines) + "\n")) == expected

@@ -163,6 +163,30 @@ class TestRejections:
         with pytest.raises(CertificationError, match="^facet counts differ: 6 in the domain"):
             extend(m)
 
+    def test_antipodal_swap_is_refuted_by_the_seeded_pass(self):
+        """A face-lattice automorphism that every cheap pass lets through: it
+        swaps vertex 1 with its antipode, vertex 6, and fixes the others.
+        Facets go onto facets and every vertex-pair distance is kept, so the
+        seeded pass refutes it; the table refutes it too."""
+        space = PolyhedralSpace.from_vertices(
+            [(0, 3, 2), (-3, 1, 1), (-2, -2, -1), (3, -3, -1), (-2, 0, 0)], symmetrize=True
+        )
+        assert (len(space.vrep), len(space.hrep)) == (8, 12)
+        assert (space.vrep[1], space.vrep[6]) == (vector(-3, 3, 1), vector(3, -3, -1))
+        vmap = list(range(8))
+        vmap[1], vmap[6] = 6, 1
+        m = SphereMap(space, space, tuple(vmap))
+        assert None not in m.facet_map
+        report = verify_isometry(m)
+        assert not report.passed and not report.malformed
+        assert report.reason == "sampled distance not preserved"
+        assert report.counterexample == (
+            vector(-3, 1, 1), vector(F(-13, 5), F(1, 5), F(1, 5)), F(4, 5), F(13, 15)
+        )
+        assert _first_untransported(m) == (0, 3)
+        with pytest.raises(CertificationError):
+            extend(m)
+
     def test_vertex_map_must_be_a_bijection(self, hexagon):
         with pytest.raises(GeometryError):
             SphereMap(hexagon, hexagon, (0, 0, 2, 3, 4, 5))
