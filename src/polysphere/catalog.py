@@ -39,16 +39,18 @@ above the caps as double description would, by
 :func:`polysphere.space.check_caps` on the dimension and the number of
 rows, before any row is built.
 
-A sum is handed to the constructor on integer rows, as the builders hand
-over theirs, made from the summands' integer rows and scales with no
-scaling or sort. Each side's scale is the least common multiple of the
-summands' scales on that side, and on it the summands' rows are
-multiplied out. The pairs (u, w) are listed u-major, which is sorted. The
-padded rows are listed as (u, 0) for the lower half of the first
-summand's rows, then (0, w) for every row of the second, then (u, 0) for
-the upper half: the lower half of a sorted list closed under negation is
-the half below zero, so that order is sorted too. The constructor makes
-each sum's table from its rows, and runs all its checks on them.
+A sum is handed to the constructor on integer rows only, as the builders
+hand over theirs, made from the summands' integer rows and scales with
+no scaling or sort; no Fraction is made here, and the constructor makes
+the sum's ``hrep`` and ``vrep`` from the rows. Each side's scale is the
+least common multiple of the summands' scales on that side, and on it
+the summands' rows are multiplied out. The pairs (u, w) are listed
+u-major, which is sorted. The padded rows are listed as (u, 0) for the
+lower half of the first summand's rows, then (0, w) for every row of the
+second, then (u, 0) for the upper half: the lower half of a sorted list
+closed under negation is the half below zero, so that order is sorted
+too. The constructor makes each sum's table from its rows, and runs all
+its checks on them.
 """
 
 import functools
@@ -59,7 +61,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import EnumerationCapError, GeometryError, echo
-from .space import MAX_ENUM_DIM, Functional, PolyhedralSpace, Vector, _Side, check_caps
+from .space import MAX_ENUM_DIM, PolyhedralSpace, _Side, check_caps
 
 # Decimal digits, in any script: exactly the characters int() reads.
 _DIGITS = re.compile(r"\d*")
@@ -69,7 +71,7 @@ def _with_negations(rows: list[tuple]) -> list[tuple]:
     return rows + [tuple(-c for c in row) for row in rows]
 
 
-def _padded_side(x: _Side, y: _Side, cls) -> _Side:
+def _padded_side(x: _Side, y: _Side) -> _Side:
     """(u, 0) for u in x's lower half, (0, w) for each w of y, then (u, 0)
     for x's upper half, on integer rows over the least common multiple of
     the two scales. The order is sorted: x's lower half is the half below
@@ -78,30 +80,23 @@ def _padded_side(x: _Side, y: _Side, cls) -> _Side:
     scale = math.lcm(x.scale, y.scale)
     kx, ky = scale // x.scale, scale // y.scale
     zx, zy = (0,) * len(x.rows[0]), (0,) * len(y.rows[0])
-    fx, fy = (Fraction(0),) * len(zx), (Fraction(0),) * len(zy)
     half = len(x.rows) // 2
     xs = [tuple(c * kx for c in r) + zy for r in x.rows]
-    rows = xs[:half] + [zx + tuple(c * ky for c in r) for r in y.rows] + xs[half:]
-    us = [cls._of(u._row + fy) for u in x.items]
-    items = us[:half] + [cls._of(fx + w._row) for w in y.items] + us[half:]
-    return _Side(tuple(items), rows, scale)
+    return _Side(xs[:half] + [zx + tuple(c * ky for c in r) for r in y.rows] + xs[half:], scale)
 
 
-def _paired_side(x: _Side, y: _Side, cls) -> _Side:
+def _paired_side(x: _Side, y: _Side) -> _Side:
     """(u, w) for each u of x and each w of y, x-major, which is sorted, on
     integer rows over the least common multiple of the two scales."""
     scale = math.lcm(x.scale, y.scale)
     kx, ky = scale // x.scale, scale // y.scale
     ys = [tuple(c * ky for c in r) for r in y.rows]
-    rows = [tuple(c * kx for c in r) + w for r in x.rows for w in ys]
-    items = tuple(cls._of(u._row + w._row) for u in x.items for w in y.items)
-    return _Side(items, rows, scale)
+    return _Side([tuple(c * kx for c in r) + w for r in x.rows for w in ys], scale)
 
 
 def _sides(space: PolyhedralSpace) -> tuple[_Side, _Side]:
     """A space's functionals and vertices as the constructor takes them."""
-    return (_Side(space.hrep, space._rows, space._scale),
-            _Side(space.vrep, space._points, space._point_scale))
+    return _Side(space._rows, space._scale), _Side(space._points, space._point_scale)
 
 
 def _linf(a: tuple[_Side, _Side], b: tuple[_Side, _Side]) -> tuple[_Side, _Side]:
@@ -109,7 +104,7 @@ def _linf(a: tuple[_Side, _Side], b: tuple[_Side, _Side]) -> tuple[_Side, _Side]
     paired vertices."""
     (fa, va), (fb, vb) = a, b
     check_caps(len(fa.rows[0]) + len(fb.rows[0]), len(fa.rows) + len(fb.rows))
-    return _padded_side(fa, fb, Functional), _paired_side(va, vb, Vector)
+    return _padded_side(fa, fb), _paired_side(va, vb)
 
 
 def _l1(a: tuple[_Side, _Side], b: tuple[_Side, _Side]) -> tuple[_Side, _Side]:
@@ -117,7 +112,7 @@ def _l1(a: tuple[_Side, _Side], b: tuple[_Side, _Side]) -> tuple[_Side, _Side]:
     padded vertices."""
     (fa, va), (fb, vb) = a, b
     check_caps(len(fa.rows[0]) + len(fb.rows[0]), len(fa.rows) * len(fb.rows))
-    return _paired_side(fa, fb, Functional), _padded_side(va, vb, Vector)
+    return _paired_side(fa, fb), _padded_side(va, vb)
 
 
 _SEGMENT = _sides(PolyhedralSpace([(1,), (-1,)], [(1,), (-1,)]))

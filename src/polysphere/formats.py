@@ -29,17 +29,27 @@ Map files::
 A space or map file names each header key at most once; a repeated key
 is a parse error at its second occurrence.
 
-Symmetry is checked once, by the builder, on its integer rows. Without
-``symmetric true``, a file whose rows the builder refuses as asymmetric
-or beyond a cap is then scanned in file order, so its first row that lacks
-its negation is reported as an ``asymmetric-input`` error at its line,
-before any cap.
+A data row is read straight to integers: each token to its numerator and
+denominator as written, by the one reader that
+:func:`polysphere.space.as_fraction` is built on, and the row over the
+least common multiple of its written denominators. The rows are then
+brought over the least common multiple of their scales, where equal
+values are equal rows, and handed to the builders' body
+(:mod:`polysphere.space`) as they are; no token becomes a Fraction on the
+way. The coordinates of a map are read by the same reader.
+
+Symmetry is checked once, by the builders' body, on those integer rows.
+Without ``symmetric true``, a file whose rows are refused as asymmetric or
+beyond a cap is then scanned in file order, on the same integer rows, so
+its first row that lacks its negation is reported as an
+``asymmetric-input`` error at its line, before any cap.
 
 The facet correspondence of a map is derived from the vertex pairs. A
 well-formed file whose vertex assignment does not send facets onto facets
 parses; :func:`polysphere.isometry.verify_isometry` rejects the map.
 """
 
+import math
 import re
 from fractions import Fraction
 from typing import Callable
@@ -52,7 +62,7 @@ from .errors import (
     echo,
 )
 from .isometry import SphereMap
-from .space import Functional, PolyhedralSpace, Vector, as_fraction
+from .space import PolyhedralSpace, Vector, _rational_parts
 
 _TOKEN_RE = re.compile(r"\S+")
 _INDEX_RE = re.compile(r"^[vw]?(\d+)$")
@@ -73,12 +83,15 @@ def _strip_comment(raw: str) -> str:
     return raw if cut < 0 else raw[:cut]
 
 
-def _parse_rational(token: str, line: int, col: int) -> Fraction:
+def _parse_rational(token: str, line: int, col: int) -> tuple[int, int]:
+    """The token's numerator and denominator as written, read by
+    :func:`polysphere.space._rational_parts`; its errors become parse errors
+    at the token."""
     try:
-        return as_fraction(token)
+        return _rational_parts(token)
     except IntegerTooLongError as err:
         raise ParseError("malformed-rational", line, col, str(err)) from None
-    except (ValueError, TypeError):
+    except ValueError:
         hint = "decimal tokens are not accepted" if "." in token else f"bad rational {echo(token)}"
         raise ParseError("malformed-rational", line, col, hint) from None
 
@@ -110,7 +123,8 @@ def _read_text(path) -> str:
 def parse_space_text(text: str, name: str | None = None) -> PolyhedralSpace:
     # A header key maps to its value and the line and column of that value.
     header: dict[str, tuple[str, int, int]] = {}
-    rows: list[tuple[int, tuple[Fraction, ...]]] = []
+    # A data row is its line, its integer row and the scale it is over.
+    rows: list[tuple[int, tuple[int, ...], int]] = []
     header_done = False
     for ln, line in _iter_rows(text):
         tokens = list(_TOKEN_RE.finditer(line))
@@ -127,10 +141,9 @@ def parse_space_text(text: str, name: str | None = None) -> PolyhedralSpace:
         if not header_done and first[0].isalpha():
             raise ParseError("header", ln, tokens[0].start() + 1, f"unknown header key {echo(first)}")
         header_done = True
-        row = tuple(
-            _parse_rational(t.group(), ln, t.start() + 1) for t in tokens
-        )
-        rows.append((ln, row))
+        parts = [_parse_rational(t.group(), ln, t.start() + 1) for t in tokens]
+        scale = math.lcm(*(d for _, d in parts))
+        rows.append((ln, tuple(n * (scale // d) for n, d in parts), scale))
 
     # A missing key is reported at line 1, col 1; a bad value at its token.
     version, ln, col = header.get("version", (None, 1, 1))
@@ -152,27 +165,25 @@ def parse_space_text(text: str, name: str | None = None) -> PolyhedralSpace:
     symmetric = flag.lower() == "true"
     if not rows:
         raise ParseError("header", 1, 1, "no data rows")
-    for ln, row in rows:
+    for ln, row, _ in rows:
         if len(row) != dim:
             raise ParseError(
                 "dimension-mismatch", ln, 1, f"row has {len(row)} entries, expected {dim}"
             )
 
     label = header["name"][0] if "name" in header else name
-    if kind == "H":
-        build, cls = PolyhedralSpace.from_functionals, Functional
-    else:
-        build, cls = PolyhedralSpace.from_vertices, Vector
-    # The rows are nonempty tuples of Fractions already, of length dim.
+    # Every row over the one common scale, so equal values are equal rows.
+    s = math.lcm(*(scale for _, _, scale in rows))
+    ints = [row if scale == s else tuple(c * (s // scale) for c in row) for _, row, scale in rows]
     try:
-        return build([cls._of(row) for _, row in rows], name=label, symmetrize=symmetric)
+        return PolyhedralSpace._from_rows(ints, s, dim, kind == "V", label, symmetric)
     except (AsymmetricInputError, EnumerationCapError):
         # The builder checks the caps before symmetry and names the first
         # offender in sorted order; a file's asymmetry is reported first,
         # at its first offending line.
         if not symmetric:
-            row_set = {row for _, row in rows}
-            for ln, row in rows:
+            row_set = set(ints)
+            for (ln, _, _), row in zip(rows, ints):
                 if tuple(-c for c in row) not in row_set:
                     raise ParseError(
                         "asymmetric-input",
@@ -214,7 +225,7 @@ def serialize_space(space: PolyhedralSpace, kind: str = "V") -> str:
 
 
 def _parse_point_side(side: str, ln: int, col: int) -> tuple[str, object, int]:
-    """A mapping side: ('index', i, col) or ('coords', tuple of Fraction, col).
+    """A mapping side: ('index', i, col) or ('coords', a Vector, col).
 
     ``side`` is the raw text of the side and ``col`` the column where it
     starts in its line; errors, and the returned column, point at the
@@ -231,7 +242,7 @@ def _parse_point_side(side: str, ln: int, col: int) -> tuple[str, object, int]:
             token_col = start + len(part) - len(part.lstrip())
             coords.append(_parse_rational(part.strip(), ln, token_col))
             start += len(part) + 1
-        return "coords", tuple(coords), col
+        return "coords", Vector._of(tuple(Fraction(n, d) for n, d in coords)), col
     m = _INDEX_RE.match(body)
     if not m:
         raise ParseError("mapping", ln, col, f"bad vertex reference {echo(body)}")
@@ -305,14 +316,12 @@ def parse_map_text(
             if not 0 <= value < len(space.vrep):
                 raise ParseError("vertex", ln, col, f"vertex index {value} out of range")
             return value
-        if len(value) != space.dim:
+        if value.dim != space.dim:
             raise ParseError("dimension-mismatch", ln, col, "coordinate tuple has wrong length")
-        # The tokens are Fractions already.
-        point = Vector._of(value)
         try:
-            return space.vertex_id(point)
+            return space.vertex_id(value)
         except GeometryError:
-            raise ParseError("vertex", ln, col, f"{point} is not a vertex of the space") from None
+            raise ParseError("vertex", ln, col, f"{value} is not a vertex of the space") from None
 
     assignment: dict[int, int] = {}
     for ln, lhs, rhs in pairs:

@@ -24,10 +24,12 @@ each polar pair once:
   entries of its line equal to ``facet_scale`` have rank ``dim``. The
   constructor runs these two checks on the table for the vertices and on
   its transpose for the functionals.
-- **Builders.** :meth:`PolyhedralSpace.from_functionals` and
-  :meth:`PolyhedralSpace.from_vertices` share one body, around one polar
-  routine: given rows, it enumerates the vertices of {x : r(x) <= 1 for
-  every row r} and keeps the rows that support a facet of that ball. Read
+- **Builders.** :meth:`PolyhedralSpace.from_functionals`,
+  :meth:`PolyhedralSpace.from_vertices` and
+  :func:`polysphere.formats.parse_space_text` share one body, around one
+  polar routine: given integer rows, it enumerates the vertices of
+  {x : r(x) <= 1 for every row r} and keeps the rows that support a facet
+  of that ball. Read
   as functionals, the rows and the points are a space's H- and V-forms;
   read as points, they are its V- and H-forms, because the ball of the
   polar rows is the polar body. :meth:`PolyhedralSpace.vertex_id` and
@@ -65,37 +67,42 @@ and (-r_i, -s) exactly when e_i = -1 (the sign rule, proved in
 row supports a facet iff the set of vertices where it equals one is
 nonempty and inclusion-maximal among the rows' sets. Vertices leave the
 enumerator as sorted, distinct integer rows over their least common
-scale, and :func:`_polar_pair` builds the Fraction tuples of the lower
-half once, from their rows, and negates them for the upper half. The raw
+scale, and :func:`_polar_pair` hands them on as they are. The raw
 constructor validates the structural invariants it can check cheaply
 (symmetry, unit norms, and facet and vertex ranks, tested on one member
 of each antipodal pair); full re-enumeration is available as
 :meth:`PolyhedralSpace.verify_mutual_polarity`.
 
 Fractions are the public type of every coordinate, but the work is done
-on integers. Each description is scaled to integer rows once, by
-:func:`polysphere.linalg.integer_rows`, over one positive common scale,
-which keeps equality and the lexicographic order: rows are deduplicated,
-sorted and checked for symmetry as int tuples, and Fractions are made only
-for the public ``hrep`` and ``vrep`` and for error payloads. A builder
-scales its rows and the ball's vertices once, in the polar routine, and
-hands the constructor both sides on integer rows, sorted, over their least
-scales, with the kept rows' lines of the product table it filled for the
-facet test; the constructor then neither scales, sorts nor multiplies them
-out again. The catalog's sums hand over their two sides on integer rows
-and scales the same way, made from their summands', but no table lines:
-only the builders hand over lines, and the constructor makes a sum's
-table from its rows. The enumerator takes and returns integer rows only:
-the polar routine scales a builder's rows, drops the zero rows, sorts the
+on integers. A description travels from the API edge to the constructor
+as integer rows over one positive common scale, which keeps equality and
+the lexicographic order: rows are deduplicated, sorted and checked for
+symmetry as int tuples. Its Fractions are made in one function,
+:func:`_fractions`, one per distinct entry of a side: the constructor
+makes the public ``hrep`` and ``vrep`` with it from the rows it keeps, and
+:func:`_polar_pair` the payload of an asymmetry error. Each description
+is scaled to integer rows once, where it enters: a builder coerces its
+items and scales them by :func:`polysphere.linalg.integer_rows`, the
+parser reads each token to integers and scales each file row over its
+written denominators, and a direct construction is scaled in the
+constructor. The builders and the parser hand their rows to one body,
+which hands them to the polar routine: it drops the zero rows, sorts the
 rest and checks their length, the caps and their symmetry, once, and the
-enumerator adds only the span check, which needs the elimination. A space
-keeps its facet functionals as integer rows ``_rows`` over ``_scale`` and
-its vertices as integer rows ``_points`` over the vertex scale
-``_point_scale``, and ``facet_scale`` is the product of the two. The rank
-checks, the norm and the active facets of other points are read from the
-integer functional rows; facet barycenters, and the seeded facet points,
-images and linear extensions of :mod:`polysphere.isometry`, are combined
-on the integer vertex rows.
+enumerator adds only the span check, which needs the elimination. The
+polar routine returns both sides on integer rows, sorted, over their
+least scales, with the kept rows' lines of the product table it filled
+for the facet test, and the body hands them to the constructor, which
+neither scales, sorts nor multiplies them out again. The catalog's sums
+hand over their two sides on integer rows and scales the same way, made
+from their summands', but no table lines: only the builders' body hands
+over lines, and the constructor makes a sum's table from its rows. A
+space keeps its facet functionals as integer rows ``_rows`` over
+``_scale`` and its vertices as integer rows ``_points`` over the vertex
+scale ``_point_scale``, and ``facet_scale`` is the product of the two. The
+rank checks, the norm and the active facets of other points are read from
+the integer functional rows; facet barycenters, and the seeded facet
+points, images and linear extensions of :mod:`polysphere.isometry`, are
+combined on the integer vertex rows.
 
 Antipodes are read from positions. In a sorted list of N distinct vectors
 closed under negation, the negation of item i is item N - 1 - i. Proof: if
@@ -117,8 +124,6 @@ mirrors the other half by position:
   first offender in sorted order is named as before;
 - the product table multiplies out only its quarter of lower-half rows
   against lower-half rows (:func:`_lines`);
-- the builders make Fraction tuples for the lower half of the vertices
-  only (:func:`_polar_pair`);
 - the enumerator takes its basis from the lower half of the rows and
   builds its start box by doubling over the basis inverse's columns
   (:func:`enumerate_ball_vertices`);
@@ -161,6 +166,28 @@ MAX_FACETS = 200
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
+def _rational_parts(value: str) -> tuple[int, int]:
+    """An exact rational token, 'p/q' or an integer, read to two ints: its
+    numerator and denominator as written, with 1 when none is written, so
+    '2/4' reads as (2, 4). Raises ValueError on any other text and on a
+    zero denominator."""
+    token = value.strip()
+    if not _RATIONAL_RE.match(token):
+        raise ValueError(f"not an exact rational token: {echo(value)}")
+    num, _, den = token.partition("/")
+    try:
+        n, d = int(num), int(den or 1)
+    except ValueError:
+        # The token matched the pattern, so int() refused it only for
+        # more digits than the interpreter converts; str() of such a
+        # number fails too, so it is named by its length.
+        digits = max(len(num.lstrip("+-")), len(den))
+        raise IntegerTooLongError(f"integer written with {digits} digits is too long") from None
+    if d == 0:
+        raise ValueError(f"zero denominator in {echo(value)}")
+    return n, d
+
+
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions, and 'p/q' strings; reject floats and decimals."""
     if isinstance(value, Fraction):
@@ -172,24 +199,7 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floats are rejected; pass Fraction, int, or a 'p/q' string")
     if isinstance(value, str):
-        token = value.strip()
-        if not _RATIONAL_RE.match(token):
-            raise ValueError(f"not an exact rational token: {echo(value)}")
-        num, _, den = token.partition("/")
-        try:
-            n = int(num)
-            d = int(den) if den else None
-        except ValueError:
-            # The token matched the pattern, so int() refused it only for
-            # more digits than the interpreter converts; str() of such a
-            # number fails too, so it is named by its length.
-            digits = max(len(num.lstrip("+-")), len(den))
-            raise IntegerTooLongError(f"integer written with {digits} digits is too long") from None
-        if d is None:
-            return Fraction(n)
-        if d == 0:
-            raise ValueError(f"zero denominator in {echo(value)}")
-        return Fraction(n, d)
+        return Fraction(*_rational_parts(value))
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
@@ -432,21 +442,29 @@ def enumerate_ball_vertices(rows: list, s: int, dim: int) -> list[tuple[int, ...
 
 class _Side(NamedTuple):
     """One description as a builder or a catalog sum hands it to the
-    constructor: the items in canonical order, their sorted integer rows
-    over the one least positive ``scale``, and, from a builder only, on the
-    kept rows' side each row's line of the product table with the other
-    side's integer rows (None on the other side, and on both sides of a
-    sum, whose table the constructor makes).
+    constructor: its sorted distinct integer rows over the one least
+    positive ``scale``, and, from a builder only, on the kept rows' side
+    each row's line of the product table with the other side's integer
+    rows (None on the other side, and on both sides of a sum, whose table
+    the constructor makes). It holds no Fractions: the constructor makes
+    the items from the rows (:func:`_fractions`).
 
     The row list is taken as it is, not copied: the catalog's spaces share
     their leaves' lists. Nothing writes a space's row lists; the
     eliminations of :mod:`polysphere.linalg` work on copies. They stay
     lists, which :func:`_first_unpaired` and the bisections read."""
 
-    items: tuple
     rows: list
     scale: int
     lines: tuple | None = None
+
+
+def _fractions(rows: Sequence, scale: int) -> list[tuple[Fraction, ...]]:
+    """The integer ``rows`` over ``scale`` as tuples of Fractions, with one
+    Fraction made per distinct entry: the one place where a description's
+    Fractions are made."""
+    value = {c: Fraction(c, scale) for c in set(itertools.chain.from_iterable(rows))}
+    return [tuple(map(value.__getitem__, r)) for r in rows]
 
 
 def _lines(rows: Sequence, others: Sequence) -> tuple[tuple[int, ...], ...]:
@@ -472,19 +490,19 @@ def _lines(rows: Sequence, others: Sequence) -> tuple[tuple[int, ...], ...]:
     return tuple(lower + [_neg(line) for line in reversed(lower)])
 
 
-def _polar_pair(rows: Sequence, dim: int, symmetrize: bool) -> tuple[_Side, _Side]:
+def _polar_pair(ints: Sequence, s: int, dim: int, symmetrize: bool) -> tuple[_Side, _Side]:
     """The rows that support a facet of {x : r(x) <= 1}, and that ball's
-    vertices, as two descriptions whose items are Fraction rows.
+    vertices, as two descriptions on integer rows, given the rows as
+    integer rows ``ints`` over one positive scale s.
 
-    The rows are scaled to integers once, here. Zero rows are dropped, and
-    the rows are closed under negation when ``symmetrize`` is set; then
-    the sorted rows are checked before they are enumerated, raising on the
-    first failure: no nonzero row, a row whose length is not ``dim``,
-    :func:`check_caps`, and the first row without its negation, which is
-    named by its Fraction row and found by :func:`_first_unpaired`. The
-    Fraction rows of the lower half of the vertices are built once, from
-    the enumerator's integer rows, and the upper half are their negations
-    in reverse order.
+    Zero rows are dropped, and the rows are closed under negation when
+    ``symmetrize`` is set; then the sorted rows are checked before they are
+    enumerated, raising on the first failure: no nonzero row, a row whose
+    length is not ``dim``, :func:`check_caps`, and the first row without
+    its negation, found by :func:`_first_unpaired` and named by its
+    Fraction row, made from its integer row. A positive scale keeps
+    equality and the lexicographic order, so these are the checks on the
+    rows' values, whatever common scale s they are written over.
 
     A row is kept iff the set of vertices where it equals one, its mask, is
     nonempty and no other row's mask strictly contains it. Let P be the
@@ -506,20 +524,19 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool) -> tuple[_Side, _Sid
 
     The masks are read from the product table of the integer rows and
     vertices, and the kept rows' lines of it are handed on. The rows are
-    scaled by s, the least common multiple of all their denominators; a
-    dropped row may have had a denominator the kept rows lack, so the kept
-    rows and their lines are divided by g = gcd(s, their entries). That
-    leaves them over s / g, their own least common denominator L. Proof:
-    s = m L, so g = m gcd(L, the entries L r), and that gcd is one: if a
-    prime p divided L, some entry r = n / q with q carrying p's full power
-    in L has L r = n (L / q), and p divides neither factor. The vertices'
-    integer rows leave the enumerator sorted, over their least scale e.
+    over s, any common multiple of their denominators; a dropped row may
+    have had a denominator the kept rows lack, so the kept rows and their
+    lines are divided by g = gcd(s, their entries). That leaves them over
+    s / g, their own least common denominator L. Proof: s = m L, so g = m
+    gcd(L, the entries L r), and that gcd is one: if a prime p divided L,
+    some entry r = n / q with q carrying p's full power in L has L r = n
+    (L / q), and p divides neither factor. The vertices' integer rows
+    leave the enumerator sorted, over their least scale e.
     """
-    ints, s = linalg.integer_rows(rows)
-    frac = {k: r for k, r in zip(ints, rows) if any(k)}
+    keys = {k for k in ints if any(k)}
     if symmetrize:
-        frac.update([(_neg(k), _neg(r)) for k, r in frac.items()])
-    keys = sorted(frac)
+        keys |= {_neg(k) for k in keys}
+    keys = sorted(keys)
     if not keys:
         raise DegenerateInputError("no nonzero functionals", direction=None)
     if any(len(k) != dim for k in keys):
@@ -527,14 +544,12 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool) -> tuple[_Side, _Sid
     check_caps(dim, len(keys))
     i = _first_unpaired(keys)
     if i is not None:
-        offender = frac[keys[i]]
+        (offender,) = _fractions([keys[i]], s)
         raise AsymmetricInputError(f"functional {offender} appears without its negation",
                                    offender=offender)
     rays = enumerate_ball_vertices(keys, s, dim)
     e = rays[0][-1]
     pts = [ray[:-1] for ray in rays]
-    lower = [tuple(Fraction(c, e) for c in p) for p in pts[: len(pts) // 2]]
-    points = tuple(lower + [_neg(p) for p in reversed(lower)])
     lines = _lines(keys, pts)
     tight = s * e
     masks = [sum(1 << j for j, value in enumerate(line) if value == tight) for line in lines]
@@ -546,8 +561,7 @@ def _polar_pair(rows: Sequence, dim: int, symmetrize: bool) -> tuple[_Side, _Sid
     if g > 1:
         kept_ints = [tuple(c // g for c in k) for k in kept_ints]
         lines = tuple(tuple(value // g for value in line) for line in lines)
-    kept_side = _Side(tuple(frac[keys[i]] for i in kept), kept_ints, s // g, lines)
-    return kept_side, _Side(points, pts, e)
+    return _Side(kept_ints, s // g, lines), _Side(pts, e)
 
 
 def _coerce(items, cls) -> list:
@@ -558,33 +572,31 @@ def _lacks_negation(kind: str, item) -> AsymmetricInputError:
     return AsymmetricInputError(f"{kind} {item} lacks its negation", offender=item)
 
 
-def _canonical(items, kind: str) -> _Side:
-    """One description on integer rows: the items in canonical order, their
-    sorted distinct integer rows and the rows' one positive scale. Raises on
-    the first item, in sorted order, whose row's negation is not among the
-    rows.
+def _canonical(desc, cls, kind: str) -> tuple[_Side, tuple]:
+    """One description on integer rows, and its items of type ``cls`` made
+    from them: the sorted distinct integer rows and their one positive
+    scale. Raises on the first item, in sorted order, whose row's negation
+    is not among the rows.
 
     A :class:`_Side` from a builder or a catalog sum has its rows sorted
     and scaled already, and is only checked to be strictly increasing, in
     one pass; a list of instances is scaled to integer rows and sorted
-    here. Symmetry is tested by :func:`_first_unpaired`.
+    here. One positive scale keeps equality and the lexicographic order, so
+    the rows are deduplicated and sorted as ints, in the order of the
+    Fractions. Symmetry is tested by :func:`_first_unpaired`.
     """
-    if type(items) is _Side:
-        side = items
+    if type(desc) is _Side:
+        side = desc
         if any(a >= b for a, b in zip(side.rows, side.rows[1:])):
             raise GeometryError(f"internal: the {kind} rows are not strictly increasing")
     else:
-        # One positive scale keeps equality and the lexicographic order, so
-        # the rows are deduplicated and sorted as ints, in the order of the
-        # Fractions.
-        ints, scale = linalg.integer_rows(x._row for x in items)
-        by_row = dict(zip(ints, items))
-        rows = sorted(by_row)
-        side = _Side(tuple(by_row[r] for r in rows), rows, scale)
+        ints, scale = linalg.integer_rows(x._row for x in desc)
+        side = _Side(sorted(set(ints)), scale)
+    items = tuple(map(cls._of, _fractions(side.rows, side.scale)))
     i = _first_unpaired(side.rows)
     if i is not None:
-        raise _lacks_negation(kind, side.items[i])
-    return side
+        raise _lacks_negation(kind, items[i])
+    return side, items
 
 
 def _check_norms(items: tuple, lines, d: int, message: str):
@@ -611,29 +623,13 @@ def _check_ranks(items: tuple, lines, d: int, other: list, dim: int, message: st
             raise GeometryError(message.format(item))
 
 
-def _polar_build(items: Sequence, cls, polar_cls, kind: str, kinds: str, symmetrize: bool):
-    """The body of both builders: ``items`` as rows of :func:`_polar_pair`.
-
-    Returns the kept items, of type ``cls``, and the ball's vertices, of
-    type ``polar_cls``, as the two :class:`_Side` descriptions the
-    constructor takes: instances made from their Fraction rows as they
-    are, with their integer rows, scales and the kept rows' lines of the
-    product table. :func:`_polar_pair` raises asymmetry on the first
-    sorted row, the constructor's order, and a row of the wrong length;
-    both errors are raised in the words of ``kind``, asymmetry as the
-    constructor's.
-    """
+def _scaled(items: Sequence, cls, kinds: str) -> tuple[list, int, int]:
+    """A builder's input as instances of ``cls``, scaled to integer rows once:
+    the rows, their scale and the first item's dimension."""
     items = _coerce(items, cls)
     if not items:
         raise GeometryError(f"no {kinds} given")
-    try:
-        kept, points = _polar_pair([x._row for x in items], items[0].dim, symmetrize)
-    except AsymmetricInputError as err:
-        raise _lacks_negation(kind, cls(err.offender)) from err
-    except DimensionMismatchError as err:
-        raise DimensionMismatchError(f"{kind} length does not match the dimension") from err
-    return (kept._replace(items=tuple(map(cls._of, kept.items))),
-            points._replace(items=tuple(map(polar_cls._of, points.items))))
+    return (*linalg.integer_rows(x._row for x in items), items[0].dim)
 
 
 def _find(rows: list, scale: int, cls, x: _Coordinates, message: str) -> int:
@@ -665,14 +661,15 @@ class PolyhedralSpace:
     construction and the catalog's two leaves, it scales each description
     to integer rows once and deduplicates and sorts them, then fills
     ``facet_table``.
-    The builders and the catalog's sums hand their output over as built
-    instead: one private description per side, holding instances made
-    from its Fraction rows with no entry coerced, their sorted integer
-    rows and their least scale. The constructor skips the scaling and the
-    sort for them, and only checks, in one pass, that the rows are
-    strictly increasing. Only the builders also hand over, on the kept
-    rows' side, their lines of the product table, which the constructor
-    then takes as the table; for a sum it makes the table itself.
+    The builders, the parser and the catalog's sums hand their output over
+    as built instead: one private description per side, holding only its
+    sorted integer rows and their least scale. The constructor skips the
+    scaling and the sort for them, and only checks, in one pass, that the
+    rows are strictly increasing. Only the builders and the parser also
+    hand over, on the kept rows' side, their lines of the product table,
+    which the constructor then takes as the table; for a sum it makes the
+    table itself. On every path the constructor makes ``hrep`` and
+    ``vrep`` from the rows, one Fraction per distinct entry of a side.
 
     Every check runs on both paths and raises on the first offender in
     canonical order: asymmetry, then the norm of each vertex and the dual
@@ -708,11 +705,12 @@ class PolyhedralSpace:
             dim = hrep[0].dim
             if any(f.dim != dim for f in hrep) or any(v.dim != dim for v in vrep):
                 raise DimensionMismatchError("mixed dimensions in the descriptions")
-        h, v = _canonical(hrep, "functional"), _canonical(vrep, "vertex")
+        h, self.hrep = _canonical(hrep, Functional, "functional")
+        v, self.vrep = _canonical(vrep, Vector, "vertex")
         self.dim = dim = len(h.rows[0])
         self.name = name
-        self._rows, self._scale, self.hrep = h.rows, h.scale, h.items
-        self._points, self._point_scale, self.vrep = v.rows, v.scale, v.items
+        self._rows, self._scale = h.rows, h.scale
+        self._points, self._point_scale = v.rows, v.scale
         d = h.scale * v.scale
         if v.lines is not None:
             table = v.lines
@@ -750,8 +748,7 @@ class PolyhedralSpace:
         under negation explicitly, with the constructor's error: the first
         functional in sorted order that lacks its negation.
         """
-        kept, verts = _polar_build(fs, Functional, Vector, "functional", "functionals", symmetrize)
-        return cls(kept, verts, name=name)
+        return cls._from_rows(*_scaled(fs, Functional, "functionals"), False, name, symmetrize)
 
     @classmethod
     def from_vertices(
@@ -766,16 +763,41 @@ class PolyhedralSpace:
         :meth:`from_functionals`, naming the first point that lacks its
         negation as a vertex.
         """
+        return cls._from_rows(*_scaled(vs, Vector, "vertices"), True, name, symmetrize)
+
+    @classmethod
+    def _from_rows(cls, ints: list, s: int, dim: int, vertices: bool, name: str | None,
+                   symmetrize: bool) -> "PolyhedralSpace":
+        """The body of both builders and of
+        :func:`polysphere.formats.parse_space_text`: the space of the
+        integer rows ``ints`` over the scale s, read as functionals, or as
+        vertices when ``vertices`` is set.
+
+        The rows go to :func:`_polar_pair` as they are. Read as vertices,
+        they cut out the polar body, so the two descriptions it returns
+        are handed to the constructor the other way round. Its errors are
+        raised in the words of the rows' kind: asymmetry as the
+        constructor's, naming the first sorted row, the constructor's
+        order; a row of the wrong length; and, for vertices, rows that do
+        not span.
+        """
+        kind, item = ("vertex", Vector) if vertices else ("functional", Functional)
         try:
-            kept, facet_rows = _polar_build(
-                vs, Vector, Functional, "vertex", "vertices", symmetrize
-            )
+            kept, points = _polar_pair(ints, s, dim, symmetrize)
+        except AsymmetricInputError as err:
+            raise _lacks_negation(kind, item._of(err.offender)) from err
+        except DimensionMismatchError as err:
+            raise DimensionMismatchError(f"{kind} length does not match the dimension") from err
         except DegenerateInputError as err:
+            if not vertices:
+                raise
             raise DegenerateInputError(
                 "vertices do not span the space: hull is lower-dimensional",
                 direction=err.direction,
             ) from err
-        return cls(facet_rows, kept, name=name)
+        if vertices:
+            return cls(points, kept, name=name)
+        return cls(kept, points, name=name)
 
     # -- basic queries ---------------------------------------------------
 

@@ -1,7 +1,11 @@
 """Print the code-line count of each ``src/polysphere/*.py`` module, and the
 total, to measure a change by the size of the package it leaves.
 
-    python tests/code_lines.py
+    python tests/code_lines.py [--max N]
+
+With ``--max N`` it exits 1 when the total is above N; CI runs it with the
+ceiling that the last change left, so a change that adds code lines has to
+raise N, and say why.
 
 A code line is a line that holds a token other than a comment; a string
 that spans lines holds all of them. Module, class and function docstrings
@@ -10,8 +14,10 @@ do not count, nor do blank lines and lines of comments only.
 The file is not a test module, so pytest does not collect it.
 """
 
+import argparse
 import ast
 import io
+import sys
 import tokenize
 from pathlib import Path
 
@@ -44,14 +50,21 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main() -> None:
+def main() -> int:
+    parser = argparse.ArgumentParser(description="Count the code lines of src/polysphere.")
+    parser.add_argument("--max", type=int, help="exit 1 when the total is above this ceiling")
+    ceiling = parser.parse_args().max
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")
     print(f"{total:6d}  total")
+    if ceiling is not None and total > ceiling:
+        print(f"{total} code lines exceed the ceiling of {ceiling}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -14,6 +14,7 @@ from polysphere import (
     formats,
     hexagon_space,
     l1_space,
+    linalg,
 )
 from polysphere import space as space_module
 from polysphere.catalog import resolve
@@ -237,20 +238,30 @@ def test_file_name_is_the_default_label(tmp_path):
     ids=["hex-H-symmetrized", "hex-V", "l1:3-H"],
 )
 def test_each_data_token_is_converted_once(monkeypatch, text):
-    """The parser hands the builders its rows as Functionals or Vectors on
-    the Fractions it parsed, so building does not convert them again."""
-    calls = []
-    convert = space_module.as_fraction
+    """The parser reads each data token to its integers once, and hands the
+    builders' body integer rows: no token becomes a Fraction on the way,
+    and no Fraction is scaled back to integers."""
+    calls = {"reader": [], "as_fraction": 0, "integer_rows": 0}
+    read = formats._rational_parts
 
-    def counting(value):
-        calls.append(value)
-        return convert(value)
+    def reading(value):
+        calls["reader"].append(value)
+        return read(value)
 
-    monkeypatch.setattr(space_module, "as_fraction", counting)
-    monkeypatch.setattr(formats, "as_fraction", counting)
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(formats, "_rational_parts", reading)
+    monkeypatch.setattr(space_module, "as_fraction",
+                        counted("as_fraction", space_module.as_fraction))
+    monkeypatch.setattr(linalg, "integer_rows", counted("integer_rows", linalg.integer_rows))
     parse_space_text(text)
     data = [line for line in text.splitlines() if line[:1].isdigit() or line[:1] == "-"]
-    assert calls == [token for line in data for token in line.split()]
+    tokens = [token for line in data for token in line.split()]
+    assert calls == {"reader": tokens, "as_fraction": 0, "integer_rows": 0}
 
 
 @st.composite

@@ -306,6 +306,19 @@ class TestScalars:
         with pytest.raises(ValueError):
             as_fraction("1/0")
 
+    @pytest.mark.parametrize("token,parts", [("2/4", (2, 4)), ("-6/3", (-6, 3)), ("+5", (5, 1)),
+                                             ("0/7", (0, 7)), (" -0 ", (0, 1))])
+    def test_a_token_reads_to_its_written_integers(self, token, parts):
+        """The reader keeps the written form, which ``as_fraction`` reduces."""
+        assert space_module._rational_parts(token) == parts
+        assert as_fraction(token) == F(*parts)
+
+    @pytest.mark.parametrize("token", ["1/0", "0.5", "1/-2", "1_0", ""])
+    def test_the_reader_refuses_what_as_fraction_refuses(self, token):
+        for read in (space_module._rational_parts, as_fraction):
+            with pytest.raises(ValueError):
+                read(token)
+
 
 class TestCoordinateTypes:
     """Points and functionals share one coordinate base but stay two types:
@@ -640,34 +653,46 @@ class TestEnumeration:
     def test_matches_the_rank_test_reference(self, case):
         """The polar routine checks the rows and the enumerator adds the
         span check: together they raise the reference's errors, and the
-        vertices they return are the reference's."""
+        vertices they return are the reference's, as integer rows over
+        their least scale."""
         rows, dim = case
-        expected = outcome(reference_enumerate_ball_vertices, rows, dim)
-        assert outcome(lambda r, d: space_module._polar_pair(r, d, False)[1].items,
-                       rows, dim) == expected
+
+        def vertices(rows, dim):
+            points = space_module._polar_pair(*linalg.integer_rows(rows), dim, False)[1]
+            return points.rows, points.scale
+
+        def reference(rows, dim):
+            return linalg.integer_rows(reference_enumerate_ball_vertices(rows, dim))
+
+        assert outcome(vertices, rows, dim) == outcome(reference, rows, dim)
 
     @settings(max_examples=40, deadline=None)
-    @given(symmetric_point_rows(dims=(2, 3, 4)), st.booleans())
-    def test_incidence_facet_test_matches_the_rank_reference(self, rows, symmetrize):
+    @given(symmetric_point_rows(dims=(2, 3, 4)), st.booleans(), st.integers(1, 6))
+    def test_incidence_facet_test_matches_the_rank_reference(self, rows, symmetrize, m):
         """The kept rows are those whose tight vertices are inclusion-maximal.
         Midpoints and interior points among the rows touch lower-dimensional
         faces or nothing, and must be dropped as the rank test drops them.
-        Each side's integer rows and scale are those ``integer_rows`` makes
-        of its Fraction rows alone, and the kept rows' lines are their
-        products with the vertices' integer rows."""
+        Each side is the integer rows and scale that ``integer_rows`` makes
+        of the reference's Fraction rows alone, whatever common scale the
+        rows are handed over on (here m times their least), and the kept
+        rows' lines are their products with the vertices' integer rows."""
 
         def polar_pair(rows, dim, symmetrize):
-            kept, points = space_module._polar_pair(rows, dim, symmetrize)
-            for side in (kept, points):
-                assert (side.rows, side.scale) == linalg.integer_rows(side.items)
+            ints, s = linalg.integer_rows(rows)
+            ints = [tuple(m * c for c in r) for r in ints]
+            kept, points = space_module._polar_pair(ints, m * s, dim, symmetrize)
             assert kept.lines == tuple(
                 tuple(linalg.dot(k, p) for p in points.rows) for k in kept.rows
             )
-            return sorted(kept.items), points.items
+            return (kept.rows, kept.scale), (points.rows, points.scale)
+
+        def reference(rows, dim):
+            kept, points = reference_polar_pair(rows, dim, symmetrize)
+            return linalg.integer_rows(kept), linalg.integer_rows(points)
 
         dim = len(rows[0])
-        expected = outcome(lambda r, d: reference_polar_pair(r, d, symmetrize), rows, dim)
-        assert outcome(lambda r, d: polar_pair(r, d, symmetrize), rows, dim) == expected
+        assert outcome(lambda r, d: polar_pair(r, d, symmetrize), rows, dim) == outcome(
+            reference, rows, dim)
 
     def test_builders_enumerate_once_through_the_module_binding(self, monkeypatch):
         """Tracing wraps the module binding, so every build must go through
@@ -876,13 +901,12 @@ class TestInvariants:
     def test_a_handed_over_description_is_checked(self):
         """Builder output skips the scaling and the sort, not the checks: rows
         out of order, and a description without a negation, are refused."""
-        kept, points = space_module._polar_build(
-            linf_space(2).hrep, Functional, Vector, "functional", "functionals", False
-        )
+        rows, s = linalg.integer_rows(f.coeffs for f in linf_space(2).hrep)
+        kept, points = space_module._polar_pair(rows, s, 2, False)
         assert PolyhedralSpace(kept, points) == linf_space(2)
         with pytest.raises(GeometryError, match="internal: the functional rows are not strictly"):
             PolyhedralSpace(kept._replace(rows=kept.rows[::-1]), points)
-        odd = points._replace(items=points.items[:-1], rows=points.rows[:-1])
+        odd = points._replace(rows=points.rows[:-1])
         with pytest.raises(AsymmetricInputError, match=r"vertex \(-1, -1\) lacks its negation"):
             PolyhedralSpace(kept, odd)
 
